@@ -28,20 +28,14 @@
 //! the criterion legs (the big proofs run once — a 10^6-state
 //! exhaustion is not an iterable timing target).
 
-use bne_core::byzantine::ben_or::BenOrMsg;
-use bne_core::mc::synth::NetFactory;
+use bne_core::mc::synth::ben_or_noise_factory;
 use bne_core::mc::{
     ben_or_net, bracha_net, paxos_net, replay_trace, BenOrParams, BrachaParams,
     CounterexampleTrace, ExploreReport, Explorer, PaxosParams, SynthConfig, Synthesizer, Verdict,
 };
-use bne_core::net::{
-    AsyncProcess, BenOrNoiseProcess, BenOrProcess, EventNet, LatencyModel, NetConfig,
-};
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::hint::black_box;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Bounded parameters for the CI smoke run; the full run proves the
@@ -94,30 +88,6 @@ fn explore_bracha(p: &BrachaParams, por: bool, max_states: u64) -> ExploreReport
     cfg.por = por;
     cfg.max_states = max_states;
     Explorer::new(net, tap, p.properties(), cfg).run()
-}
-
-/// The synthesis target: n = 4 Ben-Or with mixed preferences, process 3
-/// replaced by a [`BenOrNoiseProcess`] whose lie stream the synthesizer
-/// reseeds per rollout. Honest coins come from their private seeded RNGs
-/// — this is the *production* configuration, not the tap-driven model.
-fn ben_or_synth_factory() -> NetFactory<BenOrMsg> {
-    Box::new(|lie_seed| {
-        let prefs = [0u64, 1, 0];
-        let max_rounds = 8;
-        let mut probes = Vec::new();
-        let mut procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = Vec::new();
-        for (id, &pref) in prefs.iter().enumerate() {
-            let probe = Rc::new(Cell::new(None));
-            probes.push(Rc::clone(&probe));
-            procs.push(Box::new(
-                BenOrProcess::new(1, pref, max_rounds, 100 + id as u64).with_round_probe(probe),
-            ));
-        }
-        procs.push(Box::new(BenOrNoiseProcess::new(lie_seed)));
-        let mut cfg = NetConfig::lockstep(0);
-        cfg.latency = LatencyModel::Constant(1);
-        (EventNet::new(procs, cfg), probes)
-    })
 }
 
 fn bench_mc_checker(c: &mut Criterion) {
@@ -256,7 +226,7 @@ fn bench_mc_checker(c: &mut Criterion) {
 
     // --- adversary synthesis: best >= rush by construction ---
     let synth = Synthesizer::new(
-        ben_or_synth_factory(),
+        ben_or_noise_factory(),
         BTreeSet::from([3]),
         SynthConfig {
             rollouts: p.synth_rollouts,
@@ -293,7 +263,7 @@ fn bench_mc_checker(c: &mut Criterion) {
         b.iter(|| black_box(replay_trace(&round_trip).unwrap().violation.is_some()))
     });
     let synth_small = Synthesizer::new(
-        ben_or_synth_factory(),
+        ben_or_noise_factory(),
         BTreeSet::from([3]),
         SynthConfig {
             rollouts: 8,

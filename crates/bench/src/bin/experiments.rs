@@ -540,6 +540,16 @@ fn fmt_stat(s: &bne_core::sim::StreamingStats) -> String {
     format!("{} ± {}", fmt_f64(s.mean()), fmt_f64(s.std_dev()))
 }
 
+/// Panics, naming the cell, if any of its replicas exhausted the event
+/// budget: a cut-off run must not be averaged into a table.
+fn assert_untruncated(experiment: &str, cell: usize, truncated: &bne_core::sim::StreamingStats) {
+    assert_eq!(
+        truncated.mean(),
+        0.0,
+        "{experiment} cell {cell}: a replica exhausted its event budget"
+    );
+}
+
 /// E13 — scrip economies through the engine: money-supply curve and
 /// population scaling, replica-averaged.
 fn e13_scrip_grid() {
@@ -958,6 +968,7 @@ fn e20_ben_or_grid() {
         .run(&BenOrScenario, &grid)
         .into_iter()
         .map(|r| {
+            assert_untruncated("e20", r.cell, &r.outcome.truncated);
             let scheduler = &schedulers[r.cell / (fault_counts.len() * cells.len())];
             let faults = fault_counts[(r.cell / cells.len()) % fault_counts.len()];
             let (n, t) = cells[r.cell % cells.len()];
@@ -1009,6 +1020,7 @@ fn e21_bracha_retry_partition_grid() {
         .run(&AsyncBrachaScenario, &grid)
         .into_iter()
         .map(|r| {
+            assert_untruncated("e21", r.cell, &r.outcome.truncated);
             let cell = &grid[r.cell];
             let arm = match &cell.retry {
                 None => "bare".to_string(),
@@ -1074,6 +1086,7 @@ fn e22_quorum_consensus_atlas() {
         ("hsuc", runner.run(&HsucScenario, &grid)),
     ] {
         for r in results {
+            assert_untruncated(&format!("e22 {protocol}"), r.cell, &r.outcome.truncated);
             let cell = &grid[r.cell];
             rows.push(vec![
                 protocol.to_string(),
@@ -1128,8 +1141,7 @@ fn e23_paxos_phase_latency() {
         AsyncProcess, DurableState, EventNet, HistogramSpec, NetCtx, Observer, PaxosProcess,
         QuorumConsensusCell,
     };
-    use bne_core::sim::{derive_seed, Histogram, Merge, Scenario, StreamingStats};
-    use rand::{rngs::StdRng, RngExt, SeedableRng};
+    use bne_core::sim::{Histogram, Merge, Scenario, StreamingStats};
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
@@ -1143,6 +1155,7 @@ fn e23_paxos_phase_latency() {
     #[derive(Clone)]
     struct PhaseLatency {
         decided: StreamingStats,
+        truncated: StreamingStats,
         decide_time: StreamingStats,
         phases: [StreamingStats; 3],
         timer_wait: StreamingStats,
@@ -1153,6 +1166,7 @@ fn e23_paxos_phase_latency() {
     impl Merge for PhaseLatency {
         fn merge(&mut self, other: &Self) {
             self.decided.merge(&other.decided);
+            self.truncated.merge(&other.truncated);
             self.decide_time.merge(&other.decide_time);
             for (a, b) in self.phases.iter_mut().zip(&other.phases) {
                 a.merge(b);
@@ -1243,12 +1257,10 @@ fn e23_paxos_phase_latency() {
         type Outcome = PhaseLatency;
 
         fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> PhaseLatency {
-            // Identical draws to `PaxosScenario::run`: same input stream,
-            // same net-seed stream (11, the scenario module's net-seed
-            // stream id), so each replica is the e22 execution verbatim.
+            // The cell's own inputs, network and obligated set, as
+            // `PaxosScenario::run` uses them: each replica is the e22
+            // execution verbatim.
             let spec = HistogramSpec::ticks(64);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let inputs: Vec<u64> = (0..cell.n).map(|_| rng.random_range(0..100u64)).collect();
             let last_latency = Rc::new(Cell::new(0u64));
             let tally = Rc::new(RefCell::new([
                 (StreamingStats::new(), spec.build()),
@@ -1256,9 +1268,10 @@ fn e23_paxos_phase_latency() {
                 (StreamingStats::new(), spec.build()),
             ]));
             let waits = Rc::new(RefCell::new((StreamingStats::new(), spec.build())));
-            let procs: Vec<Box<dyn AsyncProcess<Msg = PaxosMsg>>> = inputs
-                .iter()
-                .map(|&v| {
+            let procs: Vec<Box<dyn AsyncProcess<Msg = PaxosMsg>>> = cell
+                .inputs(seed)
+                .into_iter()
+                .map(|v| {
                     Box::new(PhaseTagged {
                         inner: PaxosProcess::new(v, cell.timeout_ticks, cell.max_timeouts),
                         last_latency: Rc::clone(&last_latency),
@@ -1266,50 +1279,26 @@ fn e23_paxos_phase_latency() {
                     }) as _
                 })
                 .collect();
-            let cfg = {
-                let mut cfg = cell
-                    .net
-                    .config(derive_seed(seed, 11, 0), &std::collections::BTreeSet::new());
-                cfg.faults = cell.crash.apply(std::mem::take(&mut cfg.faults));
-                cfg
-            };
             let tap = DeliveryTap {
                 last_latency: Rc::clone(&last_latency),
                 waits: Rc::clone(&waits),
             };
-            let mut net = EventNet::with_observer(procs, cfg, Box::new(tap));
+            let mut net = EventNet::with_observer(procs, cell.net_config(seed), Box::new(tap));
             let drained = net.run(20_000_000);
-            debug_assert!(drained, "paxos event queue failed to drain");
             let decisions = net.decisions();
-            let crashed_forever = matches!(cell.crash, CrashRegime::CrashStop { .. });
-            let obligated: Vec<usize> = (0..cell.n)
-                .filter(|&i| !(crashed_forever && i == 0))
-                .collect();
+            let obligated = cell.obligated();
             let decided = obligated.iter().all(|&i| decisions[i].is_some());
+            let times = obligated.iter().filter_map(|&i| net.decision_times()[i]);
             let decide_time = if decided {
-                let t = obligated
-                    .iter()
-                    .filter_map(|&i| net.decision_times()[i])
-                    .max()
-                    .unwrap_or(0);
-                StreamingStats::of(t as f64)
+                StreamingStats::of(times.max().unwrap_or(0) as f64)
             } else {
                 StreamingStats::new()
             };
-            // the processes (and the tap observer) inside the net hold
-            // the other Rc clones; drop it to take sole ownership
-            drop(net);
-            let tally = match Rc::try_unwrap(tally) {
-                Ok(t) => t.into_inner(),
-                Err(_) => unreachable!("tap refs dropped with the net"),
-            };
-            let waits = match Rc::try_unwrap(waits) {
-                Ok(w) => w.into_inner(),
-                Err(_) => unreachable!("tap refs dropped with the net"),
-            };
-            let [p, a, l] = tally;
+            let [p, a, l] = tally.borrow().clone();
+            let waits = waits.borrow().clone();
             PhaseLatency {
                 decided: StreamingStats::of(f64::from(u8::from(decided))),
+                truncated: StreamingStats::of(f64::from(u8::from(!drained))),
                 decide_time,
                 phases: [p.0, a.0, l.0],
                 timer_wait: waits.0,
@@ -1336,6 +1325,7 @@ fn e23_paxos_phase_latency() {
     let mut failover_waits: Option<Histogram> = None;
     for r in &results {
         let cell = &grid[r.cell];
+        assert_untruncated("e23", r.cell, &r.outcome.truncated);
         assert_eq!(
             r.outcome.decided.mean(),
             1.0,
@@ -1509,16 +1499,10 @@ fn e24_million_agent_audit() {
 /// replayable counterexample, and the synthesized worst-case adversary
 /// against e20's rush heuristic.
 fn e25_model_checker() {
-    use bne_core::byzantine::ben_or::BenOrMsg;
-    use bne_core::mc::synth::NetFactory;
+    use bne_core::mc::synth::ben_or_noise_factory;
     use bne_core::mc::{
         bracha_net, replay_trace, BrachaParams, Explorer, SynthConfig, Synthesizer, Verdict,
     };
-    use bne_core::net::{
-        AsyncProcess, BenOrNoiseProcess, BenOrProcess, EventNet, LatencyModel, NetConfig,
-    };
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     let smoke = bne_bench::bench_smoke_mode();
     // naive DFS never finds the planted n = 4 bug: the cap bounds how
@@ -1603,27 +1587,6 @@ fn e25_model_checker() {
     );
     println!();
 
-    // the synthesis target: production-sized Ben-Or (real coins, no tap)
-    // with process 3 a Byzantine noise participant whose lie stream the
-    // synthesizer reseeds per rollout
-    fn ben_or_noise_factory() -> NetFactory<BenOrMsg> {
-        Box::new(|lie_seed| {
-            let prefs = [0u64, 1, 0];
-            let mut probes = Vec::new();
-            let mut procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = Vec::new();
-            for (id, &pref) in prefs.iter().enumerate() {
-                let probe = Rc::new(Cell::new(None));
-                probes.push(Rc::clone(&probe));
-                procs.push(Box::new(
-                    BenOrProcess::new(1, pref, 8, 100 + id as u64).with_round_probe(probe),
-                ));
-            }
-            procs.push(Box::new(BenOrNoiseProcess::new(lie_seed)));
-            let mut cfg = NetConfig::lockstep(0);
-            cfg.latency = LatencyModel::Constant(1);
-            (EventNet::new(procs, cfg), probes)
-        })
-    }
     let mut synth_rows = Vec::new();
     for rollouts in if smoke {
         vec![8usize]

@@ -7,12 +7,20 @@
 //! ([`BroadcastScenario`]) — all reporting into the shared
 //! [`ProtocolStats`] aggregate, so grids across protocols are directly
 //! comparable.
+//!
+//! Each replica is drawn from its seed once, by [`om_replica`],
+//! [`phase_king_replica`] or [`dolev_strong_replica`], and scored once, by
+//! [`RoundReplica::run`]. The scenarios here run that draw on the
+//! lockstep [`SyncNetwork`]; the async sweeps of `bne-net` run the same
+//! draw on the event runtime, so the two engines sample identical
+//! replicas.
 
 use crate::adversary::{FaultyBehavior, FaultyProcess};
-use crate::broadcast::{run_dolev_strong, DolevStrongProcess, EquivocatingSender, SignedMessage};
-use crate::network::Process;
+use crate::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMessage};
+use crate::network::{ProcId, Process, SyncNetwork};
 use crate::om::{om_byzantine_generals, OmConfig, TraitorStrategy};
-use crate::phase_king::{run_phase_king, PhaseKingProcess};
+use crate::om_process::OmProcess;
+use crate::phase_king::PhaseKingProcess;
 use crate::properties::{check_agreement, check_validity};
 use crate::Value;
 use bne_crypto::pki::PublicKeyInfrastructure;
@@ -36,16 +44,6 @@ pub struct ProtocolStats {
 }
 
 impl ProtocolStats {
-    /// Summarizes one execution.
-    pub fn of_run(decided: bool, agreement: bool, validity: bool, messages: usize) -> Self {
-        ProtocolStats {
-            decided: StreamingStats::of(f64::from(decided)),
-            agreement: StreamingStats::of(f64::from(agreement)),
-            validity: StreamingStats::of(f64::from(validity)),
-            messages: StreamingStats::of(messages as f64),
-        }
-    }
-
     /// Empirical probability that an execution was fully correct is at
     /// most `min` of the three component rates; this reports the rate of
     /// executions satisfying agreement **and** validity **and** decision.
@@ -60,6 +58,175 @@ impl Merge for ProtocolStats {
         self.agreement.merge(&other.agreement);
         self.validity.merge(&other.validity);
         self.messages.merge(&other.messages);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded replicas, shared by the sync and async engines
+// ---------------------------------------------------------------------------
+
+/// A round-based process set, in process-id order.
+pub type ProcessSet<M> = Vec<Box<dyn Process<Msg = M>>>;
+
+/// What an engine reports for one replica: every process's decision and
+/// the number of messages sent.
+pub type EngineOutput = (Vec<Option<Value>>, usize);
+
+/// One seeded replica of a Byzantine protocol: what an engine runs, plus
+/// what the run is judged against.
+pub struct RoundReplica<P> {
+    /// What the engine runs: a process set for phase king and
+    /// Dolev–Strong; for OM the [`OmConfig`] that the recursive run and
+    /// the EIG process set are both built from.
+    protocol: P,
+    /// Rounds the protocol needs.
+    rounds: usize,
+    /// The processes the correctness conditions constrain.
+    honest: Vec<bool>,
+    /// The value honest decisions must match; `None` when validity is
+    /// vacuous (faulty source, mixed starts).
+    reference: Option<Value>,
+    /// The processes an adversarial scheduler treats as Byzantine. For OM
+    /// this is the traitor set, which is not the complement of `honest`: a
+    /// loyal commander is not judged, but it is not Byzantine either.
+    byzantine: BTreeSet<ProcId>,
+}
+
+impl<P> RoundReplica<P> {
+    /// Runs the replica on an engine and scores it. `engine` receives the
+    /// protocol, the round count and the Byzantine set.
+    pub fn run(
+        self,
+        engine: impl FnOnce(P, usize, &BTreeSet<ProcId>) -> EngineOutput,
+    ) -> ProtocolStats {
+        let (decisions, messages) = engine(self.protocol, self.rounds, &self.byzantine);
+        let honest = &self.honest;
+        let flag = |b: bool| StreamingStats::of(f64::from(b));
+        let decided = decisions
+            .iter()
+            .zip(honest)
+            .all(|(d, &h)| !h || d.is_some());
+        let validity = self
+            .reference
+            .is_none_or(|v| check_validity(&decisions, honest, v));
+        ProtocolStats {
+            decided: flag(decided),
+            agreement: flag(check_agreement(&decisions, honest)),
+            validity: flag(validity),
+            messages: StreamingStats::of(messages as f64),
+        }
+    }
+}
+
+impl<M: Clone> RoundReplica<ProcessSet<M>> {
+    /// Runs the replica on the lockstep [`SyncNetwork`] and scores it.
+    pub fn run_sync(self) -> ProtocolStats {
+        self.run(|processes, rounds, _| {
+            let mut net = SyncNetwork::new(processes);
+            net.run(rounds);
+            (net.decisions(), net.stats().messages_sent)
+        })
+    }
+}
+
+/// Draws one OM(t) replica: the commander's order from the seed, `t`
+/// traitors with consecutive ids from the commander (when it is faulty)
+/// or from the first lieutenant, and the loyal lieutenants as the honest
+/// set.
+pub fn om_replica(
+    n: usize,
+    t: usize,
+    strategy: TraitorStrategy,
+    commander_faulty: bool,
+    seed: u64,
+) -> RoundReplica<OmConfig> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let commander_value: Value = rng.random_range(0..2u64);
+    let first = usize::from(!commander_faulty);
+    let traitors: BTreeSet<ProcId> = (first..first + t).collect();
+    RoundReplica {
+        rounds: OmProcess::rounds_needed(t),
+        honest: (0..n).map(|i| i != 0 && !traitors.contains(&i)).collect(),
+        reference: (!traitors.contains(&0)).then_some(commander_value),
+        byzantine: traitors.clone(),
+        protocol: OmConfig {
+            n,
+            m: t,
+            commander_value,
+            traitors,
+            strategy,
+            default_value: 0,
+        },
+    }
+}
+
+/// Draws one phase-king replica: `n - t` honest processes with seed-drawn
+/// initial bits (one common bit under `unanimous_start`), then `t` faulty
+/// processes running `behavior`.
+pub fn phase_king_replica(
+    n: usize,
+    t: usize,
+    behavior: &FaultyBehavior,
+    unanimous_start: bool,
+    seed: u64,
+) -> RoundReplica<ProcessSet<Value>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let honest_count = n - t;
+    let common: Value = rng.random_range(0..2u64);
+    let mut processes: ProcessSet<Value> = Vec::with_capacity(n);
+    for _ in 0..honest_count {
+        let initial = if unanimous_start {
+            common
+        } else {
+            rng.random_range(0..2u64)
+        };
+        processes.push(Box::new(PhaseKingProcess::new(initial, t)));
+    }
+    for _ in 0..t {
+        // re-seed stochastic adversaries from the replica seed so
+        // replicas see independent noise (deterministic behaviors are
+        // unchanged; the draw keeps the stream layout uniform)
+        let behavior = behavior.with_seed(rng.random::<u64>());
+        processes.push(Box::new(FaultyProcess::new(behavior)));
+    }
+    RoundReplica {
+        protocol: processes,
+        rounds: PhaseKingProcess::rounds_needed(t),
+        honest: (0..n).map(|i| i < honest_count).collect(),
+        reference: unanimous_start.then_some(common),
+        byzantine: (honest_count..n).collect(),
+    }
+}
+
+/// Draws one Dolev–Strong replica over a fresh simulated PKI: the
+/// sender's input from the seed, and process 0 replaced by an
+/// [`EquivocatingSender`] when `equivocating_sender` is set.
+pub fn dolev_strong_replica(
+    n: usize,
+    t: usize,
+    equivocating_sender: bool,
+    seed: u64,
+) -> RoundReplica<ProcessSet<SignedMessage>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (pki, keys) = PublicKeyInfrastructure::setup(n, &mut rng);
+    let input: Value = rng.random_range(0..2u64);
+    let protocol = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| -> Box<dyn Process<Msg = SignedMessage>> {
+            if i == 0 && equivocating_sender {
+                Box::new(EquivocatingSender::new(key))
+            } else {
+                Box::new(DolevStrongProcess::new(0, input, t, pki.clone(), key, 0))
+            }
+        })
+        .collect();
+    RoundReplica {
+        protocol,
+        rounds: DolevStrongProcess::rounds_needed(t),
+        honest: (0..n).map(|i| i != 0 || !equivocating_sender).collect(),
+        reference: (!equivocating_sender).then_some(input),
+        byzantine: equivocating_sender.then_some(0).into_iter().collect(),
     }
 }
 
@@ -90,27 +257,16 @@ impl Scenario for OmScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &OmCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let commander_value: Value = rng.random_range(0..2u64);
-        let traitors: BTreeSet<usize> = if cell.commander_faulty {
-            (0..cell.t).collect()
-        } else {
-            (1..=cell.t).collect()
-        };
-        let config = OmConfig {
-            n: cell.n,
-            m: cell.t,
-            commander_value,
-            traitors: traitors.clone(),
-            strategy: cell.strategy,
-            default_value: 0,
-        };
-        let outcome = om_byzantine_generals(&config);
-        let values: Vec<Value> = outcome.decisions.values().copied().collect();
-        let agreement = values.windows(2).all(|w| w[0] == w[1]);
-        let validity = traitors.contains(&0) || values.iter().all(|&v| v == commander_value);
-        // every loyal lieutenant appears in `decisions` by construction
-        ProtocolStats::of_run(true, agreement, validity, outcome.messages)
+        om_replica(cell.n, cell.t, cell.strategy, cell.commander_faulty, seed).run(
+            |config, _, _| {
+                // the recursion reports the loyal lieutenants only
+                let outcome = om_byzantine_generals(&config);
+                let decisions = (0..config.n)
+                    .map(|i| outcome.decisions.get(&i).copied())
+                    .collect();
+                (decisions, outcome.messages)
+            },
+        )
     }
 }
 
@@ -166,43 +322,7 @@ impl Scenario for PhaseKingScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &PhaseKingCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let honest_count = cell.n - cell.t;
-        let common: Value = rng.random_range(0..2u64);
-        let initials: Vec<Value> = (0..honest_count)
-            .map(|_| {
-                if cell.unanimous_start {
-                    common
-                } else {
-                    rng.random_range(0..2u64)
-                }
-            })
-            .collect();
-        let mut processes: Vec<Box<dyn Process<Msg = Value>>> = initials
-            .iter()
-            .map(|&v| Box::new(PhaseKingProcess::new(v, cell.t)) as Box<dyn Process<Msg = Value>>)
-            .collect();
-        for _ in 0..cell.t {
-            // re-seed stochastic adversaries from the replica seed so
-            // replicas see independent noise (deterministic behaviors are
-            // unchanged; the draw keeps the stream layout uniform)
-            let behavior = cell.behavior.with_seed(rng.random::<u64>());
-            processes.push(Box::new(FaultyProcess::new(behavior)));
-        }
-        let (decisions, stats) = run_phase_king(processes, cell.t);
-        let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
-        let decided = decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&decisions, &honest);
-        let validity = if cell.unanimous_start {
-            check_validity(&decisions, &honest, common)
-        } else {
-            true
-        };
-        ProtocolStats::of_run(decided, agreement, validity, stats.messages_sent)
+        phase_king_replica(cell.n, cell.t, &cell.behavior, cell.unanimous_start, seed).run_sync()
     }
 }
 
@@ -251,40 +371,7 @@ impl Scenario for BroadcastScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &BroadcastCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (pki, keys) = PublicKeyInfrastructure::setup(cell.n, &mut rng);
-        let input: Value = rng.random_range(0..2u64);
-        let mut processes: Vec<Box<dyn Process<Msg = SignedMessage>>> = Vec::new();
-        for i in 0..cell.n {
-            if i == 0 && cell.equivocating_sender {
-                processes.push(Box::new(EquivocatingSender::new(keys[0])));
-            } else {
-                processes.push(Box::new(DolevStrongProcess::new(
-                    0,
-                    input,
-                    cell.t,
-                    pki.clone(),
-                    keys[i],
-                    0,
-                )));
-            }
-        }
-        let (decisions, stats) = run_dolev_strong(processes, cell.t);
-        let honest: Vec<bool> = (0..cell.n)
-            .map(|i| i != 0 || !cell.equivocating_sender)
-            .collect();
-        let decided = decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&decisions, &honest);
-        let validity = if cell.equivocating_sender {
-            true
-        } else {
-            check_validity(&decisions, &honest, input)
-        };
-        ProtocolStats::of_run(decided, agreement, validity, stats.messages_sent)
+        dolev_strong_replica(cell.n, cell.t, cell.equivocating_sender, seed).run_sync()
     }
 }
 

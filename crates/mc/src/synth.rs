@@ -22,7 +22,11 @@
 //! events first drags `now` forward, so earlier honest sends are
 //! delivered stale — reordering alone manufactures delay).
 
-use bne_net::{EnabledEvent, EnabledKind, EventNet};
+use bne_byzantine::ben_or::BenOrMsg;
+use bne_net::{
+    AsyncProcess, BenOrNoiseProcess, BenOrProcess, EnabledEvent, EnabledKind, EventNet,
+    LatencyModel, NetConfig,
+};
 use bne_sim::derive_seed;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -83,6 +87,29 @@ pub struct SynthOutcome {
 /// seed (vary the Byzantine participants' randomness with it); the
 /// returned cells are the honest round probes the badness score reads.
 pub type NetFactory<M> = Box<dyn Fn(u64) -> (EventNet<M>, Vec<Rc<Cell<Option<u32>>>>)>;
+
+/// The Ben-Or synthesis target of e25 and the model-checker bench:
+/// production Ben-Or at n = 4, t = 1 (seeded coins, round cap 8, one tick
+/// per hop) with mixed preferences on processes 0–2, and process 3 a
+/// [`BenOrNoiseProcess`] whose lie stream the synthesizer reseeds per
+/// rollout — search it with process 3 as the Byzantine set.
+pub fn ben_or_noise_factory() -> NetFactory<BenOrMsg> {
+    Box::new(|lie_seed| {
+        let mut probes = Vec::new();
+        let mut procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = Vec::new();
+        for (id, pref) in [0u64, 1, 0].into_iter().enumerate() {
+            let probe = Rc::new(Cell::new(None));
+            probes.push(Rc::clone(&probe));
+            procs.push(Box::new(
+                BenOrProcess::new(1, pref, 8, 100 + id as u64).with_round_probe(probe),
+            ));
+        }
+        procs.push(Box::new(BenOrNoiseProcess::new(lie_seed)));
+        let mut cfg = NetConfig::lockstep(0);
+        cfg.latency = LatencyModel::Constant(1);
+        (EventNet::new(procs, cfg), probes)
+    })
+}
 
 /// The budgeted schedule × lie searcher (see module docs).
 pub struct Synthesizer<M: Clone> {

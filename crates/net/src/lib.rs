@@ -70,8 +70,6 @@ pub use model::{
 pub use obs::{
     EventCounts, HistogramSpec, MetricsObserver, Observer, TimelineEntry, TimelineObserver,
 };
-#[allow(deprecated)]
-pub use protocols::SilentAsyncProcess;
 pub use protocols::{
     run_hsuc, run_paxos, BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, PaxosProcess,
 };

@@ -232,8 +232,7 @@ pub enum CrashTrigger {
     /// bit-identical to a fault-free run.
     AfterEvents(u64),
     /// Fires at the given virtual time. `AtTime(0)` crashes the process
-    /// before `on_start` runs — the crash-at-start replacement for the old
-    /// `SilentAsyncProcess` wrapper.
+    /// before `on_start` runs.
     AtTime(u64),
 }
 
@@ -320,8 +319,8 @@ impl FaultPlan {
         self
     }
 
-    /// Crashes `proc` before its `on_start` ever runs — the planned-fault
-    /// replacement for the old `SilentAsyncProcess` wrapper.
+    /// Crashes `proc` before its `on_start` ever runs: a silent
+    /// participant, whatever its protocol.
     pub fn crash_at_start(self, proc: ProcId) -> Self {
         self.crash_at(proc, 0)
     }

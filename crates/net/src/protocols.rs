@@ -22,11 +22,8 @@
 //! * [`BenOrNoiseProcess`] — a Byzantine participant injecting seeded
 //!   random reports and proposals for every round it observes.
 //!
-//! The crashed-from-the-start participant that used to live here
-//! ([`SilentAsyncProcess`]) is superseded by the runtime's fault plans:
-//! `FaultPlan::crash_at_start(proc)` halts *any* process — no wrapper
-//! type needed. A deprecated alias to [`crate::runtime::IdleProcess`]
-//! remains for one release.
+//! A crashed-from-the-start participant needs no process type of its own:
+//! `FaultPlan::crash_at_start(proc)` halts *any* process.
 
 use crate::runtime::{AsyncProcess, DurableState, EventNet, NetCtx};
 use bne_byzantine::ben_or::{BenOrMsg, BenOrState};
@@ -275,15 +272,6 @@ impl AsyncProcess for BenOrProcess {
         self.state.as_ref().is_some_and(|s| s.absorbs(src, msg))
     }
 }
-
-/// Deprecated name for [`crate::runtime::IdleProcess`]: crash injection
-/// is the runtime's job now — put `FaultPlan::crash_at_start(proc)` in
-/// [`crate::model::NetConfig::fault_plan`] and keep the real process.
-#[deprecated(
-    since = "0.7.0",
-    note = "use FaultPlan::crash_at_start on NetConfig (or IdleProcess for a genuinely inert slot)"
-)]
-pub type SilentAsyncProcess<M> = crate::runtime::IdleProcess<M>;
 
 /// Single-decree Paxos as an [`AsyncProcess`].
 ///

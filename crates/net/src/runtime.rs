@@ -1203,9 +1203,9 @@ impl<M: Clone> EventNet<M> {
         // buffer the event loop recycles)
         net.procs = procs;
         // enact the fault plan: time-0 crashes fire before any `on_start`
-        // (the crash-at-start semantics replacing `SilentAsyncProcess`),
-        // and later timed crashes are queued ahead of every send, so at
-        // equal (time, tie) a planned crash beats a delivery
+        // (crash-at-start), and later timed crashes are queued ahead of
+        // every send, so at equal (time, tie) a planned crash beats a
+        // delivery
         let plan = net.cfg.faults.process.clone();
         for (i, fault) in plan.iter().enumerate() {
             assert!(

@@ -5,26 +5,36 @@
 //! These are the asynchronous counterparts of
 //! [`bne_byzantine::scenario`]'s lockstep sweeps, reporting into the same
 //! [`ProtocolStats`] aggregate so sync and async grids are directly
-//! comparable. Experiments e17–e18 are built from these scenarios.
+//! comparable. Experiments e17–e23 are built from these scenarios.
+//!
+//! The round-based scenarios (OM, phase king, Dolev–Strong) draw their
+//! replicas through the seeded builders of [`bne_byzantine::scenario`],
+//! the same ones the lockstep scenarios use, and run them through
+//! [`run_round_protocol`]. The event-driven ones (Ben-Or, Bracha, Paxos,
+//! HSUC) all run through one private driver, which counts a replica that
+//! exhausts its event budget in the `truncated` column of
+//! [`ConsensusStats`] / [`RbStats`].
 
 use crate::adapter::run_round_protocol;
-use crate::model::{
-    FaultPlan, LatencyModel, LinkFaults, NetConfig, Partition, QueueImpl, SchedulerPolicy,
-};
+use crate::model::{FaultPlan, LatencyModel, NetConfig, Partition, QueueImpl, SchedulerPolicy};
 use crate::obs::{HistogramSpec, MetricsObserver};
-use bne_byzantine::adversary::{FaultyBehavior, FaultyProcess};
-use bne_byzantine::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMessage};
-use bne_byzantine::network::Process;
-use bne_byzantine::om::{OmConfig, TraitorStrategy};
-use bne_byzantine::om_process::{om_colluding_process_set, om_process_set, OmProcess};
-use bne_byzantine::phase_king::PhaseKingProcess;
-use bne_byzantine::properties::{check_agreement, check_validity};
-use bne_byzantine::scenario::ProtocolStats;
-use bne_byzantine::{ProcId, Value};
-use bne_crypto::pki::PublicKeyInfrastructure;
+use crate::protocols::{BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, PaxosProcess};
+use crate::retry::{RetryAdapter, RetryMsg, RetryPolicy};
+use crate::runtime::{AsyncProcess, EventNet, IdleProcess, NetStats};
+use bne_byzantine::adversary::FaultyBehavior;
+use bne_byzantine::bracha::BrachaMsg;
+use bne_byzantine::om::TraitorStrategy;
+use bne_byzantine::om_process::{om_colluding_process_set, om_process_set};
+use bne_byzantine::properties::{check_agreement, check_validity, rb_report};
+use bne_byzantine::scenario::{
+    dolev_strong_replica, om_replica, phase_king_replica, EngineOutput, ProcessSet, ProtocolStats,
+};
+use bne_byzantine::{BenOrMsg, ProcId, Value};
 use bne_sim::{derive_seed, Histogram, Merge, Scenario, StreamingStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Stream tag separating a replica's *network* seed from the seed used
 /// for protocol inputs (commander orders, initial preferences).
@@ -35,6 +45,10 @@ const STREAM_COIN: u64 = 12;
 const STREAM_COLLUSION: u64 = 13;
 /// Stream tag for Byzantine noise-process seeds.
 const STREAM_NOISE: u64 = 14;
+
+/// Events one event-driven replica may process before it counts as
+/// truncated.
+const EVENT_BUDGET: usize = 20_000_000;
 
 /// A scheduler choice that does not yet know which processes are
 /// Byzantine — scenarios materialize it per replica once the fault set is
@@ -93,7 +107,8 @@ pub struct NetProfile {
     /// Delivery-order policy.
     pub scheduler: SchedulerSpec,
     /// The fault plan: link faults (loss, partitions) plus process
-    /// crash/recovery faults. Plain [`LinkFaults`] convert via `.into()`.
+    /// crash/recovery faults. Plain [`crate::LinkFaults`] convert via
+    /// `.into()`.
     pub faults: FaultPlan,
     /// Virtual ticks per protocol round.
     pub round_ticks: u64,
@@ -159,6 +174,21 @@ impl NetProfile {
     }
 }
 
+/// The event runtime as an engine for [`RoundReplica::run`]: the
+/// replica's process set runs under `net` with the replica's network seed.
+///
+/// [`RoundReplica::run`]: bne_byzantine::scenario::RoundReplica::run
+fn event_net<M: Clone + 'static>(
+    net: &NetProfile,
+    seed: u64,
+) -> impl FnOnce(ProcessSet<M>, usize, &BTreeSet<ProcId>) -> EngineOutput + '_ {
+    move |processes, rounds, byzantine| {
+        let cfg = net.config(derive_seed(seed, STREAM_NET_SEED, 0), byzantine);
+        let outcome = run_round_protocol(processes, rounds, cfg);
+        (outcome.decisions, outcome.stats.messages_sent)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // OM(t), EIG formulation, on the async runtime
 // ---------------------------------------------------------------------------
@@ -192,46 +222,16 @@ impl Scenario for AsyncOmScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &AsyncOmCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let commander_value: Value = rng.random_range(0..2u64);
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let traitors: BTreeSet<usize> = if cell.commander_faulty {
-            (0..cell.t).collect()
-        } else {
-            (1..=cell.t).collect()
-        };
-        let config = OmConfig {
-            n: cell.n,
-            m: cell.t,
-            commander_value,
-            traitors: traitors.clone(),
-            strategy: cell.strategy,
-            default_value: 0,
-        };
-        let processes = if cell.colluding {
-            om_colluding_process_set(&config, derive_seed(seed, STREAM_COLLUSION, 0))
-        } else {
-            om_process_set(&config)
-        };
-        let outcome = run_round_protocol(
-            processes,
-            OmProcess::rounds_needed(config.m),
-            cell.net.config(net_seed, &traitors),
-        );
-        // the correctness conditions constrain the honest lieutenants
-        let honest: Vec<bool> = (0..cell.n)
-            .map(|i| i != 0 && !traitors.contains(&i))
-            .collect();
-        let decided = outcome
-            .decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&outcome.decisions, &honest);
-        let validity =
-            traitors.contains(&0) || check_validity(&outcome.decisions, &honest, commander_value);
-        ProtocolStats::of_run(decided, agreement, validity, outcome.stats.messages_sent)
+        om_replica(cell.n, cell.t, cell.strategy, cell.commander_faulty, seed).run(
+            |config, rounds, traitors| {
+                let processes = if cell.colluding {
+                    om_colluding_process_set(&config, derive_seed(seed, STREAM_COLLUSION, 0))
+                } else {
+                    om_process_set(&config)
+                };
+                event_net(&cell.net, seed)(processes, rounds, traitors)
+            },
+        )
     }
 }
 
@@ -292,47 +292,8 @@ impl Scenario for AsyncPhaseKingScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &AsyncPhaseKingCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let honest_count = cell.n - cell.t;
-        let common: Value = rng.random_range(0..2u64);
-        let initials: Vec<Value> = (0..honest_count)
-            .map(|_| {
-                if cell.unanimous_start {
-                    common
-                } else {
-                    rng.random_range(0..2u64)
-                }
-            })
-            .collect();
-        let mut processes: Vec<Box<dyn Process<Msg = Value>>> = initials
-            .iter()
-            .map(|&v| Box::new(PhaseKingProcess::new(v, cell.t)) as Box<dyn Process<Msg = Value>>)
-            .collect();
-        for _ in 0..cell.t {
-            let behavior = cell.behavior.with_seed(rng.random::<u64>());
-            processes.push(Box::new(FaultyProcess::new(behavior)));
-        }
-        let byzantine: BTreeSet<ProcId> = (honest_count..cell.n).collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let outcome = run_round_protocol(
-            processes,
-            PhaseKingProcess::rounds_needed(cell.t),
-            cell.net.config(net_seed, &byzantine),
-        );
-        let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
-        let decided = outcome
-            .decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&outcome.decisions, &honest);
-        let validity = if cell.unanimous_start {
-            check_validity(&outcome.decisions, &honest, common)
-        } else {
-            true
-        };
-        ProtocolStats::of_run(decided, agreement, validity, outcome.stats.messages_sent)
+        phase_king_replica(cell.n, cell.t, &cell.behavior, cell.unanimous_start, seed)
+            .run(event_net(&cell.net, seed))
     }
 }
 
@@ -401,51 +362,8 @@ impl Scenario for AsyncBroadcastScenario {
     type Outcome = ProtocolStats;
 
     fn run(&self, cell: &AsyncBroadcastCell, seed: u64) -> ProtocolStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (pki, keys) = PublicKeyInfrastructure::setup(cell.n, &mut rng);
-        let input: Value = rng.random_range(0..2u64);
-        let mut processes: Vec<Box<dyn Process<Msg = SignedMessage>>> = Vec::new();
-        for i in 0..cell.n {
-            if i == 0 && cell.equivocating_sender {
-                processes.push(Box::new(EquivocatingSender::new(keys[0])));
-            } else {
-                processes.push(Box::new(DolevStrongProcess::new(
-                    0,
-                    input,
-                    cell.t,
-                    pki.clone(),
-                    keys[i],
-                    0,
-                )));
-            }
-        }
-        let byzantine: BTreeSet<ProcId> = if cell.equivocating_sender {
-            [0].into_iter().collect()
-        } else {
-            BTreeSet::new()
-        };
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let outcome = run_round_protocol(
-            processes,
-            DolevStrongProcess::rounds_needed(cell.t),
-            cell.net.config(net_seed, &byzantine),
-        );
-        let honest: Vec<bool> = (0..cell.n)
-            .map(|i| i != 0 || !cell.equivocating_sender)
-            .collect();
-        let decided = outcome
-            .decisions
-            .iter()
-            .zip(honest.iter())
-            .filter(|(_, &h)| h)
-            .all(|(d, _)| d.is_some());
-        let agreement = check_agreement(&outcome.decisions, &honest);
-        let validity = if cell.equivocating_sender {
-            true
-        } else {
-            check_validity(&outcome.decisions, &honest, input)
-        };
-        ProtocolStats::of_run(decided, agreement, validity, outcome.stats.messages_sent)
+        dolev_strong_replica(cell.n, cell.t, cell.equivocating_sender, seed)
+            .run(event_net(&cell.net, seed))
     }
 }
 
@@ -469,24 +387,34 @@ pub fn async_broadcast_partition_grid(
     heal_times: &[u64],
     round_ticks: u64,
 ) -> Vec<AsyncBroadcastCell> {
-    let make_cell = |n: usize, t: usize, partition: Option<Partition>| AsyncBroadcastCell {
-        n,
-        t,
-        equivocating_sender: false,
-        net: NetProfile {
-            faults: LinkFaults {
-                drop_prob: 0.0,
-                partition,
-            }
-            .into(),
-            round_ticks,
-            ..NetProfile::lockstep()
-        },
-    };
-    let mut grid = Vec::new();
-    for &(n, t) in cells {
-        grid.push(make_cell(n, t, None)); // the no-partition baseline
-    }
+    half_partitions(cells, durations, heal_times)
+        .into_iter()
+        .map(|(n, t, faults)| AsyncBroadcastCell {
+            n,
+            t,
+            equivocating_sender: false,
+            net: NetProfile {
+                faults,
+                round_ticks,
+                ..NetProfile::lockstep()
+            },
+        })
+        .collect()
+}
+
+/// The `(n, t, faults)` cells of a half/half partition sweep: one
+/// no-partition baseline per `(n, t)`, then one cut of the first `n / 2`
+/// processes per `(duration, heal_at)` pair with
+/// `0 < duration <= heal_at`, lasting `duration` ticks up to `heal_at`.
+fn half_partitions(
+    cells: &[(usize, usize)],
+    durations: &[u64],
+    heal_times: &[u64],
+) -> Vec<(usize, usize, FaultPlan)> {
+    let mut grid: Vec<_> = cells
+        .iter()
+        .map(|&(n, t)| (n, t, FaultPlan::none()))
+        .collect();
     for &duration in durations {
         for &heal_at in heal_times {
             if duration == 0 || duration > heal_at {
@@ -494,11 +422,8 @@ pub fn async_broadcast_partition_grid(
             }
             for &(n, t) in cells {
                 let group: BTreeSet<ProcId> = (0..n / 2).collect();
-                grid.push(make_cell(
-                    n,
-                    t,
-                    Some(Partition::window(group, heal_at - duration, heal_at)),
-                ));
+                let cut = Partition::window(group, heal_at - duration, heal_at);
+                grid.push((n, t, FaultPlan::none().partition(cut)));
             }
         }
     }
@@ -508,6 +433,55 @@ pub fn async_broadcast_partition_grid(
 // ---------------------------------------------------------------------------
 // Event-driven protocols (no round adapter): Ben-Or and Bracha
 // ---------------------------------------------------------------------------
+
+/// What one driven replica left behind.
+struct Driven {
+    decisions: Vec<Option<Value>>,
+    times: Vec<Option<u64>>,
+    stats: NetStats,
+    /// Whether the event queue drained within the budget.
+    drained: bool,
+    latency: Option<Histogram>,
+}
+
+/// Runs one event-driven replica until its queue drains or `budget`
+/// events have been processed. A [`MetricsObserver`] is attached only
+/// when `latency_hist` is set.
+fn drive<M: Clone>(
+    procs: Vec<Box<dyn AsyncProcess<Msg = M>>>,
+    cfg: NetConfig,
+    latency_hist: Option<&HistogramSpec>,
+    budget: usize,
+) -> Driven {
+    let obs =
+        latency_hist.map(|spec| Rc::new(RefCell::new(MetricsObserver::new(procs.len(), spec))));
+    let mut net = match &obs {
+        Some(o) => EventNet::with_observer(procs, cfg, Box::new(Rc::clone(o))),
+        None => EventNet::new(procs, cfg),
+    };
+    let drained = net.run(budget);
+    Driven {
+        decisions: net.decisions(),
+        times: net.decision_times().to_vec(),
+        stats: net.stats(),
+        drained,
+        latency: obs.map(|o| o.borrow().merged_latency().clone()),
+    }
+}
+
+impl Driven {
+    /// The latest decision time among `procs` when every one of them
+    /// decided; `None` when one did not.
+    fn latest_decision(&self, procs: impl Iterator<Item = ProcId> + Clone) -> Option<u64> {
+        let decided = procs.clone().all(|i| self.decisions[i].is_some());
+        decided.then(|| procs.filter_map(|i| self.times[i]).max().unwrap_or(0))
+    }
+}
+
+/// A 0/1 outcome column of one replica.
+fn flag(value: bool) -> StreamingStats {
+    StreamingStats::of(f64::from(u8::from(value)))
+}
 
 /// Streaming aggregate of event-driven **consensus** executions. On top
 /// of the correctness rates this records the two quantities that are
@@ -538,11 +512,44 @@ pub struct ConsensusStats {
     /// — the retry/timeout-pressure column previously hidden inside
     /// `events`.
     pub timers: StreamingStats,
+    /// Did the replica exhaust its event budget before its queue drained
+    /// (0 or 1 per replica)? The other columns of a truncated replica
+    /// describe a run that was cut off.
+    pub truncated: StreamingStats,
     /// Per-message queue-latency histogram (`deliver − send`, in ticks),
     /// summed over all replicas. `Some` only when the cell's
     /// [`NetProfile::latency_hist`] is set; `None` merges as identity, so
     /// grids mixing it on and off stay well-defined per cell.
     pub latency: Option<Histogram>,
+}
+
+impl ConsensusStats {
+    /// Scores one driven replica. Every process in `obligated` must
+    /// decide; `rounds` is the largest decision round its probes saw.
+    /// Rounds and decision time are recorded only when all of them did.
+    fn of_run(
+        run: Driven,
+        obligated: impl Iterator<Item = ProcId> + Clone,
+        agreement: bool,
+        validity: bool,
+        rounds: Option<f64>,
+    ) -> Self {
+        let latest = run.latest_decision(obligated);
+        ConsensusStats {
+            decided: flag(latest.is_some()),
+            agreement: flag(agreement),
+            validity: flag(validity),
+            rounds: latest
+                .and(rounds)
+                .map_or_else(StreamingStats::new, StreamingStats::of),
+            decide_time: latest.map_or_else(StreamingStats::new, |t| StreamingStats::of(t as f64)),
+            messages: StreamingStats::of(run.stats.messages_sent as f64),
+            events: StreamingStats::of(run.stats.events_processed as f64),
+            timers: StreamingStats::of(run.stats.timers_fired as f64),
+            truncated: flag(!run.drained),
+            latency: run.latency,
+        }
+    }
 }
 
 impl Merge for ConsensusStats {
@@ -555,6 +562,7 @@ impl Merge for ConsensusStats {
         self.messages.merge(&other.messages);
         self.events.merge(&other.events);
         self.timers.merge(&other.timers);
+        self.truncated.merge(&other.truncated);
         self.latency.merge(&other.latency);
     }
 }
@@ -591,102 +599,47 @@ impl Scenario for BenOrScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &BenOrCell, seed: u64) -> ConsensusStats {
-        use crate::protocols::{BenOrNoiseProcess, BenOrProcess};
-        use crate::runtime::IdleProcess;
-        use std::cell::Cell;
-        use std::rc::Rc;
-
         let mut rng = StdRng::seed_from_u64(seed);
         let honest_count = cell.n - cell.faults;
         let common: Value = rng.random_range(0..2u64);
         let probes: Vec<Rc<Cell<Option<u32>>>> = (0..honest_count)
             .map(|_| Rc::new(Cell::new(None)))
             .collect();
-        let mut procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = bne_byzantine::BenOrMsg>>> =
-            Vec::with_capacity(cell.n);
+        let mut procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = Vec::with_capacity(cell.n);
         for (i, probe) in probes.iter().enumerate() {
             let pref = if cell.unanimous_start {
                 common
             } else {
                 rng.random_range(0..2u64)
             };
+            let coin_seed = derive_seed(seed, STREAM_COIN, i as u64);
             procs.push(Box::new(
-                BenOrProcess::new(
-                    cell.t,
-                    pref,
-                    cell.max_rounds,
-                    derive_seed(seed, STREAM_COIN, i as u64),
-                )
-                .with_round_probe(Rc::clone(probe)),
+                BenOrProcess::new(cell.t, pref, cell.max_rounds, coin_seed)
+                    .with_round_probe(Rc::clone(probe)),
             ));
         }
+        let byzantine: BTreeSet<ProcId> = (honest_count..cell.n).collect();
+        let mut cfg = cell
+            .net
+            .config(derive_seed(seed, STREAM_NET_SEED, 0), &byzantine);
         for i in honest_count..cell.n {
             if cell.noisy {
-                procs.push(Box::new(BenOrNoiseProcess::new(derive_seed(
-                    seed,
-                    STREAM_NOISE,
-                    i as u64,
-                ))));
+                let noise_seed = derive_seed(seed, STREAM_NOISE, i as u64);
+                procs.push(Box::new(BenOrNoiseProcess::new(noise_seed)));
             } else {
                 // a silent adversary is a crash fault: an inert slot
-                // crashed at start by the runtime's fault plan (the
-                // per-protocol SilentAsyncProcess wrapper is gone)
+                // crashed at start by the runtime's fault plan
                 procs.push(Box::new(IdleProcess::new()));
-            }
-        }
-        let byzantine: BTreeSet<ProcId> = (honest_count..cell.n).collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let mut cfg = cell.net.config(net_seed, &byzantine);
-        if !cell.noisy {
-            for i in honest_count..cell.n {
                 cfg.faults = std::mem::take(&mut cfg.faults).crash_at_start(i);
             }
         }
-        let obs = cell
-            .net
-            .latency_hist
-            .as_ref()
-            .map(|spec| Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec))));
-        let mut net = match &obs {
-            Some(o) => crate::runtime::EventNet::with_observer(procs, cfg, Box::new(Rc::clone(o))),
-            None => crate::runtime::EventNet::new(procs, cfg),
-        };
-        let drained = net.run(20_000_000);
-        debug_assert!(drained, "Ben-Or event queue failed to drain");
-        let decisions = net.decisions();
+        let run = drive(procs, cfg, cell.net.latency_hist.as_ref(), EVENT_BUDGET);
         let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
-        let decided = decisions[..honest_count].iter().all(|d| d.is_some());
-        let agreement = check_agreement(&decisions, &honest);
-        let validity = if cell.unanimous_start {
-            check_validity(&decisions, &honest, common)
-        } else {
-            true
-        };
-        let (rounds, decide_time) = if decided {
-            let max_round = probes.iter().filter_map(|p| p.get()).max().unwrap_or(0);
-            let max_time = net.decision_times()[..honest_count]
-                .iter()
-                .filter_map(|t| *t)
-                .max()
-                .unwrap_or(0);
-            (
-                StreamingStats::of(f64::from(max_round)),
-                StreamingStats::of(max_time as f64),
-            )
-        } else {
-            (StreamingStats::new(), StreamingStats::new())
-        };
-        ConsensusStats {
-            decided: StreamingStats::of(f64::from(u8::from(decided))),
-            agreement: StreamingStats::of(f64::from(u8::from(agreement))),
-            validity: StreamingStats::of(f64::from(u8::from(validity))),
-            rounds,
-            decide_time,
-            messages: StreamingStats::of(net.stats().messages_sent as f64),
-            events: StreamingStats::of(net.stats().events_processed as f64),
-            timers: StreamingStats::of(net.stats().timers_fired as f64),
-            latency: obs.map(|o| o.borrow().merged_latency().clone()),
-        }
+        let agreement = check_agreement(&run.decisions, &honest);
+        let validity = !cell.unanimous_start || check_validity(&run.decisions, &honest, common);
+        let max_round = probes.iter().filter_map(|p| p.get()).max().unwrap_or(0);
+        let rounds = Some(f64::from(max_round));
+        ConsensusStats::of_run(run, 0..honest_count, agreement, validity, rounds)
     }
 }
 
@@ -753,6 +706,9 @@ pub struct RbStats {
     /// retry adapters' retransmission timers, making retry pressure
     /// visible separately from `events`.
     pub timers: StreamingStats,
+    /// Did the replica exhaust its event budget before its queue drained
+    /// (0 or 1 per replica)?
+    pub truncated: StreamingStats,
     /// Per-message queue-latency histogram (`deliver − send`, in ticks),
     /// summed over all replicas; `Some` only when the cell's
     /// [`NetProfile::latency_hist`] is set.
@@ -770,6 +726,7 @@ impl Merge for RbStats {
         self.events.merge(&other.events);
         self.retransmissions.merge(&other.retransmissions);
         self.timers.merge(&other.timers);
+        self.truncated.merge(&other.truncated);
         self.latency.merge(&other.latency);
     }
 }
@@ -787,7 +744,7 @@ pub struct AsyncBrachaCell {
     pub t: usize,
     /// Retransmission policy; `None` runs the bare protocol (the e19
     /// regime where whatever the partition eats stays lost).
-    pub retry: Option<crate::retry::RetryPolicy>,
+    pub retry: Option<RetryPolicy>,
     /// Network conditions.
     pub net: NetProfile,
 }
@@ -802,94 +759,57 @@ impl Scenario for AsyncBrachaScenario {
     type Outcome = RbStats;
 
     fn run(&self, cell: &AsyncBrachaCell, seed: u64) -> RbStats {
-        use crate::protocols::BrachaProcess;
-        use crate::retry::{RetryAdapter, RetryMsg};
-        use bne_byzantine::bracha::BrachaMsg;
-        use bne_byzantine::properties::rb_report;
+        bracha_replica(cell, seed, EVENT_BUDGET)
+    }
+}
 
-        /// Runs any process set to quiescence and extracts the outcome
-        /// fields — one definition for both arms, so the event bound and
-        /// the extraction can never diverge between them.
-        fn drive<M: Clone>(
-            procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = M>>>,
-            cfg: NetConfig,
-            obs: Option<&std::rc::Rc<std::cell::RefCell<MetricsObserver>>>,
-        ) -> (
-            Vec<Option<Value>>,
-            Vec<Option<u64>>,
-            crate::runtime::NetStats,
-            bool,
-        ) {
-            let mut net = match obs {
-                Some(o) => crate::runtime::EventNet::with_observer(
-                    procs,
-                    cfg,
-                    Box::new(std::rc::Rc::clone(o)),
-                ),
-                None => crate::runtime::EventNet::new(procs, cfg),
-            };
-            let drained = net.run(20_000_000);
-            (
-                net.decisions(),
-                net.decision_times().to_vec(),
-                net.stats(),
-                drained,
-            )
-        }
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input: Value = rng.random_range(0..2u64);
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let cfg = cell.net.config(net_seed, &BTreeSet::new());
-        // one shared counter across all adapters: total retransmissions
-        // stay readable after the adapters are boxed behind the trait
-        let retrans_probe = std::rc::Rc::new(std::cell::Cell::new(0u64));
-        let obs = cell.net.latency_hist.as_ref().map(|spec| {
-            std::rc::Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec)))
-        });
-        let (decisions, times, stats, drained) = match cell.retry {
-            None => drive::<BrachaMsg>(
-                (0..cell.n)
-                    .map(|_| Box::new(BrachaProcess::new(cell.t, 0, input)) as _)
-                    .collect(),
-                cfg,
-                obs.as_ref(),
-            ),
-            Some(policy) => drive::<RetryMsg<BrachaMsg>>(
-                (0..cell.n)
-                    .map(|_| {
-                        Box::new(
-                            RetryAdapter::new(BrachaProcess::new(cell.t, 0, input), policy)
-                                .with_probe(std::rc::Rc::clone(&retrans_probe)),
-                        ) as _
-                    })
-                    .collect(),
-                cfg,
-                obs.as_ref(),
-            ),
-        };
-        debug_assert!(drained, "Bracha event queue failed to drain");
-        let honest = vec![true; cell.n];
-        let report = rb_report(&decisions, &honest, Some(input));
-        let delivered = decisions.iter().all(|d| d.is_some());
-        let deliver_time = if delivered {
-            let max_time = times.iter().filter_map(|t| *t).max().unwrap_or(0);
-            StreamingStats::of(max_time as f64)
-        } else {
-            StreamingStats::new()
-        };
-        RbStats {
-            delivered: StreamingStats::of(f64::from(u8::from(delivered))),
-            agreement: StreamingStats::of(f64::from(u8::from(report.agreement))),
-            validity: StreamingStats::of(f64::from(u8::from(report.validity))),
-            totality: StreamingStats::of(f64::from(u8::from(report.totality))),
-            deliver_time,
-            messages: StreamingStats::of(stats.messages_sent as f64),
-            events: StreamingStats::of(stats.events_processed as f64),
-            retransmissions: StreamingStats::of(retrans_probe.get() as f64),
-            timers: StreamingStats::of(stats.timers_fired as f64),
-            latency: obs.map(|o| o.borrow().merged_latency().clone()),
-        }
+/// One Bracha replica, cut off after `budget` events.
+fn bracha_replica(cell: &AsyncBrachaCell, seed: u64, budget: usize) -> RbStats {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let input: Value = rng.random_range(0..2u64);
+    let cfg = cell
+        .net
+        .config(derive_seed(seed, STREAM_NET_SEED, 0), &BTreeSet::new());
+    let hist = cell.net.latency_hist.as_ref();
+    let process = || BrachaProcess::new(cell.t, 0, input);
+    // one shared counter across all adapters: total retransmissions
+    // stay readable after the adapters are boxed behind the trait
+    let retransmissions = Rc::new(Cell::new(0u64));
+    let run = match cell.retry {
+        None => drive::<BrachaMsg>(
+            (0..cell.n).map(|_| Box::new(process()) as _).collect(),
+            cfg,
+            hist,
+            budget,
+        ),
+        Some(policy) => drive::<RetryMsg<BrachaMsg>>(
+            (0..cell.n)
+                .map(|_| {
+                    Box::new(
+                        RetryAdapter::new(process(), policy)
+                            .with_probe(Rc::clone(&retransmissions)),
+                    ) as _
+                })
+                .collect(),
+            cfg,
+            hist,
+            budget,
+        ),
+    };
+    let report = rb_report(&run.decisions, &vec![true; cell.n], Some(input));
+    let latest = run.latest_decision(0..cell.n);
+    RbStats {
+        delivered: flag(latest.is_some()),
+        agreement: flag(report.agreement),
+        validity: flag(report.validity),
+        totality: flag(report.totality),
+        deliver_time: latest.map_or_else(StreamingStats::new, |t| StreamingStats::of(t as f64)),
+        messages: StreamingStats::of(run.stats.messages_sent as f64),
+        events: StreamingStats::of(run.stats.events_processed as f64),
+        retransmissions: StreamingStats::of(retransmissions.get() as f64),
+        timers: StreamingStats::of(run.stats.timers_fired as f64),
+        truncated: flag(!run.drained),
+        latency: run.latency,
     }
 }
 
@@ -905,46 +825,21 @@ pub fn bracha_partition_grid(
     cells: &[(usize, usize)],
     durations: &[u64],
     heal_times: &[u64],
-    retries: &[Option<crate::retry::RetryPolicy>],
+    retries: &[Option<RetryPolicy>],
 ) -> Vec<AsyncBrachaCell> {
-    let make_cell = |n: usize,
-                     t: usize,
-                     retry: Option<crate::retry::RetryPolicy>,
-                     partition: Option<Partition>| AsyncBrachaCell {
-        n,
-        t,
-        retry,
-        net: NetProfile {
-            latency: LatencyModel::Constant(1),
-            faults: LinkFaults {
-                drop_prob: 0.0,
-                partition,
-            }
-            .into(),
-            ..NetProfile::lockstep()
-        },
-    };
+    let partitions = half_partitions(cells, durations, heal_times);
     let mut grid = Vec::new();
     for &retry in retries {
-        for &(n, t) in cells {
-            grid.push(make_cell(n, t, retry, None));
-        }
-        for &duration in durations {
-            for &heal_at in heal_times {
-                if duration == 0 || duration > heal_at {
-                    continue;
-                }
-                for &(n, t) in cells {
-                    let group: BTreeSet<ProcId> = (0..n / 2).collect();
-                    grid.push(make_cell(
-                        n,
-                        t,
-                        retry,
-                        Some(Partition::window(group, heal_at - duration, heal_at)),
-                    ));
-                }
-            }
-        }
+        grid.extend(partitions.iter().map(|(n, t, faults)| AsyncBrachaCell {
+            n: *n,
+            t: *t,
+            retry,
+            net: NetProfile {
+                latency: LatencyModel::Constant(1),
+                faults: faults.clone(),
+                ..NetProfile::lockstep()
+            },
+        }));
     }
     grid
 }
@@ -1021,59 +916,62 @@ pub struct QuorumConsensusCell {
 }
 
 impl QuorumConsensusCell {
-    #[allow(clippy::too_many_arguments)]
-    fn run_common(
-        &self,
-        decisions: Vec<Option<Value>>,
-        times: &[Option<u64>],
-        rounds: Option<f64>,
-        stats: crate::runtime::NetStats,
-        inputs: &[Value],
-        drained: bool,
-        latency: Option<Histogram>,
-    ) -> ConsensusStats {
-        debug_assert!(drained, "consensus event queue failed to drain");
-        // a permanently crashed process is exempt from deciding; a
-        // *recovered* one is not — that is the whole point of recovery
+    /// The inputs of one replica, drawn from its seed: process `i`
+    /// proposes `inputs(seed)[i]`.
+    pub fn inputs(&self, seed: u64) -> Vec<Value> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..self.n).map(|_| rng.random_range(0..100u64)).collect()
+    }
+
+    /// The network of one replica: the cell's profile under the replica's
+    /// network seed, with the crash regime added to the fault plan.
+    pub fn net_config(&self, seed: u64) -> NetConfig {
+        let mut cfg = self
+            .net
+            .config(derive_seed(seed, STREAM_NET_SEED, 0), &BTreeSet::new());
+        cfg.faults = self.crash.apply(std::mem::take(&mut cfg.faults));
+        cfg
+    }
+
+    /// The processes that must decide: all but a permanently crashed one.
+    /// A *recovered* process is obligated — that is the whole point of
+    /// recovery.
+    pub fn obligated(&self) -> Vec<ProcId> {
         let exempt = self.crash.apply(FaultPlan::none()).permanently_crashed();
-        let obligated: Vec<usize> = (0..self.n).filter(|i| !exempt.contains(i)).collect();
-        let decided = obligated.iter().all(|&i| decisions[i].is_some());
-        let values: BTreeSet<Value> = decisions.iter().filter_map(|d| *d).collect();
+        (0..self.n).filter(|i| !exempt.contains(i)).collect()
+    }
+
+    /// One Paxos or HSUC replica: `make` builds each process from its
+    /// input and the probe it reports its deciding ballot or round to.
+    fn run_replica<M: Clone>(
+        &self,
+        seed: u64,
+        make: impl Fn(Value, Rc<Cell<Option<u64>>>) -> Box<dyn AsyncProcess<Msg = M>>,
+    ) -> ConsensusStats {
+        let inputs = self.inputs(seed);
+        let probes: Vec<Rc<Cell<Option<u64>>>> =
+            (0..self.n).map(|_| Rc::new(Cell::new(None))).collect();
+        let procs = inputs
+            .iter()
+            .zip(&probes)
+            .map(|(&v, probe)| make(v, Rc::clone(probe)))
+            .collect();
+        let hist = self.net.latency_hist.as_ref();
+        let run = drive(procs, self.net_config(seed), hist, EVENT_BUDGET);
         // agreement over ALL decisions ever made (safety: no two decided
         // values, crashed or not); validity: the decided value is some
         // process's input
+        let values: BTreeSet<Value> = run.decisions.iter().filter_map(|d| *d).collect();
         let agreement = values.len() <= 1;
         let validity = values.iter().all(|v| inputs.contains(v));
-        let (rounds, decide_time) = if decided {
-            let max_time = obligated
-                .iter()
-                .filter_map(|&i| times[i])
-                .max()
-                .unwrap_or(0);
-            (
-                rounds.map(StreamingStats::of).unwrap_or_default(),
-                StreamingStats::of(max_time as f64),
-            )
-        } else {
-            (StreamingStats::new(), StreamingStats::new())
-        };
-        ConsensusStats {
-            decided: StreamingStats::of(f64::from(u8::from(decided))),
-            agreement: StreamingStats::of(f64::from(u8::from(agreement))),
-            validity: StreamingStats::of(f64::from(u8::from(validity))),
-            rounds,
-            decide_time,
-            messages: StreamingStats::of(stats.messages_sent as f64),
-            events: StreamingStats::of(stats.events_processed as f64),
-            timers: StreamingStats::of(stats.timers_fired as f64),
-            latency,
-        }
-    }
-
-    fn config(&self, seed: u64) -> NetConfig {
-        let mut cfg = self.net.config(seed, &BTreeSet::new());
-        cfg.faults = self.crash.apply(std::mem::take(&mut cfg.faults));
-        cfg
+        let rounds = probes.iter().filter_map(|p| p.get()).max();
+        ConsensusStats::of_run(
+            run,
+            self.obligated().into_iter(),
+            agreement,
+            validity,
+            rounds.map(|r| r as f64),
+        )
     }
 }
 
@@ -1090,54 +988,12 @@ impl Scenario for PaxosScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> ConsensusStats {
-        use crate::protocols::PaxosProcess;
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Value> = (0..cell.n).map(|_| rng.random_range(0..100u64)).collect();
-        let probes: Vec<Rc<Cell<Option<u64>>>> =
-            (0..cell.n).map(|_| Rc::new(Cell::new(None))).collect();
-        let procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = bne_byzantine::PaxosMsg>>> =
-            inputs
-                .iter()
-                .zip(&probes)
-                .map(|(&v, probe)| {
-                    Box::new(
-                        PaxosProcess::new(v, cell.timeout_ticks, cell.max_timeouts)
-                            .with_ballot_probe(Rc::clone(probe)),
-                    ) as _
-                })
-                .collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let obs = cell
-            .net
-            .latency_hist
-            .as_ref()
-            .map(|spec| Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec))));
-        let mut net = match &obs {
-            Some(o) => crate::runtime::EventNet::with_observer(
-                procs,
-                cell.config(net_seed),
-                Box::new(Rc::clone(o)),
-            ),
-            None => crate::runtime::EventNet::new(procs, cell.config(net_seed)),
-        };
-        let drained = net.run(20_000_000);
-        let rounds = probes
-            .iter()
-            .filter_map(|p| p.get())
-            .max()
-            .map(|b| b as f64);
-        cell.run_common(
-            net.decisions(),
-            net.decision_times(),
-            rounds,
-            net.stats(),
-            &inputs,
-            drained,
-            obs.map(|o| o.borrow().merged_latency().clone()),
-        )
+        cell.run_replica(seed, |input, probe| {
+            Box::new(
+                PaxosProcess::new(input, cell.timeout_ticks, cell.max_timeouts)
+                    .with_ballot_probe(probe),
+            )
+        })
     }
 }
 
@@ -1153,54 +1009,12 @@ impl Scenario for HsucScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> ConsensusStats {
-        use crate::protocols::HsucProcess;
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Value> = (0..cell.n).map(|_| rng.random_range(0..100u64)).collect();
-        let probes: Vec<Rc<Cell<Option<u64>>>> =
-            (0..cell.n).map(|_| Rc::new(Cell::new(None))).collect();
-        let procs: Vec<Box<dyn crate::runtime::AsyncProcess<Msg = bne_byzantine::HsucMsg>>> =
-            inputs
-                .iter()
-                .zip(&probes)
-                .map(|(&v, probe)| {
-                    Box::new(
-                        HsucProcess::new(v, cell.timeout_ticks, cell.max_timeouts)
-                            .with_round_probe(Rc::clone(probe)),
-                    ) as _
-                })
-                .collect();
-        let net_seed = derive_seed(seed, STREAM_NET_SEED, 0);
-        let obs = cell
-            .net
-            .latency_hist
-            .as_ref()
-            .map(|spec| Rc::new(std::cell::RefCell::new(MetricsObserver::new(cell.n, spec))));
-        let mut net = match &obs {
-            Some(o) => crate::runtime::EventNet::with_observer(
-                procs,
-                cell.config(net_seed),
-                Box::new(Rc::clone(o)),
-            ),
-            None => crate::runtime::EventNet::new(procs, cell.config(net_seed)),
-        };
-        let drained = net.run(20_000_000);
-        let rounds = probes
-            .iter()
-            .filter_map(|p| p.get())
-            .max()
-            .map(|r| r as f64);
-        cell.run_common(
-            net.decisions(),
-            net.decision_times(),
-            rounds,
-            net.stats(),
-            &inputs,
-            drained,
-            obs.map(|o| o.borrow().merged_latency().clone()),
-        )
+        cell.run_replica(seed, |input, probe| {
+            Box::new(
+                HsucProcess::new(input, cell.timeout_ticks, cell.max_timeouts)
+                    .with_round_probe(probe),
+            )
+        })
     }
 }
 
@@ -1240,6 +1054,7 @@ pub fn quorum_consensus_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::LinkFaults;
     use bne_sim::SimRunner;
 
     #[test]
@@ -1481,6 +1296,19 @@ mod tests {
             retry_cut.deliver_time.mean(),
             retry_base.deliver_time.mean()
         );
+    }
+
+    #[test]
+    fn an_exhausted_event_budget_is_a_counted_truncation() {
+        // both Bracha arms: cut off after ten events the replica counts
+        // as truncated; under the scenarios' budget it drains
+        let retry = Some(RetryPolicy::exponential(2));
+        for cell in bracha_partition_grid(&[(6, 1)], &[], &[], &[None, retry]) {
+            assert_eq!(bracha_replica(&cell, 7, 10).truncated.mean(), 1.0);
+            let full = bracha_replica(&cell, 7, EVENT_BUDGET);
+            assert_eq!(full.truncated.mean(), 0.0);
+            assert_eq!(full, AsyncBrachaScenario.run(&cell, 7));
+        }
     }
 
     #[test]
