@@ -206,7 +206,8 @@ impl BrachaState {
     /// `delivered`). Voter sets are encoded as bitmasks, so this
     /// supports `n ≤ 64`.
     pub fn state_words(&self, out: &mut Vec<u64>) {
-        debug_assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
+        // in release a wider shift would wrap and alias voter p with p - 64
+        assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
         out.push(u64::from(self.echoed));
         out.push(u64::from(self.readied));
         out.push(u64::from(self.delivered.is_some()));
@@ -402,5 +403,14 @@ mod tests {
         assert_eq!(s.delivered(), None, "4 readies < 2t + 1 = 5");
         s.handle(6, &BrachaMsg::Ready(1));
         assert_eq!(s.delivered(), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "voter bitmask encoding needs n <= 64")]
+    fn state_words_refuse_voters_past_the_bitmask() {
+        // voter 64's bit would wrap onto voter 0's in a release build
+        let mut s = BrachaState::new(0, 65, 1, 0);
+        s.handle(64, &BrachaMsg::Echo(1));
+        s.state_words(&mut Vec::new());
     }
 }

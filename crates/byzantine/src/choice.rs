@@ -9,8 +9,8 @@
 //! 1. run a transition with the current script;
 //! 2. if the tap reports demands, the transition consumed nondeterminism
 //!    the script did not cover — roll the runtime back (via
-//!    `EventNet::restore`), extend the script with one candidate value
-//!    per branch of the first demand's domain, and re-run;
+//!    `EventNet::undo`), extend the script with one candidate value per
+//!    branch of the first demand's domain, and re-run;
 //! 3. once no demands remain, the transition was fully deterministic
 //!    under the script and the search recurses.
 //!
@@ -18,7 +18,7 @@
 //! the checker just must not *keep* a state whose step left demands.
 //! Protocols share a tap across clones via [`SharedTap`]; the tap's
 //! contents are part of the *search* state, not the *protocol* state, so
-//! `EventNet::snapshot` does not capture it — the checker saves and
+//! an `EventNet` undo does not rewind it — the checker saves and
 //! restores tap contents itself with [`ChoiceTap::save`]/
 //! [`ChoiceTap::restore`].
 

@@ -178,7 +178,8 @@ impl PaxosState {
     /// no-op once `decided` is set. (A crash wipes every volatile field
     /// either way, so recovery cannot tell canonicalized states apart.)
     pub fn state_words(&self, out: &mut Vec<u64>) {
-        debug_assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
+        // in release a wider shift would wrap and alias voter p with p - 64
+        assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
         out.push(self.promised);
         out.push(self.acc_ballot);
         out.push(u64::from(self.acc_value.is_some()));
@@ -616,5 +617,12 @@ mod tests {
             }
         }
         assert_eq!(procs[2].decided(), Some(chosen), "safety across recovery");
+    }
+
+    #[test]
+    #[should_panic(expected = "voter bitmask encoding needs n <= 64")]
+    fn state_words_refuse_voters_past_the_bitmask() {
+        // voter 64's bit would wrap onto voter 0's in a release build
+        PaxosState::new(0, 65, 1).state_words(&mut Vec::new());
     }
 }

@@ -76,7 +76,8 @@ enum LieSource {
 /// See the module docs for the lie model. The tap-driven form supports
 /// [`AsyncProcess::fork`] and [`AsyncProcess::state_words`] (its only
 /// hidden state is the "already lied" flag — the drawn lies live in the
-/// event queue and the tap script, both fingerprinted elsewhere), so it
+/// event queue, which the state key covers, and the tap script is
+/// history: every later draw is forked afresh), so it
 /// is usable under exhaustive exploration; the seeded form carries an
 /// RNG, which has no canonical encoding, and is meant for sampled runs.
 pub struct BrachaLiar {
@@ -116,8 +117,8 @@ impl AsyncProcess for BrachaLiar {
 
     fn on_start(&mut self, _ctx: &mut NetCtx<BrachaMsg>) {
         // lies are drawn on the first *event*, not at startup: startup
-        // runs during network construction, before the explorer can
-        // snapshot, so choices made there could not be forked on
+        // runs during network construction, before the explorer takes
+        // over, so choices made there could not be forked on
     }
 
     fn on_message(&mut self, _src: ProcId, _msg: BrachaMsg, ctx: &mut NetCtx<BrachaMsg>) {

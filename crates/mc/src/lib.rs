@@ -7,10 +7,10 @@
 //! random interleavings (or one canned rushing adversary) and report
 //! statistics. This crate replaces the scheduler with a **choice-point
 //! enumerator**: at every state the explorer asks the runtime for its
-//! enabled-event set ([`bne_net::EventNet::enabled_events`]), forks on
-//! each choice via whole-runtime snapshots
-//! ([`bne_net::EventNet::snapshot`] / [`bne_net::EventNet::restore`]),
-//! and walks the *entire* reachable state graph of a small model. The
+//! enabled-event set ([`bne_net::EventNet::enabled_events`]), takes
+//! each choice as an undoable step ([`bne_net::EventNet::step_undoable`],
+//! taken back by [`bne_net::EventNet::undo`] on the way back), and walks
+//! the *entire* reachable state graph of a small model. The
 //! same machinery enumerates bounded nondeterminism inside the protocols
 //! — Ben-Or coin flips and Byzantine lies — through the
 //! [`bne_byzantine::choice::ChoiceTap`] scripting layer, so a verdict
@@ -19,8 +19,10 @@
 //! The pieces:
 //!
 //! * [`words`] — canonical word encodings ([`words::McWords`]) turning
-//!   messages into exact fingerprint keys (no hashing: a collision could
-//!   silently prune a reachable state and void a "proven" verdict);
+//!   messages into the exact words a state key is interned from (hashes
+//!   only index the interner; a hit is confirmed word for word, since a
+//!   collision could otherwise prune a reachable state and void a
+//!   "proven" verdict);
 //! * [`property`] — the [`property::Property`] trait checked at every
 //!   explored state, with the stock agreement / validity instances for
 //!   reliable broadcast, consensus and oral-messages runs;
@@ -82,6 +84,7 @@
 #![warn(missing_docs)]
 
 pub mod explorer;
+mod intern;
 pub mod json;
 pub mod liar;
 pub mod property;

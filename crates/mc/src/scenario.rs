@@ -8,8 +8,8 @@
 //! the stock models the tests, benches and e25 check — they all share
 //! the model-checking substrate configuration: [`LatencyModel::Constant`]
 //! latency, FIFO scheduling and no link faults, the deterministic regime
-//! under which the explorer's snapshot/restore forking is exact (no RNG
-//! stream is consumed by routing, so transitions commute with restore).
+//! under which a transition the explorer undoes and re-runs repeats
+//! itself exactly (no RNG stream is consumed by routing).
 //!
 //! [`LatencyModel::Constant`]: bne_net::LatencyModel::Constant
 

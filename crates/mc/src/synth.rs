@@ -175,7 +175,7 @@ impl<M: Clone> Synthesizer<M> {
                 searched_choice(&events, &self.byzantine, &mut policy_rng)
             };
             let ok = net.step_chosen(&ev);
-            debug_assert!(ok);
+            assert!(ok, "a rollout picks among the enabled events");
             if self
                 .honest
                 .iter()

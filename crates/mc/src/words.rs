@@ -1,10 +1,12 @@
-//! Canonical word encodings for fingerprinting.
+//! Canonical word encodings for state keys.
 //!
-//! The explorer's visited-state set stores **exact** `Vec<u64>` keys:
-//! two states share a key iff their canonical encodings are equal
-//! word-for-word. Hashes are deliberately not used as keys — a collision
-//! would silently merge two distinct states, prune a reachable
-//! successor, and turn a "proven" verdict into wishful thinking.
+//! The explorer keys each visited state by interned parts, and every
+//! part is an **exact** word sequence: two states share a key iff their
+//! canonical encodings are equal word-for-word. Hashes only index the
+//! interner; a hash hit is confirmed by comparing every word, because a
+//! collision taken on trust would silently merge two distinct states,
+//! prune a reachable successor, and turn a "proven" verdict into
+//! wishful thinking.
 //!
 //! Process state is encoded by [`bne_net::AsyncProcess::state_words`];
 //! this module supplies the matching encoding for the *pending messages*

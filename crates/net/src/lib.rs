@@ -75,8 +75,8 @@ pub use protocols::{
 };
 pub use retry::{RetryAdapter, RetryMsg, RetryPolicy};
 pub use runtime::{
-    AsyncProcess, DurableState, EnabledEvent, EnabledKind, EventNet, IdleProcess, NetCtx,
-    NetSnapshot, NetStats, TraceEvent, TraceFields, TraceKind,
+    AsyncProcess, DurableState, EnabledEvent, EnabledKind, EventNet, IdleProcess, NetCtx, NetStats,
+    TraceEvent, TraceFields, TraceKind, Undo,
 };
 pub use scenario::{
     quorum_consensus_grid, AsyncBrachaScenario, AsyncBroadcastScenario, AsyncOmScenario,

@@ -264,8 +264,8 @@ pub(crate) enum Payload<M> {
 impl<M: Clone> Clone for Payload<M> {
     fn clone(&self) -> Self {
         match self {
-            // a cloned snapshot shares the multicast allocation — payloads
-            // are immutable once queued, so sharing across snapshots is safe
+            // a clone (an undo record's copy of a dispatched event) shares
+            // the multicast allocation — payloads are immutable once queued
             Payload::Owned(msg) => Payload::Owned(msg.clone()),
             Payload::Shared(rc) => Payload::Shared(Rc::clone(rc)),
         }
@@ -515,12 +515,12 @@ pub trait AsyncProcess {
     fn decision(&self) -> Option<u64>;
 
     /// Clones this process, full volatile state included — the hook
-    /// behind [`EventNet::snapshot`]. Unlike
+    /// behind [`EventNet::step_undoable`]. Unlike
     /// [`AsyncProcess::save_durable`] (which deliberately drops volatile
     /// state to model stable storage), a fork must preserve *everything*:
-    /// the model checker restores it mid-protocol and expects identical
+    /// the model checker puts it back mid-protocol and expects identical
     /// future behavior. Defaults to `None`, meaning the process does not
-    /// support checkpointing and `snapshot()` on its network fails.
+    /// support checkpointing and its network cannot be explored.
     fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = Self::Msg>>> {
         None
     }
@@ -530,6 +530,11 @@ pub trait AsyncProcess {
     /// `state_words` must behave identically on every future event.
     /// Defaults to `None` (no canonical encoding — exhaustive exploration
     /// with deduplication is unavailable for this process).
+    ///
+    /// The encoding must read only this process's own fields, never
+    /// `Rc`-shared state such as a choice tap or a probe: the checker
+    /// re-encodes only the process a step ran, so words that another
+    /// process's step could change would go stale in its state keys.
     fn state_words(&self) -> Option<Vec<u64>> {
         None
     }
@@ -654,7 +659,6 @@ enum EventKind<M> {
 /// `u32` handle; freed slots are recycled through a free list, so a
 /// steady-state run stops allocating once it reaches its peak in-flight
 /// event count (the high-water mark reported in [`NetStats`]).
-#[derive(Clone)]
 struct Arena<M> {
     slots: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
@@ -698,6 +702,27 @@ impl<M> Arena<M> {
     fn peek(&self, slot: u32) -> &EventKind<M> {
         self.slots[slot as usize].as_ref().expect("live arena slot")
     }
+
+    /// Takes back one [`Arena::alloc`] made when the arena held
+    /// `high_water` slots: the slot returns to the free list, or is
+    /// dropped if the allocation grew the slab. Undoing a step's
+    /// allocations newest first restores the free list exactly.
+    fn unalloc(&mut self, slot: u32, high_water: usize) {
+        self.slots[slot as usize] = None;
+        if slot as usize >= high_water {
+            assert_eq!(slot as usize + 1, self.slots.len(), "unalloc newest first");
+            self.slots.pop();
+        } else {
+            self.free.push(slot);
+        }
+    }
+
+    /// Reverses the [`Arena::take`] of `slot`, which must be the most
+    /// recent free-list entry.
+    fn untake(&mut self, slot: u32, ev: EventKind<M>) {
+        assert_eq!(self.free.pop(), Some(slot), "untake the latest take");
+        self.slots[slot as usize] = Some(ev);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +759,7 @@ struct TickKey {
 /// a partially drained tick) marks the bucket dirty; the *undrained tail*
 /// is then sorted lazily at the next pop — exactly reproducing the
 /// global heap's "minimum of the remaining events" semantics.
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct Bucket {
     items: Vec<TickKey>,
     /// Drain cursor: `items[..next]` have been popped. `u32` keeps the
@@ -783,7 +808,6 @@ impl Bucket {
 /// `[base, base + WHEEL_SLOTS)` plus an overflow heap for events beyond
 /// the horizon. An occupancy bitmap makes "find the next non-empty tick"
 /// a handful of word scans instead of a ring walk.
-#[derive(Clone)]
 struct TimingWheel {
     buckets: Vec<Bucket>,
     occupied: [u64; WHEEL_WORDS],
@@ -913,43 +937,121 @@ impl TimingWheel {
         }
     }
 
+    /// The bucket holding events at `time`, or `None` when `time` lies
+    /// beyond the horizon (the overflow heap holds it).
+    fn bucket_of(&self, time: u64) -> Option<usize> {
+        (time >= self.base && time - self.base < WHEEL_SLOTS as u64)
+            .then_some((time & WHEEL_MASK) as usize)
+    }
+
     /// Removes one specific queued key (the model checker's out-of-order
-    /// dispatch). Returns whether the key was present.
-    fn remove(&mut self, time: u64, tie: u64, seq: u64, slot: u32) -> bool {
-        if time >= self.base && time - self.base < WHEEL_SLOTS as u64 {
-            let idx = (time & WHEEL_MASK) as usize;
-            let bucket = &mut self.buckets[idx];
-            let next = bucket.next as usize;
-            let Some(pos) = bucket.items[next..]
+    /// dispatch). Returns the key's offset in its bucket's undrained tail
+    /// (0 in the overflow heap) for [`TimingWheel::reinsert`], or `None`
+    /// if the key was not queued.
+    fn remove(&mut self, time: u64, tie: u64, seq: u64, slot: u32) -> Option<usize> {
+        let Some(idx) = self.bucket_of(time) else {
+            let before = self.overflow.len();
+            self.overflow
+                .retain(|&Reverse(key)| key != (time, tie, seq, slot));
+            return (before != self.overflow.len()).then_some(0);
+        };
+        let bucket = &mut self.buckets[idx];
+        let next = bucket.next as usize;
+        let pos = bucket.items[next..]
+            .iter()
+            .position(|k| k.tie == tie && k.seq == seq && k.slot == slot)?;
+        // removal preserves the relative order of the undrained tail,
+        // so the bucket's dirty flag stays valid as-is
+        bucket.items.remove(next + pos);
+        self.len -= 1;
+        if bucket.is_empty() {
+            bucket.items.clear();
+            bucket.next = 0;
+            bucket.dirty = false;
+            self.clear_bit(idx);
+        }
+        Some(pos)
+    }
+
+    /// The indices of the occupied buckets, read off a copy of the
+    /// occupancy bitmap (so the caller may mutate the buckets).
+    fn occupied_indices(&self) -> impl Iterator<Item = usize> {
+        let bitmap = self.occupied;
+        (0..WHEEL_WORDS).flat_map(move |word| {
+            let mut bits = bitmap[word];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    word * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Puts a key [`TimingWheel::remove`] took out back where it was.
+    fn reinsert(&mut self, time: u64, tie: u64, seq: u64, slot: u32, pos: usize) {
+        let Some(idx) = self.bucket_of(time) else {
+            self.overflow.push(Reverse((time, tie, seq, slot)));
+            return;
+        };
+        let bucket = &mut self.buckets[idx];
+        let at = bucket.next as usize + pos;
+        bucket.items.insert(at, TickKey { tie, seq, slot });
+        self.len += 1;
+        self.set_bit(idx);
+    }
+
+    /// Every queued key with `seq >= from`. The undoable steps remove
+    /// keys but never pop, so the keys pushed since the sequence counter
+    /// stood at `from` sit at the end of their buckets.
+    fn keys_since(&self, from: u64, out: &mut Vec<(u64, u64, u64, u32)>) {
+        let start = self.base & WHEEL_MASK;
+        for idx in self.occupied_indices() {
+            let time = self.base + ((idx as u64).wrapping_sub(start) & WHEEL_MASK);
+            let bucket = &self.buckets[idx];
+            let tail = &bucket.items[bucket.next as usize..];
+            for key in tail.iter().rev().take_while(|k| k.seq >= from) {
+                out.push((time, key.tie, key.seq, key.slot));
+            }
+        }
+        out.extend(
+            self.overflow
                 .iter()
-                .position(|k| k.tie == tie && k.seq == seq && k.slot == slot)
-            else {
-                return false;
-            };
-            // removal preserves the relative order of the undrained tail,
-            // so the bucket's dirty flag stays valid as-is
-            bucket.items.remove(next + pos);
-            self.len -= 1;
+                .map(|&Reverse(key)| key)
+                .filter(|key| key.2 >= from),
+        );
+    }
+
+    /// Drops every queued key with `seq >= from` (see
+    /// [`TimingWheel::keys_since`]).
+    fn drop_since(&mut self, from: u64) {
+        for idx in self.occupied_indices() {
+            let bucket = &mut self.buckets[idx];
+            let tail = &bucket.items[bucket.next as usize..];
+            let dropped = tail.iter().rev().take_while(|k| k.seq >= from).count();
+            if dropped == 0 {
+                continue;
+            }
+            bucket.items.truncate(bucket.items.len() - dropped);
+            self.len -= dropped;
             if bucket.is_empty() {
                 bucket.items.clear();
                 bucket.next = 0;
                 bucket.dirty = false;
                 self.clear_bit(idx);
+            } else if bucket.dirty {
+                // the dropped keys may have been what made it dirty
+                bucket.dirty = !bucket.items[bucket.next as usize..].is_sorted();
             }
-            true
-        } else {
-            let before = self.overflow.len();
-            self.overflow
-                .retain(|&Reverse(key)| key != (time, tie, seq, slot));
-            before != self.overflow.len()
         }
+        self.overflow.retain(|&Reverse(key)| key.2 < from);
     }
 }
 
 /// The two interchangeable queue implementations behind [`EventNet`].
 /// Both realize the `(time, tie, seq)` total order exactly; see
 /// [`QueueImpl`].
-#[derive(Clone)]
 enum EventQueue {
     Wheel(TimingWheel),
     Heap(BinaryHeap<Reverse<(u64, u64, u64, u32)>>),
@@ -999,15 +1101,47 @@ impl EventQueue {
         out
     }
 
-    /// Removes one specific queued key; returns whether it was present.
-    fn remove(&mut self, time: u64, tie: u64, seq: u64, slot: u32) -> bool {
+    /// Removes one specific queued key; returns where it was (for
+    /// [`EventQueue::reinsert`]), or `None` if it was not queued.
+    fn remove(&mut self, time: u64, tie: u64, seq: u64, slot: u32) -> Option<usize> {
         match self {
             EventQueue::Wheel(wheel) => wheel.remove(time, tie, seq, slot),
             EventQueue::Heap(heap) => {
                 let before = heap.len();
                 heap.retain(|&Reverse(key)| key != (time, tie, seq, slot));
-                before != heap.len()
+                (before != heap.len()).then_some(0)
             }
+        }
+    }
+
+    /// Puts a removed key back where [`EventQueue::remove`] found it.
+    fn reinsert(&mut self, time: u64, tie: u64, seq: u64, slot: u32, pos: usize) {
+        match self {
+            EventQueue::Wheel(wheel) => wheel.reinsert(time, tie, seq, slot, pos),
+            EventQueue::Heap(heap) => heap.push(Reverse((time, tie, seq, slot))),
+        }
+    }
+
+    /// Every queued key with `seq >= from`, in sequence order.
+    fn keys_since(&self, from: u64) -> Vec<(u64, u64, u64, u32)> {
+        let mut out = Vec::new();
+        match self {
+            EventQueue::Wheel(wheel) => wheel.keys_since(from, &mut out),
+            EventQueue::Heap(heap) => out.extend(
+                heap.iter()
+                    .map(|&Reverse(key)| key)
+                    .filter(|key| key.2 >= from),
+            ),
+        }
+        out.sort_unstable_by_key(|key| key.2);
+        out
+    }
+
+    /// Drops every queued key with `seq >= from`.
+    fn drop_since(&mut self, from: u64) {
+        match self {
+            EventQueue::Wheel(wheel) => wheel.drop_since(from),
+            EventQueue::Heap(heap) => heap.retain(|&Reverse(key)| key.2 < from),
         }
     }
 }
@@ -1622,7 +1756,7 @@ impl<M: Clone> EventNet<M> {
 
     // -----------------------------------------------------------------
     // The model-checker surface: enabled-set enumeration, out-of-order
-    // dispatch, crash injection and whole-runtime snapshots
+    // dispatch, crash injection and undoable steps
     // -----------------------------------------------------------------
 
     /// Number of events currently queued.
@@ -1638,30 +1772,34 @@ impl<M: Clone> EventNet<M> {
         self.queue
             .keys()
             .into_iter()
-            .map(|(time, tie, seq, slot)| {
-                let kind = match self.arena.peek(slot) {
-                    EventKind::Deliver { src, dst, .. } => EnabledKind::Deliver {
-                        src: *src,
-                        dst: *dst,
-                    },
-                    EventKind::Timer { proc, timer, .. } => EnabledKind::Timer {
-                        proc: *proc,
-                        timer: *timer,
-                    },
-                    EventKind::Crash { fault } => EnabledKind::Crash {
-                        proc: self.cfg.faults.process[*fault].proc,
-                    },
-                    EventKind::Recover { proc } => EnabledKind::Recover { proc: *proc },
-                };
-                EnabledEvent {
-                    time,
-                    tie,
-                    seq,
-                    slot,
-                    kind,
-                }
-            })
+            .map(|key| self.enabled(key))
             .collect()
+    }
+
+    /// Decodes one queued `(time, tie, seq, slot)` key.
+    #[inline]
+    fn enabled(&self, (time, tie, seq, slot): (u64, u64, u64, u32)) -> EnabledEvent {
+        let kind = match self.arena.peek(slot) {
+            EventKind::Deliver { src, dst, .. } => EnabledKind::Deliver {
+                src: *src,
+                dst: *dst,
+            },
+            EventKind::Timer { proc, timer, .. } => EnabledKind::Timer {
+                proc: *proc,
+                timer: *timer,
+            },
+            EventKind::Crash { fault } => EnabledKind::Crash {
+                proc: self.cfg.faults.process[*fault].proc,
+            },
+            EventKind::Recover { proc } => EnabledKind::Recover { proc: *proc },
+        };
+        EnabledEvent {
+            time,
+            tie,
+            seq,
+            slot,
+            kind,
+        }
     }
 
     /// Borrows the message payload of a pending [`EnabledKind::Deliver`]
@@ -1694,11 +1832,14 @@ impl<M: Clone> EventNet<M> {
     /// when a later-scheduled event is chosen first. Returns `false` if
     /// `ev` is not (or no longer) pending.
     ///
-    /// Only meaningful views from [`Self::enabled_events`] on *this* net
-    /// (or a snapshot-restored copy of it, where slots coincide) should
-    /// be passed in.
+    /// Only views from [`Self::enabled_events`] on *this* net should be
+    /// passed in.
     pub fn step_chosen(&mut self, ev: &EnabledEvent) -> bool {
-        if !self.queue.remove(ev.time, ev.tie, ev.seq, ev.slot) {
+        if self
+            .queue
+            .remove(ev.time, ev.tie, ev.seq, ev.slot)
+            .is_none()
+        {
             return false;
         }
         self.queue_len -= 1;
@@ -1716,102 +1857,206 @@ impl<M: Clone> EventNet<M> {
         self.crash_proc(proc, None);
     }
 
-    /// Captures the entire runtime state — processes (via
-    /// [`AsyncProcess::fork`]), queue, arena, RNG streams, fault and
-    /// clock bookkeeping — as a restorable checkpoint.
-    ///
-    /// Returns `None` if any process does not implement `fork`, or if a
-    /// streaming observer is attached (observers are not cloneable; the
-    /// in-memory trace sink is snapshotted fine). Cost is one clone of
-    /// every live structure: for the small models the checker targets
-    /// (n ≤ 5, tens of pending events) that is a few microseconds.
-    pub fn snapshot(&self) -> Option<NetSnapshot<M>> {
-        let mut procs = Vec::with_capacity(self.procs.len());
-        for p in &self.procs {
-            procs.push(p.fork()?);
-        }
-        let trace = match &self.trace {
-            TraceSink::Off => None,
-            TraceSink::Record(t) => Some(t.clone()),
-            TraceSink::Stream(_) => return None,
-        };
-        Some(NetSnapshot {
-            procs,
-            queue: self.queue.clone(),
-            arena: self.arena.clone(),
-            link_rng: self.link_rng.clone(),
-            sched_rng: self.sched_rng.clone(),
-            now: self.now,
-            next_seq: self.next_seq,
-            stats: self.stats.clone(),
-            queue_len: self.queue_len,
-            trace,
-            decision_times: self.decision_times.clone(),
-            crashed: self.crashed.clone(),
-            handled: self.handled.clone(),
-            saved: self.saved.clone(),
-            started: self.started.clone(),
-            fault_fired: self.fault_fired.clone(),
-            lamport: self.lamport.clone(),
-        })
+    /// Whether [`Self::step_undoable`] and [`Self::inject_crash_undoable`]
+    /// can run: every process implements [`AsyncProcess::fork`], and no
+    /// streaming observer is attached (an observer cannot take back the
+    /// callbacks of an undone step; the in-memory trace log can).
+    pub fn can_undo(&self) -> bool {
+        !matches!(self.trace, TraceSink::Stream(_)) && self.procs.iter().all(|p| p.fork().is_some())
     }
 
-    /// Rewinds the runtime to a [`Self::snapshot`] taken earlier on this
-    /// same net (configuration included). The snapshot stays valid and
-    /// can be restored any number of times — the backtracking step of
-    /// the model checker's depth-first search.
-    pub fn restore(&mut self, snap: &NetSnapshot<M>) {
-        self.procs = snap
-            .procs
-            .iter()
-            .map(|p| p.fork().expect("snapshotted processes support fork"))
+    /// [`Self::step_chosen`] that also returns what the step changed, so
+    /// that [`Self::undo`] can take it back — the model checker's
+    /// transition and backtracking step. The step itself runs the same
+    /// dispatch code as [`Self::step`]; the record costs one
+    /// [`AsyncProcess::fork`] of the target (none when the target is
+    /// crashed and the event is absorbed) plus a copy of the dispatched
+    /// event. Returns `None` if `ev` is not pending.
+    ///
+    /// # Panics
+    ///
+    /// If the target process does not implement `fork`.
+    pub fn step_undoable(&mut self, ev: &EnabledEvent) -> Option<Undo<M>> {
+        let pos = self.queue.remove(ev.time, ev.tie, ev.seq, ev.slot)?;
+        let target = ev.kind.target();
+        let reached = match ev.kind {
+            EnabledKind::Recover { .. } => self.crashed[target],
+            _ => !self.crashed[target],
+        };
+        let mut undo = self.checkpoint(target, reached);
+        undo.removed = Some(Removed {
+            key: (ev.time, ev.tie, ev.seq, ev.slot),
+            pos,
+            event: self.arena.peek(ev.slot).clone(),
+        });
+        self.queue_len -= 1;
+        self.dispatch(ev.time.max(self.now), ev.slot);
+        undo.created = self
+            .queue
+            .keys_since(undo.next_seq)
+            .into_iter()
+            .map(|key| self.enabled(key))
             .collect();
-        self.queue = snap.queue.clone();
-        self.arena = snap.arena.clone();
-        self.link_rng = snap.link_rng.clone();
-        self.sched_rng = snap.sched_rng.clone();
-        self.now = snap.now;
-        self.next_seq = snap.next_seq;
-        self.stats = snap.stats.clone();
-        self.queue_len = snap.queue_len;
-        if let (TraceSink::Record(t), Some(s)) = (&mut self.trace, &snap.trace) {
-            t.clear();
-            t.extend_from_slice(s);
+        Some(undo)
+    }
+
+    /// [`Self::inject_crash`] that also returns what the crash changed,
+    /// for [`Self::undo`].
+    ///
+    /// # Panics
+    ///
+    /// If `proc` does not exist or does not implement `fork`.
+    pub fn inject_crash_undoable(&mut self, proc: ProcId) -> Undo<M> {
+        assert!(proc < self.procs.len(), "inject_crash: no such process");
+        let undo = self.checkpoint(proc, !self.crashed[proc]);
+        // an injected crash schedules no recovery, so it creates no event
+        self.crash_proc(proc, None);
+        undo
+    }
+
+    /// Takes back the most recent undoable step: afterwards the net is
+    /// exactly as it was before it — processes, pending events with their
+    /// `(time, tie, seq)` keys and payloads, decisions and their times,
+    /// Lamport clocks, statistics, RNG streams and the recorded trace.
+    /// Steps must be undone newest first, with no other step taken in
+    /// between.
+    pub fn undo(&mut self, undo: Undo<M>) {
+        let t = undo.target;
+        if let Some((proc, saved)) = undo.proc {
+            self.procs[t] = proc;
+            self.saved[t] = saved;
         }
-        self.decision_times.clone_from(&snap.decision_times);
-        self.crashed.clone_from(&snap.crashed);
-        self.handled.clone_from(&snap.handled);
-        self.saved.clone_from(&snap.saved);
-        self.started.clone_from(&snap.started);
-        self.fault_fired.clone_from(&snap.fault_fired);
-        self.lamport.clone_from(&snap.lamport);
+        self.crashed[t] = undo.marks.crashed;
+        self.handled[t] = undo.marks.handled;
+        self.started[t] = undo.marks.started;
+        self.lamport[t] = undo.marks.lamport;
+        self.decision_times[t] = undo.marks.decision_time;
+        self.fault_fired = undo.fault_fired;
+        self.queue.drop_since(undo.next_seq);
+        for ev in undo.created.iter().rev() {
+            self.arena.unalloc(ev.slot, undo.arena_slots);
+        }
+        if let Some(Removed { key, pos, event }) = undo.removed {
+            let (time, tie, seq, slot) = key;
+            self.arena.untake(slot, event);
+            self.queue.reinsert(time, tie, seq, slot, pos);
+        }
+        self.stats = undo.stats;
+        self.now = undo.now;
+        self.next_seq = undo.next_seq;
+        self.queue_len = undo.queue_len;
+        self.link_rng = undo.link_rng;
+        self.sched_rng = undo.sched_rng;
+        if let TraceSink::Record(trace) = &mut self.trace {
+            trace.truncate(undo.trace_len);
+        }
+    }
+
+    /// Records everything a step acting on `target` can change, and, if
+    /// the step will run the target's code (`reached`), swaps a fork in
+    /// for the target so the original can be put back.
+    fn checkpoint(&mut self, target: ProcId, reached: bool) -> Undo<M> {
+        let proc = reached.then(|| {
+            let fork = self.procs[target]
+                .fork()
+                .expect("undoable steps need processes that implement fork()");
+            // a live target holds no durable copy; a recovering one's is
+            // consumed by the step
+            let saved = self.saved[target].clone();
+            (std::mem::replace(&mut self.procs[target], fork), saved)
+        });
+        let marks = ProcMarks {
+            crashed: self.crashed[target],
+            handled: self.handled[target],
+            started: self.started[target],
+            lamport: self.lamport[target],
+            decision_time: self.decision_times[target],
+        };
+        Undo {
+            target,
+            proc,
+            removed: None,
+            created: Vec::new(),
+            marks,
+            fault_fired: self.fault_fired.clone(),
+            stats: self.stats.clone(),
+            now: self.now,
+            next_seq: self.next_seq,
+            queue_len: self.queue_len,
+            arena_slots: self.arena.high_water(),
+            link_rng: self.link_rng.clone(),
+            sched_rng: self.sched_rng.clone(),
+            trace_len: self.trace().len(),
+        }
     }
 }
 
-/// A point-in-time checkpoint of an [`EventNet`], produced by
-/// [`EventNet::snapshot`] and consumed (repeatedly, if needed) by
-/// [`EventNet::restore`]. Opaque: it is only meaningful to the net (and
-/// configuration) it was taken from.
-pub struct NetSnapshot<M: Clone> {
-    procs: Vec<Box<dyn AsyncProcess<Msg = M>>>,
-    queue: EventQueue,
-    arena: Arena<M>,
-    link_rng: StdRng,
-    sched_rng: StdRng,
+/// What one [`EventNet::step_undoable`] or
+/// [`EventNet::inject_crash_undoable`] changed, consumed by
+/// [`EventNet::undo`]. A step acts on one process (its target): it may
+/// run that process's code, remove the dispatched event, create new
+/// events, and move the net-wide counters and clocks. The record holds
+/// exactly that — the target's pre-step process, the removed event, the
+/// created events and the scalars — so an undo costs what the step
+/// changed, not the size of the net.
+#[must_use = "a step is only taken back by passing its record to EventNet::undo"]
+pub struct Undo<M: Clone> {
+    target: ProcId,
+    /// The target's pre-step process and durable copy, when the step ran
+    /// the target's code.
+    proc: Option<(Box<dyn AsyncProcess<Msg = M>>, Option<DurableState>)>,
+    /// The dispatched event (`None` for an injected crash).
+    removed: Option<Removed<M>>,
+    /// The events the step created, in creation order.
+    created: Vec<EnabledEvent>,
+    marks: ProcMarks,
+    fault_fired: Vec<bool>,
+    stats: NetStats,
     now: u64,
     next_seq: u64,
-    stats: NetStats,
     queue_len: usize,
-    /// The in-memory trace log at snapshot time (`None` when the sink
-    /// was off; streaming sinks refuse to snapshot).
-    trace: Option<Vec<TraceEvent>>,
-    decision_times: Vec<Option<u64>>,
-    crashed: Vec<bool>,
-    handled: Vec<u64>,
-    saved: Vec<Option<DurableState>>,
-    started: Vec<bool>,
-    fault_fired: Vec<bool>,
-    lamport: Vec<u64>,
+    arena_slots: usize,
+    link_rng: StdRng,
+    sched_rng: StdRng,
+    trace_len: usize,
+}
+
+impl<M: Clone> Undo<M> {
+    /// The process the step acted on.
+    pub fn target(&self) -> ProcId {
+        self.target
+    }
+
+    /// Whether the step ran the target's code, and so may have changed
+    /// its [`AsyncProcess::state_words`]. False for an event absorbed by
+    /// a crashed target: such a step leaves every process as it was.
+    pub fn reached_process(&self) -> bool {
+        self.proc.is_some()
+    }
+
+    /// The events the step created (sends and timers of the handler, a
+    /// planned recovery), in creation order. Their `seq`s exceed that of
+    /// every event pending before the step.
+    pub fn created(&self) -> &[EnabledEvent] {
+        &self.created
+    }
+}
+
+/// A dispatched event as [`EventNet::undo`] puts it back: its queue key,
+/// its position in its bucket, and its payload.
+struct Removed<M> {
+    key: (u64, u64, u64, u32),
+    pos: usize,
+    event: EventKind<M>,
+}
+
+/// The per-process fields of a step's target before the step.
+struct ProcMarks {
+    crashed: bool,
+    handled: u64,
+    started: bool,
+    lamport: u64,
+    decision_time: Option<u64>,
 }
 
 #[cfg(test)]
