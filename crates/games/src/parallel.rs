@@ -9,7 +9,9 @@
 //!
 //! * [`collect_chunked`] — map each chunk to a `Vec` of hits and
 //!   concatenate in chunk order, so the output is **bit-identical** to the
-//!   sequential sweep;
+//!   sequential sweep. The calling thread is worker 0: it maps the first
+//!   chunk itself and spawns threads only for the others, so `w` workers
+//!   cost `w − 1` spawns and no thread idles waiting to join;
 //! * [`find_first`] — deterministic first-witness search: the result is
 //!   always the hit with the **lowest flat index**, independent of thread
 //!   timing, because each worker reports its chunk-local minimum and
@@ -84,10 +86,11 @@ pub fn chunks(total: usize, workers: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `map` over each chunk of `0..total` on its own thread and
-/// concatenates the results **in chunk order**, which makes the output
-/// identical to running `map(0..total)` sequentially whenever `map` visits
-/// indices in ascending order.
+/// Runs `map` over each chunk of `0..total` on its own worker (the
+/// calling thread maps the first chunk) and concatenates the results **in
+/// chunk order**, which makes the output identical to running
+/// `map(0..total)` sequentially whenever `map` visits indices in ascending
+/// order.
 pub fn collect_chunked<T, F>(total: usize, map: F) -> Vec<T>
 where
     T: Send,
@@ -104,25 +107,24 @@ where
     T: Send,
     F: Fn(Range<usize>) -> Vec<T> + Sync,
 {
-    let mut chunk_list = chunks(total, workers);
-    if chunk_list.len() <= 1 {
-        // Hand the single chunk straight to `map`: no re-collect.
-        return match chunk_list.pop() {
-            Some(range) => map(range),
-            None => Vec::new(),
-        };
+    let mut chunk_list = chunks(total, workers).into_iter();
+    let Some(first) = chunk_list.next() else {
+        return Vec::new();
+    };
+    if chunk_list.len() == 0 {
+        // A single chunk runs inline: no scope, no re-collect.
+        return map(first);
     }
-    let mut results: Vec<Vec<T>> = Vec::with_capacity(chunk_list.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = chunk_list
-            .into_iter()
-            .map(|range| scope.spawn(|| map(range)))
-            .collect();
+        let handles: Vec<_> = chunk_list.map(|range| scope.spawn(|| map(range))).collect();
+        // The caller is worker 0: it runs the first chunk while the
+        // spawned workers run the rest.
+        let mut results = map(first);
         for handle in handles {
-            results.push(handle.join().expect("parallel search worker panicked"));
+            results.extend(handle.join().expect("parallel search worker panicked"));
         }
-    });
-    results.into_iter().flatten().collect()
+        results
+    })
 }
 
 /// Deterministic parallel first-witness search: returns the lowest flat

@@ -37,21 +37,47 @@
 //!
 //! Samples are drawn in fixed blocks of [`SAMPLE_BLOCK`]; block `b` of
 //! coalition size `s` seeds its own RNG via [`derive_seed`] (the same
-//! SplitMix64 discipline as `bne_sim::derive_seed`), and block results
-//! merge in block order. The parallel audit chunks blocks across workers
-//! with `bne_games::parallel` and concatenates in chunk order, so the
-//! sequential and parallel certificates are **bit-identical** — same
-//! gains, same counterexample, same confidence numbers — for any worker
-//! count.
+//! SplitMix64 discipline as `bne_sim::derive_seed`). Each coalition size
+//! is audited in three steps:
+//!
+//! 1. **draw** — every block's deviations, in sample order, noting the
+//!    samples that move at least one player (the others gain exactly 0
+//!    and cost no query);
+//! 2. **evaluate** — the moved samples' gains: every payoff query of the
+//!    audit but the one batched base-profile read. A moved sample is the
+//!    unit of parallel work: with the `parallel` feature the moved list
+//!    is chunked across workers and the gains come back in sample order;
+//! 3. **fold** — the gains in sample order, block by block, into the
+//!    certificate; the witness is the lowest-index sample over ε.
+//!
+//! Neither the draws nor the fold depend on the worker count, so the
+//! certificates are **bit-identical** — same gains, same counterexample,
+//! same confidence numbers — for any worker count.
+//! [`SampledOracle::audit`] spreads its queries across threads only when
+//! the base-profile query it issues first took at least
+//! [`FAN_OUT_MIN_QUERY`]; cheaper audits run inline.
 
 use crate::backend::{PayoffBackend, ProfileView};
 use crate::{ActionId, PlayerId, Utility, EPSILON};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
-/// Number of samples drawn per seeded block — the unit of parallel audit
-/// work. Fixed so the block structure (and therefore every merge) depends
-/// only on the sample count, never the worker count.
+/// Number of samples drawn per seeded block — the unit of seeding and of
+/// the fold. Fixed so the block structure (and therefore every merge)
+/// depends only on the sample count, never the worker count; the unit of
+/// parallel work is the moved sample.
 pub const SAMPLE_BLOCK: usize = 64;
+
+/// Base-profile query time from which [`SampledOracle::audit`] spreads
+/// its payoff queries across threads (with the `parallel` feature;
+/// without it every audit runs inline). A scoped thread spawn and join
+/// costs about 53 µs on a 2-vCPU x86-64 host, so past this mark the
+/// spawn costs at most about half what the audit already paid for its
+/// base query. A small dense or local game answers in well under a
+/// microsecond and stays inline; one run of a simulated economy takes
+/// milliseconds and fans out.
+pub const FAN_OUT_MIN_QUERY: Duration = Duration::from_micros(100);
 
 /// Derives the RNG seed of sample block `block` at coalition size `size`.
 /// Same bijective SplitMix64-style mix as `bne_sim::derive_seed`, so audit
@@ -168,14 +194,13 @@ impl SampledAudit {
     }
 }
 
-/// Accumulator of one block of samples (and the unit the parallel path
-/// merges in block order).
-#[derive(Debug, Clone)]
+/// Running count, mean and maximum of the gains of one block of samples
+/// (the unit the fold merges in block order).
+#[derive(Debug, Clone, Copy)]
 struct BlockAudit {
     count: u64,
     mean: f64,
     max_gain: f64,
-    witness: Option<SampledDeviation>,
 }
 
 impl BlockAudit {
@@ -184,7 +209,6 @@ impl BlockAudit {
             count: 0,
             mean: 0.0,
             max_gain: f64::NEG_INFINITY,
-            witness: None,
         }
     }
 
@@ -194,15 +218,13 @@ impl BlockAudit {
         self.max_gain = self.max_gain.max(gain);
     }
 
-    /// Merges `other` (a later block) into `self`. The witness with the
-    /// lowest sample index wins; merging in ascending block order makes
-    /// that the globally first counterexample.
+    /// Merges `other` (a later block) into `self`.
     fn absorb(&mut self, other: &BlockAudit) {
         if other.count == 0 {
             return;
         }
         if self.count == 0 {
-            *self = other.clone();
+            *self = *other;
             return;
         }
         let n1 = self.count as f64;
@@ -210,9 +232,39 @@ impl BlockAudit {
         self.mean += (other.mean - self.mean) * (n2 / (n1 + n2));
         self.max_gain = self.max_gain.max(other.max_gain);
         self.count += other.count;
-        if self.witness.is_none() {
-            self.witness = other.witness.clone();
-        }
+    }
+}
+
+/// The deviations drawn for one coalition size, with the base profile
+/// and base payoffs their gains are measured against.
+struct Draws<'a> {
+    base: &'a [ActionId],
+    base_payoffs: &'a [Utility],
+    size: usize,
+    /// Sample `s` moves the players of `deviations[s * size..][..size]`
+    /// (ascending) to the paired actions.
+    deviations: Vec<(PlayerId, ActionId)>,
+    /// The samples that move at least one player, ascending: the only
+    /// ones that cost payoff queries.
+    moved: Vec<usize>,
+}
+
+impl Draws<'_> {
+    /// The deviation of sample `s`: its coalition with the actions they
+    /// move to.
+    fn sample(&self, s: usize) -> &[(PlayerId, ActionId)] {
+        &self.deviations[s * self.size..][..self.size]
+    }
+
+    /// The largest gain of any coalition member of sample `s`: one payoff
+    /// query per member.
+    fn gain<B: PayoffBackend>(&self, backend: &B, s: usize) -> f64 {
+        let deviation = self.sample(s);
+        let view = ProfileView::new(self.base, deviation);
+        deviation
+            .iter()
+            .map(|&(p, _)| backend.payoff(p, &view) - self.base_payoffs[p])
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -255,97 +307,143 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
         self.backend
     }
 
-    /// Runs one block of samples for coalition size `size`: samples
-    /// `count` deviations from the block's own seeded stream and measures
-    /// each gain with payoff queries against the cached `base_payoffs`.
-    fn run_block(
+    /// Draws the `spec.samples` deviations of coalition size `size`,
+    /// each block from its own seeded stream.
+    fn draw<'a>(
         &self,
-        base: &[ActionId],
-        base_payoffs: &[Utility],
+        base: &'a [ActionId],
+        base_payoffs: &'a [Utility],
         size: usize,
         spec: &AuditSpec,
-        block: usize,
-    ) -> BlockAudit {
+    ) -> Draws<'a> {
         let n = self.backend.num_players();
-        let start = block * SAMPLE_BLOCK;
-        let count = SAMPLE_BLOCK.min(spec.samples - start);
-        let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, size as u64, block as u64));
-        let mut acc = BlockAudit::empty();
+        let mut deviations = Vec::with_capacity(spec.samples * size);
+        let mut moved = Vec::with_capacity(spec.samples);
         let mut players: Vec<PlayerId> = Vec::with_capacity(size);
-        let mut overrides: Vec<(PlayerId, ActionId)> = Vec::with_capacity(size);
-        for s in 0..count {
-            // draw `size` distinct players, ascending
-            players.clear();
-            while players.len() < size {
-                let p = rng.random_range(0..n);
-                if !players.contains(&p) {
-                    players.push(p);
+        for (block, start) in (0..spec.samples).step_by(SAMPLE_BLOCK).enumerate() {
+            let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, size as u64, block as u64));
+            for s in start..spec.samples.min(start + SAMPLE_BLOCK) {
+                // draw `size` distinct players, ascending
+                players.clear();
+                while players.len() < size {
+                    let p = rng.random_range(0..n);
+                    if !players.contains(&p) {
+                        players.push(p);
+                    }
                 }
-            }
-            players.sort_unstable();
-            // draw the joint deviation (any action, including staying)
-            overrides.clear();
-            for &p in &players {
-                let a = rng.random_range(0..self.backend.num_actions(p));
-                overrides.push((p, a));
-            }
-            let moved = overrides.iter().any(|&(p, a)| base[p] != a);
-            let gain = if moved {
-                let view = ProfileView::new(base, &overrides);
-                let mut best = f64::NEG_INFINITY;
+                players.sort_unstable();
+                // draw the joint deviation (any action, including staying)
+                let mut moves = false;
                 for &p in &players {
-                    best = best.max(self.backend.payoff(p, &view) - base_payoffs[p]);
+                    let a = rng.random_range(0..self.backend.num_actions(p));
+                    moves |= base[p] != a;
+                    deviations.push((p, a));
                 }
-                best
-            } else {
-                0.0 // the non-deviation: no queries needed
-            };
-            acc.push(gain);
-            if gain > spec.epsilon + EPSILON && acc.witness.is_none() {
-                acc.witness = Some(SampledDeviation {
-                    players: players.clone(),
-                    actions: overrides.iter().map(|&(_, a)| a).collect(),
-                    gain,
-                    sample_index: start + s,
-                });
+                if moves {
+                    moved.push(s);
+                }
             }
         }
-        acc
+        Draws {
+            base,
+            base_payoffs,
+            size,
+            deviations,
+            moved,
+        }
     }
 
-    /// Folds per-block accumulators (ascending block order) into the
-    /// certificate for one coalition size.
+    /// The gains of the moved samples `draws.moved[range]`, in order.
+    fn gains(&self, draws: &Draws<'_>, range: Range<usize>) -> Vec<f64> {
+        draws.moved[range]
+            .iter()
+            .map(|&s| draws.gain(self.backend, s))
+            .collect()
+    }
+
+    /// [`SampledOracle::gains`] of every moved sample on `workers`
+    /// threads, the calling thread among them.
+    #[cfg(feature = "parallel")]
+    fn evaluate(&self, draws: &Draws<'_>, workers: usize) -> Vec<f64>
+    where
+        B: Sync,
+    {
+        crate::parallel::collect_chunked_with(draws.moved.len(), workers, |range| {
+            self.gains(draws, range)
+        })
+    }
+
+    /// Folds the moved samples' gains (`moved_gains`, in sample order;
+    /// every other sample gains 0) block by block into the certificate
+    /// for `draws`' coalition size.
     fn certify(
         &self,
-        size: usize,
         spec: &AuditSpec,
-        blocks: Vec<BlockAudit>,
+        draws: &Draws<'_>,
+        moved_gains: &[f64],
     ) -> SampledCertificate {
-        let mut acc = BlockAudit::empty();
-        for block in &blocks {
-            acc.absorb(block);
+        let mut gains = vec![0.0; spec.samples];
+        for (&s, &gain) in draws.moved.iter().zip(moved_gains) {
+            gains[s] = gain;
         }
+        let mut acc = BlockAudit::empty();
+        for block in gains.chunks(SAMPLE_BLOCK) {
+            let mut part = BlockAudit::empty();
+            for &gain in block {
+                part.push(gain);
+            }
+            acc.absorb(&part);
+        }
+        let counterexample = gains
+            .iter()
+            .position(|&gain| gain > spec.epsilon + EPSILON)
+            .map(|s| {
+                let deviation = draws.sample(s);
+                SampledDeviation {
+                    players: deviation.iter().map(|&(p, _)| p).collect(),
+                    actions: deviation.iter().map(|&(_, a)| a).collect(),
+                    gain: gains[s],
+                    sample_index: s,
+                }
+            });
         let (lo, hi) = self.backend.payoff_bounds();
         let range = (hi - lo).max(0.0);
-        let m = acc.count.max(1) as f64;
-        let delta = spec.delta.clamp(1e-300, 1.0);
+        let m = spec.samples as f64;
+        // keeps ln(1/δ) finite for a subnormal δ
+        let delta = spec.delta.max(1e-300);
         SampledCertificate {
-            size,
-            samples: acc.count as usize,
+            size: draws.size,
+            samples: spec.samples,
             epsilon: spec.epsilon,
             delta: spec.delta,
-            accepted: acc.witness.is_none(),
-            max_gain: if acc.count == 0 { 0.0 } else { acc.max_gain },
+            accepted: counterexample.is_none(),
+            max_gain: acc.max_gain,
             mean_gain: acc.mean,
-            counterexample: acc.witness,
+            counterexample,
             miss_mass: ((1.0 / delta).ln() / m).min(1.0),
             hoeffding_radius: 2.0 * range * ((2.0 / delta).ln() / (2.0 * m)).sqrt(),
         }
     }
 
-    /// Number of sample blocks needed for `samples` samples.
-    fn blocks_for(samples: usize) -> usize {
-        samples.div_ceil(SAMPLE_BLOCK).max(1)
+    /// The audit shared by [`SampledOracle::audit`] and
+    /// [`SampledOracle::audit_with_workers`]: for each coalition size,
+    /// draw the samples, let `evaluate` compute the moved samples' gains
+    /// in sample order (it also gets the base-profile query's wall time),
+    /// and fold them into the certificate.
+    fn audit_by<E>(&self, base: &[ActionId], spec: &AuditSpec, evaluate: E) -> SampledAudit
+    where
+        E: Fn(&Draws<'_>, Duration) -> Vec<f64>,
+    {
+        let (base_payoffs, base_query) = self.validate(base, spec);
+        let max_size = spec.max_coalition.min(self.backend.num_players());
+        let certificates = (1..=max_size)
+            .map(|size| {
+                let draws = self.draw(base, &base_payoffs, size, spec);
+                let gains = evaluate(&draws, base_query);
+                self.certify(spec, &draws, &gains)
+            })
+            .collect();
+        Self::seal(certificates)
     }
 
     /// Audits the profile `base`: for each coalition size
@@ -353,28 +451,58 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
     /// `spec.samples` joint deviations and certifies "no sampled
     /// deviation gains more than ε" with the spec's confidence bounds.
     ///
+    /// With the `parallel` feature the moved samples' payoff queries run
+    /// on [`costly_workers`](crate::parallel::costly_workers) threads
+    /// when the base-profile query took at least [`FAN_OUT_MIN_QUERY`],
+    /// and inline otherwise; the result is the same either way.
+    ///
     /// # Panics
     ///
-    /// Panics if `base` has the wrong length, `spec.samples == 0`, or
-    /// `spec.max_coalition == 0`.
-    pub fn audit(&self, base: &[ActionId], spec: &AuditSpec) -> SampledAudit {
-        let base_payoffs = self.validate(base, spec);
-        let blocks = Self::blocks_for(spec.samples);
-        let max_size = spec.max_coalition.min(self.backend.num_players());
-        let certificates = (1..=max_size)
-            .map(|size| {
-                let accs: Vec<BlockAudit> = (0..blocks)
-                    .map(|b| self.run_block(base, &base_payoffs, size, spec, b))
-                    .collect();
-                self.certify(size, spec, accs)
-            })
-            .collect();
-        Self::seal(certificates)
+    /// Panics if `base` has the wrong length or an out-of-range action,
+    /// `spec.samples == 0`, `spec.max_coalition == 0`, `spec.epsilon` is
+    /// NaN, or `spec.delta` lies outside `(0, 1]`.
+    #[cfg(feature = "parallel")]
+    pub fn audit(&self, base: &[ActionId], spec: &AuditSpec) -> SampledAudit
+    where
+        B: Sync,
+    {
+        self.audit_by(base, spec, |draws, base_query| {
+            let workers = if base_query >= FAN_OUT_MIN_QUERY {
+                crate::parallel::costly_workers(draws.moved.len())
+            } else {
+                1
+            };
+            self.evaluate(draws, workers)
+        })
     }
 
-    /// Parallel form of [`SampledOracle::audit`]: sample blocks are
-    /// chunked across `workers` threads and merged in block order, so the
-    /// result is bit-identical to the sequential audit.
+    /// Audits the profile `base`: for each coalition size
+    /// `1..=spec.max_coalition` (clamped to the player count), samples
+    /// `spec.samples` joint deviations and certifies "no sampled
+    /// deviation gains more than ε" with the spec's confidence bounds.
+    /// (Sequential build: every query runs inline and the backend needs
+    /// no `Sync`.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` has the wrong length or an out-of-range action,
+    /// `spec.samples == 0`, `spec.max_coalition == 0`, `spec.epsilon` is
+    /// NaN, or `spec.delta` lies outside `(0, 1]`.
+    #[cfg(not(feature = "parallel"))]
+    pub fn audit(&self, base: &[ActionId], spec: &AuditSpec) -> SampledAudit {
+        self.audit_by(base, spec, |draws, _| {
+            self.gains(draws, 0..draws.moved.len())
+        })
+    }
+
+    /// [`SampledOracle::audit`] on exactly `workers` threads, the calling
+    /// thread among them, whatever the queries cost: the moved samples
+    /// are chunked across the workers and their gains folded in sample
+    /// order, so the result is bit-identical to the sequential audit.
+    ///
+    /// # Panics
+    ///
+    /// As [`SampledOracle::audit`].
     #[cfg(feature = "parallel")]
     pub fn audit_with_workers(
         &self,
@@ -385,33 +513,25 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
     where
         B: Sync,
     {
-        let base_payoffs = self.validate(base, spec);
-        let blocks = Self::blocks_for(spec.samples);
-        let max_size = spec.max_coalition.min(self.backend.num_players());
-        let certificates = (1..=max_size)
-            .map(|size| {
-                let accs: Vec<BlockAudit> =
-                    crate::parallel::collect_chunked_with(blocks, workers, |range| {
-                        range
-                            .map(|b| self.run_block(base, &base_payoffs, size, spec, b))
-                            .collect()
-                    });
-                self.certify(size, spec, accs)
-            })
-            .collect();
-        Self::seal(certificates)
+        self.audit_by(base, spec, |draws, _| self.evaluate(draws, workers))
     }
 
     /// Validates the audit inputs and returns the cached base payoffs —
-    /// one batched read shared by every size and block (for simulation
-    /// backends this is a single run).
-    fn validate(&self, base: &[ActionId], spec: &AuditSpec) -> Vec<Utility> {
+    /// one batched read shared by every size and sample (for simulation
+    /// backends this is a single run) — with the wall time of that read.
+    fn validate(&self, base: &[ActionId], spec: &AuditSpec) -> (Vec<Utility>, Duration) {
         let n = self.backend.num_players();
         assert_eq!(base.len(), n, "base profile must assign every player");
         assert!(spec.samples > 0, "audits need at least one sample");
         assert!(
             spec.max_coalition > 0,
             "audit at least unilateral deviations"
+        );
+        assert!(!spec.epsilon.is_nan(), "the gain tolerance must not be NaN");
+        assert!(
+            spec.delta > 0.0 && spec.delta <= 1.0,
+            "the confidence parameter must lie in (0, 1], got {}",
+            spec.delta
         );
         for (p, &a) in base.iter().enumerate() {
             assert!(
@@ -420,9 +540,10 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
             );
         }
         let mut base_payoffs = vec![0.0; n];
+        let t0 = Instant::now();
         self.backend
             .payoffs_into(&ProfileView::of_base(base), &mut base_payoffs);
-        base_payoffs
+        (base_payoffs, t0.elapsed())
     }
 
     fn seal(certificates: Vec<SampledCertificate>) -> SampledAudit {
@@ -529,6 +650,26 @@ mod tests {
         let c = oracle.audit(&base, &spec(0.0, 200, 3, 6));
         // a different seed samples different deviations (stats differ)
         assert!(a != c || a.accepted == c.accepted);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn nan_epsilon_is_rejected() {
+        let g = classic::prisoners_dilemma();
+        let backend = DenseBackend::new(&g);
+        SampledOracle::new(&backend).audit(&[1, 1], &spec(f64::NAN, 64, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "must lie in (0, 1]")]
+    fn delta_outside_the_unit_interval_is_rejected() {
+        let g = classic::prisoners_dilemma();
+        let backend = DenseBackend::new(&g);
+        let spec = AuditSpec {
+            delta: 0.0,
+            ..spec(0.0, 64, 1, 1)
+        };
+        SampledOracle::new(&backend).audit(&[1, 1], &spec);
     }
 
     #[cfg(feature = "parallel")]

@@ -21,19 +21,32 @@
 //! should batch with [`PayoffBackend::payoffs_into`] (one set of runs
 //! yields *every* player's base payoff; the
 //! [`SampledOracle`](bne_games::sampled::SampledOracle) does this for the
-//! base profile automatically).
+//! base profile automatically). Beyond its runs, a query makes one cheap
+//! pass over the base profile for entries off the common threshold (none
+//! in [`ThresholdAuditBackend::base_profile`]); the engine overrides are
+//! those entries and the view's override list,
+//! [`PayoffBackend::payoff`] reads one slot, and no aggregate outcome is
+//! summarized. Engines are pooled: a query takes an idle engine
+//! (building one only when every engine is busy) and returns it, so the
+//! backend keeps one engine per query that ever ran concurrently — one
+//! per worker of the sampled oracle's fan-out, 2 × 25 MB at 10^6 agents
+//! on two workers — until it is dropped.
 
 use crate::economy::{Economy, EconomyConfig};
 use bne_games::backend::{PayoffBackend, ProfileView};
 use bne_games::{ActionId, PlayerId, Utility};
+use std::fmt;
+use std::sync::{Mutex, MutexGuard};
 
 /// The threshold-strategy audit game over a scrip economy.
-#[derive(Debug, Clone)]
 pub struct ThresholdAuditBackend {
     config: EconomyConfig,
     candidates: Vec<u32>,
     trials: usize,
     sim_seed: u64,
+    /// Idle engines. The lock is held only to pop or push one, never
+    /// across a run, so a panicking query cannot poison it.
+    engines: Mutex<Vec<Economy>>,
 }
 
 impl ThresholdAuditBackend {
@@ -63,17 +76,13 @@ impl ThresholdAuditBackend {
             candidates,
             trials,
             sim_seed,
+            engines: Mutex::new(Vec::new()),
         }
     }
 
     /// The base profile: every rational player at the common threshold.
     pub fn base_profile(&self) -> Vec<ActionId> {
-        let common = self
-            .candidates
-            .iter()
-            .position(|&t| t == self.config.threshold)
-            .expect("checked at construction");
-        vec![common; self.config.rational]
+        vec![self.common_action(); self.config.rational]
     }
 
     /// The candidate threshold set (the action labels).
@@ -86,27 +95,71 @@ impl ThresholdAuditBackend {
         &self.config
     }
 
-    /// Runs the economy under `view`'s threshold assignment, accumulating
-    /// each trial's per-slot average utilities through `sink(player,
-    /// per-round utility)` — the shared core of both query paths. Only
-    /// deviations from the common threshold are materialized as engine
-    /// overrides, so the override list stays as small as the coalition.
-    fn run_view<F: FnMut(PlayerId, f64)>(&self, view: &ProfileView<'_>, mut sink: F) {
+    /// The engine overrides of `view`: every player whose threshold
+    /// differs from the common one, ascending by player. An override
+    /// replaces its player's base entry, and a player listed twice takes
+    /// the first listed action (the [`ProfileView::action`] rule). The
+    /// order matters: it decides the players' positions in the engine's
+    /// paid pool.
+    fn overrides(&self, view: &ProfileView<'_>) -> Vec<(usize, u32)> {
+        let common = self.common_action();
+        let mut listed = view.overrides().to_vec();
+        // base entries off the common action (none in `base_profile`) go
+        // after the overrides, so a stable sort keeps them behind any
+        // override of the same player
+        listed.extend(
+            view.base()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| a != common)
+                .map(|(p, &a)| (p, a)),
+        );
+        listed.sort_by_key(|&(p, _)| p);
+        listed.dedup_by_key(|&mut (p, _)| p);
         let base = self.config.rational_base();
-        let mut overrides: Vec<(usize, u32)> = Vec::with_capacity(view.overrides().len());
-        for p in 0..self.config.rational {
-            let t = self.candidates[view.action(p)];
-            if t != self.config.threshold {
-                overrides.push((base + p, t));
-            }
-        }
-        let mut economy = Economy::new(&self.config);
+        listed
+            .into_iter()
+            .map(|(p, a)| (base + p, self.candidates[a]))
+            .filter(|&(_, t)| t != self.config.threshold)
+            .collect()
+    }
+
+    /// The action index of the common threshold.
+    fn common_action(&self) -> ActionId {
+        self.candidates
+            .iter()
+            .position(|&t| t == self.config.threshold)
+            .expect("checked at construction")
+    }
+
+    /// Runs every trial of `view` on a pooled engine, handing the engine
+    /// to `read` after each run — the shared core of both query paths.
+    fn run_view(&self, view: &ProfileView<'_>, mut read: impl FnMut(&Economy)) {
+        let overrides = self.overrides(view);
+        let idle = self.pool().pop();
+        let mut economy = idle.unwrap_or_else(|| Economy::new(&self.config));
         for trial in 0..self.trials {
-            economy.run_with_thresholds(&overrides, self.sim_seed.wrapping_add(trial as u64));
-            for p in 0..self.config.rational {
-                sink(p, economy.average_utility(base + p));
-            }
+            economy.simulate(&overrides, self.sim_seed.wrapping_add(trial as u64));
+            read(&economy);
         }
+        self.pool().push(economy);
+    }
+
+    fn pool(&self) -> MutexGuard<'_, Vec<Economy>> {
+        self.engines
+            .lock()
+            .expect("the engine pool is never locked across a run")
+    }
+}
+
+impl fmt::Debug for ThresholdAuditBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThresholdAuditBackend")
+            .field("config", &self.config)
+            .field("candidates", &self.candidates)
+            .field("trials", &self.trials)
+            .field("sim_seed", &self.sim_seed)
+            .finish_non_exhaustive()
     }
 }
 
@@ -120,18 +173,20 @@ impl PayoffBackend for ThresholdAuditBackend {
     }
 
     fn payoff(&self, player: PlayerId, view: &ProfileView<'_>) -> Utility {
+        let slot = self.config.rational_base() + player;
         let mut total = 0.0;
-        self.run_view(view, |p, u| {
-            if p == player {
-                total += u;
-            }
-        });
+        self.run_view(view, |economy| total += economy.average_utility(slot));
         total / self.trials as f64
     }
 
     fn payoffs_into(&self, view: &ProfileView<'_>, out: &mut [Utility]) {
+        let base = self.config.rational_base();
         out.fill(0.0);
-        self.run_view(view, |p, u| out[p] += u);
+        self.run_view(view, |economy| {
+            for (p, u) in out.iter_mut().enumerate() {
+                *u += economy.average_utility(base + p);
+            }
+        });
         for u in out.iter_mut() {
             *u /= self.trials as f64;
         }
@@ -189,6 +244,99 @@ mod tests {
         let conform = backend.payoff(4, &ProfileView::of_base(&base));
         let deviate = backend.payoff(4, &view);
         assert!(deviate < conform, "deviate {deviate} vs conform {conform}");
+    }
+
+    /// Every player's payoff at `overrides` on `backend`.
+    fn payoffs(
+        backend: &ThresholdAuditBackend,
+        base: &[ActionId],
+        overrides: &[(PlayerId, ActionId)],
+    ) -> Vec<Utility> {
+        let mut out = vec![0.0; backend.num_players()];
+        backend.payoffs_into(&ProfileView::new(base, overrides), &mut out);
+        out
+    }
+
+    #[test]
+    fn pooled_engines_answer_like_fresh_backends() {
+        let make = || ThresholdAuditBackend::new(small_config(), vec![0, 4, 8, 16], 2, 90);
+        let backend = make();
+        let base = backend.base_profile();
+        let a = [(3usize, 0usize), (11, 3)];
+        let b = [(5usize, 1usize)];
+        // A, B, A and then the base on one backend, each against a fresh one
+        for overrides in [&a[..], &b[..], &a[..], &[]] {
+            assert_eq!(
+                payoffs(&backend, &base, overrides),
+                payoffs(&make(), &base, overrides),
+                "{overrides:?}"
+            );
+            let view = ProfileView::new(&base, overrides);
+            assert_eq!(backend.payoff(11, &view), make().payoff(11, &view));
+        }
+        assert_eq!(
+            backend.pool().len(),
+            1,
+            "sequential queries share one engine"
+        );
+    }
+
+    #[test]
+    fn concurrent_queries_match_sequential_ones() {
+        let backend = ThresholdAuditBackend::new(small_config(), vec![0, 4, 8, 16], 1, 90);
+        let base = backend.base_profile();
+        let views = [[(3usize, 0usize)], [(11, 3)]];
+        let sequential: Vec<Utility> = views
+            .iter()
+            .map(|o| backend.payoff(o[0].0, &ProfileView::new(&base, o)))
+            .collect();
+        // both queries hold their engine at the barrier, so they overlap
+        let barrier = std::sync::Barrier::new(2);
+        let concurrent: Vec<Utility> = std::thread::scope(|scope| {
+            let handles: Vec<_> = views
+                .iter()
+                .map(|o| {
+                    let (backend, base, barrier) = (&backend, &base, &barrier);
+                    scope.spawn(move || {
+                        let slot = backend.config().rational_base() + o[0].0;
+                        let mut utility = 0.0;
+                        backend.run_view(&ProfileView::new(base, o), |economy| {
+                            barrier.wait();
+                            utility = economy.average_utility(slot);
+                        });
+                        utility
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(concurrent, sequential);
+        assert_eq!(backend.pool().len(), 2, "one engine per concurrent query");
+    }
+
+    #[test]
+    fn the_first_listed_override_wins() {
+        let backend = ThresholdAuditBackend::new(small_config(), vec![0, 4, 8, 16], 1, 90);
+        let base = backend.base_profile();
+        let repeated = [(7usize, 0usize), (3, 3), (7, 1)];
+        let canonical = [(3usize, 3usize), (7, 0)];
+        let slot = backend.config().rational_base();
+        assert_eq!(
+            backend.overrides(&ProfileView::new(&base, &repeated)),
+            vec![(slot + 3, 16), (slot + 7, 0)]
+        );
+        assert_eq!(
+            payoffs(&backend, &base, &repeated),
+            payoffs(&backend, &base, &canonical)
+        );
+        // a base entry off the common threshold counts unless overridden
+        let mut shifted = base.clone();
+        shifted[7] = 1;
+        shifted[9] = 3;
+        assert_eq!(
+            payoffs(&backend, &shifted, &repeated),
+            payoffs(&backend, &base, &[(3, 3), (7, 0), (9, 3)])
+        );
     }
 
     #[test]

@@ -130,6 +130,14 @@ pub struct EconomyOutcome {
     pub resident_bytes: usize,
 }
 
+/// The counters of one run that only the aggregate outcome reads.
+pub(crate) struct RunTally {
+    unserved: u64,
+    departures: u64,
+    money: u64,
+    pool_size: StreamingStats,
+}
+
 /// The scaled scrip economy engine. Construct once, [`Economy::run`] as
 /// many times as needed — every run re-seeds and re-initializes in place,
 /// so repeated runs never allocate.
@@ -272,16 +280,21 @@ impl Economy {
     /// Like [`Economy::run`], but with per-slot threshold overrides
     /// applied after the reset — the audit backend's deviation hook.
     pub fn run_with_thresholds(&mut self, overrides: &[(usize, u32)], seed: u64) -> EconomyOutcome {
+        let tally = self.simulate(overrides, seed);
+        self.summarize(tally)
+    }
+
+    /// The one round loop: resets, applies the per-slot threshold
+    /// overrides and simulates `config.rounds` rounds seeded by `seed`,
+    /// leaving per-slot utilities readable via
+    /// [`Economy::average_utility`]. Allocation-free. Audit queries call
+    /// this directly, since they read slot utilities and never the
+    /// aggregate outcome.
+    pub(crate) fn simulate(&mut self, overrides: &[(usize, u32)], seed: u64) -> RunTally {
         self.reset();
         for &(slot, threshold) in overrides {
             self.set_threshold(slot, threshold);
         }
-        self.simulate_rounds(seed)
-    }
-
-    /// The round loop proper: simulates `config.rounds` rounds from the
-    /// engine's current state. Allocation-free.
-    fn simulate_rounds(&mut self, seed: u64) -> EconomyOutcome {
         let n = self.holdings.len();
         let config = self.config.clone();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -339,17 +352,23 @@ impl Economy {
             }
         }
         self.rounds_run = config.rounds;
-        self.summarize(unserved, departures, money, pool_size)
+        RunTally {
+            unserved,
+            departures,
+            money,
+            pool_size,
+        }
     }
 
-    /// Folds the per-slot state into the aggregate outcome.
-    fn summarize(
-        &self,
-        unserved: u64,
-        departures: u64,
-        money: u64,
-        pool_size: StreamingStats,
-    ) -> EconomyOutcome {
+    /// Folds a run's counters and the per-slot state into the aggregate
+    /// outcome.
+    fn summarize(&self, tally: RunTally) -> EconomyOutcome {
+        let RunTally {
+            unserved,
+            departures,
+            money,
+            pool_size,
+        } = tally;
         let config = &self.config;
         let rounds = config.rounds.max(1) as f64;
         let mut class_total = [0.0f64; 3];

@@ -13,8 +13,10 @@
 //! * **backend independence** — auditing a utility-locality
 //!   [`LocalBackend`] and auditing its own densification produce
 //!   bit-identical certificates (same samples, same gains, same bounds);
-//! * **seq == par** — with the `parallel` feature, forced worker counts
-//!   reproduce the sequential audit bit-for-bit.
+//! * **seq == par** — with the `parallel` feature, `audit` and every
+//!   forced worker count reproduce the one-worker audit bit-for-bit, on
+//!   dense games and on a scrip economy whose queries `audit` may fan
+//!   out, and every worker count issues the same payoff queries.
 
 use bne_core::games::backend::{DenseBackend, LocalBackend, PayoffBackend};
 use bne_core::games::sampled::{AuditSpec, SampledOracle};
@@ -159,11 +161,34 @@ fn local_and_dense_audits_are_bit_identical() {
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
+    use bne_core::games::backend::ProfileView;
+    use bne_core::games::sampled::SampledAudit;
+    use bne_core::games::{ActionId, PlayerId, Utility};
+    use bne_core::scrip::{EconomyConfig, ThresholdAuditBackend};
+    use std::sync::Mutex;
+
+    /// Audits `base` on one worker, then checks that `audit` and forced
+    /// worker counts reproduce it bit for bit.
+    fn assert_worker_independent<B: PayoffBackend + Sync>(
+        backend: &B,
+        base: &[ActionId],
+        s: &AuditSpec,
+    ) -> SampledAudit {
+        let oracle = SampledOracle::new(backend);
+        let reference = oracle.audit_with_workers(base, s, 1);
+        assert_eq!(reference, oracle.audit(base, s), "audit");
+        for workers in [2usize, 3, 5] {
+            let par = oracle.audit_with_workers(base, s, workers);
+            assert_eq!(reference, par, "workers {workers}");
+        }
+        reference
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Forced worker counts never change a sampled audit.
+        /// Neither `audit` nor a forced worker count ever changes a
+        /// sampled audit.
         #[test]
         fn sampled_audit_seq_equals_par(
             num_players in 2usize..5,
@@ -172,14 +197,101 @@ mod parallel {
         ) {
             let game = game_from_payoff_seed(num_players, &payoffs);
             let backend = DenseBackend::new(&game);
-            let oracle = SampledOracle::new(&backend);
             let base = vec![0usize; num_players];
-            let s = spec(0.0, 300, num_players, audit_seed);
-            let sequential = oracle.audit(&base, &s);
-            for workers in [2usize, 3, 5] {
-                let par = oracle.audit_with_workers(&base, &s, workers);
-                prop_assert_eq!(&sequential, &par, "workers {}", workers);
+            assert_worker_independent(&backend, &base, &spec(0.0, 300, num_players, audit_seed));
+        }
+    }
+
+    /// The costly case: a scrip economy audited over coalitions of up to
+    /// three players, with several moved samples per block and a partial
+    /// last block. Its queries are whole economy runs, which `audit` may
+    /// fan out.
+    #[test]
+    fn economy_audit_is_worker_independent() {
+        let config = EconomyConfig::homogeneous(300, 10, 2_000);
+        let backend = ThresholdAuditBackend::new(config, vec![0, 5, 10, 20], 1, 17);
+        let base = backend.base_profile();
+        let audit = assert_worker_independent(&backend, &base, &spec(0.0, 150, 3, 23));
+        assert_eq!(audit.certificates.len(), 3);
+        assert!(audit.certificates.iter().all(|c| c.samples == 150));
+    }
+
+    /// A sampled deviation as a view's override list.
+    type Deviation = Vec<(PlayerId, ActionId)>;
+
+    /// A backend that logs every query it answers.
+    struct Counting<'g> {
+        inner: DenseBackend<'g>,
+        batched: Mutex<usize>,
+        /// `(player, view overrides)` of every single-payoff query.
+        single: Mutex<Vec<(PlayerId, Deviation)>>,
+    }
+
+    impl PayoffBackend for Counting<'_> {
+        fn num_players(&self) -> usize {
+            self.inner.num_players()
+        }
+
+        fn num_actions(&self, player: PlayerId) -> usize {
+            self.inner.num_actions(player)
+        }
+
+        fn payoff(&self, player: PlayerId, view: &ProfileView<'_>) -> Utility {
+            let overrides = view.overrides().to_vec();
+            self.single.lock().unwrap().push((player, overrides));
+            self.inner.payoff(player, view)
+        }
+
+        fn payoff_bounds(&self) -> (Utility, Utility) {
+            self.inner.payoff_bounds()
+        }
+
+        fn payoffs_into(&self, view: &ProfileView<'_>, out: &mut [Utility]) {
+            *self.batched.lock().unwrap() += 1;
+            self.inner.payoffs_into(view, out);
+        }
+    }
+
+    /// Every worker count issues the same queries: one batched base read
+    /// per audit, and one single read per coalition member of each
+    /// sample that moves.
+    #[test]
+    fn worker_counts_issue_identical_queries() {
+        let game = game_from_payoff_seed(4, &[3, -1, 4, 1, -5, 9, 2, -6]);
+        let base = vec![0usize; 4];
+        let s = spec(0.0, 150, 3, 41);
+        let mut logs = Vec::new();
+        for workers in [1usize, 2, 3, 5] {
+            let backend = Counting {
+                inner: DenseBackend::new(&game),
+                batched: Mutex::new(0),
+                single: Mutex::new(Vec::new()),
+            };
+            SampledOracle::new(&backend).audit_with_workers(&base, &s, workers);
+            assert_eq!(*backend.batched.lock().unwrap(), 1, "workers {workers}");
+            let mut log = backend.single.into_inner().unwrap();
+            for (player, overrides) in &log {
+                assert!(overrides.iter().any(|&(p, _)| p == *player));
+                assert!(overrides.iter().any(|&(p, a)| base[p] != a));
             }
+            log.sort();
+            logs.push(log);
+        }
+        // each coalition member is queried as often as the sample occurs
+        let first = &logs[0];
+        for deviation in first.iter().map(|(_, d)| d) {
+            let calls = |player| {
+                first
+                    .iter()
+                    .filter(|(p, d)| *p == player && d == deviation)
+                    .count()
+            };
+            let members: Vec<usize> = deviation.iter().map(|&(p, _)| calls(p)).collect();
+            assert!(members.iter().all(|&c| c == members[0]), "{deviation:?}");
+        }
+        assert!(first.len() > 150, "several coalition sizes were queried");
+        for (log, workers) in logs.iter().zip([1, 2, 3, 5]) {
+            assert_eq!(log, first, "workers {workers}");
         }
     }
 }
