@@ -17,17 +17,19 @@
 //!   on the `best >= rush` invariant (rollout 0 *is* the rush
 //!   heuristic, so the synthesized adversary can never score below it).
 //!
-//! Run and record to `BENCH_10.json`:
+//! Run and record to `BENCH_10.json` in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_SMOKE=1 BNE_BENCH10_JSON=BENCH_10.json cargo bench -p bne-bench \
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
 //!     --bench mc_checker
 //! ```
 //!
-//! The JSON adds explored-state counts and one-shot proof wall times to
-//! the criterion legs (the big proofs run once — a 10^6-state
-//! exhaustion is not an iterable timing target).
+//! The report's headline adds explored-state counts and one-shot proof
+//! wall times to the criterion legs (the big proofs run once — a
+//! 10^6-state exhaustion is not an iterable timing target).
 
+use bne_bench::BenchReport;
+use bne_core::mc::json::Json;
 use bne_core::mc::synth::ben_or_noise_factory;
 use bne_core::mc::{
     ben_or_net, bracha_net, paxos_net, replay_trace, BenOrParams, BrachaParams,
@@ -275,68 +277,44 @@ fn bench_mc_checker(c: &mut Criterion) {
         b.iter(|| black_box(synth_small.run().best))
     });
 
-    // --- headline numbers + BENCH_10.json ---
-    if let Ok(path) = std::env::var("BNE_BENCH10_JSON") {
-        let legs = [
+    // --- headline numbers + BENCH_10 ---
+    let count = |n: usize| Json::U64(n as u64);
+    let (rush, best) = (&outcome.rush, &outcome.best);
+    BenchReport::new("BENCH_10", "mc_checker", criterion::results())
+        .only(&[
             "mc/bracha_honest_n4_proof",
             "mc/bracha_planted_n4_cex",
             "mc/replay_counterexample",
             "mc/synth_8_rollouts",
-        ];
-        let results = criterion::results();
-        let bench10: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        let json = format!(
-            "{{\n\"bracha_honest_states\": {},\n\"bracha_honest_ms\": {:.1},\n\
-             \"planted_por_states\": {},\n\"planted_cex_choices\": {},\n\
-             \"planted_naive_n3_states\": {},\n\"planted_por_n3_states\": {},\n\
-             \"por_ratio_n3\": {:.2},\n\
-             \"planted_naive_n4_states\": {},\n\"planted_naive_n4_exhausted\": {},\n\
-             \"por_ratio_n4\": {:.2},\n\
-             \"ben_or_n\": {},\n\"ben_or_t\": {},\n\"ben_or_states\": {},\n\
-             \"ben_or_secs\": {:.2},\n\
-             \"paxos_n\": {},\n\"paxos_f\": {},\n\"paxos_leader_only\": {},\n\
-             \"paxos_states\": {},\n\"paxos_secs\": {:.2},\n\
-             \"synth_rollouts\": {},\n\"synth_rush_undecided\": {},\n\
-             \"synth_rush_decide_time\": {},\n\"synth_best_undecided\": {},\n\
-             \"synth_best_decide_time\": {},\n\"synth_best_rollout\": {},\n\
-             \"smoke\": {},\n\"legs\": {}}}\n",
-            honest_report.states,
-            honest_ms,
-            planted_por.states,
-            trace.choices.len(),
-            naive3.states,
-            por3.states,
-            ratio3,
-            naive4.states,
-            naive4_exhausted,
-            ratio4,
-            p.ben_or.n,
-            p.ben_or.t,
-            ben_or_report.states,
-            ben_or_s,
-            p.paxos.n,
-            p.paxos.crash_budget,
-            p.paxos_leader_only,
-            paxos_report.states,
-            paxos_s,
-            outcome.rollouts,
-            outcome.rush.undecided,
-            outcome.rush.decide_time,
-            outcome.best.undecided,
-            outcome.best.decide_time,
-            outcome.best_rollout,
-            bne_bench::bench_smoke_mode(),
-            criterion::results_to_json(&bench10),
-        );
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("BENCH_10 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_10 JSON to {path}: {e}"),
-        }
-    }
+        ])
+        .headline([
+            ("bracha_honest_states", Json::U64(honest_report.states)),
+            ("bracha_honest_ms", Json::F64(honest_ms)),
+            ("planted_por_states", Json::U64(planted_por.states)),
+            ("planted_cex_choices", count(trace.choices.len())),
+            ("planted_naive_n3_states", Json::U64(naive3.states)),
+            ("planted_por_n3_states", Json::U64(por3.states)),
+            ("por_ratio_n3", Json::F64(ratio3)),
+            ("planted_naive_n4_states", Json::U64(naive4.states)),
+            ("planted_naive_n4_exhausted", Json::Bool(naive4_exhausted)),
+            ("por_ratio_n4", Json::F64(ratio4)),
+            ("ben_or_n", count(p.ben_or.n)),
+            ("ben_or_t", count(p.ben_or.t)),
+            ("ben_or_states", Json::U64(ben_or_report.states)),
+            ("ben_or_secs", Json::F64(ben_or_s)),
+            ("paxos_n", count(p.paxos.n)),
+            ("paxos_f", count(p.paxos.crash_budget)),
+            ("paxos_leader_only", Json::Bool(p.paxos_leader_only)),
+            ("paxos_states", Json::U64(paxos_report.states)),
+            ("paxos_secs", Json::F64(paxos_s)),
+            ("synth_rollouts", count(outcome.rollouts)),
+            ("synth_rush_undecided", Json::U64(rush.undecided)),
+            ("synth_rush_decide_time", Json::U64(rush.decide_time)),
+            ("synth_best_undecided", Json::U64(best.undecided)),
+            ("synth_best_decide_time", Json::U64(best.decide_time)),
+            ("synth_best_rollout", count(outcome.best_rollout)),
+        ])
+        .write();
 }
 
 criterion_group! {

@@ -8,13 +8,12 @@
 //! (crash-recovery consensus: Paxos throughput, failover latency, the
 //! durable round-trip, and the e22 crash-grid sweeps) and `BENCH_8.json`
 //! (observability overhead: trace sink off vs recording vs streaming
-//! metrics on the identical, gate-verified bit-identical workload):
+//! metrics on the identical, gate-verified bit-identical workload), all
+//! in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_JSON=BENCH_3.json BNE_BENCH5_JSON=BENCH_5.json \
-//!     BNE_BENCH6_JSON=BENCH_6.json BNE_BENCH7_JSON=BENCH_7.json \
-//!     BNE_BENCH8_JSON=BENCH_8.json \
-//!     cargo bench -p bne-bench --features parallel --bench net_engine
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
+//!     --bench net_engine
 //! ```
 //!
 //! CI runs this bench in bounded smoke mode (`BNE_BENCH_SMOKE=1`). In
@@ -27,6 +26,7 @@
 //! sweep is additionally asserted bit-identical across forced worker
 //! counts.
 
+use bne_bench::BenchReport;
 use bne_core::byzantine::adversary::{FaultyBehavior, FaultyProcess};
 use bne_core::byzantine::bracha::BrachaMsg;
 use bne_core::byzantine::network::{Process, SyncNetwork};
@@ -659,8 +659,7 @@ fn bench_net_engine(c: &mut Criterion) {
     // headline of the timing-wheel core. Timed as a single wall-clock
     // pass with `Instant` rather than criterion's calibrated batches
     // (the payload is seconds long; batching would multiply it), then
-    // recorded as a hand-built result so it lands in BENCH_6.json with
-    // everything else.
+    // recorded as a hand-built leg of BENCH_6.json.
     let mega_cell = BenOrCell {
         n: 4,
         t: 0,
@@ -733,37 +732,24 @@ fn bench_net_engine(c: &mut Criterion) {
         }
     }
 
-    // Event-driven headlines, recorded separately to BENCH_5.json (the
-    // BENCH_3 trajectory stays comparable across PRs): what the
-    // ack/retransmit machinery costs when it never fires, what 20% loss
-    // costs when it does, and what the rushing scheduler costs Ben-Or.
-    if let (Some(bare), Some(wrapped)) = (
-        median("event_bracha/direct"),
-        median("event_bracha_retry/zero_loss"),
-    ) {
-        println!(
-            "event_bracha_retry/zero_loss: {:.2}x the bare protocol (median; acks that never fire)",
-            wrapped / bare
-        );
-    }
-    if let (Some(clean), Some(lossy)) = (
-        median("event_bracha_retry/zero_loss"),
-        median("event_bracha_retry/loss20"),
-    ) {
-        println!(
-            "event_bracha_retry/loss20: {:.2}x the zero-loss run (median; loss as latency)",
-            lossy / clean
-        );
-    }
-    if let (Some(fifo), Some(rush)) = (
-        median("event_ben_or_sweep/fifo"),
-        median("event_ben_or_sweep/rush"),
-    ) {
-        println!(
-            "event_ben_or_sweep/rush: {:.2}x the FIFO ensemble (median; the scheduler is the adversary)",
-            rush / fifo
-        );
-    }
+    // The BENCH_5..8 legs are always timed (their reports below fail
+    // otherwise), so their headlines read the medians directly.
+    let ratio = |num: &str, den: &str| median(num).unwrap() / median(den).unwrap();
+    // BENCH_5 headlines: what the ack/retransmit machinery costs when it
+    // never fires, what 20% loss costs when it does, and what the rushing
+    // scheduler costs Ben-Or.
+    println!(
+        "event_bracha_retry/zero_loss: {:.2}x the bare protocol (median; acks that never fire)",
+        ratio("event_bracha_retry/zero_loss", "event_bracha/direct")
+    );
+    println!(
+        "event_bracha_retry/loss20: {:.2}x the zero-loss run (median; loss as latency)",
+        ratio("event_bracha_retry/loss20", "event_bracha_retry/zero_loss")
+    );
+    println!(
+        "event_ben_or_sweep/rush: {:.2}x the FIFO ensemble (median; the scheduler is the adversary)",
+        ratio("event_ben_or_sweep/rush", "event_ben_or_sweep/fifo")
+    );
     // BENCH_6 headlines: the wheel against the reference heap on
     // identical (gate-verified bit-identical) workloads.
     for (wheel, heap) in [
@@ -774,102 +760,50 @@ fn bench_net_engine(c: &mut Criterion) {
         ("net_async_event_queue/om_eig", "net_async_heap/om_eig"),
         ("event_ben_or_sweep/fifo", "event_ben_or_sweep_heap/fifo"),
     ] {
-        if let (Some(w), Some(h)) = (median(wheel), median(heap)) {
-            println!(
-                "{wheel}: wheel at {:.2}x the heap cost (median; <1 = faster)",
-                w / h
-            );
-        }
+        let r = ratio(wheel, heap);
+        println!("{wheel}: wheel at {r:.2}x the heap cost (median; <1 = faster)");
     }
     // BENCH_7 headlines: what coordinator failure and the durable
     // round-trip cost over the clean two-phase pipeline, and HSUC's
     // rotation against Paxos's ballot race on the identical crash grid.
-    if let (Some(clean), Some(failover)) =
-        (median("event_paxos/clean"), median("event_paxos/failover"))
-    {
-        println!(
-            "event_paxos/failover: {:.2}x the clean decision (median wall time; the crashed proposer's silence is cheap to simulate — the failover price is paid in *virtual* time, see e22)",
-            failover / clean
-        );
-    }
-    if let (Some(clean), Some(recovery)) = (
-        median("event_paxos/clean"),
-        median("event_paxos/crash_recovery"),
-    ) {
-        println!(
-            "event_paxos/crash_recovery: {:.2}x the clean decision (median; the durable round-trip)",
-            recovery / clean
-        );
-    }
-    if let (Some(paxos), Some(hsuc)) = (
-        median("event_paxos_sweep/crash_grid"),
-        median("event_hsuc_sweep/crash_grid"),
-    ) {
-        println!(
-            "event_hsuc_sweep/crash_grid: {:.2}x the paxos sweep (median; rotation vs ballot race)",
-            hsuc / paxos
-        );
-    }
+    println!(
+        "event_paxos/failover: {:.2}x the clean decision (median wall time; the crashed proposer's silence is cheap to simulate — the failover price is paid in *virtual* time, see e22)",
+        ratio("event_paxos/failover", "event_paxos/clean")
+    );
+    println!(
+        "event_paxos/crash_recovery: {:.2}x the clean decision (median; the durable round-trip)",
+        ratio("event_paxos/crash_recovery", "event_paxos/clean")
+    );
+    println!(
+        "event_hsuc_sweep/crash_grid: {:.2}x the paxos sweep (median; rotation vs ballot race)",
+        ratio(
+            "event_hsuc_sweep/crash_grid",
+            "event_paxos_sweep/crash_grid"
+        )
+    );
     // BENCH_8 headlines: what each trace sink costs over the silent run
     // on the identical (gate-verified bit-identical) workload.
     for (name, label) in [
         ("net_obs/record", "recording the full trace"),
         ("net_obs/stream_metrics", "streaming metrics"),
     ] {
-        if let (Some(off), Some(on)) = (median("net_obs/off"), median(name)) {
-            println!("{name}: {:.2}x the silent run (median; {label})", on / off);
-        }
+        let r = ratio(name, "net_obs/off");
+        println!("{name}: {r:.2}x the silent run (median; {label})");
     }
-    if let Ok(path) = std::env::var("BNE_BENCH8_JSON") {
-        let legs = ["net_obs/off", "net_obs/record", "net_obs/stream_metrics"];
-        let bench8: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        match std::fs::write(&path, criterion::results_to_json(&bench8)) {
-            Ok(()) => println!("BENCH_8 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_8 JSON to {path}: {e}"),
-        }
-    }
-    if let Ok(path) = std::env::var("BNE_BENCH7_JSON") {
-        let legs = [
-            "event_paxos/clean",
-            "event_paxos/failover",
-            "event_paxos/crash_recovery",
-            "event_paxos_sweep/crash_grid",
-            "event_hsuc_sweep/crash_grid",
-        ];
-        let bench7: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        match std::fs::write(&path, criterion::results_to_json(&bench7)) {
-            Ok(()) => println!("BENCH_7 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_7 JSON to {path}: {e}"),
-        }
-    }
-    if let Ok(path) = std::env::var("BNE_BENCH5_JSON") {
-        let legs = [
+    let report = |name: &str| BenchReport::new(name, "net_engine", results.clone());
+    report("BENCH_3").write();
+    report("BENCH_5")
+        .only(&[
             "event_bracha/direct",
             "event_bracha_retry/zero_loss",
             "event_bracha_retry/loss20",
             "event_ben_or_sweep/fifo",
             "event_ben_or_sweep/rush",
-        ];
-        let bench5: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        match std::fs::write(&path, criterion::results_to_json(&bench5)) {
-            Ok(()) => println!("BENCH_5 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_5 JSON to {path}: {e}"),
-        }
-    }
-    if let Ok(path) = std::env::var("BNE_BENCH6_JSON") {
-        let legs = [
+        ])
+        .write();
+    let with_mega = [results.clone(), vec![mega_result]].concat();
+    BenchReport::new("BENCH_6", "net_engine", with_mega)
+        .only(&[
             "net_sync_lockstep/phase_king",
             "net_async_event_queue/phase_king",
             "net_async_heap/phase_king",
@@ -879,18 +813,21 @@ fn bench_net_engine(c: &mut Criterion) {
             "event_ben_or_sweep/fifo",
             "event_ben_or_sweep/rush",
             "event_ben_or_sweep_heap/fifo",
-        ];
-        let mut bench6: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        bench6.push(mega_result);
-        match std::fs::write(&path, criterion::results_to_json(&bench6)) {
-            Ok(()) => println!("BENCH_6 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_6 JSON to {path}: {e}"),
-        }
-    }
+            "net_mega_sweep/ben_or_1e6",
+        ])
+        .write();
+    report("BENCH_7")
+        .only(&[
+            "event_paxos/clean",
+            "event_paxos/failover",
+            "event_paxos/crash_recovery",
+            "event_paxos_sweep/crash_grid",
+            "event_hsuc_sweep/crash_grid",
+        ])
+        .write();
+    report("BENCH_8")
+        .only(&["net_obs/off", "net_obs/record", "net_obs/stream_metrics"])
+        .write();
 }
 
 criterion_group! {

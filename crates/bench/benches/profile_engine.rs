@@ -2,16 +2,18 @@
 //! clone-profile-and-re-encode pattern) vs. the stride-arithmetic engine,
 //! sequentially and (with the `parallel` feature) across threads.
 //!
-//! Run and record to `BENCH_1.json`:
+//! Run and record to `BENCH_1.json` (all legs) and `BENCH_4.json` (the
+//! pruned vs unpruned deviation-oracle legs), in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_JSON=BENCH_1.json cargo bench -p bne-bench \
-//!     --features parallel --bench profile_engine
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
+//!     --bench profile_engine
 //! ```
 //!
 //! Every search is checked for bit-identical results against the baseline
 //! before anything is timed, so the speedups are apples-to-apples.
 
+use bne_bench::BenchReport;
 use bne_core::games::profile::{strides_for, subsets_up_to_size, ProfileIter};
 use bne_core::games::random::random_game;
 use bne_core::games::{DeviationOracle, NormalFormGame, SearchStrategy};
@@ -390,19 +392,7 @@ fn bench_oracle_pruning(c: &mut Criterion) {
         })
     });
 
-    // Record the BENCH_4 legs (and headline ratios) separately from the
-    // BENCH_1 trajectory: BNE_BENCH4_JSON names the output file.
-    let legs = [
-        "robust_search_pruned/4p5a_k2t1_dom",
-        "robust_search_unpruned/4p5a_k2t1_dom",
-        "robust_frontier_pruned/4p5a_dom",
-        "robust_frontier_unpruned/4p5a_dom",
-        "nash_enum_pruned/4p5a_dom",
-        "nash_enum_unpruned/4p5a_dom",
-    ];
-    let results = criterion::results();
-    let median = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.median_ns);
-    for (pruned, unpruned, label) in [
+    let pairs = [
         (
             "robust_search_pruned/4p5a_k2t1_dom",
             "robust_search_unpruned/4p5a_k2t1_dom",
@@ -418,25 +408,18 @@ fn bench_oracle_pruning(c: &mut Criterion) {
             "nash_enum_unpruned/4p5a_dom",
             "nash enumeration",
         ),
-    ] {
-        if let (Some(p), Some(u)) = (median(pruned), median(unpruned)) {
-            println!(
-                "speedup pruned vs unpruned ({label}, 4p5a dom): {:.2}x",
-                u / p
-            );
-        }
+    ];
+    let results = criterion::results();
+    let median = |name: &str| results.iter().find(|r| r.name == name).unwrap().median_ns;
+    for (pruned, unpruned, label) in pairs {
+        let speedup = median(unpruned) / median(pruned);
+        println!("speedup pruned vs unpruned ({label}, 4p5a dom): {speedup:.2}x");
     }
-    if let Ok(path) = std::env::var("BNE_BENCH4_JSON") {
-        let bench4: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        match std::fs::write(&path, criterion::results_to_json(&bench4)) {
-            Ok(()) => println!("BENCH_4 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_4 JSON to {path}: {e}"),
-        }
-    }
+    // this target runs last, so `results` holds every leg of the bench
+    let report = |name: &str| BenchReport::new(name, "profile_engine", results.clone());
+    report("BENCH_1").write();
+    let bench4: Vec<&str> = pairs.iter().flat_map(|&(p, u, _)| [p, u]).collect();
+    report("BENCH_4").only(&bench4).write();
 }
 
 criterion_group! {

@@ -2,11 +2,11 @@
 //! outcome, aggregate at the end) vs the `bne-sim` engine, sequentially and
 //! (with the `parallel` feature) across threads.
 //!
-//! Run and record to `BENCH_2.json`:
+//! Run and record to `BENCH_2.json` (all legs) in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_JSON=BENCH_2.json cargo bench -p bne-bench \
-//!     --features parallel --bench scenario_engine
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
+//!     --bench scenario_engine
 //! ```
 //!
 //! CI runs this bench in bounded smoke mode (`BNE_BENCH_SMOKE=1`): smaller
@@ -14,7 +14,7 @@
 //! result is asserted bit-identical to the legacy sequential path before
 //! anything is timed — a divergence fails the bench (and the CI job).
 
-use bne_bench::bench_smoke_mode;
+use bne_bench::{bench_smoke_mode, BenchReport};
 use bne_core::byzantine::adversary::FaultyBehavior;
 use bne_core::byzantine::scenario::{phase_king_grid, PhaseKingScenario, ProtocolStats};
 use bne_core::machine::scenario::{rounds_grid, TournamentScenario, TournamentStats};
@@ -359,6 +359,7 @@ fn bench_scenario_engine(c: &mut Criterion) {
             }
         }
     }
+    BenchReport::new("BENCH_2", "scenario_engine", results).write();
 }
 
 criterion_group! {

@@ -15,21 +15,24 @@
 //!   million-agent economy's common threshold through the
 //!   [`ThresholdAuditBackend`].
 //!
-//! Run and record to `BENCH_9.json`:
+//! Run and record to `BENCH_9.json` in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_SMOKE=1 BNE_BENCH9_JSON=BENCH_9.json cargo bench -p bne-bench \
-//!     --features parallel --bench scrip_million
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
+//!     --bench scrip_million
 //! ```
 //!
-//! The JSON adds throughput metrics (agents/sec, rounds/sec), the engine's
-//! resident-bytes high-water mark (the arena-style RSS proxy), and the
-//! exhaustive-over-sampled speedup to the criterion legs.
+//! The report's headline adds throughput metrics (agents/sec,
+//! rounds/sec), the engine's resident-bytes high-water mark (the
+//! arena-style RSS proxy), and the exhaustive-over-sampled speedup to the
+//! criterion legs.
 
+use bne_bench::BenchReport;
 use bne_core::games::backend::{DenseBackend, LocalBackend};
 use bne_core::games::random::random_game;
 use bne_core::games::sampled::{AuditSpec, SampledOracle};
 use bne_core::games::{DeviationOracle, ResilienceVariant};
+use bne_core::mc::json::Json;
 use bne_core::scrip::{
     economy_grid, Economy, EconomyConfig, EconomyScenario, ThresholdAuditBackend,
 };
@@ -206,7 +209,7 @@ fn bench_scrip_million(c: &mut Criterion) {
     };
     let mut engine = Economy::new(&million_config);
     let outcome = engine.run(29);
-    let resident_high_water = outcome.resident_bytes;
+    let resident_high_water = outcome.resident_bytes as u64;
     println!(
         "1M-agent economy: efficiency {:.4}, pool mean {:.0}, resident {} MiB",
         outcome.efficiency,
@@ -250,65 +253,34 @@ fn bench_scrip_million(c: &mut Criterion) {
         })
     });
 
-    // --- headline numbers + BENCH_9.json ---
+    // --- headline numbers + BENCH_9 ---
     let results = criterion::results();
-    let median = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.median_ns);
-    let speedup = match (
-        median("audit_exhaustive/7p5a_coord"),
-        median("audit_sampled/7p5a_coord"),
-    ) {
-        (Some(ex), Some(sa)) if sa > 0.0 => {
-            println!(
-                "speedup exhaustive vs sampled audit (7p5a coord): {:.2}x",
-                ex / sa
-            );
-            ex / sa
-        }
-        _ => 0.0,
-    };
-    let (rounds_per_sec, agents_per_sec) = match median("economy_rounds/1M_agents") {
-        Some(ns) if ns > 0.0 => {
-            let secs = ns / 1e9;
-            let rps = p.economy_rounds as f64 / secs;
-            // a full run boots, simulates and summarizes the population
-            let aps = MILLION as f64 / secs;
-            println!("1M-agent economy: {rps:.0} rounds/sec, {aps:.0} agents/sec per run");
-            (rps, aps)
-        }
-        _ => (0.0, 0.0),
-    };
-
-    if let Ok(path) = std::env::var("BNE_BENCH9_JSON") {
-        let legs = [
+    let median = |name: &str| results.iter().find(|r| r.name == name).unwrap().median_ns;
+    let speedup = median("audit_exhaustive/7p5a_coord") / median("audit_sampled/7p5a_coord");
+    println!("speedup exhaustive vs sampled audit (7p5a coord): {speedup:.2}x");
+    // a full run boots, simulates and summarizes the population
+    let secs = median("economy_rounds/1M_agents") / 1e9;
+    let (rounds_per_sec, agents_per_sec) = (p.economy_rounds as f64 / secs, MILLION as f64 / secs);
+    println!(
+        "1M-agent economy: {rounds_per_sec:.0} rounds/sec, {agents_per_sec:.0} agents/sec per run"
+    );
+    BenchReport::new("BENCH_9", "scrip_million", results)
+        .only(&[
             "audit_exhaustive/7p5a_coord",
             "audit_sampled/7p5a_coord",
             "economy_rounds/1M_agents",
             "sweep_cell/1M_agents",
             "audit_sampled/1M_scrip",
-        ];
-        let bench9: Vec<_> = results
-            .iter()
-            .filter(|r| legs.contains(&r.name.as_str()))
-            .cloned()
-            .collect();
-        let json = format!(
-            "{{\n\"agents\": {},\n\"economy_rounds\": {},\n\"rounds_per_sec\": {:.1},\n\
-             \"agents_per_sec\": {:.1},\n\"resident_bytes_high_water\": {},\n\
-             \"audit_speedup_exhaustive_over_sampled\": {:.2},\n\"smoke\": {},\n\"legs\": {}}}\n",
-            MILLION,
-            p.economy_rounds,
-            rounds_per_sec,
-            agents_per_sec,
-            resident_high_water,
-            speedup,
-            bne_bench::bench_smoke_mode(),
-            criterion::results_to_json(&bench9),
-        );
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("BENCH_9 summary written to {path}"),
-            Err(e) => eprintln!("warning: could not write BENCH_9 JSON to {path}: {e}"),
-        }
-    }
+        ])
+        .headline([
+            ("agents", Json::U64(MILLION as u64)),
+            ("economy_rounds", Json::U64(p.economy_rounds)),
+            ("rounds_per_sec", Json::F64(rounds_per_sec)),
+            ("agents_per_sec", Json::F64(agents_per_sec)),
+            ("resident_bytes_high_water", Json::U64(resident_high_water)),
+            ("audit_speedup_exhaustive_over_sampled", Json::F64(speedup)),
+        ])
+        .write();
 }
 
 criterion_group! {

@@ -7,12 +7,13 @@
 //! cargo run --release -p bne-bench --bin experiments -- e3 e9  # run a subset
 //! ```
 //!
-//! The experiment ids (e1..e12) are documented in `DESIGN.md` and
-//! `EXPERIMENTS.md`.
+//! An unknown id is an error (exit status 2) and nothing runs. With
+//! `BNE_BENCH_DIR` set, every printed table is also exported to
+//! `$BNE_BENCH_DIR/experiments.json`. The experiment ids (e1..e25) are
+//! documented in `EXPERIMENTS.md`.
 
 use bne_bench::{
-    emit_table, fmt_bool, fmt_f64, render_table, write_experiments_json_if_requested,
-    EXPERIMENT_IDS,
+    emit_table, fmt_bool, fmt_f64, select_experiments, write_experiments_json, EXPERIMENT_IDS,
 };
 use bne_core::awareness::analyze_figure1;
 use bne_core::awareness::figures::figure1_awareness_game;
@@ -49,16 +50,12 @@ use bne_core::solvers::pure_nash_equilibria;
 use std::collections::BTreeSet;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        EXPERIMENT_IDS.to_vec()
-    } else {
-        EXPERIMENT_IDS
-            .iter()
-            .copied()
-            .filter(|id| args.iter().any(|a| a == id))
-            .collect()
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let selected = select_experiments(&args).unwrap_or_else(|unknown| {
+        eprintln!("unknown experiment id(s): {}", unknown.join(" "));
+        eprintln!("valid ids: all {}", EXPERIMENT_IDS.join(" "));
+        std::process::exit(2);
+    });
     for id in selected {
         match id {
             "e1" => e1_coordination(),
@@ -90,7 +87,7 @@ fn main() {
         }
         println!();
     }
-    write_experiments_json_if_requested();
+    write_experiments_json();
 }
 
 /// E1 — the 0/1 coordination example of Section 2: all-0 is Nash but not
@@ -108,19 +105,17 @@ fn e1_coordination() {
             fmt_bool(c.is_robust(2, 0)),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "E1  0/1 coordination game: everyone plays 0",
-            &[
-                "n",
-                "Nash?",
-                "max k-resilience",
-                "max t-immunity",
-                "(2,0)-robust?"
-            ],
-            &rows
-        )
+    emit_table(
+        "e1",
+        "E1  0/1 coordination game: everyone plays 0",
+        &[
+            "n",
+            "Nash?",
+            "max k-resilience",
+            "max t-immunity",
+            "(2,0)-robust?",
+        ],
+        &rows,
     );
     println!("Paper: all-0 is a Nash equilibrium, but any pair gains by jointly switching to 1.");
 }
@@ -140,19 +135,17 @@ fn e2_bargaining() {
             c.max_immunity.to_string(),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "E2  bargaining game: everyone stays at the table",
-            &[
-                "n",
-                "Nash?",
-                "Pareto?",
-                "max k-resilience",
-                "max t-immunity"
-            ],
-            &rows
-        )
+    emit_table(
+        "e2",
+        "E2  bargaining game: everyone stays at the table",
+        &[
+            "n",
+            "Nash?",
+            "Pareto?",
+            "max k-resilience",
+            "max t-immunity",
+        ],
+        &rows,
     );
     println!("Paper: k-resilient for all k and Pareto optimal, yet a single deviator drops every stayer to 0 (not 1-immune).");
 }
@@ -193,20 +186,18 @@ fn e3_mediator_regimes() {
             rows.push(row);
         }
     }
-    print!(
-        "{}",
-        render_table(
-            "E3  mediator implementation by cheap talk (Abraham et al. regimes)",
-            &[
-                "(k,t)",
-                "n",
-                "none",
-                "punish+util",
-                "broadcast",
-                "crypto+pki"
-            ],
-            &rows
-        )
+    emit_table(
+        "e3",
+        "E3  mediator implementation by cheap talk (Abraham et al. regimes)",
+        &[
+            "(k,t)",
+            "n",
+            "none",
+            "punish+util",
+            "broadcast",
+            "crypto+pki",
+        ],
+        &rows,
     );
     // executable evidence for two regimes
     let game = ByzantineAgreementGame::build(7, 0.5);
@@ -244,13 +235,11 @@ fn e4_byzantine() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "E4  oral-messages Byzantine agreement vs the n > 3t bound",
-            &["n", "t", "n > 3t?", "correct?", "messages"],
-            &rows
-        )
+    emit_table(
+        "e4",
+        "E4  oral-messages Byzantine agreement vs the n > 3t bound",
+        &["n", "t", "n > 3t?", "correct?", "messages"],
+        &rows,
     );
     println!(
         "With a mediator the same problem is trivial for any t (see bne-byzantine::mediator_ba)."
@@ -276,19 +265,17 @@ fn e5_freeriding() {
             fmt_f64(outcome.query_success_rate),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "E5  file-sharing game: free riding and response concentration",
-            &[
-                "sharing cost",
-                "free riders",
-                "top 1% share",
-                "top 10% share",
-                "query success"
-            ],
-            &rows
-        )
+    emit_table(
+        "e5",
+        "E5  file-sharing game: free riding and response concentration",
+        &[
+            "sharing cost",
+            "free riders",
+            "top 1% share",
+            "top 10% share",
+            "query success",
+        ],
+        &rows,
     );
     println!("Adar–Huberman (quoted in the paper): ~70% free riders, top 1% of hosts answer ~50% of queries.");
 }
@@ -306,18 +293,16 @@ fn e6_primality() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "E6  primality game (Example 3.1): computing vs playing safe (cost 0.002 per VM step)",
-            &[
-                "bits",
-                "E[u] compute",
-                "E[u] play safe",
-                "computational equilibrium"
-            ],
-            &rows
-        )
+    emit_table(
+        "e6",
+        "E6  primality game (Example 3.1): computing vs playing safe (cost 0.002 per VM step)",
+        &[
+            "bits",
+            "E[u] compute",
+            "E[u] play safe",
+            "computational equilibrium",
+        ],
+        &rows,
     );
     println!("Paper: the unique classical equilibrium answers correctly; with computation costs, playing safe takes over for large inputs.");
 }
@@ -337,13 +322,11 @@ fn e7_frpd() {
             fmt_bool(pd.is_pure_nash(&profile)),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "E7a  prisoner's dilemma payoff table (Section 3)",
-            &["profile", "payoffs", "Nash?"],
-            &rows
-        )
+    emit_table(
+        "e7",
+        "E7a  prisoner's dilemma payoff table (Section 3)",
+        &["profile", "payoffs", "Nash?"],
+        &rows,
     );
     println!(
         "unique equilibrium: {:?}; classical FRPD: tit-for-tat is not an equilibrium: {}",
@@ -361,13 +344,11 @@ fn e7_frpd() {
                 ]
             })
             .collect();
-    print!(
-        "{}",
-        render_table(
-            "E7b  FRPD with memory costs: smallest N making (TFT, TFT) a computational equilibrium",
-            &["discount δ", "memory cost", "threshold N"],
-            &rows
-        )
+    emit_table(
+        "e7",
+        "E7b  FRPD with memory costs: smallest N making (TFT, TFT) a computational equilibrium",
+        &["discount δ", "memory cost", "threshold N"],
+        &rows,
     );
 }
 
@@ -411,18 +392,16 @@ fn e9_figure1() {
             fmt_bool(a.down_equilibrium_exists),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "E9  Figure 1 with unawareness probability p",
-            &[
-                "p",
-                "#generalized NE",
-                "A plays acrossA in some NE",
-                "A plays downA in some NE"
-            ],
-            &rows
-        )
+    emit_table(
+        "e9",
+        "E9  Figure 1 with unawareness probability p",
+        &[
+            "p",
+            "#generalized NE",
+            "A plays acrossA in some NE",
+            "A plays downA in some NE",
+        ],
+        &rows,
     );
     println!("Paper: (acrossA, downB) is the Nash equilibrium of the objective game, but an A who thinks B is likely unaware of downB plays downA.");
 }
@@ -441,18 +420,16 @@ fn e10_augmented() {
             eqs.len().to_string(),
         ]);
     }
-    print!(
-        "{}",
-        render_table(
-            "E10  games with awareness (Γ_m, Γ_A, Γ_B): generalized Nash equilibria",
-            &[
-                "p",
-                "#augmented games",
-                "#(player, game) strategies",
-                "#generalized NE"
-            ],
-            &rows
-        )
+    emit_table(
+        "e10",
+        "E10  games with awareness (Γ_m, Γ_A, Γ_B): generalized Nash equilibria",
+        &[
+            "p",
+            "#augmented games",
+            "#(player, game) strategies",
+            "#generalized NE",
+        ],
+        &rows,
     );
     println!("Halpern–Rêgo: every game with awareness has a generalized Nash equilibrium — the count never drops to 0.");
 }
@@ -464,13 +441,11 @@ fn e11_scrip() {
         .iter()
         .map(|(t, u)| vec![t.to_string(), fmt_f64(*u)])
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "E11a  scrip system: agent 0's average utility when everyone else uses threshold 8",
-            &["agent 0 threshold", "average utility"],
-            &rows
-        )
+    emit_table(
+        "e11",
+        "E11a  scrip system: agent 0's average utility when everyone else uses threshold 8",
+        &["agent 0 threshold", "average utility"],
+        &rows,
     );
     println!("best response among candidates: threshold {best}");
     let rows: Vec<Vec<String>> = mix_sweep(40, 6, &[0, 5, 15], &[0, 5, 15], 30_000, 9)
@@ -484,18 +459,16 @@ fn e11_scrip() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "E11b  scrip system efficiency vs hoarders and altruists (40 agents)",
-            &[
-                "hoarders",
-                "altruists",
-                "efficiency",
-                "avg rational utility"
-            ],
-            &rows
-        )
+    emit_table(
+        "e11",
+        "E11b  scrip system efficiency vs hoarders and altruists (40 agents)",
+        &[
+            "hoarders",
+            "altruists",
+            "efficiency",
+            "avg rational utility",
+        ],
+        &rows,
     );
 }
 
@@ -516,13 +489,11 @@ fn e12_tournament() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "E12  FRPD round-robin tournament (200 rounds, Axelrod payoffs)",
-            &["rank", "strategy", "total", "avg/match", "states"],
-            &rows
-        )
+    emit_table(
+        "e12",
+        "E12  FRPD round-robin tournament (200 rounds, Axelrod payoffs)",
+        &["rank", "strategy", "total", "avg/match", "states"],
+        &rows,
     );
     println!("Paper (after Axelrod): tit-for-tat 'does exceedingly well' despite needing only two states.");
 }
@@ -531,8 +502,7 @@ fn e12_tournament() {
 // Scenario-engine grid sweeps (e13..e16): replicated Monte Carlo through
 // bne-sim instead of single-seed runs. Build with
 // `--features bne-bench/parallel` to fan replicas across threads; results
-// are bit-identical either way. `BNE_EXPERIMENTS_JSON=path` exports every
-// table below as JSON.
+// are bit-identical either way.
 // ---------------------------------------------------------------------------
 
 /// Formats a streaming statistic as `mean ± std`.

@@ -1,16 +1,19 @@
-//! A minimal JSON reader/writer for counterexample traces.
+//! The workspace's one JSON reader/writer.
 //!
-//! The build environment is offline (no `serde`), and the traces only
-//! need unsigned integers, strings, arrays and objects — so this is a
-//! deliberately small recursive-descent parser and a matching printer,
-//! just enough for `tests/corpus/*.json` round-trips. Unsupported JSON
-//! (floats, non-ASCII escapes beyond `\uXXXX`, duplicate keys) is
-//! rejected loudly rather than guessed at.
+//! The build environment is offline (no `serde`), so this is a
+//! deliberately small recursive-descent parser and a matching printer.
+//! The parser is just enough for `tests/corpus/*.json` round-trips:
+//! traces only need unsigned integers, strings, arrays and objects, and
+//! unsupported JSON (floats, non-ASCII escapes beyond `\uXXXX`, duplicate
+//! keys) is rejected loudly rather than guessed at. The printer also
+//! writes floats ([`Json::F64`]), for the bench reports and the
+//! experiment export of `bne-bench`.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value (integers only — traces never carry floats).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A JSON value. [`Json::parse`] yields every variant but [`Json::F64`]:
+/// traces never carry floats.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
@@ -18,6 +21,9 @@ pub enum Json {
     Bool(bool),
     /// An unsigned integer.
     U64(u64),
+    /// A float, written in its shortest round-trip form, or as `null`
+    /// when it is not finite. Write-only: the parser rejects floats.
+    F64(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -66,6 +72,10 @@ impl Json {
             Json::U64(v) => {
                 let _ = write!(out, "{v}");
             }
+            Json::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
+            }
+            Json::F64(_) => out.push_str("null"),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -312,6 +322,13 @@ mod tests {
         ]);
         let text = doc.to_string();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn writes_floats_and_non_finite_values_as_null() {
+        let floats = [1.5, -0.25, 2.0, f64::NAN, f64::INFINITY, -f64::INFINITY];
+        let doc = Json::Arr(floats.into_iter().map(Json::F64).collect());
+        assert_eq!(doc.to_string(), "[1.5,-0.25,2,null,null,null]");
     }
 
     #[test]

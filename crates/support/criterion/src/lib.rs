@@ -8,10 +8,9 @@
 //!
 //! Measurements are real (wall-clock, calibrated batches, median over the
 //! configured number of samples) and are printed in a criterion-like
-//! format. Additionally, if the `BNE_BENCH_JSON` environment variable is
-//! set, every result produced by the process is written to that path as a
-//! JSON array when the harness exits — this is how `BENCH_1.json` is
-//! regenerated (see `EXPERIMENTS.md`).
+//! format. Every result is also kept for the rest of the process in
+//! [`results`]; the benches of `bne-bench` turn them into their
+//! `BENCH_N.json` reports (see `EXPERIMENTS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,8 +117,7 @@ impl Criterion {
             f(&mut bencher);
             samples_ns.push(bencher.elapsed.as_nanos() as f64 / iters as f64);
         }
-        samples_ns.sort_by(|a, b| a.total_cmp(b));
-        let median = samples_ns[samples_ns.len() / 2];
+        let median = median(&mut samples_ns);
         let result = BenchResult {
             name: id.to_string(),
             median_ns: median,
@@ -168,6 +166,18 @@ impl Bencher {
     }
 }
 
+/// Sorts `samples` and returns their median: the middle sample, or the
+/// mean of the two middle ones when the count is even.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len().is_multiple_of(2) {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    } else {
+        samples[mid]
+    }
+}
+
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.4} s", ns / 1e9)
@@ -183,40 +193,6 @@ fn fmt_ns(ns: f64) -> String {
 /// All results recorded so far by this process.
 pub fn results() -> Vec<BenchResult> {
     RESULTS.lock().unwrap().clone()
-}
-
-/// Serializes `results` as a JSON array (no external serializer available
-/// offline, so this is hand-rolled for the flat record shape).
-pub fn results_to_json(results: &[BenchResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
-            r.name.replace('\\', "\\\\").replace('"', "\\\""),
-            r.median_ns,
-            r.min_ns,
-            r.max_ns,
-            r.samples,
-            r.iters_per_sample,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push(']');
-    out.push('\n');
-    out
-}
-
-/// Writes the JSON summary to `$BNE_BENCH_JSON` if that variable is set.
-/// Called automatically by [`criterion_main!`].
-pub fn write_json_if_requested() {
-    if let Ok(path) = std::env::var("BNE_BENCH_JSON") {
-        let results = RESULTS.lock().unwrap();
-        if let Err(e) = std::fs::write(&path, results_to_json(&results)) {
-            eprintln!("warning: could not write bench JSON to {path}: {e}");
-        } else {
-            println!("bench summary written to {path}");
-        }
-    }
 }
 
 /// Declares a benchmark group (criterion-compatible forms).
@@ -243,7 +219,6 @@ macro_rules! criterion_main {
     ( $($group:path),+ $(,)? ) => {
         fn main() {
             $( $group(); )+
-            $crate::write_json_if_requested();
         }
     };
 }
@@ -266,17 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let json = results_to_json(&[BenchResult {
-            name: "a/b".into(),
-            median_ns: 1.5,
-            min_ns: 1.0,
-            max_ns: 2.0,
-            samples: 3,
-            iters_per_sample: 10,
-        }]);
-        assert!(json.starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"a/b\""));
+    fn median_averages_the_two_middle_samples_of_an_even_count() {
+        assert_eq!(median(&mut [1.0, 2.0]), 1.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 }

@@ -82,3 +82,13 @@ fn corpus_traces_survive_a_serialization_round_trip() {
         );
     }
 }
+
+#[test]
+fn the_bracha_corpus_file_is_exactly_what_the_writer_prints() {
+    // `gen_corpus` prints `to_json()` plus a newline; pinning the bytes
+    // keeps the shared JSON writer from drifting under the corpus.
+    let text = fs::read_to_string(corpus_dir().join("bracha_amp_quorum.json"))
+        .expect("readable corpus file");
+    let trace = CounterexampleTrace::from_json(&text).expect("well-formed corpus JSON");
+    assert_eq!(format!("{}\n", trace.to_json()), text);
+}
