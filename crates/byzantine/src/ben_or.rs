@@ -262,10 +262,11 @@ impl BenOrState {
         }
     }
 
-    /// A canonical encoding of the *behaviorally live* local state, or
-    /// `None` when the coin is the seeded RNG (whose internal state has
-    /// no canonical word encoding — state-space deduplication would be
-    /// unsound). Exhaustive checking therefore requires
+    /// Appends a canonical encoding of the *behaviorally live* local
+    /// state to `out` and returns `true`, or returns `false` when the
+    /// coin is the seeded RNG (whose internal state has no canonical word
+    /// encoding — state-space deduplication would be unsound).
+    /// Exhaustive checking therefore requires
     /// [`BenOrState::with_coin_tap`]. The tap's own contents are
     /// deliberately *not* encoded: every consumed choice's effect is
     /// already visible in the protocol state, and the checker forks over
@@ -281,61 +282,62 @@ impl BenOrState {
     /// permanent decided vote) — are dropped. The taxonomy matches
     /// [`BenOrState::absorbs`] exactly: a message is absorbed precisely
     /// when handling it could only create or refresh a dead row.
-    pub fn state_words(&self) -> Option<Vec<u64>> {
-        self.coin_tap.as_ref()?;
+    pub fn state_words(&self, out: &mut Vec<u64>) -> bool {
+        if self.coin_tap.is_none() {
+            return false;
+        }
         if self.halted {
             // tag 2 cannot collide with a live encoding, whose first
             // word is a binary preference
-            return Some(vec![
+            out.extend([
                 2,
                 u64::from(self.decided.is_some()),
                 self.decided.unwrap_or(0),
             ]);
+            return true;
         }
-        let mut out = vec![
+        out.extend([
             self.pref,
             u64::from(self.round),
             match self.phase {
                 Phase::Reporting => 0,
                 Phase::Proposing => 1,
             },
-        ];
-        let report_rows: Vec<(u32, ProcId, u64)> = self
-            .reports
-            .iter()
-            .flat_map(|(&round, votes)| votes.iter().map(move |(&src, &v)| (round, src, v)))
-            .filter(|&(round, src, _)| {
-                (round > self.round || (round == self.round && self.phase == Phase::Reporting))
+        ]);
+        // each tally is a row count followed by its live rows; the count
+        // is written once the rows are
+        let count_at = out.len();
+        out.push(0);
+        for (&round, votes) in &self.reports {
+            for (&src, &v) in votes {
+                if (round > self.round || (round == self.round && self.phase == Phase::Reporting))
                     && !self.decided_peers.contains_key(&src)
-            })
-            .collect();
-        out.push(report_rows.len() as u64);
-        for (round, src, v) in report_rows {
-            out.extend([u64::from(round), src as u64, v]);
+                {
+                    out.extend([u64::from(round), src as u64, v]);
+                }
+            }
         }
-        let proposal_rows: Vec<(u32, ProcId, Option<Value>)> = self
-            .proposals
-            .iter()
-            .flat_map(|(&round, votes)| votes.iter().map(move |(&src, &v)| (round, src, v)))
-            .filter(|&(round, src, _)| {
-                round >= self.round && !self.decided_peers.contains_key(&src)
-            })
-            .collect();
-        out.push(proposal_rows.len() as u64);
-        for (round, src, v) in proposal_rows {
-            out.extend([
-                u64::from(round),
-                src as u64,
-                u64::from(v.is_some()),
-                v.unwrap_or(0),
-            ]);
+        out[count_at] = ((out.len() - count_at - 1) / 3) as u64;
+        let count_at = out.len();
+        out.push(0);
+        for (&round, votes) in &self.proposals {
+            for (&src, &v) in votes {
+                if round >= self.round && !self.decided_peers.contains_key(&src) {
+                    out.extend([
+                        u64::from(round),
+                        src as u64,
+                        u64::from(v.is_some()),
+                        v.unwrap_or(0),
+                    ]);
+                }
+            }
         }
+        out[count_at] = ((out.len() - count_at - 1) / 4) as u64;
         out.push(self.decided_peers.len() as u64);
         for (&src, &v) in &self.decided_peers {
-            out.push(src as u64);
-            out.push(v);
+            out.extend([src as u64, v]);
         }
-        Some(out)
+        true
     }
 
     /// Whether this process has permanently stopped speaking: decided or

@@ -21,7 +21,11 @@
 //! pre-step process, the dispatched event, the events it created and
 //! the net's counters), and each DFS frame undoes its own transition on
 //! the way back. A transition therefore costs one fork of the one
-//! process it runs, not a copy of the whole net.
+//! process it runs, not a copy of the whole net. The bookkeeping around
+//! it allocates nothing in steady state: each frame's pending list and
+//! sleep sets come off free lists and go back on the way out, the
+//! visited states' sleep sets share one flat arena, and process words
+//! are encoded into one reused buffer.
 //!
 //! The explorer requires a deterministic substrate so that a re-run
 //! transition repeats itself exactly: [`LatencyModel::Constant`] latency,
@@ -32,7 +36,7 @@
 //! # Exact deduplication
 //!
 //! Visited states are keyed by **interned parts**: one id per process
-//! for its [`bne_net::AsyncProcess::state_words`], the crash flags, the
+//! for its [`bne_net::AsyncProcess::state_words_into`], the crash flags, the
 //! remaining crash budget, and the sorted ids of the pending events,
 //! each encoded as its tag, endpoints and [`crate::words::McWords`]
 //! message words. Each id space and the visited set itself is an
@@ -258,16 +262,95 @@ struct Pending {
 }
 
 /// What the visited set remembers about one state.
-#[derive(Default)]
 struct Visit {
-    /// The sleep sets the state has been expanded under, kept as a
-    /// minimal antichain (see the module docs on subset caching).
-    /// Without POR every entry is `[{}]` and this degenerates to a plain
-    /// visited set.
-    sleeps: Vec<Vec<u32>>,
+    /// The head of the state's list in the [`SleepCache`].
+    sleeps: u32,
     /// Whether the state is on the DFS stack, so a pruned revisit is a
     /// back edge.
     on_stack: bool,
+}
+
+/// Ends a list in the [`SleepCache`].
+const NIL: u32 = u32::MAX;
+
+/// The sleep sets every visited state has been expanded under, in one
+/// flat word arena: each remembered set is a run of `words`, and each
+/// state chains its sets through `nodes`. A state's sets form a minimal
+/// antichain (see the module docs on subset caching). Without POR every
+/// set is empty and this degenerates to a plain visited set.
+#[derive(Default)]
+struct SleepCache {
+    words: Vec<u32>,
+    nodes: Vec<SleepNode>,
+}
+
+/// One remembered sleep set, `words[start..start + len]`, and the next
+/// set of the same state.
+#[derive(Clone, Copy)]
+struct SleepNode {
+    start: u32,
+    len: u32,
+    next: u32,
+}
+
+impl SleepCache {
+    fn set(&self, node: SleepNode) -> &[u32] {
+        &self.words[node.start as usize..][..node.len as usize]
+    }
+
+    /// Whether some set in the list at `head` is a subset of `sleep`: an
+    /// earlier expansion under it explored a superset of what an
+    /// expansion under `sleep` would.
+    fn covers(&self, head: u32, sleep: &[u32]) -> bool {
+        let mut at = head;
+        while at != NIL {
+            let node = self.nodes[at as usize];
+            if is_subset(self.set(node), sleep) {
+                return true;
+            }
+            at = node.next;
+        }
+        false
+    }
+
+    /// Adds `sleep` to the list at `head`, first unlinking every set it
+    /// is a subset of, which keeps the list a minimal antichain. The
+    /// unlinked words stay in the arena unused.
+    fn remember(&mut self, head: &mut u32, sleep: &[u32]) {
+        let mut prev = NIL;
+        let mut at = *head;
+        while at != NIL {
+            let node = self.nodes[at as usize];
+            if is_subset(sleep, self.set(node)) {
+                match prev {
+                    NIL => *head = node.next,
+                    _ => self.nodes[prev as usize].next = node.next,
+                }
+            } else {
+                prev = at;
+            }
+            at = node.next;
+        }
+        let start = u32::try_from(self.words.len()).expect("sleep-set arena fits u32 offsets");
+        self.words.extend_from_slice(sleep);
+        self.nodes.push(SleepNode {
+            start,
+            len: sleep.len() as u32,
+            next: *head,
+        });
+        *head = u32::try_from(self.nodes.len() - 1).expect("sleep-set nodes fit u32 ids");
+    }
+}
+
+/// Takes a cleared buffer off a free list, or a new one if it is empty.
+fn take<T>(free: &mut Vec<Vec<T>>) -> Vec<T> {
+    free.pop().unwrap_or_default()
+}
+
+/// Clears `buf` and puts it on a free list for [`take`] to reuse.
+fn give<T>(free: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
+    buf.clear();
+    free.push(buf);
 }
 
 /// The exhaustive DFS explorer. Build with [`Explorer::new`], consume
@@ -289,12 +372,23 @@ pub struct Explorer<M: Clone + McWords> {
     /// Visited state keys, interned; `visits[id]` belongs to state `id`.
     state_keys: Interner<u32>,
     visits: Vec<Visit>,
+    sleeps: SleepCache,
     /// The crash flags (one bit per process) of the state the search
     /// entered last; see [`Explorer::expand`] for why they are kept.
     entered_crashed: Vec<u32>,
-    /// Scratch buffers for a state key and a transition's words.
+    /// Scratch buffers for a state key, the words of a process or a
+    /// transition, and the property checks' view of a state.
     key: Vec<u32>,
     words: Vec<u64>,
+    decisions: Vec<Option<Value>>,
+    crashed: Vec<bool>,
+    /// Free lists of cleared buffers for the DFS frames' pending lists
+    /// and `u32` sets (sleep sets and crash-flag snapshots): each frame
+    /// takes what it needs and gives it back on the way out, so in
+    /// steady state the search reuses their capacity instead of
+    /// allocating.
+    free_pending: Vec<Vec<Pending>>,
+    free_sets: Vec<Vec<u32>>,
     path: Vec<Choice>,
     crash_budget: usize,
     states: u64,
@@ -344,9 +438,14 @@ impl<M: Clone + McWords> Explorer<M> {
             targets: Vec::new(),
             state_keys: Interner::new(),
             visits: Vec::new(),
+            sleeps: SleepCache::default(),
             entered_crashed: Vec::new(),
             key: Vec::new(),
             words: Vec::new(),
+            decisions: Vec::new(),
+            crashed: Vec::new(),
+            free_pending: Vec::new(),
+            free_sets: Vec::new(),
             path: Vec::new(),
             crash_budget,
             states: 0,
@@ -397,11 +496,12 @@ impl<M: Clone + McWords> Explorer<M> {
 
     /// The interned id of process `p`'s current state words.
     fn encode_process(&mut self, p: ProcId) -> u32 {
-        let words = self
-            .net
-            .process_state_words(p)
-            .expect("explorable processes have canonical state_words");
-        self.proc_words.intern(&words).0
+        self.words.clear();
+        assert!(
+            self.net.process_state_words_into(p, &mut self.words),
+            "explorable processes have canonical state_words"
+        );
+        self.proc_words.intern(&self.words).0
     }
 
     /// The transition id of the words in `self.words`, acting on
@@ -441,14 +541,17 @@ impl<M: Clone + McWords> Explorer<M> {
 
     /// The members of `sleep` independent of transition `id` — the whole
     /// dependence relation: transitions are independent iff their
-    /// targets differ.
-    fn independent_of(&self, sleep: &[u32], id: u32) -> Vec<u32> {
+    /// targets differ — in a buffer off the free list.
+    fn independent_of(&mut self, sleep: &[u32], id: u32) -> Vec<u32> {
         let target = self.targets[id as usize];
-        sleep
-            .iter()
-            .copied()
-            .filter(|&z| self.targets[z as usize] != target)
-            .collect()
+        let mut out = take(&mut self.free_sets);
+        out.extend(
+            sleep
+                .iter()
+                .copied()
+                .filter(|&z| self.targets[z as usize] != target),
+        );
+        out
     }
 
     /// The root state's pending events.
@@ -464,14 +567,15 @@ impl<M: Clone + McWords> Explorer<M> {
     }
 
     /// The pending events after the dispatch of `dispatched` created
-    /// `created`, kept in `(time, tie, seq)` order.
+    /// `created`, kept in `(time, tie, seq)` order, in a buffer off the
+    /// free list.
     fn successor(
         &mut self,
         pending: &[Pending],
         dispatched: u64,
         created: &[EnabledEvent],
     ) -> Vec<Pending> {
-        let mut next: Vec<Pending> = Vec::with_capacity(pending.len() + created.len());
+        let mut next = take(&mut self.free_pending);
         next.extend(pending.iter().filter(|p| p.ev.seq != dispatched));
         for ev in created {
             let id = self.event_id(ev);
@@ -523,14 +627,14 @@ impl<M: Clone + McWords> Explorer<M> {
         self.key[start..].sort_unstable();
     }
 
-    fn check_properties(&self) -> Option<Violation> {
-        let decisions = self.net.decisions();
-        let crashed: Vec<bool> = (0..self.net.num_processes())
-            .map(|p| self.net.is_crashed(p))
-            .collect();
+    fn check_properties(&mut self) -> Option<Violation> {
+        self.net.decisions_into(&mut self.decisions);
+        self.crashed.clear();
+        self.crashed
+            .extend((0..self.net.num_processes()).map(|p| self.net.is_crashed(p)));
         let view = StateView {
-            decisions: &decisions,
-            crashed: &crashed,
+            decisions: &self.decisions,
+            crashed: &self.crashed,
         };
         for p in &self.properties {
             if let Some(detail) = p.check(&view) {
@@ -605,13 +709,38 @@ impl<M: Clone + McWords> Explorer<M> {
         })
     }
 
-    fn dfs(&mut self, depth: usize, sleep: Vec<u32>, pending: Vec<Pending>) -> Result<(), Stop> {
+    /// Visits the state the net is in, whose pending events are
+    /// `pending`, under sleep set `sleep`; both buffers go back to the
+    /// free lists afterwards.
+    fn dfs(
+        &mut self,
+        depth: usize,
+        mut sleep: Vec<u32>,
+        pending: Vec<Pending>,
+    ) -> Result<(), Stop> {
+        let result = self.enter(depth, &mut sleep, &pending);
+        give(&mut self.free_sets, sleep);
+        give(&mut self.free_pending, pending);
+        result
+    }
+
+    /// [`Explorer::dfs`]'s body: dedup, property checks and expansion.
+    /// `sleep` ends up as the running sleep set of the expansion.
+    fn enter(
+        &mut self,
+        depth: usize,
+        sleep: &mut Vec<u32>,
+        pending: &[Pending],
+    ) -> Result<(), Stop> {
         self.note_crash_flags();
-        self.build_key(&pending);
+        self.build_key(pending);
         let (state, fresh) = self.state_keys.intern(&self.key);
         let state = state as usize;
         if fresh {
-            self.visits.push(Visit::default());
+            self.visits.push(Visit {
+                sleeps: NIL,
+                on_stack: false,
+            });
             self.states += 1;
             self.max_depth_seen = self.max_depth_seen.max(depth);
             if self.states > self.cfg.max_states {
@@ -631,7 +760,7 @@ impl<M: Clone + McWords> Explorer<M> {
             }
         } else {
             let visit = &self.visits[state];
-            if visit.sleeps.iter().any(|z| is_subset(z, &sleep)) {
+            if self.sleeps.covers(visit.sleeps, sleep) {
                 // an earlier expansion under a smaller (or equal) sleep
                 // set explored a superset of what this visit would
                 if visit.on_stack {
@@ -649,19 +778,16 @@ impl<M: Clone + McWords> Explorer<M> {
             // revisit).
             self.terminals += 1;
             self.decision_vectors.insert(self.net.decisions());
-            self.visits[state].sleeps = vec![Vec::new()];
+            self.sleeps.remember(&mut self.visits[state].sleeps, &[]);
             return Ok(());
         }
 
-        // record this expansion for the subset cache, keeping the entry
-        // a minimal antichain
-        let explored = &mut self.visits[state].sleeps;
-        explored.retain(|z| !is_subset(&sleep, z));
-        explored.push(sleep.clone());
+        // record this expansion for the subset cache
+        self.sleeps.remember(&mut self.visits[state].sleeps, sleep);
 
         let tap_save = self.tap.borrow().save();
         if self.cfg.por {
-            if let Some(drain) = self.pick_drain(&pending) {
+            if let Some(drain) = self.pick_drain(pending) {
                 if sleep.binary_search(&drain.id).is_ok() {
                     // the lone successor is covered where this very
                     // transition was explored (everything since has been
@@ -671,48 +797,47 @@ impl<M: Clone + McWords> Explorer<M> {
                 // singleton persistent set: the drain commutes with all
                 // other transitions, so the sleep set survives (minus
                 // anything sharing its target)
-                let child_sleep = self.independent_of(&sleep, drain.id);
+                let child_sleep = self.independent_of(sleep, drain.id);
                 self.visits[state].on_stack = true;
-                let r = self.explore_event(&tap_save, &pending, drain, depth, &child_sleep);
+                let r = self.explore_event(&tap_save, pending, drain, depth, &child_sleep);
                 self.visits[state].on_stack = false;
+                give(&mut self.free_sets, child_sleep);
                 return r;
             }
         }
 
         self.visits[state].on_stack = true;
-        let result = self.expand(&tap_save, &pending, depth, sleep);
+        let result = self.expand(&tap_save, pending, depth, sleep);
         self.visits[state].on_stack = false;
         result
     }
 
     /// Expands every choice at one state: each pending event (one
     /// representative per content class, with tap refinement) and each
-    /// permitted crash, threading the sleep set through in `(time, tie,
-    /// seq)` order.
+    /// permitted crash, threading the sleep set `cur_sleep` through in
+    /// `(time, tie, seq)` order.
     fn expand(
         &mut self,
         tap_save: &ChoiceTap,
         pending: &[Pending],
         depth: usize,
-        sleep: Vec<u32>,
+        cur_sleep: &mut Vec<u32>,
     ) -> Result<(), Stop> {
-        // one representative per transition id: identical pending events
-        // are interchangeable
-        let mut reps: Vec<Pending> = Vec::new();
-        for p in pending {
-            if !reps.iter().any(|r| r.id == p.id) {
-                reps.push(*p);
+        for (i, &rep) in pending.iter().enumerate() {
+            // one representative per transition id, the first in
+            // `pending`: identical pending events are interchangeable
+            if pending[..i].iter().any(|p| p.id == rep.id) {
+                continue;
             }
-        }
-        let mut cur_sleep = sleep;
-        for rep in reps {
             if cur_sleep.binary_search(&rep.id).is_ok() {
                 continue; // covered by the sibling that explored it
             }
-            let child_sleep = self.independent_of(&cur_sleep, rep.id);
-            self.explore_event(tap_save, pending, rep, depth, &child_sleep)?;
+            let child_sleep = self.independent_of(cur_sleep, rep.id);
+            let r = self.explore_event(tap_save, pending, rep, depth, &child_sleep);
+            give(&mut self.free_sets, child_sleep);
+            r?;
             if self.cfg.por {
-                insert_sorted(&mut cur_sleep, rep.id);
+                insert_sorted(cur_sleep, rep.id);
             }
         }
         if self.crash_budget > 0 {
@@ -723,34 +848,37 @@ impl<M: Clone + McWords> Explorer<M> {
             // measured, and it skips some crash placements: filtering on
             // this state's own flags explores 250,921 states of Paxos n=3
             // f=1 where the pins say 247,332 (the verdict stays Proven).
-            let crashable: Vec<ProcId> = self
-                .cfg
-                .crashable
-                .iter()
-                .copied()
-                .filter(|&p| self.entered_crashed[p / 32] & (1 << (p % 32)) == 0)
-                .collect();
-            for proc in crashable {
+            // The flags are copied, since each crash child re-enters.
+            let mut flags = take(&mut self.free_sets);
+            flags.extend_from_slice(&self.entered_crashed);
+            for i in 0..self.cfg.crashable.len() {
+                let proc = self.cfg.crashable[i];
+                if flags[proc / 32] & (1 << (proc % 32)) != 0 {
+                    continue;
+                }
                 let id = self.crash_id(proc);
                 if cur_sleep.binary_search(&id).is_ok() {
                     continue;
                 }
-                let child_sleep = self.independent_of(&cur_sleep, id);
+                let child_sleep = self.independent_of(cur_sleep, id);
+                let mut child_pending = take(&mut self.free_pending);
+                child_pending.extend_from_slice(pending);
                 self.tap.borrow_mut().restore(tap_save);
                 let undo = self.net.inject_crash_undoable(proc);
                 self.crash_budget -= 1;
                 self.transitions += 1;
                 self.path.push(Choice::Crash { proc });
                 let old = self.advance(&undo);
-                let r = self.dfs(depth + 1, child_sleep, pending.to_vec());
+                let r = self.dfs(depth + 1, child_sleep, child_pending);
                 self.retreat(undo, old);
                 self.path.pop();
                 self.crash_budget += 1;
                 r?;
                 if self.cfg.por {
-                    insert_sorted(&mut cur_sleep, id);
+                    insert_sorted(cur_sleep, id);
                 }
             }
+            give(&mut self.free_sets, flags);
         }
         Ok(())
     }
@@ -767,9 +895,11 @@ impl<M: Clone + McWords> Explorer<M> {
         depth: usize,
         sleep: &[u32],
     ) -> Result<(), Stop> {
-        // stack of script extensions still to try; empty extension first
-        let mut extensions: Vec<Vec<u64>> = vec![Vec::new()];
-        while let Some(ext) = extensions.pop() {
+        // stack of script extensions still to try, which allocates only
+        // once a handler draws past its script; empty extension first
+        let mut extensions: Vec<Vec<u64>> = Vec::new();
+        let mut empty = Some(Vec::new());
+        while let Some(ext) = empty.take().or_else(|| extensions.pop()) {
             {
                 let mut tap = self.tap.borrow_mut();
                 tap.restore(tap_save);
@@ -800,7 +930,8 @@ impl<M: Clone + McWords> Explorer<M> {
             }
             let created = undo.created();
             let child_pending = self.successor(pending, ev.ev.seq, created);
-            let mut child_sleep = sleep.to_vec();
+            let mut child_sleep = take(&mut self.free_sets);
+            child_sleep.extend_from_slice(sleep);
             if let Some(first) = created.first() {
                 // the created events are the pending ones newer than
                 // every pre-dispatch event; a slept id among them was
@@ -992,6 +1123,91 @@ mod tests {
             keys.pop();
             assert_eq!(&ex.checked_key(&pending), keys.last().unwrap());
         }
+    }
+
+    /// The structure the flat sleep cache replaced: one `Vec` per
+    /// remembered set.
+    #[derive(Default)]
+    struct ReferenceSleeps(Vec<Vec<u32>>);
+
+    impl ReferenceSleeps {
+        fn covers(&self, sleep: &[u32]) -> bool {
+            self.0.iter().any(|z| is_subset(z, sleep))
+        }
+
+        fn remember(&mut self, sleep: &[u32]) {
+            self.0.retain(|z| !is_subset(sleep, z));
+            self.0.push(sleep.to_vec());
+        }
+    }
+
+    /// The sets in the cache's list at `head`, sorted.
+    fn listed(cache: &SleepCache, head: u32) -> Vec<Vec<u32>> {
+        let mut sets = Vec::new();
+        let mut at = head;
+        while at != NIL {
+            let node = cache.nodes[at as usize];
+            sets.push(cache.set(node).to_vec());
+            at = node.next;
+        }
+        sets.sort();
+        sets
+    }
+
+    /// A sorted set over a small universe, so that subsets are common.
+    fn random_set(rng: &mut StdRng) -> Vec<u32> {
+        let universe = rng.random_range(3..10u32);
+        let keep = rng.random_range(1..4u32);
+        (0..universe)
+            .filter(|_| rng.random_range(0..4u32) < keep)
+            .collect()
+    }
+
+    #[test]
+    fn the_flat_sleep_cache_answers_like_the_vec_antichain_it_replaced() {
+        const STATES: usize = 8;
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut cache = SleepCache::default();
+        let mut heads = [NIL; STATES];
+        let mut reference: Vec<ReferenceSleeps> =
+            (0..STATES).map(|_| ReferenceSleeps::default()).collect();
+        let (mut covered, mut dropped) = (0, 0);
+        for _ in 0..20_000 {
+            // the states share one arena, remembered in interleaved order
+            // as a search would; now and then a slot moves on to a fresh
+            // state, before the empty set covers everything in it
+            let s = rng.random_range(0..STATES);
+            if rng.random_range(0..8) == 0 {
+                heads[s] = NIL;
+                reference[s] = ReferenceSleeps::default();
+            }
+            let sleep = random_set(&mut rng);
+            let hit = reference[s].covers(&sleep);
+            assert_eq!(cache.covers(heads[s], &sleep), hit, "{sleep:?}");
+            covered += usize::from(hit);
+            let before = reference[s].0.len();
+            cache.remember(&mut heads[s], &sleep);
+            reference[s].remember(&sleep);
+            dropped += usize::from(reference[s].0.len() <= before);
+            for _ in 0..4 {
+                let probe = random_set(&mut rng);
+                assert_eq!(
+                    cache.covers(heads[s], &probe),
+                    reference[s].covers(&probe),
+                    "{probe:?}"
+                );
+            }
+            let mut want = reference[s].0.clone();
+            want.sort();
+            assert_eq!(listed(&cache, heads[s]), want);
+        }
+        // both answers, and superset drops, occur often
+        assert!(covered > 2_000 && covered < 18_000, "covered {covered}");
+        assert!(dropped > 1_000, "supersets dropped {dropped} times");
+        // a terminal remembers the empty set, which covers everything
+        cache.remember(&mut heads[0], &[]);
+        assert_eq!(listed(&cache, heads[0]), vec![Vec::<u32>::new()]);
+        assert!(cache.covers(heads[0], &[]));
     }
 
     #[test]

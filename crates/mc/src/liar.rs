@@ -153,12 +153,20 @@ impl AsyncProcess for BrachaLiar {
     }
 
     fn state_words(&self) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        self.state_words_into(&mut out).then_some(out)
+    }
+
+    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
         match self.source {
             // the drawn lies are visible in the queue and the tap script;
             // the only residual state is whether the salvo happened
-            LieSource::Tap(_) => Some(vec![u64::from(self.lied)]),
+            LieSource::Tap(_) => {
+                out.push(u64::from(self.lied));
+                true
+            }
             // an RNG's future draws cannot be canonically encoded
-            LieSource::Seeded(_) => None,
+            LieSource::Seeded(_) => false,
         }
     }
 

@@ -133,7 +133,7 @@ impl BrachaParams {
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
         let get = |key: &str| param(params, key);
         Ok(BrachaParams {
-            n: get("n")? as usize,
+            n: process_count(params)?,
             t: get("t")? as usize,
             input: get("input")?,
             liar: get("liar")? != 0,
@@ -230,7 +230,7 @@ impl BenOrParams {
     }
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
-        let n = param(params, "n")? as usize;
+        let n = process_count(params)?;
         let mask = param(params, "prefs")?;
         Ok(BenOrParams {
             n,
@@ -340,7 +340,7 @@ impl PaxosParams {
     }
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
-        let n = param(params, "n")? as usize;
+        let n = process_count(params)?;
         let mask = param(params, "inputs")?;
         Ok(PaxosParams {
             n,
@@ -434,7 +434,15 @@ fn replay_on<M: Clone + McWords>(
                     return Err(format!("step {i}: event seq {seq} refused to dispatch"));
                 }
             }
-            Choice::Crash { proc } => net.inject_crash(*proc),
+            Choice::Crash { proc } => {
+                let n = net.num_processes();
+                if *proc >= n {
+                    return Err(format!(
+                        "step {i}: crash choice \"proc\" = {proc} names no process (n = {n})"
+                    ));
+                }
+                net.inject_crash(*proc);
+            }
         }
     }
     if !tap.borrow().demands().is_empty() {
@@ -458,6 +466,21 @@ fn replay_on<M: Clone + McWords>(
         violation,
         events: trace.choices.len(),
     })
+}
+
+/// The largest process count a trace may name: the voter and preference
+/// bitmasks hold one bit per process.
+const MAX_PROCESSES: u64 = 64;
+
+/// The `"n"` parameter, checked to lie in `1..=64` before it sizes a
+/// network or a bitmask shift.
+fn process_count(params: &[(String, u64)]) -> Result<usize, String> {
+    match param(params, "n")? {
+        n @ 1..=MAX_PROCESSES => Ok(n as usize),
+        n => Err(format!(
+            "scenario parameter \"n\" = {n} is outside 1..={MAX_PROCESSES}"
+        )),
+    }
 }
 
 fn param(params: &[(String, u64)], key: &str) -> Result<u64, String> {

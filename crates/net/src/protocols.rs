@@ -133,11 +133,16 @@ impl AsyncProcess for BrachaProcess {
     }
 
     fn state_words(&self) -> Option<Vec<u64>> {
-        let mut out = vec![u64::from(self.state.is_some())];
+        let mut out = Vec::new();
+        self.state_words_into(&mut out).then_some(out)
+    }
+
+    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
+        out.push(u64::from(self.state.is_some()));
         if let Some(state) = &self.state {
-            state.state_words(&mut out);
+            state.state_words(out);
         }
-        Some(out)
+        true
     }
 }
 
@@ -254,14 +259,15 @@ impl AsyncProcess for BenOrProcess {
     }
 
     fn state_words(&self) -> Option<Vec<u64>> {
-        match &self.state {
-            None => Some(vec![0]),
-            Some(state) => state.state_words().map(|words| {
-                let mut out = vec![1];
-                out.extend(words);
-                out
-            }),
-        }
+        let mut out = Vec::new();
+        self.state_words_into(&mut out).then_some(out)
+    }
+
+    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
+        out.push(u64::from(self.state.is_some()));
+        self.state
+            .as_ref()
+            .is_none_or(|state| state.state_words(out))
     }
 
     fn quiescent(&self) -> bool {
@@ -417,13 +423,18 @@ impl AsyncProcess for PaxosProcess {
     }
 
     fn state_words(&self) -> Option<Vec<u64>> {
+        let mut out = Vec::new();
+        self.state_words_into(&mut out).then_some(out)
+    }
+
+    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
         // the timeout counter bounds future escalations, so it is part
         // of the reachable-behavior state
-        let mut out = vec![u64::from(self.state.is_some()), u64::from(self.timeouts)];
+        out.extend([u64::from(self.state.is_some()), u64::from(self.timeouts)]);
         if let Some(state) = &self.state {
-            state.state_words(&mut out);
+            state.state_words(out);
         }
-        Some(out)
+        true
     }
 }
 

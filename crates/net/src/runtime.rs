@@ -535,8 +535,29 @@ pub trait AsyncProcess {
     /// `Rc`-shared state such as a choice tap or a probe: the checker
     /// re-encodes only the process a step ran, so words that another
     /// process's step could change would go stale in its state keys.
+    ///
+    /// A process that implements [`AsyncProcess::state_words_into`]
+    /// should make this a wrapper around it, so its encoding is written
+    /// once.
     fn state_words(&self) -> Option<Vec<u64>> {
         None
+    }
+
+    /// Appends [`AsyncProcess::state_words`] to `out` instead of
+    /// returning a fresh `Vec`: the hook the model checker encodes
+    /// through, into one reused buffer, so a transition's fingerprint
+    /// allocates nothing. Returns `false` when the process has no
+    /// canonical encoding; `out` past its original length is then
+    /// unspecified. Defaults to forwarding to `state_words`, so every
+    /// implementor of that method is covered unchanged.
+    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
+        match self.state_words() {
+            Some(words) => {
+                out.extend_from_slice(&words);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Whether this process has gone permanently quiet: it will never
@@ -1122,11 +1143,12 @@ impl EventQueue {
         }
     }
 
-    /// Every queued key with `seq >= from`, in sequence order.
-    fn keys_since(&self, from: u64) -> Vec<(u64, u64, u64, u32)> {
-        let mut out = Vec::new();
+    /// Replaces the contents of `out` with every queued key with
+    /// `seq >= from`, in sequence order.
+    fn keys_since(&self, from: u64, out: &mut Vec<(u64, u64, u64, u32)>) {
+        out.clear();
         match self {
-            EventQueue::Wheel(wheel) => wheel.keys_since(from, &mut out),
+            EventQueue::Wheel(wheel) => wheel.keys_since(from, out),
             EventQueue::Heap(heap) => out.extend(
                 heap.iter()
                     .map(|&Reverse(key)| key)
@@ -1134,7 +1156,6 @@ impl EventQueue {
             ),
         }
         out.sort_unstable_by_key(|key| key.2);
-        out
     }
 
     /// Drops every queued key with `seq >= from`.
@@ -1259,6 +1280,12 @@ pub struct EventNet<M: Clone> {
     /// them) so the causal annotations handed to an [`Observer`] are
     /// identical whether or not one is attached.
     lamport: Vec<u64>,
+    /// Cleared buffers for [`Undo`]'s created-event list: a record takes
+    /// one and [`EventNet::undo`] gives it back, so steady-state undoable
+    /// steps allocate no list.
+    created_free: Vec<Vec<EnabledEvent>>,
+    /// Scratch for the queue keys an undoable step created.
+    created_keys: Vec<(u64, u64, u64, u32)>,
 }
 
 impl<M: Clone> EventNet<M> {
@@ -1330,6 +1357,8 @@ impl<M: Clone> EventNet<M> {
             started: vec![false; n],
             fault_fired: vec![false; fault_count],
             lamport: vec![0; n],
+            created_free: Vec::new(),
+            created_keys: Vec::new(),
         };
         // install the processes before starting them, so destination
         // validity checks in `route` see the real process count; one
@@ -1420,6 +1449,13 @@ impl<M: Clone> EventNet<M> {
         self.procs.iter().map(|p| p.decision()).collect()
     }
 
+    /// [`EventNet::decisions`] into a reused buffer: replaces the
+    /// contents of `out`.
+    pub fn decisions_into(&self, out: &mut Vec<Option<u64>>) {
+        out.clear();
+        out.extend(self.procs.iter().map(|p| p.decision()));
+    }
+
     /// The virtual time at which each process's [`AsyncProcess::decision`]
     /// first became `Some` (in process-id order; `None` for processes that
     /// never decided). This is the per-process *decision latency* the
@@ -1453,6 +1489,14 @@ impl<M: Clone> EventNet<M> {
     /// process has no canonical encoding.
     pub fn process_state_words(&self, proc: ProcId) -> Option<Vec<u64>> {
         self.procs[proc].state_words()
+    }
+
+    /// Appends the canonical state encoding of one process to `out`
+    /// ([`AsyncProcess::state_words_into`]): the model checker's
+    /// allocation-free fingerprint hook. Returns `false` if the process
+    /// has no canonical encoding.
+    pub fn process_state_words_into(&self, proc: ProcId, out: &mut Vec<u64>) -> bool {
+        self.procs[proc].state_words_into(out)
     }
 
     /// Whether `proc` claims permanent quiescence
@@ -1871,7 +1915,8 @@ impl<M: Clone> EventNet<M> {
     /// dispatch code as [`Self::step`]; the record costs one
     /// [`AsyncProcess::fork`] of the target (none when the target is
     /// crashed and the event is absorbed) plus a copy of the dispatched
-    /// event. Returns `None` if `ev` is not pending.
+    /// event. Its list of created events reuses a buffer an earlier
+    /// [`Self::undo`] gave back. Returns `None` if `ev` is not pending.
     ///
     /// # Panics
     ///
@@ -1891,12 +1936,11 @@ impl<M: Clone> EventNet<M> {
         });
         self.queue_len -= 1;
         self.dispatch(ev.time.max(self.now), ev.slot);
-        undo.created = self
-            .queue
-            .keys_since(undo.next_seq)
-            .into_iter()
-            .map(|key| self.enabled(key))
-            .collect();
+        let mut keys = std::mem::take(&mut self.created_keys);
+        self.queue.keys_since(undo.next_seq, &mut keys);
+        undo.created
+            .extend(keys.iter().map(|&key| self.enabled(key)));
+        self.created_keys = keys;
         Some(undo)
     }
 
@@ -1919,7 +1963,8 @@ impl<M: Clone> EventNet<M> {
     /// `(time, tie, seq)` keys and payloads, decisions and their times,
     /// Lamport clocks, statistics, RNG streams and the recorded trace.
     /// Steps must be undone newest first, with no other step taken in
-    /// between.
+    /// between. The record's created-event buffer goes back to the net
+    /// for the next step's record to reuse.
     pub fn undo(&mut self, undo: Undo<M>) {
         let t = undo.target;
         if let Some((proc, saved)) = undo.proc {
@@ -1933,15 +1978,23 @@ impl<M: Clone> EventNet<M> {
         self.decision_times[t] = undo.marks.decision_time;
         self.fault_fired = undo.fault_fired;
         self.queue.drop_since(undo.next_seq);
-        for ev in undo.created.iter().rev() {
+        let mut created = undo.created;
+        for ev in created.iter().rev() {
             self.arena.unalloc(ev.slot, undo.arena_slots);
         }
+        created.clear();
+        self.created_free.push(created);
         if let Some(Removed { key, pos, event }) = undo.removed {
             let (time, tie, seq, slot) = key;
             self.arena.untake(slot, event);
             self.queue.reinsert(time, tie, seq, slot, pos);
         }
-        self.stats = undo.stats;
+        let recoveries = std::mem::take(&mut self.stats.recoveries);
+        self.stats = NetStats {
+            recoveries,
+            ..undo.stats
+        };
+        self.stats.recoveries[t] = undo.recoveries;
         self.now = undo.now;
         self.next_seq = undo.next_seq;
         self.queue_len = undo.queue_len;
@@ -1976,10 +2029,16 @@ impl<M: Clone> EventNet<M> {
             target,
             proc,
             removed: None,
-            created: Vec::new(),
+            created: self.created_free.pop().unwrap_or_default(),
             marks,
             fault_fired: self.fault_fired.clone(),
-            stats: self.stats.clone(),
+            // a step changes only its target's recovery count, so the
+            // record copies that entry and leaves the vector in the net
+            stats: NetStats {
+                recoveries: Vec::new(),
+                ..self.stats
+            },
+            recoveries: self.stats.recoveries[target],
             now: self.now,
             next_seq: self.next_seq,
             queue_len: self.queue_len,
@@ -1997,8 +2056,9 @@ impl<M: Clone> EventNet<M> {
 /// run that process's code, remove the dispatched event, create new
 /// events, and move the net-wide counters and clocks. The record holds
 /// exactly that — the target's pre-step process, the removed event, the
-/// created events and the scalars — so an undo costs what the step
-/// changed, not the size of the net.
+/// created events (in a buffer the net recycles), the scalar statistics
+/// plus the target's recovery count, and the clocks — so an undo costs
+/// what the step changed, not the size of the net.
 #[must_use = "a step is only taken back by passing its record to EventNet::undo"]
 pub struct Undo<M: Clone> {
     target: ProcId,
@@ -2011,7 +2071,10 @@ pub struct Undo<M: Clone> {
     created: Vec<EnabledEvent>,
     marks: ProcMarks,
     fault_fired: Vec<bool>,
+    /// The statistics with an empty `recoveries` vector: only the
+    /// target's entry, `recoveries` below, can change in a step.
     stats: NetStats,
+    recoveries: u64,
     now: u64,
     next_seq: u64,
     queue_len: usize,

@@ -11,8 +11,15 @@
 //!
 //! Regenerate intentionally with
 //! `cargo run --release -p bne-mc --example gen_corpus`.
+//!
+//! The file also holds the checker's other regressions: malformed traces
+//! must be refused with an error, and the exact work of the search on
+//! small models is pinned.
 
-use bne_core::mc::{replay_trace, CounterexampleTrace};
+use bne_core::mc::{
+    ben_or_net, bracha_net, paxos_net, replay_trace, BenOrParams, BrachaParams,
+    CounterexampleTrace, ExploreReport, Explorer, PaxosParams, Verdict,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -91,4 +98,143 @@ fn the_bracha_corpus_file_is_exactly_what_the_writer_prints() {
         .expect("readable corpus file");
     let trace = CounterexampleTrace::from_json(&text).expect("well-formed corpus JSON");
     assert_eq!(format!("{}\n", trace.to_json()), text);
+}
+
+// ---------------------------------------------------------------------
+// Malformed traces: a trace is a file, so replay returns an error
+// ---------------------------------------------------------------------
+
+/// A trace document for `scenario` with the given params and choices.
+fn trace_json(scenario: &str, params: &str, choices: &str) -> CounterexampleTrace {
+    CounterexampleTrace::from_json(&format!(
+        r#"{{"scenario":"{scenario}","params":{{{params}}},"script":[],"choices":[{choices}],"property":"agreement","detail":""}}"#
+    ))
+    .expect("well-formed trace JSON")
+}
+
+#[test]
+fn replay_rejects_a_crash_choice_naming_no_process() {
+    let trace = trace_json(
+        "paxos",
+        r#""n":3,"inputs":6,"timeout_ticks":8,"max_timeouts":0,"crash_budget":1"#,
+        r#"{"kind":"crash","proc":99}"#,
+    );
+    let err = replay_trace(&trace).expect_err("process 99 does not exist");
+    assert!(err.contains("\"proc\"") && err.contains("99"), "{err}");
+}
+
+#[test]
+fn replay_rejects_a_process_count_outside_one_to_sixty_four() {
+    let params = |n: u64| {
+        [
+            (
+                "bracha",
+                format!(r#""n":{n},"t":1,"input":1,"liar":0,"amp_quorum":2,"deliver_quorum":3"#),
+            ),
+            (
+                "ben_or",
+                format!(r#""n":{n},"t":0,"prefs":0,"max_rounds":1"#),
+            ),
+            (
+                "paxos",
+                format!(
+                    r#""n":{n},"inputs":0,"timeout_ticks":8,"max_timeouts":0,"crash_budget":0"#
+                ),
+            ),
+        ]
+    };
+    // n = 65 overflowed the Ben-Or preference mask's shift, and n itself
+    // sized an allocation without any bound
+    for n in [0, 65, u64::MAX] {
+        for (scenario, params) in params(n) {
+            let err =
+                replay_trace(&trace_json(scenario, &params, "")).expect_err("n outside 1..=64");
+            assert!(err.contains("\"n\""), "{scenario} n={n}: {err}");
+        }
+    }
+    for (scenario, params) in params(64) {
+        assert!(
+            replay_trace(&trace_json(scenario, &params, "")).is_ok(),
+            "{scenario}: n = 64 is in range"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Exact exploration counts
+// ---------------------------------------------------------------------
+
+fn explore_bracha(params: BrachaParams, por: bool) -> ExploreReport {
+    let (net, tap) = bracha_net(&params);
+    let mut cfg = params.explore_config();
+    cfg.por = por;
+    Explorer::new(net, tap, params.properties(), cfg).run()
+}
+
+fn explore_paxos(params: PaxosParams) -> ExploreReport {
+    let (net, tap) = paxos_net(&params);
+    Explorer::new(net, tap, params.properties(), params.explore_config()).run()
+}
+
+fn explore_ben_or(params: BenOrParams) -> ExploreReport {
+    let (net, tap) = ben_or_net(&params);
+    Explorer::new(net, tap, params.properties(), params.explore_config()).run()
+}
+
+/// The search's exact work on small models: verdict, states,
+/// transitions, terminals, deepest depth and counterexample length. A
+/// change to what the search explores, or in which order, fails here and
+/// not only in the benchmark's pins; a rewrite of the explorer's
+/// bookkeeping must leave every row as it is.
+#[test]
+fn exploration_counts_match_their_pins() {
+    let planted = |n| BrachaParams::new(n, 1, 1).with_liar().with_thresholds(1, 3);
+    let rows = [
+        (
+            "planted bracha n=4",
+            explore_bracha(planted(4), true),
+            ("Violated", 8_376, 19_244, 2, 29, 29),
+        ),
+        (
+            "honest bracha n=4",
+            explore_bracha(BrachaParams::new(4, 1, 1), true),
+            ("Proven", 37, 36, 1, 36, 0),
+        ),
+        (
+            "planted bracha n=3",
+            explore_bracha(planted(3), true),
+            ("Violated", 123, 179, 3, 16, 16),
+        ),
+        (
+            "planted bracha n=3 without POR",
+            explore_bracha(planted(3), false),
+            ("Violated", 896, 3_636, 3, 16, 15),
+        ),
+        (
+            "paxos [0,1] crash budget 1",
+            explore_paxos(PaxosParams::new(vec![0, 1], 8, 0).with_crash_budget(1)),
+            ("Proven", 536, 812, 17, 19, 0),
+        ),
+        (
+            "tapped ben-or t=0 [1,0,1] r<=1",
+            explore_ben_or(BenOrParams::new(0, vec![1, 0, 1], 1)),
+            ("Proven", 4_060, 10_365, 1, 27, 0),
+        ),
+    ];
+    for (label, report, pin) in rows {
+        let (verdict, trace_len) = match &report.verdict {
+            Verdict::Proven => ("Proven", 0),
+            Verdict::Violated(trace) => ("Violated", trace.len()),
+            Verdict::Truncated(why) => panic!("{label}: truncated: {why}"),
+        };
+        let got = (
+            verdict,
+            report.states,
+            report.transitions,
+            report.terminals,
+            report.max_depth_seen,
+            trace_len,
+        );
+        assert_eq!(got, pin, "{label}");
+    }
 }
