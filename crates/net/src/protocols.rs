@@ -159,6 +159,8 @@ pub struct BenOrProcess {
     max_rounds: u32,
     coin_seed: u64,
     state: Option<BenOrState>,
+    /// The messages of one handler call, reused across calls.
+    out: Vec<BenOrMsg>,
     round_probe: Option<Rc<Cell<Option<u32>>>>,
     coin_tap: Option<SharedTap>,
 }
@@ -173,6 +175,7 @@ impl BenOrProcess {
             max_rounds,
             coin_seed,
             state: None,
+            out: Vec::new(),
             round_probe: None,
             coin_tap: None,
         }
@@ -198,8 +201,8 @@ impl BenOrProcess {
         self
     }
 
-    fn flush(&mut self, out: Vec<BenOrMsg>, ctx: &mut NetCtx<BenOrMsg>) {
-        for m in out {
+    fn flush(&mut self, ctx: &mut NetCtx<BenOrMsg>) {
+        for m in self.out.drain(..) {
             ctx.multicast(0..ctx.n(), m);
         }
         if let (Some(probe), Some(state)) = (&self.round_probe, &self.state) {
@@ -225,9 +228,9 @@ impl AsyncProcess for BenOrProcess {
         if let Some(tap) = &self.coin_tap {
             state = state.with_coin_tap(Rc::clone(tap));
         }
-        let out = state.start();
+        self.out = state.start();
         self.state = Some(state);
-        self.flush(out, ctx);
+        self.flush(ctx);
     }
 
     fn on_message(&mut self, src: ProcId, msg: BenOrMsg, ctx: &mut NetCtx<BenOrMsg>) {
@@ -235,8 +238,8 @@ impl AsyncProcess for BenOrProcess {
         if state.halted() {
             return; // decided (or gave up): no further traffic
         }
-        let out = state.handle(src, &msg);
-        self.flush(out, ctx);
+        state.handle_into(src, &msg, &mut self.out);
+        self.flush(ctx);
     }
 
     fn decision(&self) -> Option<u64> {
@@ -253,6 +256,7 @@ impl AsyncProcess for BenOrProcess {
             max_rounds: self.max_rounds,
             coin_seed: self.coin_seed,
             state: self.state.clone(),
+            out: Vec::new(),
             round_probe: self.round_probe.as_ref().map(Rc::clone),
             coin_tap: self.coin_tap.as_ref().map(Rc::clone),
         }))

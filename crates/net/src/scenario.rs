@@ -591,6 +591,12 @@ pub struct BenOrCell {
 /// Ben-Or randomized consensus directly on the event runtime — the first
 /// scenario whose running time is a random variable rather than a fixed
 /// round count, which is what the scheduler adversaries stress.
+///
+/// # Panics
+///
+/// [`Scenario::run`] panics if a cell has more `faults` than processes,
+/// or (through [`BenOrState::new`](bne_byzantine::BenOrState::new)) a
+/// fault budget `t` above `n`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BenOrScenario;
 
@@ -599,6 +605,12 @@ impl Scenario for BenOrScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &BenOrCell, seed: u64) -> ConsensusStats {
+        assert!(
+            cell.faults <= cell.n,
+            "Ben-Or cell has {} faults among {} processes",
+            cell.faults,
+            cell.n
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let honest_count = cell.n - cell.faults;
         let common: Value = rng.random_range(0..2u64);
@@ -1266,6 +1278,21 @@ mod tests {
         assert_eq!(o.decided.mean(), 1.0);
         assert_eq!(o.validity.mean(), 1.0);
         assert_eq!(o.rounds.mean(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "4 faults among 3 processes")]
+    fn ben_or_cell_with_more_faults_than_processes_is_rejected() {
+        let cell = BenOrCell {
+            n: 3,
+            t: 1,
+            faults: 4,
+            noisy: false,
+            unanimous_start: false,
+            max_rounds: 5,
+            net: NetProfile::lockstep(),
+        };
+        let _ = BenOrScenario.run(&cell, 0);
     }
 
     #[test]
