@@ -30,6 +30,7 @@
 //! `max_rounds` cap after which it halts undecided rather than spin
 //! forever in a simulation.
 
+use crate::event::EventMachine;
 use crate::network::ProcId;
 use crate::Value;
 use rand::rngs::StdRng;
@@ -120,6 +121,26 @@ struct RoundTally {
     proposals: Tally,
 }
 
+/// What configures a Ben-Or participant beyond its id and `n`.
+#[derive(Debug, Clone)]
+pub struct BenOrSpec {
+    /// The fault budget shaping the quorum thresholds (at most `n`).
+    pub t: usize,
+    /// The initial preference (0 or 1).
+    pub pref: Value,
+    /// The round cap after which the process halts undecided.
+    pub max_rounds: u32,
+    /// The private coin's seed (derive it per process via
+    /// `bne_sim::derive_seed` so no two processes share a coin stream).
+    pub coin_seed: u64,
+    /// When set, coin flips are drawn from this scripted
+    /// [`crate::choice::ChoiceTap`] (domain 2 per flip) instead of the
+    /// seeded coin. Clones of the state share the tap — which is what the
+    /// model checker wants: the tap's contents are search state, saved
+    /// and restored alongside the runtime snapshot.
+    pub coin_tap: Option<crate::choice::SharedTap>,
+}
+
 /// The state of one Ben-Or participant: the votes of the current and
 /// later rounds in flat rows indexed by sender (first write wins, so
 /// Byzantine duplicates cannot stuff a quorum) with a running tally per
@@ -132,7 +153,6 @@ struct RoundTally {
 /// in every round, and its stored votes go when the `Decided` arrives).
 #[derive(Debug, Clone)]
 pub struct BenOrState {
-    id: ProcId,
     n: usize,
     t: usize,
     pref: Value,
@@ -162,141 +182,6 @@ pub struct BenOrState {
 }
 
 impl BenOrState {
-    /// A fresh participant with initial preference `pref` and a private
-    /// coin seeded with `coin_seed` (derive it per process via
-    /// `bne_sim::derive_seed` so no two processes share a coin stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t > n` (the `n − t` quorum would underflow) or if
-    /// `pref` is neither 0 nor 1 (Ben-Or is binary consensus).
-    pub fn new(
-        id: ProcId,
-        n: usize,
-        t: usize,
-        pref: Value,
-        max_rounds: u32,
-        coin_seed: u64,
-    ) -> Self {
-        assert!(t <= n, "Ben-Or fault budget t = {t} exceeds n = {n}");
-        assert!(pref <= 1, "Ben-Or is binary: preference {pref}");
-        BenOrState {
-            id,
-            n,
-            t,
-            pref,
-            round: 1,
-            phase: Phase::Reporting,
-            max_rounds,
-            votes: Vec::new(),
-            tallies: Vec::new(),
-            decided_peers: vec![None; n],
-            decided_tally: Tally::default(),
-            decided: None,
-            decided_round: None,
-            halted: false,
-            coin: StdRng::seed_from_u64(coin_seed),
-            coin_tap: None,
-        }
-    }
-
-    /// Reroutes coin flips through a scripted [`crate::choice::ChoiceTap`]
-    /// (domain 2 per flip). Clones of this state share the tap — which is
-    /// what the model checker wants: the tap's contents are search state,
-    /// saved and restored alongside the runtime snapshot.
-    pub fn with_coin_tap(mut self, tap: crate::choice::SharedTap) -> Self {
-        self.coin_tap = Some(tap);
-        self
-    }
-
-    /// This process's id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
-    }
-
-    /// The round in which the decision was reached, if any.
-    pub fn decided_round(&self) -> Option<u32> {
-        self.decided_round
-    }
-
-    /// Whether the process has stopped participating (decided, or gave up
-    /// at `max_rounds`).
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The opening move: multicast this process's round-1 report.
-    pub fn start(&mut self) -> Vec<BenOrMsg> {
-        vec![BenOrMsg::Report {
-            round: 1,
-            value: self.pref,
-        }]
-    }
-
-    /// Handles one incoming message and advances through as many
-    /// phases/rounds as the accumulated votes allow, returning every
-    /// message to multicast to all `n` processes (first write per
-    /// `(round, sender)` wins; a process's own multicasts loop back
-    /// through the network like anyone else's). The allocating form of
-    /// [`BenOrState::handle_into`], whose docs list the inputs ignored.
-    pub fn handle(&mut self, src: ProcId, msg: &BenOrMsg) -> Vec<BenOrMsg> {
-        let mut out = Vec::new();
-        self.handle_into(src, msg, &mut out);
-        out
-    }
-
-    /// [`BenOrState::handle`], appending the messages to multicast to
-    /// `out`. A delivery costs O(1) (a `Decided` one pass over the live
-    /// rows) and allocates nothing once the rows of the rounds in flight
-    /// exist.
-    ///
-    /// Two inputs are ignored outright, as no tally could ever read them:
-    /// any message from `src >= n`, and a vote for a round above
-    /// `max_rounds` (the process halts before it gets there). Neither
-    /// reaches a handler in this workspace: `EventNet` delivers only from
-    /// its own processes, honest processes halt at the round cap, and the
-    /// noise adversary only echoes rounds it has seen. A vote for a value
-    /// other than 0 or 1, which only a Byzantine sender can cast, counts
-    /// toward the `n − t` quorums but for neither value; that changes no
-    /// outcome unless more than `t` senders cast the same such value.
-    pub fn handle_into(&mut self, src: ProcId, msg: &BenOrMsg, out: &mut Vec<BenOrMsg>) {
-        if !self.absorbs(src, msg) {
-            match *msg {
-                BenOrMsg::Report { round, value } => {
-                    let (cast, tally) = self.slot(src, round);
-                    cast.report = Some(value);
-                    tally.reports.add(Some(value));
-                }
-                BenOrMsg::Proposal { round, value } => {
-                    let (cast, tally) = self.slot(src, round);
-                    cast.proposal = Some(value);
-                    tally.proposals.add(value);
-                }
-                BenOrMsg::Decided { value } => {
-                    self.decided_peers[src] = Some(value);
-                    self.decided_tally.add(Some(value));
-                    // from now on its decided value stands in for its
-                    // vote in every round
-                    for (row, tally) in self.votes.chunks_mut(self.n).zip(&mut self.tallies) {
-                        let cast = std::mem::take(&mut row[src]);
-                        if let Some(v) = cast.report {
-                            tally.reports.remove(Some(v));
-                        }
-                        if let Some(v) = cast.proposal {
-                            tally.proposals.remove(v);
-                        }
-                    }
-                }
-            }
-        }
-        self.advance(out);
-    }
-
     /// `src`'s votes in `round` and that round's tally, adding empty rows
     /// up to the round's.
     fn slot(&mut self, src: ProcId, round: u32) -> (&mut Votes, &mut RoundTally) {
@@ -384,12 +269,127 @@ impl BenOrState {
         self.tallies.clear();
     }
 
+    /// The round and sender of the vote at index `at` of `votes`.
+    fn round_and_sender(&self, at: usize) -> (u64, u64) {
+        (
+            u64::from(self.round) + (at / self.n) as u64,
+            (at % self.n) as u64,
+        )
+    }
+
+    /// The row of a vote from `src` for `round`, or `None` when the vote
+    /// can never be read: the process has halted, `src` has decided or
+    /// is no process, or the round is past or beyond the cap.
+    fn live_row(&self, src: ProcId, round: u32) -> Option<usize> {
+        let live = !self.halted
+            && src < self.n
+            && self.decided_peers[src].is_none()
+            && (self.round..=self.max_rounds).contains(&round);
+        live.then(|| (round - self.round) as usize)
+    }
+}
+
+impl EventMachine for BenOrState {
+    type Msg = BenOrMsg;
+    type Spec = BenOrSpec;
+
+    /// The opening move: multicast this process's round-1 report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t > n` (the `n − t` quorum would underflow) or if the
+    /// preference is neither 0 nor 1 (Ben-Or is binary consensus).
+    fn start(_id: ProcId, n: usize, spec: &BenOrSpec, out: &mut Vec<BenOrMsg>) -> Self {
+        let BenOrSpec { t, pref, .. } = *spec;
+        assert!(t <= n, "Ben-Or fault budget t = {t} exceeds n = {n}");
+        assert!(pref <= 1, "Ben-Or is binary: preference {pref}");
+        out.push(BenOrMsg::Report {
+            round: 1,
+            value: pref,
+        });
+        BenOrState {
+            n,
+            t,
+            pref,
+            round: 1,
+            phase: Phase::Reporting,
+            max_rounds: spec.max_rounds,
+            votes: Vec::new(),
+            tallies: Vec::new(),
+            decided_peers: vec![None; n],
+            decided_tally: Tally::default(),
+            decided: None,
+            decided_round: None,
+            halted: false,
+            coin: StdRng::seed_from_u64(spec.coin_seed),
+            coin_tap: spec.coin_tap.clone(),
+        }
+    }
+
+    /// Handles one incoming message and advances through as many
+    /// phases/rounds as the accumulated votes allow, appending every
+    /// message to multicast to all `n` processes (first write per
+    /// `(round, sender)` wins; a process's own multicasts loop back
+    /// through the network like anyone else's). A delivery costs O(1) (a
+    /// `Decided` one pass over the live rows) and allocates nothing once
+    /// the rows of the rounds in flight exist.
+    ///
+    /// Two inputs are ignored outright, as no tally could ever read them:
+    /// any message from `src >= n`, and a vote for a round above
+    /// `max_rounds` (the process halts before it gets there). Neither
+    /// reaches a handler in this workspace: `EventNet` delivers only from
+    /// its own processes, honest processes halt at the round cap, and the
+    /// noise adversary only echoes rounds it has seen. A vote for a value
+    /// other than 0 or 1, which only a Byzantine sender can cast, counts
+    /// toward the `n − t` quorums but for neither value; that changes no
+    /// outcome unless more than `t` senders cast the same such value.
+    fn handle_into(&mut self, src: ProcId, msg: &BenOrMsg, out: &mut Vec<BenOrMsg>) {
+        if !self.absorbs(src, msg) {
+            match *msg {
+                BenOrMsg::Report { round, value } => {
+                    let (cast, tally) = self.slot(src, round);
+                    cast.report = Some(value);
+                    tally.reports.add(Some(value));
+                }
+                BenOrMsg::Proposal { round, value } => {
+                    let (cast, tally) = self.slot(src, round);
+                    cast.proposal = Some(value);
+                    tally.proposals.add(value);
+                }
+                BenOrMsg::Decided { value } => {
+                    self.decided_peers[src] = Some(value);
+                    self.decided_tally.add(Some(value));
+                    // from now on its decided value stands in for its
+                    // vote in every round
+                    for (row, tally) in self.votes.chunks_mut(self.n).zip(&mut self.tallies) {
+                        let cast = std::mem::take(&mut row[src]);
+                        if let Some(v) = cast.report {
+                            tally.reports.remove(Some(v));
+                        }
+                        if let Some(v) = cast.proposal {
+                            tally.proposals.remove(v);
+                        }
+                    }
+                }
+            }
+        }
+        self.advance(out);
+    }
+
+    fn decision(&self) -> Option<Value> {
+        self.decided
+    }
+
+    fn decision_round(&self) -> Option<u64> {
+        self.decided_round.map(u64::from)
+    }
+
     /// Appends a canonical encoding of the *behaviorally live* local
     /// state to `out` and returns `true`, or returns `false` when the
     /// coin is the seeded RNG (whose internal state has no canonical word
     /// encoding — state-space deduplication would be unsound).
     /// Exhaustive checking therefore requires
-    /// [`BenOrState::with_coin_tap`]. The tap's own contents are
+    /// [`BenOrSpec::coin_tap`]. The tap's own contents are
     /// deliberately *not* encoded: every consumed choice's effect is
     /// already visible in the protocol state, and the checker forks over
     /// future draws on demand.
@@ -398,14 +398,14 @@ impl BenOrState {
     /// in facts that can never again influence behavior share an
     /// encoding: a halted process keeps only its decision (its tallies
     /// are never re-read and it never speaks again), and votes that no
-    /// future [`BenOrState::handle`] call can read — past rounds, the
+    /// future [`EventMachine::handle_into`] call can read — past rounds, the
     /// current round's reports once the phase has moved on, and votes
     /// from peers in `decided_peers` (the tallies skip them in favor of
     /// the permanent decided vote) — are not encoded. The taxonomy
-    /// matches [`BenOrState::absorbs`] exactly: a message is absorbed
+    /// matches [`EventMachine::absorbs`] exactly: a message is absorbed
     /// precisely when handling it could only create or refresh a dead
     /// vote.
-    pub fn state_words(&self, out: &mut Vec<u64>) -> bool {
+    fn state_words(&self, out: &mut Vec<u64>) -> bool {
         if self.coin_tap.is_none() {
             return false;
         }
@@ -462,34 +462,19 @@ impl BenOrState {
         true
     }
 
-    /// The round and sender of the vote at index `at` of `votes`.
-    fn round_and_sender(&self, at: usize) -> (u64, u64) {
-        (
-            u64::from(self.round) + (at / self.n) as u64,
-            (at % self.n) as u64,
-        )
-    }
-
-    /// Whether this process has permanently stopped speaking: decided or
-    /// given up at the round cap. Every later incoming message is a
-    /// behavioral no-op (see [`BenOrState::absorbs`]).
-    pub fn is_quiescent(&self) -> bool {
-        self.halted
-    }
-
     /// Whether handling `msg` from `src` is a *permanent* behavioral
     /// no-op: it cannot trigger sends, cannot change the decision, and
-    /// leaves the canonical [`BenOrState::state_words`] unchanged — now
+    /// leaves the canonical [`EventMachine::state_words`] unchanged — now
     /// and after any further messages. True when halted, when `src`
     /// already has a vote in the relevant row (first write wins), when
     /// `src` is a known decided peer (the tallies use its permanent
     /// decided vote instead), when the vote's round can no longer be
     /// read (past rounds; current-round reports once the phase has moved
     /// to proposing), and for the two inputs
-    /// [`BenOrState::handle_into`] ignores. All those conditions are
+    /// [`EventMachine::handle_into`] ignores. All those conditions are
     /// monotone, which is what makes the no-op permanent; `handle_into`
     /// stores exactly the messages this does not absorb.
-    pub fn absorbs(&self, src: ProcId, msg: &BenOrMsg) -> bool {
+    fn absorbs(&self, src: ProcId, msg: &BenOrMsg) -> bool {
         let cast = |row: usize| {
             self.votes
                 .get(row * self.n + src)
@@ -510,15 +495,12 @@ impl BenOrState {
         }
     }
 
-    /// The row of a vote from `src` for `round`, or `None` when the vote
-    /// can never be read: the process has halted, `src` has decided or
-    /// is no process, or the round is past or beyond the cap.
-    fn live_row(&self, src: ProcId, round: u32) -> Option<usize> {
-        let live = !self.halted
-            && src < self.n
-            && self.decided_peers[src].is_none()
-            && (self.round..=self.max_rounds).contains(&round);
-        live.then(|| (round - self.round) as usize)
+    /// Whether the process has stopped participating — decided, or gave
+    /// up at `max_rounds` — and so permanently stopped speaking: every
+    /// later incoming message is a behavioral no-op (see
+    /// [`EventMachine::absorbs`]).
+    fn halted(&self) -> bool {
+        self.halted
     }
 }
 
@@ -526,29 +508,57 @@ impl BenOrState {
 mod tests {
     use super::*;
     use crate::choice::{shared_tap, ChoiceTap, SharedTap};
+    use crate::event::Drive;
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::collections::BTreeMap;
     use std::rc::Rc;
 
+    /// Participant `id` of `n` with an untapped coin.
+    fn state(
+        id: ProcId,
+        n: usize,
+        t: usize,
+        pref: Value,
+        max_rounds: u32,
+        seed: u64,
+    ) -> BenOrState {
+        let spec = BenOrSpec {
+            t,
+            pref,
+            max_rounds,
+            coin_seed: seed,
+            coin_tap: None,
+        };
+        BenOrState::started(id, n, &spec).0
+    }
+
     /// Drives a full network of `BenOrState`s by a FIFO queue until
     /// quiescence (every returned message multicast to all).
     fn run_lockstep(prefs: &[Value], t: usize, max_rounds: u32) -> Vec<BenOrState> {
         let n = prefs.len();
+        let mut queue: std::collections::VecDeque<(ProcId, ProcId, BenOrMsg)> =
+            std::collections::VecDeque::new();
         let mut procs: Vec<BenOrState> = prefs
             .iter()
             .enumerate()
-            .map(|(i, &p)| BenOrState::new(i, n, t, p, max_rounds, 0xC0 + i as u64))
-            .collect();
-        let mut queue: std::collections::VecDeque<(ProcId, ProcId, BenOrMsg)> =
-            std::collections::VecDeque::new();
-        for (src, proc) in procs.iter_mut().enumerate() {
-            for m in proc.start() {
-                for dst in 0..n {
-                    queue.push_back((src, dst, m));
+            .map(|(src, &pref)| {
+                let spec = BenOrSpec {
+                    t,
+                    pref,
+                    max_rounds,
+                    coin_seed: 0xC0 + src as u64,
+                    coin_tap: None,
+                };
+                let (state, opening) = BenOrState::started(src, n, &spec);
+                for m in opening {
+                    for dst in 0..n {
+                        queue.push_back((src, dst, m));
+                    }
                 }
-            }
-        }
+                state
+            })
+            .collect();
         while let Some((src, dst, msg)) = queue.pop_front() {
             for m in procs[dst].handle(src, &msg) {
                 for d in 0..n {
@@ -563,42 +573,40 @@ mod tests {
     fn unanimous_inputs_decide_in_round_one() {
         let procs = run_lockstep(&[1, 1, 1, 1, 1], 1, 50);
         for p in &procs {
-            assert_eq!(p.decided(), Some(1));
-            assert_eq!(p.decided_round(), Some(1));
+            assert_eq!(p.decision(), Some(1));
+            assert_eq!(p.decision_round(), Some(1));
         }
     }
 
     #[test]
     fn mixed_inputs_decide_and_agree() {
         let procs = run_lockstep(&[0, 1, 0, 1, 0, 1, 0], 1, 200);
-        let first = procs[0].decided().expect("must decide");
+        let first = procs[0].decision().expect("must decide");
         for p in &procs {
-            assert_eq!(p.decided(), Some(first), "agreement");
+            assert_eq!(p.decision(), Some(first), "agreement");
         }
     }
 
     #[test]
     fn validity_unanimous_zero() {
         let procs = run_lockstep(&[0, 0, 0, 0], 1, 50);
-        assert!(procs.iter().all(|p| p.decided() == Some(0)));
+        assert!(procs.iter().all(|p| p.decision() == Some(0)));
     }
 
     #[test]
     fn max_rounds_halts_undecided_rather_than_spinning() {
         // t = n: quorums are unreachable, so every process coins forever
         // until the cap trips
-        let mut p = BenOrState::new(0, 3, 3, 1, 5, 9);
-        let _ = p.start();
+        let mut p = state(0, 3, 3, 1, 5, 9);
         // n - t = 0 voters needed: advances through phases on no votes
         p.advance(&mut Vec::new());
         assert!(p.halted());
-        assert_eq!(p.decided(), None);
+        assert_eq!(p.decision(), None);
     }
 
     #[test]
     fn duplicate_votes_from_one_sender_count_once() {
-        let mut p = BenOrState::new(0, 4, 1, 1, 10, 7);
-        let _ = p.start();
+        let mut p = state(0, 4, 1, 1, 10, 7);
         for _ in 0..5 {
             let _ = p.handle(2, &BenOrMsg::Report { round: 1, value: 1 });
         }
@@ -611,13 +619,12 @@ mod tests {
         // three peers decided 1 and halted; the straggler's round-1 tally
         // counts them, crosses its quorums and decides without any live
         // round-1 traffic
-        let mut p = BenOrState::new(3, 4, 1, 0, 10, 11);
-        let _ = p.start();
+        let mut p = state(3, 4, 1, 0, 10, 11);
         let mut out = Vec::new();
         for src in 0..3 {
             out.extend(p.handle(src, &BenOrMsg::Decided { value: 1 }));
         }
-        assert_eq!(p.decided(), Some(1));
+        assert_eq!(p.decision(), Some(1));
         assert!(out
             .iter()
             .any(|m| matches!(m, BenOrMsg::Decided { value: 1 })));
@@ -625,8 +632,8 @@ mod tests {
 
     #[test]
     fn coin_streams_differ_across_seeds() {
-        let mut a = BenOrState::new(0, 3, 1, 0, 10, 1);
-        let mut b = BenOrState::new(0, 3, 1, 0, 10, 2);
+        let mut a = state(0, 3, 1, 0, 10, 1);
+        let mut b = state(0, 3, 1, 0, 10, 2);
         let flips = |s: &mut BenOrState| -> Vec<u64> {
             (0..32).map(|_| s.coin.random_range(0..2u64)).collect()
         };
@@ -817,6 +824,18 @@ mod tests {
         }
     }
 
+    /// Process 0 of 4 (`t` = 1, preference 1) with a tapped coin.
+    fn tapped(max_rounds: u32) -> BenOrState {
+        let spec = BenOrSpec {
+            t: 1,
+            pref: 1,
+            max_rounds,
+            coin_seed: 7,
+            coin_tap: Some(shared_tap()),
+        };
+        BenOrState::started(0, 4, &spec).0
+    }
+
     fn words(p: &BenOrState) -> Vec<u64> {
         let mut out = Vec::new();
         assert!(p.state_words(&mut out), "the coin is tapped");
@@ -845,10 +864,10 @@ mod tests {
         ) {
             let t = t_draw % (n / 2 + 1);
             let taps = [0, 1].map(|_| Rc::new(RefCell::new(ChoiceTap::scripted(coins.clone()))));
-            let mut flat =
-                BenOrState::new(0, n, t, pref, max_rounds, 0).with_coin_tap(Rc::clone(&taps[0]));
+            let spec = BenOrSpec { t, pref, max_rounds, coin_seed: 0, coin_tap: Some(Rc::clone(&taps[0])) };
+            let (mut flat, opening) = BenOrState::started(0, n, &spec);
             let mut model = Reference::new(n, t, pref, max_rounds, Rc::clone(&taps[1]));
-            prop_assert_eq!(flat.start(), vec![BenOrMsg::Report { round: 1, value: pref }]);
+            prop_assert_eq!(opening, vec![BenOrMsg::Report { round: 1, value: pref }]);
             for w in ops {
                 let src = (w % n as u64) as ProcId;
                 // half the votes target the model's current round, so
@@ -868,8 +887,8 @@ mod tests {
                 prop_assert_eq!(flat.absorbs(src, &msg), model.absorbs(src, &msg), "{:?}", msg);
                 prop_assert_eq!(flat.handle(src, &msg), model.handle(src, &msg), "{:?}", msg);
                 prop_assert_eq!(
-                    (flat.decided(), flat.decided_round(), flat.halted()),
-                    (model.decided, model.decided_round, model.halted)
+                    (flat.decision(), flat.decision_round(), flat.halted()),
+                    (model.decided, model.decided_round.map(u64::from), model.halted)
                 );
                 prop_assert_eq!(words(&flat), model.state_words());
                 prop_assert_eq!(taps[0].borrow().pos(), taps[1].borrow().pos());
@@ -880,8 +899,7 @@ mod tests {
     #[test]
     fn votes_from_outside_the_process_set_are_ignored() {
         // the BTreeMap tallies counted a sender >= n as one more voter
-        let mut p = BenOrState::new(0, 4, 1, 1, 10, 7).with_coin_tap(shared_tap());
-        let _ = p.start();
+        let mut p = tapped(10);
         for src in 0..2 {
             let _ = p.handle(src, &BenOrMsg::Report { round: 1, value: 1 });
         }
@@ -906,8 +924,7 @@ mod tests {
     #[test]
     fn votes_beyond_the_round_cap_are_ignored() {
         // the BTreeMap tallies stored these and encoded them in the state
-        let mut p = BenOrState::new(0, 4, 1, 1, 3, 7).with_coin_tap(shared_tap());
-        let _ = p.start();
+        let mut p = tapped(3);
         let before = words(&p);
         for src in 0..4 {
             for msg in [
@@ -927,12 +944,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "t = 4 exceeds n = 3")]
     fn a_fault_budget_above_n_is_rejected() {
-        let _ = BenOrState::new(0, 3, 4, 1, 5, 9);
+        let _ = state(0, 3, 4, 1, 5, 9);
     }
 
     #[test]
     #[should_panic(expected = "binary")]
     fn a_non_binary_preference_is_rejected() {
-        let _ = BenOrState::new(0, 3, 1, 2, 5, 9);
+        let _ = state(0, 3, 1, 2, 5, 9);
     }
 }

@@ -27,10 +27,11 @@
 //! amplification in step 3 is what buys this).
 //!
 //! [`BrachaState`] is pure state: feed it messages, multicast whatever it
-//! returns. `bne_net::protocols::BrachaProcess` is a thin `AsyncProcess`
-//! wrapper doing exactly that; the unit tests here drive the machine by
-//! hand.
+//! appends to the output buffer. `bne_net::protocols::BrachaProcess`
+//! runs it through the generic [`EventMachine`] shell; the unit tests
+//! here drive the machine by hand.
 
+use crate::event::{voter_mask, EventMachine};
 use crate::network::ProcId;
 use crate::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,15 +47,32 @@ pub enum BrachaMsg {
     Ready(Value),
 }
 
+/// What configures a Bracha participant beyond its id and `n`.
+#[derive(Debug, Clone, Copy)]
+pub struct BrachaSpec {
+    /// The fault budget shaping the quorum sizes; the classical
+    /// guarantee needs `n > 3t`.
+    pub t: usize,
+    /// The designated broadcaster.
+    pub broadcaster: ProcId,
+    /// The value the broadcaster multicasts (unused by everyone else).
+    pub input: Value,
+    /// Overrides of the ready-amplification and delivery quorums — the
+    /// *mutation hook* for model-checker self-tests. The real protocol
+    /// (`None`) uses `(t + 1, 2t + 1)`; a checker that cannot find a
+    /// violation after planting, say, `(t, 2t + 1)` here is not
+    /// exhausting the schedule space.
+    pub thresholds: Option<(usize, usize)>,
+}
+
 /// The quorum-tracking state of one Bracha participant.
 ///
-/// Every method that can make progress returns the messages this process
-/// must now multicast to **all** `n` processes (itself included — a
-/// process's own echo and ready count toward its quorums, delivered
+/// Every transition that can make progress appends the messages this
+/// process must now multicast to **all** `n` processes (itself included —
+/// a process's own echo and ready count toward its quorums, delivered
 /// through the same channel as everyone else's).
 #[derive(Debug, Clone)]
 pub struct BrachaState {
-    id: ProcId,
     n: usize,
     t: usize,
     broadcaster: ProcId,
@@ -65,85 +83,50 @@ pub struct BrachaState {
     delivered: Option<Value>,
     /// Ready votes required to join the ready wave (amplification).
     /// `t + 1` in the real protocol; overridable via
-    /// [`BrachaState::with_thresholds`] so the model checker can verify
-    /// that planted off-by-one quorum bugs are actually caught.
+    /// [`BrachaSpec::thresholds`] so the model checker can verify that
+    /// planted off-by-one quorum bugs are actually caught.
     amp_quorum: usize,
     /// Ready votes required to deliver. `2t + 1` in the real protocol.
     deliver_quorum: usize,
 }
 
 impl BrachaState {
-    /// A fresh participant. `t` is the fault budget shaping the quorum
-    /// sizes; the classical guarantee needs `n > 3t`.
-    pub fn new(id: ProcId, n: usize, t: usize, broadcaster: ProcId) -> Self {
-        BrachaState {
-            id,
-            n,
-            t,
-            broadcaster,
-            echoed: false,
-            readied: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
-            delivered: None,
-            amp_quorum: t + 1,
-            deliver_quorum: 2 * t + 1,
-        }
-    }
-
-    /// Overrides the ready-amplification and delivery quorums — the
-    /// *mutation hook* for model-checker self-tests. The real protocol
-    /// uses `(t + 1, 2t + 1)`; a checker that cannot find a violation
-    /// after planting, say, `(t, 2t + 1)` here is not exhausting the
-    /// schedule space. Production code has no reason to call this.
-    pub fn with_thresholds(mut self, amp_quorum: usize, deliver_quorum: usize) -> Self {
-        self.amp_quorum = amp_quorum;
-        self.deliver_quorum = deliver_quorum;
-        self
-    }
-
-    /// This process's id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// The delivered value, if the `2t + 1` ready quorum has been reached.
-    pub fn delivered(&self) -> Option<Value> {
-        self.delivered
-    }
-
-    /// Whether this participant can never act again: it has echoed,
-    /// joined the ready wave and delivered, so [`BrachaState::handle`]
-    /// can only record further votes (commutative set inserts) — every
-    /// send and the delivery are behind one-shot flags that are all
-    /// already set. The model checker relies on this to linearize
-    /// late-arriving traffic to finished processes.
-    pub fn is_quiescent(&self) -> bool {
-        self.echoed && self.readied && self.delivered.is_some()
-    }
-
-    /// The broadcaster's opening move: multicast `Init(value)` to everyone
-    /// (returns the empty set for non-broadcasters).
-    pub fn start(&mut self, value: Value) -> Vec<BrachaMsg> {
-        if self.id == self.broadcaster {
-            vec![BrachaMsg::Init(value)]
-        } else {
-            Vec::new()
-        }
-    }
-
     /// Echo quorum: more than `(n + t) / 2` echoes, so any two echo
     /// quorums intersect in an honest process.
     fn echo_quorum(&self) -> usize {
         (self.n + self.t) / 2 + 1
     }
+}
 
-    /// Handles one incoming message, returning the messages to multicast
-    /// to all `n` processes in response. Duplicate votes from the same
-    /// sender are ignored (first write wins), so Byzantine senders cannot
-    /// stuff a quorum.
-    pub fn handle(&mut self, src: ProcId, msg: &BrachaMsg) -> Vec<BrachaMsg> {
-        let mut out = Vec::new();
+impl EventMachine for BrachaState {
+    type Msg = BrachaMsg;
+    type Spec = BrachaSpec;
+
+    /// The broadcaster's opening move: multicast `Init(input)` to
+    /// everyone (non-broadcasters start silent).
+    fn start(id: ProcId, n: usize, spec: &BrachaSpec, out: &mut Vec<BrachaMsg>) -> Self {
+        if id == spec.broadcaster {
+            out.push(BrachaMsg::Init(spec.input));
+        }
+        let t = spec.t;
+        let (amp_quorum, deliver_quorum) = spec.thresholds.unwrap_or((t + 1, 2 * t + 1));
+        BrachaState {
+            n,
+            t,
+            broadcaster: spec.broadcaster,
+            echoed: false,
+            readied: false,
+            echoes: BTreeMap::new(),
+            readies: BTreeMap::new(),
+            delivered: None,
+            amp_quorum,
+            deliver_quorum,
+        }
+    }
+
+    /// Duplicate votes from the same sender are ignored (first write
+    /// wins), so Byzantine senders cannot stuff a quorum.
+    fn handle_into(&mut self, src: ProcId, msg: &BrachaMsg, out: &mut Vec<BrachaMsg>) {
         match *msg {
             BrachaMsg::Init(v) => {
                 // only the designated broadcaster's first Init triggers an
@@ -177,7 +160,11 @@ impl BrachaState {
                 }
             }
         }
-        out
+    }
+
+    /// The delivered value, if the `2t + 1` ready quorum has been reached.
+    fn decision(&self) -> Option<Value> {
+        self.delivered
     }
 
     /// The state that must survive a crash, encoded as words:
@@ -186,17 +173,17 @@ impl BrachaState {
     /// retransmissions after recovery — but the *sent* flags must
     /// persist so a recovered process never equivocates by echoing or
     /// readying a second time for a different value.
-    pub fn durable_words(&self) -> Vec<u64> {
-        vec![
+    fn durable_words(&self) -> Option<Vec<u64>> {
+        Some(vec![
             u64::from(self.echoed),
             u64::from(self.readied),
             u64::from(self.delivered.is_some()),
             self.delivered.unwrap_or(0),
-        ]
+        ])
     }
 
     /// Appends a canonical encoding of the local state (volatile tallies
-    /// included, unlike [`BrachaState::durable_words`]) — the model
+    /// included, unlike [`EventMachine::durable_words`]) — the model
     /// checker's state-fingerprint contribution. The encoding is
     /// *behavioral*: state that can no longer influence any future
     /// transition is canonicalized away, so states differing only in
@@ -205,7 +192,7 @@ impl BrachaState {
     /// amplification (dead once `readied`) and delivery (dead once
     /// `delivered`). Voter sets are encoded as bitmasks, so this
     /// supports `n ≤ 64`.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
+    fn state_words(&self, out: &mut Vec<u64>) -> bool {
         // in release a wider shift would wrap and alias voter p with p - 64
         assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
         out.push(u64::from(self.echoed));
@@ -221,26 +208,23 @@ impl BrachaState {
             }
             out.push(tally.len() as u64);
             for (v, votes) in tally {
-                let mut mask = 0u64;
-                for &p in votes {
-                    mask |= 1 << p;
-                }
                 out.push(*v);
-                out.push(mask);
+                out.push(voter_mask(votes));
             }
         }
+        true
     }
 
     /// Whether delivering `msg` from `src` to this participant — now or
     /// after any further events — is a behavioral no-op: no sends, no
-    /// delivery, no change to [`BrachaState::state_words`]. The one-shot
+    /// delivery, no change to [`EventMachine::state_words`]. The one-shot
     /// flags (`echoed`, `readied`, `delivered`) are monotone and the
     /// tallies are first-write-wins sets, so every clause here is stable
     /// once true. The model checker uses this to dispatch inert
     /// stragglers (duplicate votes, echoes to a process already past the
     /// echo rule, anything late) as forced moves instead of exploring
     /// their interleavings.
-    pub fn absorbs(&self, src: ProcId, msg: &BrachaMsg) -> bool {
+    fn absorbs(&self, src: ProcId, msg: &BrachaMsg) -> bool {
         match *msg {
             // only the broadcaster's first Init triggers anything
             BrachaMsg::Init(_) => src != self.broadcaster || self.echoed,
@@ -265,12 +249,22 @@ impl BrachaState {
         }
     }
 
-    /// Restores [`BrachaState::durable_words`] after a crash, wiping the
+    /// Whether this participant can never act again: it has echoed,
+    /// joined the ready wave and delivered, so a delivery can only record
+    /// further votes (commutative set inserts) — every send and the
+    /// delivery are behind one-shot flags that are all already set. The
+    /// model checker relies on this to linearize late-arriving traffic to
+    /// finished processes.
+    fn is_quiescent(&self) -> bool {
+        self.echoed && self.readied && self.delivered.is_some()
+    }
+
+    /// Restores [`EventMachine::durable_words`] after a crash, wiping the
     /// volatile echo/ready tallies. An undelivered recovered process
     /// re-accumulates quorums from retransmitted traffic (e.g. under
     /// `bne_net::RetryAdapter`); without retransmission it simply stays
     /// undelivered — Bracha has no leader to pull it forward.
-    pub fn restore_durable(&mut self, words: &[u64]) {
+    fn restore_durable(&mut self, words: &[u64]) {
         self.echoed = words.first().copied().unwrap_or(0) == 1;
         self.readied = words.get(1).copied().unwrap_or(0) == 1;
         self.delivered = if words.get(2).copied().unwrap_or(0) == 1 {
@@ -286,14 +280,38 @@ impl BrachaState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Drive;
+
+    fn spec(t: usize, input: Value) -> BrachaSpec {
+        BrachaSpec {
+            t,
+            broadcaster: 0,
+            input,
+            thresholds: None,
+        }
+    }
+
+    /// Participant `id` of `n` with fault budget `t`, whose broadcaster
+    /// is `broadcaster`.
+    fn state(id: ProcId, n: usize, t: usize, broadcaster: ProcId) -> BrachaState {
+        let spec = BrachaSpec {
+            broadcaster,
+            ..spec(t, 1)
+        };
+        BrachaState::started(id, n, &spec).0
+    }
 
     /// Drives a full network of `BrachaState`s to quiescence by hand:
     /// a FIFO queue of (src, dst, msg) with every returned message
     /// multicast to all processes.
     fn run_lockstep(n: usize, t: usize, value: Value) -> Vec<Option<Value>> {
-        let mut procs: Vec<BrachaState> = (0..n).map(|i| BrachaState::new(i, n, t, 0)).collect();
+        let mut opening = Vec::new();
+        let mut procs: Vec<BrachaState> = (0..n)
+            .map(|i| BrachaState::start(i, n, &spec(t, value), &mut opening))
+            .collect();
         let mut queue: Vec<(ProcId, ProcId, BrachaMsg)> = Vec::new();
-        for m in procs[0].start(value) {
+        // only the broadcaster, process 0, opens
+        for m in opening {
             for dst in 0..n {
                 queue.push((0, dst, m));
             }
@@ -305,7 +323,7 @@ mod tests {
                 }
             }
         }
-        procs.iter().map(|p| p.delivered()).collect()
+        procs.iter().map(|p| p.decision()).collect()
     }
 
     #[test]
@@ -321,46 +339,46 @@ mod tests {
 
     #[test]
     fn quorum_sizes_match_the_protocol() {
-        let s = BrachaState::new(0, 7, 2, 0);
+        let s = state(0, 7, 2, 0);
         assert_eq!(s.echo_quorum(), 5); // > (7 + 2) / 2
     }
 
     #[test]
     fn non_broadcasters_start_silent() {
-        let mut s = BrachaState::new(3, 7, 2, 0);
-        assert!(s.start(1).is_empty());
+        let (_, opening) = BrachaState::started(3, 7, &spec(2, 1));
+        assert!(opening.is_empty());
     }
 
     #[test]
     fn equivocating_second_init_is_ignored() {
-        let mut s = BrachaState::new(1, 4, 1, 0);
+        let mut s = state(1, 4, 1, 0);
         assert_eq!(s.handle(0, &BrachaMsg::Init(1)), vec![BrachaMsg::Echo(1)]);
         assert!(s.handle(0, &BrachaMsg::Init(0)).is_empty());
     }
 
     #[test]
     fn init_from_non_broadcaster_is_ignored() {
-        let mut s = BrachaState::new(1, 4, 1, 0);
+        let mut s = state(1, 4, 1, 0);
         assert!(s.handle(2, &BrachaMsg::Init(1)).is_empty());
         assert!(!s.echoed);
     }
 
     #[test]
     fn duplicate_votes_from_one_sender_do_not_stuff_quorums() {
-        let mut s = BrachaState::new(0, 4, 1, 1);
+        let mut s = state(0, 4, 1, 1);
         // 2t + 1 = 3 readies needed; one sender repeating does not count
         for _ in 0..5 {
             s.handle(2, &BrachaMsg::Ready(1));
         }
-        assert_eq!(s.delivered(), None);
+        assert_eq!(s.decision(), None);
         s.handle(3, &BrachaMsg::Ready(1));
         s.handle(1, &BrachaMsg::Ready(1));
-        assert_eq!(s.delivered(), Some(1));
+        assert_eq!(s.decision(), Some(1));
     }
 
     #[test]
     fn ready_amplification_fires_at_t_plus_one() {
-        let mut s = BrachaState::new(0, 7, 2, 1);
+        let mut s = state(0, 7, 2, 1);
         assert!(s.handle(2, &BrachaMsg::Ready(1)).is_empty());
         assert!(s.handle(3, &BrachaMsg::Ready(1)).is_empty());
         // third ready = t + 1: join the ready wave without any echo quorum
@@ -373,17 +391,17 @@ mod tests {
     fn durable_round_trip_keeps_sent_flags_and_replay_reconverges() {
         // a process that echoed and readied, then crashed: the flags
         // survive (no equivocation on replay) but tallies are rebuilt
-        let mut s = BrachaState::new(0, 4, 1, 1);
+        let mut s = state(0, 4, 1, 1);
         let _ = s.handle(1, &BrachaMsg::Init(1));
         for src in 1..4 {
             s.handle(src, &BrachaMsg::Echo(1));
         }
         assert!(s.echoed && s.readied);
-        let words = s.durable_words();
-        let mut r = BrachaState::new(0, 4, 1, 1);
+        let words = s.durable_words().expect("Bracha has durable state");
+        let mut r = state(0, 4, 1, 1);
         r.restore_durable(&words);
         assert!(r.echoed && r.readied, "sent flags survive");
-        assert_eq!(r.delivered(), None);
+        assert_eq!(r.decision(), None);
         assert!(r.echoes.is_empty() && r.readies.is_empty());
         // replayed Init produces no second echo (no equivocation)...
         assert!(r.handle(1, &BrachaMsg::Init(1)).is_empty());
@@ -391,25 +409,25 @@ mod tests {
         for src in 1..4 {
             r.handle(src, &BrachaMsg::Ready(1));
         }
-        assert_eq!(r.delivered(), Some(1));
+        assert_eq!(r.decision(), Some(1));
     }
 
     #[test]
     fn delivery_needs_two_t_plus_one_readies() {
-        let mut s = BrachaState::new(0, 7, 2, 1);
+        let mut s = state(0, 7, 2, 1);
         for src in 2..6 {
             s.handle(src, &BrachaMsg::Ready(1));
         }
-        assert_eq!(s.delivered(), None, "4 readies < 2t + 1 = 5");
+        assert_eq!(s.decision(), None, "4 readies < 2t + 1 = 5");
         s.handle(6, &BrachaMsg::Ready(1));
-        assert_eq!(s.delivered(), Some(1));
+        assert_eq!(s.decision(), Some(1));
     }
 
     #[test]
     #[should_panic(expected = "voter bitmask encoding needs n <= 64")]
     fn state_words_refuse_voters_past_the_bitmask() {
         // voter 64's bit would wrap onto voter 0's in a release build
-        let mut s = BrachaState::new(0, 65, 1, 0);
+        let mut s = state(0, 65, 1, 0);
         s.handle(64, &BrachaMsg::Echo(1));
         s.state_words(&mut Vec::new());
     }

@@ -35,6 +35,8 @@ pub struct ChoiceTap {
     pos: usize,
     /// Domain sizes of draws that ran past the script (in draw order).
     demands: Vec<u64>,
+    /// The first scripted draw whose entry lay outside its domain.
+    out_of_domain: Option<(usize, u64, u64)>,
 }
 
 impl ChoiceTap {
@@ -48,20 +50,21 @@ impl ChoiceTap {
     pub fn scripted(script: Vec<u64>) -> Self {
         ChoiceTap {
             script,
-            pos: 0,
-            demands: Vec::new(),
+            ..ChoiceTap::default()
         }
     }
 
     /// Draws one choice from `0..domain`. Scripted draws return the next
-    /// script entry (clamped into the domain); draws past the script
+    /// script entry, clamped into the domain (an entry outside it is
+    /// recorded, see [`ChoiceTap::out_of_domain`]); draws past the script
     /// return `0` and record the demand.
     pub fn draw(&mut self, domain: u64) -> u64 {
         debug_assert!(domain >= 1, "empty choice domain");
         let v = match self.script.get(self.pos) {
+            Some(&v) if v < domain => v,
             Some(&v) => {
-                debug_assert!(v < domain, "scripted choice out of domain");
-                v.min(domain - 1)
+                self.out_of_domain.get_or_insert((self.pos, v, domain));
+                domain - 1
             }
             None => {
                 self.demands.push(domain);
@@ -77,6 +80,12 @@ impl ChoiceTap {
     /// covered).
     pub fn demands(&self) -> &[u64] {
         &self.demands
+    }
+
+    /// The first scripted draw whose entry lay outside its domain, as
+    /// `(draw index, entry, domain)`: a malformed script.
+    pub fn out_of_domain(&self) -> Option<(usize, u64, u64)> {
+        self.out_of_domain
     }
 
     /// The decided script (the consumed prefix of the choice space).
@@ -105,6 +114,7 @@ impl ChoiceTap {
         self.script.clone_from(&saved.script);
         self.pos = saved.pos;
         self.demands.clone_from(&saved.demands);
+        self.out_of_domain = saved.out_of_domain;
     }
 }
 

@@ -22,7 +22,7 @@
 //! a majority that intersects it, and the highest-`est_round` rule makes
 //! the locked value win — so no later round can propose anything else.
 //! Liveness comes from the rotating leader: an undecided process times
-//! out ([`HsucState::on_timeout`]), advances one round, and round entry
+//! out ([`EventMachine::timeout`]), advances one round, and round entry
 //! is *contagious* (any message from a higher round pulls a process
 //! forward), so eventually a live leader gets a live majority. The
 //! protocol tolerates `f < n/2` crash faults — strictly better than the
@@ -30,12 +30,13 @@
 //! processes never lie.
 //!
 //! Crash-recovery: the locked pair `(est, est_round)` and the current
-//! round are the durable fraction ([`HsucState::durable_words`]); the
+//! round are the durable fraction ([`EventMachine::durable_words`]); the
 //! per-round tallies and the decision are volatile. A recovered process
 //! re-learns the decision because decided processes answer higher-round
 //! `Estimate`s with a `Decide` rebroadcast (once per round, so traffic
 //! stays bounded).
 
+use crate::event::{voter_mask, EventMachine};
 use crate::network::ProcId;
 use crate::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,43 +101,6 @@ pub struct HsucState {
 }
 
 impl HsucState {
-    /// A fresh participant whose initial estimate is `input`.
-    pub fn new(id: ProcId, n: usize, input: Value) -> Self {
-        HsucState {
-            id,
-            n,
-            est: input,
-            est_round: 0,
-            round: 0,
-            estimates: BTreeMap::new(),
-            proposals: BTreeMap::new(),
-            acks: BTreeMap::new(),
-            decided: None,
-            decided_round: None,
-            rebroadcasts: BTreeSet::new(),
-        }
-    }
-
-    /// This process's id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
-    }
-
-    /// The round whose ack quorum produced the decision, if any.
-    pub fn decided_round(&self) -> Option<u64> {
-        self.decided_round
-    }
-
-    /// The round this process is currently in (0 = not started).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// The leader of round `r`: the coordinator rotates through all
     /// processes so every process eventually leads.
     pub fn leader_of(&self, r: u64) -> ProcId {
@@ -145,26 +109,6 @@ impl HsucState {
 
     fn majority(&self) -> usize {
         self.n / 2 + 1
-    }
-
-    /// Everyone enters round 1 at start by multicasting its estimate
-    /// (process 0 leads round 1 and will gather them).
-    pub fn start(&mut self) -> Vec<HsucMsg> {
-        let mut out = Vec::new();
-        self.advance_to(1, &mut out);
-        out
-    }
-
-    /// Leader failover: an undecided process gives up on the current
-    /// round and enters the next one, whose (rotated) leader takes over.
-    /// The `bne-net` shell calls this from its retry timer.
-    pub fn on_timeout(&mut self) -> Vec<HsucMsg> {
-        let mut out = Vec::new();
-        if self.decided.is_none() {
-            let next = self.round + 1;
-            self.advance_to(next, &mut out);
-        }
-        out
     }
 
     /// Enters round `r` (if ahead of the current one) and announces the
@@ -180,12 +124,44 @@ impl HsucState {
             });
         }
     }
+}
 
-    /// Handles one incoming message, returning messages to multicast to
-    /// all `n` processes (own multicasts loop back and count toward
-    /// quorums).
-    pub fn handle(&mut self, src: ProcId, msg: &HsucMsg) -> Vec<HsucMsg> {
-        let mut out = Vec::new();
+impl EventMachine for HsucState {
+    type Msg = HsucMsg;
+    /// The initial estimate.
+    type Spec = Value;
+
+    /// Everyone enters round 1 at start by multicasting its estimate
+    /// (process 0 leads round 1 and will gather them).
+    fn start(id: ProcId, n: usize, input: &Value, out: &mut Vec<HsucMsg>) -> Self {
+        let mut state = HsucState {
+            id,
+            n,
+            est: *input,
+            est_round: 0,
+            round: 0,
+            estimates: BTreeMap::new(),
+            proposals: BTreeMap::new(),
+            acks: BTreeMap::new(),
+            decided: None,
+            decided_round: None,
+            rebroadcasts: BTreeSet::new(),
+        };
+        state.advance_to(1, out);
+        state
+    }
+
+    /// Leader failover: an undecided process gives up on the current
+    /// round and enters the next one, whose (rotated) leader takes over.
+    /// The `bne-net` shell calls this from its retry timer.
+    fn timeout(&mut self, out: &mut Vec<HsucMsg>) {
+        if self.decided.is_none() {
+            let next = self.round + 1;
+            self.advance_to(next, out);
+        }
+    }
+
+    fn handle_into(&mut self, src: ProcId, msg: &HsucMsg, out: &mut Vec<HsucMsg>) {
         match *msg {
             HsucMsg::Estimate {
                 round,
@@ -202,9 +178,9 @@ impl HsucState {
                             value,
                         });
                     }
-                    return out;
+                    return;
                 }
-                self.advance_to(round, &mut out);
+                self.advance_to(round, out);
                 if self.leader_of(round) == self.id && round == self.round {
                     let majority = self.majority();
                     let tally = self.estimates.entry(round).or_default();
@@ -224,7 +200,7 @@ impl HsucState {
             }
             HsucMsg::Propose { round, value } => {
                 if src == self.leader_of(round) && round >= self.round {
-                    self.advance_to(round, &mut out);
+                    self.advance_to(round, out);
                     // lock the proposal: this is what quorum
                     // intersection reads in later rounds
                     self.est = value;
@@ -253,21 +229,29 @@ impl HsucState {
                 }
             }
         }
-        out
+    }
+
+    fn decision(&self) -> Option<Value> {
+        self.decided
+    }
+
+    /// The round whose ack quorum produced the decision.
+    fn decision_round(&self) -> Option<u64> {
+        self.decided_round
     }
 
     /// The state that must survive a crash, encoded as words:
     /// `[est, est_round, round]` — the locked pair plus the round
     /// counter (so a recovered process never re-enters an old round).
-    pub fn durable_words(&self) -> Vec<u64> {
-        vec![self.est, self.est_round, self.round]
+    fn durable_words(&self) -> Option<Vec<u64>> {
+        Some(vec![self.est, self.est_round, self.round])
     }
 
-    /// Restores [`HsucState::durable_words`] after a crash, wiping the
+    /// Restores [`EventMachine::durable_words`] after a crash, wiping the
     /// volatile fields: tallies, proposals and the learned decision are
     /// lost; the decision is re-learned from decided peers' `Decide`
     /// rebroadcasts after the next timeout-driven round entry.
-    pub fn restore_durable(&mut self, words: &[u64]) {
+    fn restore_durable(&mut self, words: &[u64]) {
         self.est = words.first().copied().unwrap_or(0);
         self.est_round = words.get(1).copied().unwrap_or(0);
         self.round = words.get(2).copied().unwrap_or(0);
@@ -278,11 +262,44 @@ impl HsucState {
         self.decided_round = None;
         self.rebroadcasts.clear();
     }
+
+    /// Appends a canonical encoding of every field but the id and `n`:
+    /// the model checker's state-fingerprint contribution, always
+    /// available (HSUC has no randomness). Nothing is canonicalized
+    /// away; each map or set is written as its length followed by its
+    /// entries in key order, and ack voter sets as bitmasks (`n ≤ 64`).
+    fn state_words(&self, out: &mut Vec<u64>) -> bool {
+        // in release a wider shift would wrap and alias voter p with p - 64
+        assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
+        let option = |v: Option<u64>| [u64::from(v.is_some()), v.unwrap_or(0)];
+        out.extend([self.est, self.est_round, self.round]);
+        out.extend(option(self.decided));
+        out.extend(option(self.decided_round));
+        out.push(self.estimates.len() as u64);
+        for (&round, tally) in &self.estimates {
+            out.extend([round, tally.len() as u64]);
+            for (&src, &(est_round, est)) in tally {
+                out.extend([src as u64, est_round, est]);
+            }
+        }
+        out.push(self.proposals.len() as u64);
+        out.extend(self.proposals.iter().flat_map(|(&r, &v)| [r, v]));
+        out.push(self.acks.len() as u64);
+        out.extend(
+            self.acks
+                .iter()
+                .flat_map(|(&r, voters)| [r, voter_mask(voters)]),
+        );
+        out.push(self.rebroadcasts.len() as u64);
+        out.extend(&self.rebroadcasts);
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Drive;
     use std::collections::VecDeque;
 
     fn drain(procs: &mut [HsucState], queue: &mut VecDeque<(ProcId, ProcId, HsucMsg)>) {
@@ -296,21 +313,30 @@ mod tests {
         }
     }
 
-    fn run_lockstep(inputs: &[Value]) -> Vec<HsucState> {
+    /// Starts every process on `inputs`, queueing its opening multicasts.
+    fn start_all(
+        inputs: &[Value],
+        queue: &mut VecDeque<(ProcId, ProcId, HsucMsg)>,
+    ) -> Vec<HsucState> {
         let n = inputs.len();
-        let mut procs: Vec<HsucState> = inputs
+        inputs
             .iter()
             .enumerate()
-            .map(|(i, &v)| HsucState::new(i, n, v))
-            .collect();
-        let mut queue: VecDeque<(ProcId, ProcId, HsucMsg)> = VecDeque::new();
-        for (src, proc) in procs.iter_mut().enumerate() {
-            for m in proc.start() {
-                for dst in 0..n {
-                    queue.push_back((src, dst, m));
+            .map(|(src, v)| {
+                let (state, opening) = HsucState::started(src, n, v);
+                for m in opening {
+                    for dst in 0..n {
+                        queue.push_back((src, dst, m));
+                    }
                 }
-            }
-        }
+                state
+            })
+            .collect()
+    }
+
+    fn run_lockstep(inputs: &[Value]) -> Vec<HsucState> {
+        let mut queue: VecDeque<(ProcId, ProcId, HsucMsg)> = VecDeque::new();
+        let mut procs = start_all(inputs, &mut queue);
         drain(&mut procs, &mut queue);
         procs
     }
@@ -321,15 +347,15 @@ mod tests {
             let inputs: Vec<Value> = (0..n as u64).map(|i| i + 20).collect();
             let procs = run_lockstep(&inputs);
             for p in &procs {
-                assert_eq!(p.decided(), Some(20), "n={n}: leader 0's input wins");
-                assert_eq!(p.decided_round(), Some(1));
+                assert_eq!(p.decision(), Some(20), "n={n}: leader 0's input wins");
+                assert_eq!(p.decision_round(), Some(1));
             }
         }
     }
 
     #[test]
     fn leadership_rotates_through_all_processes() {
-        let s = HsucState::new(0, 4, 0);
+        let (s, _) = HsucState::started(0, 4, &0);
         let leaders: Vec<ProcId> = (1..=8).map(|r| s.leader_of(r)).collect();
         assert_eq!(leaders, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
@@ -339,8 +365,7 @@ mod tests {
         // process 1 locked value 9 at round 1; when process 2 leads
         // round 3 it must propose 9, not its own input 5
         let n = 3;
-        let mut leader = HsucState::new(2, n, 5);
-        let _ = leader.start();
+        let (mut leader, _) = HsucState::started(2, n, &5);
         // an unlocked estimate pulls the leader into round 3 (it leads:
         // leader_of(3) = 2) and opens its tally with one vote
         let out = leader.handle(
@@ -372,8 +397,7 @@ mod tests {
 
     #[test]
     fn proposals_from_non_leaders_are_ignored() {
-        let mut p = HsucState::new(0, 3, 4);
-        let _ = p.start();
+        let (mut p, _) = HsucState::started(0, 3, &4);
         // round 2's leader is process 1; an imposter proposal from 2
         let out = p.handle(2, &HsucMsg::Propose { round: 2, value: 8 });
         assert!(out.is_empty(), "imposter ignored: {out:?}");
@@ -387,19 +411,22 @@ mod tests {
         // leader 0 is absent (never starts): the others time out into
         // round 2, whose leader is process 1
         let n = 3;
-        let mut procs: Vec<HsucState> = (0..n)
-            .map(|i| HsucState::new(i, n, 30 + i as u64))
-            .collect();
         let mut queue: VecDeque<(ProcId, ProcId, HsucMsg)> = VecDeque::new();
-        for (src, p) in procs.iter_mut().enumerate().skip(1) {
-            for m in p.start() {
-                for dst in 1..n {
-                    queue.push_back((src, dst, m));
+        let mut procs: Vec<HsucState> = (0..n)
+            .map(|src| {
+                let (state, opening) = HsucState::started(src, n, &(30 + src as u64));
+                if src > 0 {
+                    for m in opening {
+                        for dst in 1..n {
+                            queue.push_back((src, dst, m));
+                        }
+                    }
                 }
-            }
-        }
+                state
+            })
+            .collect();
         drain3_live(&mut procs, &mut queue);
-        assert_eq!(procs[1].decided(), None, "round 1 leader is dead");
+        assert_eq!(procs[1].decision(), None, "round 1 leader is dead");
         for (src, p) in procs.iter_mut().enumerate().skip(1) {
             for m in p.on_timeout() {
                 for dst in 1..n {
@@ -409,10 +436,10 @@ mod tests {
         }
         drain3_live(&mut procs, &mut queue);
         for p in &procs[1..] {
-            assert!(p.decided().is_some(), "round 2 decides without leader 0");
+            assert!(p.decision().is_some(), "round 2 decides without leader 0");
         }
-        assert_eq!(procs[1].decided(), procs[2].decided());
-        assert_eq!(procs[1].decided_round(), Some(2));
+        assert_eq!(procs[1].decision(), procs[2].decision());
+        assert_eq!(procs[1].decision_round(), Some(2));
     }
 
     /// Drains delivering only among processes 1..n (0 is crashed).
@@ -430,10 +457,10 @@ mod tests {
     #[test]
     fn durable_round_trip_keeps_the_lock_and_wipes_the_decision() {
         let mut procs = run_lockstep(&[50, 51, 52]);
-        let chosen = procs[1].decided().expect("decided");
-        let words = procs[1].durable_words();
+        let chosen = procs[1].decision().expect("decided");
+        let words = procs[1].durable_words().expect("HSUC has durable state");
         procs[1].restore_durable(&words);
-        assert_eq!(procs[1].decided(), None);
+        assert_eq!(procs[1].decision(), None);
         assert_eq!(procs[1].est, chosen, "lock survives the crash");
         assert!(procs[1].est_round >= 1);
         // recovery: time out into a fresh round; decided peers answer
@@ -446,22 +473,15 @@ mod tests {
             }
         }
         drain(&mut procs, &mut queue);
-        assert_eq!(procs[1].decided(), Some(chosen), "re-learned decision");
+        assert_eq!(procs[1].decision(), Some(chosen), "re-learned decision");
     }
 
     #[test]
     fn competing_round_entries_agree_on_one_value() {
         // everyone times out at staggered moments, interleaved FIFO
         let n = 5;
-        let mut procs: Vec<HsucState> = (0..n).map(|i| HsucState::new(i, n, i as u64)).collect();
         let mut queue: VecDeque<(ProcId, ProcId, HsucMsg)> = VecDeque::new();
-        for (src, proc) in procs.iter_mut().enumerate() {
-            for m in proc.start() {
-                for dst in 0..n {
-                    queue.push_back((src, dst, m));
-                }
-            }
-        }
+        let mut procs = start_all(&[0, 1, 2, 3, 4], &mut queue);
         // inject extra timeouts before draining: rounds 2 and 3 compete
         for src in [1usize, 2] {
             for m in procs[src].on_timeout() {
@@ -471,7 +491,7 @@ mod tests {
             }
         }
         drain(&mut procs, &mut queue);
-        let decided: Vec<Value> = procs.iter().filter_map(|p| p.decided()).collect();
+        let decided: Vec<Value> = procs.iter().filter_map(|p| p.decision()).collect();
         assert!(!decided.is_empty());
         assert!(
             decided.iter().all(|&v| v == decided[0]),

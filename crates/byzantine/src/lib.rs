@@ -28,6 +28,9 @@
 //! * [`ben_or`] — Ben-Or's randomized binary consensus with a seeded
 //!   per-process coin: the first protocol here whose running time is a
 //!   random variable rather than a fixed round count;
+//! * [`event`] — the [`event::EventMachine`] trait the event-driven
+//!   protocols ([`bracha`], [`ben_or`], [`paxos`], [`hsuc`]) implement,
+//!   so one `bne-net` shell runs them all;
 //! * [`choice`] — scripted nondeterminism taps ([`choice::ChoiceTap`])
 //!   replacing coins and Byzantine lie draws when the `bne-mc` model
 //!   checker enumerates them instead of sampling;
@@ -51,6 +54,7 @@ pub mod ben_or;
 pub mod bracha;
 pub mod broadcast;
 pub mod choice;
+pub mod event;
 pub mod hsuc;
 pub mod mediator_ba;
 pub mod network;
@@ -62,9 +66,10 @@ pub mod properties;
 pub mod scenario;
 
 pub use adversary::FaultyBehavior;
-pub use ben_or::{BenOrMsg, BenOrState};
-pub use bracha::{BrachaMsg, BrachaState};
+pub use ben_or::{BenOrMsg, BenOrSpec, BenOrState};
+pub use bracha::{BrachaMsg, BrachaSpec, BrachaState};
 pub use choice::{shared_tap, ChoiceTap, SharedTap};
+pub use event::EventMachine;
 pub use hsuc::{HsucMsg, HsucState};
 pub use mediator_ba::mediator_byzantine_agreement;
 pub use network::{ProcId, Process, RoundStats, SyncNetwork};

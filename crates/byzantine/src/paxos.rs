@@ -25,15 +25,16 @@
 //! the chosen value — *no two decided values, ever*, under any message
 //! loss, reordering, or crash/recovery pattern. Liveness needs a stable
 //! proposer: the `bne-net` shell provides leader failover by escalating
-//! to a fresh own ballot on timeout ([`PaxosState::on_timeout`]).
+//! to a fresh own ballot on timeout ([`EventMachine::timeout`]).
 //!
 //! Crash-recovery: an acceptor's promise and accepted pair are exactly
-//! the state that must survive a crash ([`PaxosState::durable_words`] /
-//! [`PaxosState::restore_durable`]); tallies, the proposer phase and
+//! the state that must survive a crash ([`EventMachine::durable_words`] /
+//! [`EventMachine::restore_durable`]); tallies, the proposer phase and
 //! even the learned decision are volatile and are rebuilt by re-running
 //! a ballot after recovery — acceptors answer phase messages forever,
 //! decided or not, precisely so recovered processes can re-learn.
 
+use crate::event::{voter_mask, EventMachine};
 use crate::network::ProcId;
 use crate::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -119,142 +120,9 @@ pub struct PaxosState {
 }
 
 impl PaxosState {
-    /// A fresh participant proposing `input` when free to choose.
-    pub fn new(id: ProcId, n: usize, input: Value) -> Self {
-        PaxosState {
-            id,
-            n,
-            input,
-            promised: 0,
-            acc_ballot: 0,
-            acc_value: None,
-            my_ballot: 0,
-            phase: ProposerPhase::Idle,
-            promises: BTreeMap::new(),
-            accepts: BTreeMap::new(),
-            decided: None,
-            decided_ballot: None,
-        }
-    }
-
-    /// This process's id.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
-    }
-
-    /// The ballot whose quorum produced this process's decision, if any.
-    pub fn decided_ballot(&self) -> Option<u64> {
-        self.decided_ballot
-    }
-
-    /// Highest ballot promised so far (0 = none) — acceptor state.
-    pub fn promised(&self) -> u64 {
-        self.promised
-    }
-
     /// A majority quorum: any two intersect.
     fn majority(&self) -> usize {
         self.n / 2 + 1
-    }
-
-    /// Appends a canonical encoding of the *behaviorally live* local
-    /// state (volatile proposer/learner fractions included, unlike
-    /// [`PaxosState::durable_words`]) — the model checker's
-    /// state-fingerprint contribution. Paxos has no internal randomness,
-    /// so unlike Ben-Or this is always available. Voter sets are encoded
-    /// as bitmasks (`n ≤ 64`).
-    ///
-    /// Dead state is canonicalized away so the checker merges states
-    /// that cannot behave differently: `decided_ballot` is never read
-    /// after the decision broadcast, the phase-1 `promises` tally is
-    /// cleared unread by the next `PaxosState::open_ballot` unless the
-    /// proposer is actually in phase 1, and the learner's `accepts`
-    /// tallies are only ever consulted by the decision rule, which is a
-    /// no-op once `decided` is set. (A crash wipes every volatile field
-    /// either way, so recovery cannot tell canonicalized states apart.)
-    pub fn state_words(&self, out: &mut Vec<u64>) {
-        // in release a wider shift would wrap and alias voter p with p - 64
-        assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
-        out.push(self.promised);
-        out.push(self.acc_ballot);
-        out.push(u64::from(self.acc_value.is_some()));
-        out.push(self.acc_value.unwrap_or(0));
-        out.push(self.my_ballot);
-        out.push(match self.phase {
-            ProposerPhase::Idle => 0,
-            ProposerPhase::Phase1 => 1,
-            ProposerPhase::Phase2 => 2,
-        });
-        out.push(u64::from(self.decided.is_some()));
-        out.push(self.decided.unwrap_or(0));
-        if self.phase == ProposerPhase::Phase1 {
-            out.push(self.promises.len() as u64);
-            for (&src, &(acc_ballot, acc_value)) in &self.promises {
-                out.push(src as u64);
-                out.push(acc_ballot);
-                out.push(u64::from(acc_value.is_some()));
-                out.push(acc_value.unwrap_or(0));
-            }
-        } else {
-            out.push(0);
-        }
-        if self.decided.is_none() {
-            out.push(self.accepts.len() as u64);
-            for (&ballot, (value, voters)) in &self.accepts {
-                let mut mask = 0u64;
-                for &p in voters {
-                    mask |= 1 << p;
-                }
-                out.push(ballot);
-                out.push(*value);
-                out.push(mask);
-            }
-        } else {
-            out.push(0);
-        }
-    }
-
-    /// Whether handling `msg` from `src` is a behavioral no-op that will
-    /// stay one for the rest of this incarnation: no response, no state
-    /// change visible in [`PaxosState::state_words`]. Every condition is
-    /// monotone while the process stays up — `promised`, `my_ballot` and
-    /// the tallies only grow, a ballot's phase-1 window never reopens
-    /// (reopening means a *higher* ballot), and a decision is final.
-    /// A crash-*recovery* resets the volatile fields, reviving e.g. the
-    /// learner's appetite for `Decided`, so callers draining absorbed
-    /// messages must not do so past a possible recovery (the model
-    /// checker runs crash-stop faults only).
-    pub fn absorbs(&self, src: ProcId, msg: &PaxosMsg) -> bool {
-        match *msg {
-            // promises are strictly increasing
-            PaxosMsg::P1a { ballot } => ballot <= self.promised,
-            // a P1b matters only to the proposer still in phase 1 of
-            // exactly that ballot, and only once per acceptor
-            PaxosMsg::P1b { ballot, .. } => {
-                ballot < self.my_ballot
-                    || (ballot == self.my_ballot
-                        && (self.phase != ProposerPhase::Phase1
-                            || self.promises.contains_key(&src)))
-            }
-            // an old-ballot P2a is refused without a response; at the
-            // promised ballot it (re-)accepts and re-sends P2b, so it is
-            // never a no-op
-            PaxosMsg::P2a { ballot, .. } => ballot < self.promised,
-            // the decision rule is one-shot, and voter sets dedupe
-            PaxosMsg::P2b { ballot, .. } => {
-                self.decided.is_some()
-                    || self
-                        .accepts
-                        .get(&ballot)
-                        .is_some_and(|(_, voters)| voters.contains(&src))
-            }
-            PaxosMsg::Decided { .. } => self.decided.is_some(),
-        }
     }
 
     /// The smallest ballot strictly above `above` that this process
@@ -268,42 +136,56 @@ impl PaxosState {
         }
     }
 
+    /// Opens the next own ballot above `max(promised, my_ballot)`.
+    fn open_ballot(&mut self, out: &mut Vec<PaxosMsg>) {
+        self.my_ballot = self.next_own_ballot(self.promised.max(self.my_ballot));
+        self.phase = ProposerPhase::Phase1;
+        self.promises.clear();
+        out.push(PaxosMsg::P1a {
+            ballot: self.my_ballot,
+        });
+    }
+}
+
+impl EventMachine for PaxosState {
+    type Msg = PaxosMsg;
+    /// The value to propose when free to choose.
+    type Spec = Value;
+
     /// The opening move: process 0 (owner of ballot 1) starts the first
     /// ballot; everyone else waits for traffic or a timeout.
-    pub fn start(&mut self) -> Vec<PaxosMsg> {
-        if self.id == 0 {
-            self.open_ballot()
-        } else {
-            Vec::new()
+    fn start(id: ProcId, n: usize, input: &Value, out: &mut Vec<PaxosMsg>) -> Self {
+        let mut state = PaxosState {
+            id,
+            n,
+            input: *input,
+            promised: 0,
+            acc_ballot: 0,
+            acc_value: None,
+            my_ballot: 0,
+            phase: ProposerPhase::Idle,
+            promises: BTreeMap::new(),
+            accepts: BTreeMap::new(),
+            decided: None,
+            decided_ballot: None,
+        };
+        if id == 0 {
+            state.open_ballot(out);
         }
+        state
     }
 
     /// Leader failover: abandon any ballot in flight and open a fresh
     /// own ballot above everything seen. The `bne-net` shell calls this
     /// from its retry timer; an undecided process whose proposer went
     /// quiet thereby becomes the proposer itself.
-    pub fn on_timeout(&mut self) -> Vec<PaxosMsg> {
-        if self.decided.is_some() {
-            return Vec::new();
+    fn timeout(&mut self, out: &mut Vec<PaxosMsg>) {
+        if self.decided.is_none() {
+            self.open_ballot(out);
         }
-        self.open_ballot()
     }
 
-    /// Opens the next own ballot above `max(promised, my_ballot)`.
-    fn open_ballot(&mut self) -> Vec<PaxosMsg> {
-        self.my_ballot = self.next_own_ballot(self.promised.max(self.my_ballot));
-        self.phase = ProposerPhase::Phase1;
-        self.promises.clear();
-        vec![PaxosMsg::P1a {
-            ballot: self.my_ballot,
-        }]
-    }
-
-    /// Handles one incoming message, returning the messages to multicast
-    /// to all `n` processes (a process's own multicasts loop back and
-    /// count toward its quorums like anyone else's).
-    pub fn handle(&mut self, src: ProcId, msg: &PaxosMsg) -> Vec<PaxosMsg> {
-        let mut out = Vec::new();
+    fn handle_into(&mut self, src: ProcId, msg: &PaxosMsg, out: &mut Vec<PaxosMsg>) {
         match *msg {
             PaxosMsg::P1a { ballot } => {
                 // acceptor: promise strictly increasing ballots, reveal
@@ -373,24 +255,33 @@ impl PaxosState {
                 }
             }
         }
-        out
+    }
+
+    fn decision(&self) -> Option<Value> {
+        self.decided
+    }
+
+    /// The deciding ballot.
+    fn decision_round(&self) -> Option<u64> {
+        self.decided_ballot
     }
 
     /// The acceptor state that must survive a crash, encoded as words:
     /// `[promised, acc_ballot, has_acc_value, acc_value]`.
-    pub fn durable_words(&self) -> Vec<u64> {
-        vec![
+    fn durable_words(&self) -> Option<Vec<u64>> {
+        Some(vec![
             self.promised,
             self.acc_ballot,
             u64::from(self.acc_value.is_some()),
             self.acc_value.unwrap_or(0),
-        ]
+        ])
     }
 
-    /// Restores [`PaxosState::durable_words`] after a crash, wiping every
-    /// volatile field: in-flight ballots, tallies and even the learned
-    /// decision are lost and must be re-learned through a fresh ballot.
-    pub fn restore_durable(&mut self, words: &[u64]) {
+    /// Restores [`EventMachine::durable_words`] after a crash, wiping
+    /// every volatile field: in-flight ballots, tallies and even the
+    /// learned decision are lost and must be re-learned through a fresh
+    /// ballot.
+    fn restore_durable(&mut self, words: &[u64]) {
         self.promised = words.first().copied().unwrap_or(0);
         self.acc_ballot = words.get(1).copied().unwrap_or(0);
         self.acc_value = if words.get(2).copied().unwrap_or(0) == 1 {
@@ -405,30 +296,130 @@ impl PaxosState {
         self.decided = None;
         self.decided_ballot = None;
     }
+
+    /// Appends a canonical encoding of the *behaviorally live* local
+    /// state (volatile proposer/learner fractions included, unlike
+    /// [`EventMachine::durable_words`]) — the model checker's
+    /// state-fingerprint contribution. Paxos has no internal randomness,
+    /// so unlike Ben-Or this is always available. Voter sets are encoded
+    /// as bitmasks (`n ≤ 64`).
+    ///
+    /// Dead state is canonicalized away so the checker merges states
+    /// that cannot behave differently: `decided_ballot` is never read
+    /// after the decision broadcast, the phase-1 `promises` tally is
+    /// cleared unread by the next `PaxosState::open_ballot` unless the
+    /// proposer is actually in phase 1, and the learner's `accepts`
+    /// tallies are only ever consulted by the decision rule, which is a
+    /// no-op once `decided` is set. (A crash wipes every volatile field
+    /// either way, so recovery cannot tell canonicalized states apart.)
+    fn state_words(&self, out: &mut Vec<u64>) -> bool {
+        // in release a wider shift would wrap and alias voter p with p - 64
+        assert!(self.n <= 64, "voter bitmask encoding needs n <= 64");
+        out.push(self.promised);
+        out.push(self.acc_ballot);
+        out.push(u64::from(self.acc_value.is_some()));
+        out.push(self.acc_value.unwrap_or(0));
+        out.push(self.my_ballot);
+        out.push(match self.phase {
+            ProposerPhase::Idle => 0,
+            ProposerPhase::Phase1 => 1,
+            ProposerPhase::Phase2 => 2,
+        });
+        out.push(u64::from(self.decided.is_some()));
+        out.push(self.decided.unwrap_or(0));
+        if self.phase == ProposerPhase::Phase1 {
+            out.push(self.promises.len() as u64);
+            for (&src, &(acc_ballot, acc_value)) in &self.promises {
+                out.push(src as u64);
+                out.push(acc_ballot);
+                out.push(u64::from(acc_value.is_some()));
+                out.push(acc_value.unwrap_or(0));
+            }
+        } else {
+            out.push(0);
+        }
+        if self.decided.is_none() {
+            out.push(self.accepts.len() as u64);
+            for (&ballot, (value, voters)) in &self.accepts {
+                out.push(ballot);
+                out.push(*value);
+                out.push(voter_mask(voters));
+            }
+        } else {
+            out.push(0);
+        }
+        true
+    }
+
+    /// Whether handling `msg` from `src` is a behavioral no-op that will
+    /// stay one for the rest of this incarnation: no response, no state
+    /// change visible in [`EventMachine::state_words`]. Every condition is
+    /// monotone while the process stays up — `promised`, `my_ballot` and
+    /// the tallies only grow, a ballot's phase-1 window never reopens
+    /// (reopening means a *higher* ballot), and a decision is final.
+    /// A crash-*recovery* resets the volatile fields, reviving e.g. the
+    /// learner's appetite for `Decided`, so callers draining absorbed
+    /// messages must not do so past a possible recovery (the model
+    /// checker runs crash-stop faults only).
+    fn absorbs(&self, src: ProcId, msg: &PaxosMsg) -> bool {
+        match *msg {
+            // promises are strictly increasing
+            PaxosMsg::P1a { ballot } => ballot <= self.promised,
+            // a P1b matters only to the proposer still in phase 1 of
+            // exactly that ballot, and only once per acceptor
+            PaxosMsg::P1b { ballot, .. } => {
+                ballot < self.my_ballot
+                    || (ballot == self.my_ballot
+                        && (self.phase != ProposerPhase::Phase1
+                            || self.promises.contains_key(&src)))
+            }
+            // an old-ballot P2a is refused without a response; at the
+            // promised ballot it (re-)accepts and re-sends P2b, so it is
+            // never a no-op
+            PaxosMsg::P2a { ballot, .. } => ballot < self.promised,
+            // the decision rule is one-shot, and voter sets dedupe
+            PaxosMsg::P2b { ballot, .. } => {
+                self.decided.is_some()
+                    || self
+                        .accepts
+                        .get(&ballot)
+                        .is_some_and(|(_, voters)| voters.contains(&src))
+            }
+            PaxosMsg::Decided { .. } => self.decided.is_some(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Drive;
     use std::collections::VecDeque;
+
+    /// Participant `id` of `n` proposing `input`, started (process 0 has
+    /// opened ballot 1).
+    fn state(id: ProcId, n: usize, input: Value) -> PaxosState {
+        PaxosState::started(id, n, &input).0
+    }
 
     /// Drives a full network of `PaxosState`s by a FIFO queue until
     /// quiescence (every returned message multicast to all `n`).
     fn run_lockstep(inputs: &[Value]) -> Vec<PaxosState> {
         let n = inputs.len();
+        let mut queue: VecDeque<(ProcId, ProcId, PaxosMsg)> = VecDeque::new();
         let mut procs: Vec<PaxosState> = inputs
             .iter()
             .enumerate()
-            .map(|(i, &v)| PaxosState::new(i, n, v))
-            .collect();
-        let mut queue: VecDeque<(ProcId, ProcId, PaxosMsg)> = VecDeque::new();
-        for (src, proc) in procs.iter_mut().enumerate() {
-            for m in proc.start() {
-                for dst in 0..n {
-                    queue.push_back((src, dst, m));
+            .map(|(src, v)| {
+                let (state, opening) = PaxosState::started(src, n, v);
+                for m in opening {
+                    for dst in 0..n {
+                        queue.push_back((src, dst, m));
+                    }
                 }
-            }
-        }
+                state
+            })
+            .collect();
         while let Some((src, dst, msg)) = queue.pop_front() {
             for m in procs[dst].handle(src, &msg) {
                 for d in 0..n {
@@ -445,8 +436,8 @@ mod tests {
             let inputs: Vec<Value> = (0..n as u64).map(|i| i + 10).collect();
             let procs = run_lockstep(&inputs);
             for p in &procs {
-                assert_eq!(p.decided(), Some(10), "n={n}: proposer 0's input wins");
-                assert_eq!(p.decided_ballot(), Some(1));
+                assert_eq!(p.decision(), Some(10), "n={n}: proposer 0's input wins");
+                assert_eq!(p.decision_round(), Some(1));
             }
         }
     }
@@ -455,7 +446,7 @@ mod tests {
     fn ballot_ownership_partitions_the_ballot_space() {
         let n = 5;
         for id in 0..n {
-            let s = PaxosState::new(id, n, 0);
+            let s = state(id, n, 0);
             let mut b = 0;
             for _ in 0..4 {
                 b = s.next_own_ballot(b);
@@ -463,8 +454,8 @@ mod tests {
             }
         }
         // distinct processes never share a ballot
-        let a = PaxosState::new(1, 5, 0).next_own_ballot(7);
-        let b = PaxosState::new(2, 5, 0).next_own_ballot(7);
+        let a = state(1, 5, 0).next_own_ballot(7);
+        let b = state(2, 5, 0).next_own_ballot(7);
         assert_ne!(a, b);
     }
 
@@ -473,7 +464,7 @@ mod tests {
         // acceptor 2 already accepted (ballot 1, value 9); proposer 1
         // opens ballot 2 and must propose 9, not its own input 5
         let n = 3;
-        let mut p1 = PaxosState::new(1, n, 5);
+        let mut p1 = state(1, n, 5);
         let out = p1.on_timeout();
         assert_eq!(out, vec![PaxosMsg::P1a { ballot: 2 }]);
         // promises: from 0 (nothing accepted) and from 2 (accepted 9@1)
@@ -506,9 +497,9 @@ mod tests {
 
     #[test]
     fn acceptors_refuse_ballots_below_their_promise() {
-        let mut a = PaxosState::new(2, 3, 0);
+        let mut a = state(2, 3, 0);
         assert!(!a.handle(0, &PaxosMsg::P1a { ballot: 4 }).is_empty());
-        assert_eq!(a.promised(), 4);
+        assert_eq!(a.promised, 4);
         // stale ballot: no promise, no accept
         assert!(a.handle(1, &PaxosMsg::P1a { ballot: 2 }).is_empty());
         assert!(a
@@ -537,10 +528,13 @@ mod tests {
         // both 0 and 1 propose concurrently (timeout-style), messages
         // interleaved FIFO: safety must hold regardless of who wins
         let n = 5;
-        let mut procs: Vec<PaxosState> = (0..n).map(|i| PaxosState::new(i, n, i as u64)).collect();
         let mut queue: VecDeque<(ProcId, ProcId, PaxosMsg)> = VecDeque::new();
-        for (src, p) in procs.iter_mut().enumerate().take(2) {
-            for m in p.on_timeout() {
+        let (first, opening) = PaxosState::started(0, n, &0);
+        let mut procs = vec![first];
+        procs.extend((1..n).map(|i| state(i, n, i as u64)));
+        // process 0 opens ballot 1 at start, process 1 ballot 2 on timeout
+        for (src, msgs) in [(0, opening), (1, procs[1].on_timeout())] {
+            for m in msgs {
                 for dst in 0..n {
                     queue.push_back((src, dst, m));
                 }
@@ -553,7 +547,7 @@ mod tests {
                 }
             }
         }
-        let decided: Vec<Value> = procs.iter().filter_map(|p| p.decided()).collect();
+        let decided: Vec<Value> = procs.iter().filter_map(|p| p.decision()).collect();
         assert!(!decided.is_empty(), "someone decides");
         assert!(
             decided.iter().all(|&v| v == decided[0]),
@@ -563,7 +557,7 @@ mod tests {
 
     #[test]
     fn durable_round_trip_preserves_the_acceptor_and_wipes_the_rest() {
-        let mut s = PaxosState::new(1, 3, 5);
+        let mut s = state(1, 3, 5);
         let _ = s.handle(0, &PaxosMsg::P1a { ballot: 1 });
         let _ = s.handle(
             0,
@@ -573,14 +567,14 @@ mod tests {
             },
         );
         let _ = s.on_timeout(); // volatile proposer state in flight
-        let words = s.durable_words();
-        let mut r = PaxosState::new(1, 3, 5);
+        let words = s.durable_words().expect("Paxos has durable state");
+        let mut r = state(1, 3, 5);
         r.restore_durable(&words);
-        assert_eq!(r.promised(), s.promised());
+        assert_eq!(r.promised, s.promised);
         assert_eq!(r.acc_ballot, 1);
         assert_eq!(r.acc_value, Some(8));
         assert_eq!(r.phase, ProposerPhase::Idle);
-        assert_eq!(r.decided(), None);
+        assert_eq!(r.decision(), None);
         // the restored acceptor still forces the accepted value
         let out = r.handle(2, &PaxosMsg::P1a { ballot: 3 });
         assert_eq!(
@@ -599,10 +593,10 @@ mod tests {
         // decision), then let it run a recovery ballot: quorum
         // intersection forces the already-chosen value
         let mut procs = run_lockstep(&[40, 41, 42]);
-        let chosen = procs[0].decided().expect("decided");
-        let words = procs[2].durable_words();
+        let chosen = procs[0].decision().expect("decided");
+        let words = procs[2].durable_words().expect("Paxos has durable state");
         procs[2].restore_durable(&words);
-        assert_eq!(procs[2].decided(), None, "decision was volatile");
+        assert_eq!(procs[2].decision(), None, "decision was volatile");
         let mut queue: VecDeque<(ProcId, ProcId, PaxosMsg)> = VecDeque::new();
         for m in procs[2].on_timeout() {
             for dst in 0..3 {
@@ -616,13 +610,13 @@ mod tests {
                 }
             }
         }
-        assert_eq!(procs[2].decided(), Some(chosen), "safety across recovery");
+        assert_eq!(procs[2].decision(), Some(chosen), "safety across recovery");
     }
 
     #[test]
     #[should_panic(expected = "voter bitmask encoding needs n <= 64")]
     fn state_words_refuse_voters_past_the_bitmask() {
         // voter 64's bit would wrap onto voter 0's in a release build
-        PaxosState::new(0, 65, 1).state_words(&mut Vec::new());
+        state(0, 65, 1).state_words(&mut Vec::new());
     }
 }

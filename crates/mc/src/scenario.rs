@@ -132,9 +132,10 @@ impl BrachaParams {
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
         let get = |key: &str| param(params, key);
+        let n = param_in(params, "n", 1..=MAX_PROCESSES)? as usize;
         Ok(BrachaParams {
-            n: process_count(params)?,
-            t: get("t")? as usize,
+            n,
+            t: param_in(params, "t", 0..=n as u64)? as usize,
             input: get("input")?,
             liar: get("liar")? != 0,
             amp_quorum: get("amp_quorum")? as usize,
@@ -230,13 +231,13 @@ impl BenOrParams {
     }
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
-        let n = process_count(params)?;
+        let n = param_in(params, "n", 1..=MAX_PROCESSES)? as usize;
         let mask = param(params, "prefs")?;
         Ok(BenOrParams {
             n,
-            t: param(params, "t")? as usize,
+            t: param_in(params, "t", 0..=n as u64)? as usize,
             prefs: (0..n).map(|i| (mask >> i) & 1).collect(),
-            max_rounds: param(params, "max_rounds")? as u32,
+            max_rounds: param_u32(params, "max_rounds")?,
         })
     }
 }
@@ -340,13 +341,13 @@ impl PaxosParams {
     }
 
     fn from_params(params: &[(String, u64)]) -> Result<Self, String> {
-        let n = process_count(params)?;
+        let n = param_in(params, "n", 1..=MAX_PROCESSES)? as usize;
         let mask = param(params, "inputs")?;
         Ok(PaxosParams {
             n,
             inputs: (0..n).map(|i| (mask >> i) & 1).collect(),
-            timeout_ticks: param(params, "timeout_ticks")?,
-            max_timeouts: param(params, "max_timeouts")? as u32,
+            timeout_ticks: u64::from(param_u32(params, "timeout_ticks")?),
+            max_timeouts: param_u32(params, "max_timeouts")?,
             crash_budget: param(params, "crash_budget")? as usize,
         })
     }
@@ -444,6 +445,11 @@ fn replay_on<M: Clone + McWords>(
                 net.inject_crash(*proc);
             }
         }
+        if let Some((at, v, domain)) = tap.borrow().out_of_domain() {
+            return Err(format!(
+                "step {i}: script entry {at} = {v} is outside its draw's domain 0..{domain}"
+            ));
+        }
     }
     if !tap.borrow().demands().is_empty() {
         return Err("script too short: replay drew past its end".to_string());
@@ -469,16 +475,29 @@ fn replay_on<M: Clone + McWords>(
 }
 
 /// The largest process count a trace may name: the voter and preference
-/// bitmasks hold one bit per process.
+/// bitmasks hold one bit per process. The `"n"` parameter is checked to
+/// lie in `1..=MAX_PROCESSES` before it sizes a network or a shift.
 const MAX_PROCESSES: u64 = 64;
 
-/// The `"n"` parameter, checked to lie in `1..=64` before it sizes a
-/// network or a bitmask shift.
-fn process_count(params: &[(String, u64)]) -> Result<usize, String> {
-    match param(params, "n")? {
-        n @ 1..=MAX_PROCESSES => Ok(n as usize),
-        n => Err(format!(
-            "scenario parameter \"n\" = {n} is outside 1..={MAX_PROCESSES}"
+/// A parameter that must fit in a `u32`: a round or retry cap, or a
+/// timer period (so adding a process id to it cannot overflow).
+fn param_u32(params: &[(String, u64)], key: &str) -> Result<u32, String> {
+    let v = param(params, key)?;
+    u32::try_from(v).map_err(|_| format!("scenario parameter {key:?} = {v} exceeds {}", u32::MAX))
+}
+
+/// The parameter `key`, checked to lie in `range`.
+fn param_in(
+    params: &[(String, u64)],
+    key: &str,
+    range: std::ops::RangeInclusive<u64>,
+) -> Result<u64, String> {
+    match param(params, key)? {
+        v if range.contains(&v) => Ok(v),
+        v => Err(format!(
+            "scenario parameter {key:?} = {v} is outside {}..={}",
+            range.start(),
+            range.end()
         )),
     }
 }

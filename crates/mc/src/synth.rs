@@ -86,7 +86,7 @@ pub struct SynthOutcome {
 /// Builds one fresh network per rollout. The `u64` is the rollout's lie
 /// seed (vary the Byzantine participants' randomness with it); the
 /// returned cells are the honest round probes the badness score reads.
-pub type NetFactory<M> = Box<dyn Fn(u64) -> (EventNet<M>, Vec<Rc<Cell<Option<u32>>>>)>;
+pub type NetFactory<M> = Box<dyn Fn(u64) -> (EventNet<M>, Vec<Rc<Cell<Option<u64>>>>)>;
 
 /// The Ben-Or synthesis target of e25 and the model-checker bench:
 /// production Ben-Or at n = 4, t = 1 (seeded coins, round cap 8, one tick
@@ -101,7 +101,7 @@ pub fn ben_or_noise_factory() -> NetFactory<BenOrMsg> {
             let probe = Rc::new(Cell::new(None));
             probes.push(Rc::clone(&probe));
             procs.push(Box::new(
-                BenOrProcess::new(1, pref, 8, 100 + id as u64).with_round_probe(probe),
+                BenOrProcess::new(1, pref, 8, 100 + id as u64).with_probe(probe),
             ));
         }
         procs.push(Box::new(BenOrNoiseProcess::new(lie_seed)));
@@ -192,12 +192,7 @@ impl<M: Clone> Synthesizer<M> {
             .filter_map(|&p| times[p])
             .max()
             .unwrap_or(0);
-        let rounds = probes
-            .iter()
-            .filter_map(|c| c.get())
-            .map(u64::from)
-            .max()
-            .unwrap_or(0);
+        let rounds = probes.iter().filter_map(|c| c.get()).max().unwrap_or(0);
         Badness {
             undecided,
             decide_time,

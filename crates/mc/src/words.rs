@@ -16,6 +16,7 @@
 
 use bne_byzantine::ben_or::BenOrMsg;
 use bne_byzantine::bracha::BrachaMsg;
+use bne_byzantine::hsuc::HsucMsg;
 use bne_byzantine::paxos::PaxosMsg;
 
 /// A message with an exact, canonical `u64`-word encoding.
@@ -71,6 +72,21 @@ impl McWords for PaxosMsg {
             PaxosMsg::P2a { ballot, value } => out.extend([2, *ballot, *value]),
             PaxosMsg::P2b { ballot, value } => out.extend([3, *ballot, *value]),
             PaxosMsg::Decided { ballot, value } => out.extend([4, *ballot, *value]),
+        }
+    }
+}
+
+impl McWords for HsucMsg {
+    fn words(&self, out: &mut Vec<u64>) {
+        match *self {
+            HsucMsg::Estimate {
+                round,
+                est,
+                est_round,
+            } => out.extend([0, round, est, est_round]),
+            HsucMsg::Propose { round, value } => out.extend([1, round, value]),
+            HsucMsg::Ack { round } => out.extend([2, round]),
+            HsucMsg::Decide { round, value } => out.extend([3, round, value]),
         }
     }
 }

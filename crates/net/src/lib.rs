@@ -30,7 +30,8 @@
 //!   runtime, **bit-identical** to `SyncNetwork` under the zero-latency
 //!   FIFO configuration ([`model::NetConfig::lockstep`]);
 //! * [`protocols`] — **event-driven** protocols running directly on the
-//!   runtime with no round adapter: Bracha reliable broadcast
+//!   runtime with no round adapter, all through one generic shell
+//!   ([`protocols::MachineProcess`]): Bracha reliable broadcast
 //!   ([`protocols::BrachaProcess`]), Ben-Or randomized consensus
 //!   ([`protocols::BenOrProcess`]), single-decree Paxos
 //!   ([`protocols::PaxosProcess`]) and leader-driven HSUC-style
@@ -71,7 +72,8 @@ pub use obs::{
     EventCounts, HistogramSpec, MetricsObserver, Observer, TimelineEntry, TimelineObserver,
 };
 pub use protocols::{
-    run_hsuc, run_paxos, BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, PaxosProcess,
+    run_hsuc, run_paxos, BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess,
+    MachineProcess, PaxosProcess,
 };
 pub use retry::{RetryAdapter, RetryMsg, RetryPolicy};
 pub use runtime::{

@@ -1,34 +1,35 @@
 //! Event-driven protocols running **directly** on [`EventNet`] — no
 //! round adapter, no global clock.
 //!
-//! These are thin [`AsyncProcess`] shells over the runtime-agnostic state
-//! machines in `bne-byzantine`: every message the machine wants out is
-//! multicast to all `n` processes (their own copy loops back through the
-//! network like anyone else's, so quorums count uniformly). Because
-//! progress is driven purely by arrivals, the protocols' running time is
-//! whatever the latency model and scheduler make it — the random variable
-//! experiments e20/e21 measure.
+//! One shell, [`MachineProcess`], runs every [`EventMachine`] of
+//! `bne-byzantine` as an [`AsyncProcess`]: every message the machine
+//! wants out is multicast to all `n` processes (their own copy loops back
+//! through the network like anyone else's, so quorums count uniformly).
+//! Because progress is driven purely by arrivals, the protocols' running
+//! time is whatever the latency model and scheduler make it — the random
+//! variable experiments e20/e21 measure. The four protocols are aliases
+//! of the shell that keep their own constructors:
 //!
 //! * [`BrachaProcess`] — Bracha reliable broadcast
 //!   ([`bne_byzantine::bracha`]);
 //! * [`BenOrProcess`] — Ben-Or randomized consensus
-//!   ([`bne_byzantine::ben_or`]), with a per-process seeded coin and a
-//!   round probe for measuring rounds-to-decide;
+//!   ([`bne_byzantine::ben_or`]), with a per-process seeded coin;
 //! * [`PaxosProcess`] — single-decree Paxos ([`bne_byzantine::paxos`]),
 //!   with timeout-driven ballot escalation for leader failover and a
 //!   durable acceptor snapshot for crash-recovery plans;
 //! * [`HsucProcess`] — leader-driven rotating-coordinator consensus
-//!   ([`bne_byzantine::hsuc`]), timeout-driven round advancement;
-//! * [`BenOrNoiseProcess`] — a Byzantine participant injecting seeded
-//!   random reports and proposals for every round it observes.
+//!   ([`bne_byzantine::hsuc`]), timeout-driven round advancement.
 //!
-//! A crashed-from-the-start participant needs no process type of its own:
+//! [`BenOrNoiseProcess`] is a Byzantine participant injecting seeded
+//! random reports and proposals for every round it observes. A
+//! crashed-from-the-start participant needs no process type of its own:
 //! `FaultPlan::crash_at_start(proc)` halts *any* process.
 
 use crate::runtime::{AsyncProcess, DurableState, EventNet, NetCtx};
-use bne_byzantine::ben_or::{BenOrMsg, BenOrState};
-use bne_byzantine::bracha::{BrachaMsg, BrachaState};
+use bne_byzantine::ben_or::{BenOrMsg, BenOrSpec, BenOrState};
+use bne_byzantine::bracha::{BrachaMsg, BrachaSpec, BrachaState};
 use bne_byzantine::choice::SharedTap;
+use bne_byzantine::event::EventMachine;
 use bne_byzantine::hsuc::{HsucMsg, HsucState};
 use bne_byzantine::paxos::{PaxosMsg, PaxosState};
 use bne_byzantine::{ProcId, Value};
@@ -38,202 +39,86 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-/// Bracha reliable broadcast as an [`AsyncProcess`].
+/// Any [`EventMachine`] as an [`AsyncProcess`].
 ///
-/// Process `broadcaster` multicasts `Init(input)` at start; everyone else
-/// reacts to arrivals only. [`AsyncProcess::decision`] is the delivered
-/// value, so [`EventNet::decision_times`] reports per-process delivery
-/// latency.
-pub struct BrachaProcess {
-    t: usize,
-    broadcaster: ProcId,
-    input: Value,
-    state: Option<BrachaState>,
-    /// Quorum overrides `(amp, deliver)` forwarded to
-    /// [`BrachaState::with_thresholds`] — the model checker's planted-bug
-    /// hook. `None` = the real protocol.
-    thresholds: Option<(usize, usize)>,
-}
-
-impl BrachaProcess {
-    /// A participant with fault budget `t`; `input` is used only by the
-    /// process whose id equals `broadcaster`.
-    pub fn new(t: usize, broadcaster: ProcId, input: Value) -> Self {
-        BrachaProcess {
-            t,
-            broadcaster,
-            input,
-            state: None,
-            thresholds: None,
-        }
-    }
-
-    /// Overrides the ready-amplification / delivery quorums (see
-    /// [`BrachaState::with_thresholds`]): the mutation hook `bne-mc`
-    /// self-tests use to plant quorum bugs the checker must catch.
-    pub fn with_thresholds(mut self, amp_quorum: usize, deliver_quorum: usize) -> Self {
-        self.thresholds = Some((amp_quorum, deliver_quorum));
-        self
-    }
-}
-
-impl AsyncProcess for BrachaProcess {
-    type Msg = BrachaMsg;
-
-    fn on_start(&mut self, ctx: &mut NetCtx<BrachaMsg>) {
-        let mut state = BrachaState::new(ctx.id(), ctx.n(), self.t, self.broadcaster);
-        if let Some((amp, deliver)) = self.thresholds {
-            state = state.with_thresholds(amp, deliver);
-        }
-        for m in state.start(self.input) {
-            ctx.multicast(0..ctx.n(), m);
-        }
-        self.state = Some(state);
-    }
-
-    fn on_message(&mut self, src: ProcId, msg: BrachaMsg, ctx: &mut NetCtx<BrachaMsg>) {
-        let state = self.state.as_mut().expect("on_start ran");
-        for m in state.handle(src, &msg) {
-            ctx.multicast(0..ctx.n(), m);
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        self.state.as_ref().is_some_and(BrachaState::is_quiescent)
-    }
-
-    fn absorbs(&self, src: ProcId, msg: &BrachaMsg) -> bool {
-        self.state.as_ref().is_some_and(|s| s.absorbs(src, msg))
-    }
-
-    fn save_durable(&self) -> Option<DurableState> {
-        self.state
-            .as_ref()
-            .map(|s| DurableState::from(s.durable_words()))
-    }
-
-    fn restore_durable(&mut self, state: &DurableState) {
-        if let Some(s) = self.state.as_mut() {
-            s.restore_durable(state.words());
-        }
-    }
-
-    fn decision(&self) -> Option<u64> {
-        self.state.as_ref().and_then(|s| s.delivered())
-    }
-
-    fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = BrachaMsg>>> {
-        Some(Box::new(BrachaProcess {
-            t: self.t,
-            broadcaster: self.broadcaster,
-            input: self.input,
-            state: self.state.clone(),
-            thresholds: self.thresholds,
-        }))
-    }
-
-    fn state_words(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        self.state_words_into(&mut out).then_some(out)
-    }
-
-    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
-        out.push(u64::from(self.state.is_some()));
-        if let Some(state) = &self.state {
-            state.state_words(out);
-        }
-        true
-    }
-}
-
-/// Ben-Or randomized binary consensus as an [`AsyncProcess`].
+/// The machine is built from its spec at start, when the process learns
+/// its id and `n`. Every message it appends to the shell's reused output
+/// buffer is multicast to all `n` processes. A machine with a durable
+/// fraction saves and restores it across planned crashes; one without
+/// survives them whole (suspend/resume).
 ///
-/// The coin seed must be derived per process (e.g.
-/// `bne_sim::derive_seed(replica_seed, COIN_STREAM, id)`) so no two
-/// processes share a coin stream. An optional round probe
-/// ([`BenOrProcess::with_round_probe`]) exposes the decision round to the
-/// scenario without downcasting.
-pub struct BenOrProcess {
-    t: usize,
-    pref: Value,
-    max_rounds: u32,
-    coin_seed: u64,
-    state: Option<BenOrState>,
-    /// The messages of one handler call, reused across calls.
-    out: Vec<BenOrMsg>,
-    round_probe: Option<Rc<Cell<Option<u32>>>>,
-    coin_tap: Option<SharedTap>,
+/// Processes built with a retry timer (Paxos and HSUC) arm it at start,
+/// after each firing and on recovery, staggered by process id so
+/// concurrent escalations do not duel forever under symmetric schedules.
+/// An undecided process whose timer fires hands it to
+/// [`EventMachine::timeout`]; once decided, or after its budget of
+/// firings, a firing neither acts nor re-arms, so executions drain.
+pub struct MachineProcess<S: EventMachine> {
+    spec: S::Spec,
+    /// `None` until `on_start` (and again never for a process crashed at
+    /// start that has not recovered).
+    state: Option<S>,
+    /// The messages of one handler call, reused across calls; a fork
+    /// starts with an empty one.
+    out: Vec<S::Msg>,
+    /// The retry timer's period and budget of firings, if it has one.
+    retry: Option<(u64, u32)>,
+    /// Retry-timer firings so far.
+    fired: u32,
+    probe: Option<Rc<Cell<Option<u64>>>>,
 }
 
-impl BenOrProcess {
-    /// A participant with fault budget `t`, initial preference `pref`,
-    /// round cap `max_rounds` and private coin seed `coin_seed`.
-    pub fn new(t: usize, pref: Value, max_rounds: u32, coin_seed: u64) -> Self {
-        BenOrProcess {
-            t,
-            pref,
-            max_rounds,
-            coin_seed,
+impl<S: EventMachine> MachineProcess<S> {
+    /// A process built from `spec`, with a retry timer when `retry` gives
+    /// its period and budget.
+    fn build(spec: S::Spec, retry: Option<(u64, u32)>) -> Self {
+        MachineProcess {
+            spec,
             state: None,
             out: Vec::new(),
-            round_probe: None,
-            coin_tap: None,
+            retry,
+            fired: 0,
+            probe: None,
         }
     }
 
-    /// Routes coin flips through a shared [`ChoiceTap`] instead of the
-    /// seeded RNG (see [`BenOrState::with_coin_tap`]): the hook `bne-mc`
-    /// uses to enumerate coin outcomes. Tapped processes have canonical
-    /// [`AsyncProcess::state_words`], so the checker can deduplicate
-    /// states; untapped ones do not (an RNG has no canonical encoding).
-    ///
-    /// [`ChoiceTap`]: bne_byzantine::choice::ChoiceTap
-    pub fn with_coin_tap(mut self, tap: SharedTap) -> Self {
-        self.coin_tap = Some(tap);
+    /// Attaches a probe cell set to [`EventMachine::decision_round`] (Ben-Or
+    /// and HSUC rounds, Paxos ballots) the moment the process decides;
+    /// scenarios read it after the run. Replicas are single-threaded, so
+    /// a shared `Rc<Cell<…>>` is safe.
+    pub fn with_probe(mut self, probe: Rc<Cell<Option<u64>>>) -> Self {
+        self.probe = Some(probe);
         self
     }
 
-    /// Attaches a probe cell that is set to the decision round the moment
-    /// the process decides (scenarios read it after the run; replicas are
-    /// single-threaded, so a shared `Rc<Cell<…>>` is safe).
-    pub fn with_round_probe(mut self, probe: Rc<Cell<Option<u32>>>) -> Self {
-        self.round_probe = Some(probe);
-        self
-    }
-
-    fn flush(&mut self, ctx: &mut NetCtx<BenOrMsg>) {
+    fn flush(&mut self, ctx: &mut NetCtx<S::Msg>) {
         for m in self.out.drain(..) {
             ctx.multicast(0..ctx.n(), m);
         }
-        if let (Some(probe), Some(state)) = (&self.round_probe, &self.state) {
+        if let (Some(probe), Some(state)) = (&self.probe, &self.state) {
             if probe.get().is_none() {
-                probe.set(state.decided_round());
+                probe.set(state.decision_round());
             }
+        }
+    }
+
+    fn arm(&self, ctx: &mut NetCtx<S::Msg>) {
+        if let Some((ticks, _)) = self.retry {
+            ctx.set_timer(ticks + ctx.id() as u64, 0);
         }
     }
 }
 
-impl AsyncProcess for BenOrProcess {
-    type Msg = BenOrMsg;
+impl<S: EventMachine> AsyncProcess for MachineProcess<S> {
+    type Msg = S::Msg;
 
-    fn on_start(&mut self, ctx: &mut NetCtx<BenOrMsg>) {
-        let mut state = BenOrState::new(
-            ctx.id(),
-            ctx.n(),
-            self.t,
-            self.pref,
-            self.max_rounds,
-            self.coin_seed,
-        );
-        if let Some(tap) = &self.coin_tap {
-            state = state.with_coin_tap(Rc::clone(tap));
-        }
-        self.out = state.start();
-        self.state = Some(state);
+    fn on_start(&mut self, ctx: &mut NetCtx<S::Msg>) {
+        self.state = Some(S::start(ctx.id(), ctx.n(), &self.spec, &mut self.out));
         self.flush(ctx);
+        self.arm(ctx);
     }
 
-    fn on_message(&mut self, src: ProcId, msg: BenOrMsg, ctx: &mut NetCtx<BenOrMsg>) {
+    fn on_message(&mut self, src: ProcId, msg: S::Msg, ctx: &mut NetCtx<S::Msg>) {
         let state = self.state.as_mut().expect("on_start ran");
         if state.halted() {
             return; // decided (or gave up): no further traffic
@@ -242,23 +127,49 @@ impl AsyncProcess for BenOrProcess {
         self.flush(ctx);
     }
 
-    fn decision(&self) -> Option<u64> {
-        self.state.as_ref().and_then(|s| s.decided())
+    fn on_timer(&mut self, timer: u64, ctx: &mut NetCtx<S::Msg>) {
+        if self.timer_absorbed(timer) {
+            return; // stop re-arming: let the execution drain
+        }
+        self.fired += 1;
+        let state = self.state.as_mut().expect("on_start ran");
+        state.timeout(&mut self.out);
+        self.flush(ctx);
+        self.arm(ctx);
     }
 
-    fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = BenOrMsg>>> {
-        // the probe and tap are Rc-shared, not duplicated: probes are a
-        // measurement channel the checker does not read, and the tap is
-        // search state the checker saves/restores itself
-        Some(Box::new(BenOrProcess {
-            t: self.t,
-            pref: self.pref,
-            max_rounds: self.max_rounds,
-            coin_seed: self.coin_seed,
+    fn on_recover(&mut self, ctx: &mut NetCtx<S::Msg>) {
+        // pending timers were absorbed while crashed: re-arm, so the
+        // next timeout runs a recovery ballot or round and re-learns
+        self.arm(ctx);
+    }
+
+    fn save_durable(&self) -> Option<DurableState> {
+        self.state.as_ref()?.durable_words().map(DurableState::from)
+    }
+
+    fn restore_durable(&mut self, state: &DurableState) {
+        if let Some(s) = self.state.as_mut() {
+            s.restore_durable(state.words());
+        }
+    }
+
+    fn decision(&self) -> Option<u64> {
+        self.state.as_ref().and_then(S::decision)
+    }
+
+    fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = S::Msg>>> {
+        // the probe (and a Ben-Or coin tap, in the spec and the state)
+        // are Rc-shared, not duplicated: probes are a measurement channel
+        // the checker does not read, and the tap is search state the
+        // checker saves and restores itself
+        Some(Box::new(MachineProcess {
+            spec: self.spec.clone(),
             state: self.state.clone(),
             out: Vec::new(),
-            round_probe: self.round_probe.as_ref().map(Rc::clone),
-            coin_tap: self.coin_tap.as_ref().map(Rc::clone),
+            retry: self.retry,
+            fired: self.fired,
+            probe: self.probe.clone(),
         }))
     }
 
@@ -269,42 +180,116 @@ impl AsyncProcess for BenOrProcess {
 
     fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
         out.push(u64::from(self.state.is_some()));
-        self.state
-            .as_ref()
-            .is_none_or(|state| state.state_words(out))
+        // the firing count bounds future escalations, so it is part of
+        // the reachable-behavior state
+        if self.retry.is_some() {
+            out.push(u64::from(self.fired));
+        }
+        self.state.as_ref().is_none_or(|s| s.state_words(out))
     }
 
     fn quiescent(&self) -> bool {
-        self.state.as_ref().is_some_and(BenOrState::is_quiescent)
+        self.state.as_ref().is_some_and(S::is_quiescent)
     }
 
-    fn absorbs(&self, src: ProcId, msg: &BenOrMsg) -> bool {
+    fn absorbs(&self, src: ProcId, msg: &S::Msg) -> bool {
+        // sound for Paxos because the checker's faults are crash-stop
+        // (injected crashes never recover), so the no-recovery caveat of
+        // its `absorbs` holds
         self.state.as_ref().is_some_and(|s| s.absorbs(src, msg))
+    }
+
+    fn timer_absorbed(&self, _timer: u64) -> bool {
+        // mirrors the `on_timer` early return: once decided or out of
+        // retry budget a firing neither acts nor re-arms, and (under
+        // crash-stop faults) both conditions are permanent
+        self.retry
+            .is_some_and(|(_, max)| self.fired >= max || self.decision().is_some())
+    }
+}
+
+/// Bracha reliable broadcast as an [`AsyncProcess`].
+///
+/// Process `broadcaster` multicasts `Init(input)` at start; everyone else
+/// reacts to arrivals only. [`AsyncProcess::decision`] is the delivered
+/// value, so [`EventNet::decision_times`] reports per-process delivery
+/// latency.
+pub type BrachaProcess = MachineProcess<BrachaState>;
+
+impl BrachaProcess {
+    /// A participant with fault budget `t`; `input` is used only by the
+    /// process whose id equals `broadcaster`.
+    pub fn new(t: usize, broadcaster: ProcId, input: Value) -> Self {
+        let spec = BrachaSpec {
+            t,
+            broadcaster,
+            input,
+            thresholds: None,
+        };
+        MachineProcess::build(spec, None)
+    }
+
+    /// Overrides the ready-amplification / delivery quorums (see
+    /// [`BrachaSpec::thresholds`]): the mutation hook `bne-mc` self-tests
+    /// use to plant quorum bugs the checker must catch.
+    pub fn with_thresholds(mut self, amp_quorum: usize, deliver_quorum: usize) -> Self {
+        self.spec.thresholds = Some((amp_quorum, deliver_quorum));
+        self
+    }
+}
+
+/// Ben-Or randomized binary consensus as an [`AsyncProcess`].
+///
+/// The coin seed must be derived per process (e.g.
+/// `bne_sim::derive_seed(replica_seed, COIN_STREAM, id)`) so no two
+/// processes share a coin stream. A probe
+/// ([`MachineProcess::with_probe`]) exposes the decision round to the
+/// scenario without downcasting.
+pub type BenOrProcess = MachineProcess<BenOrState>;
+
+impl BenOrProcess {
+    /// A participant with fault budget `t`, initial preference `pref`,
+    /// round cap `max_rounds` and private coin seed `coin_seed`.
+    pub fn new(t: usize, pref: Value, max_rounds: u32, coin_seed: u64) -> Self {
+        let spec = BenOrSpec {
+            t,
+            pref,
+            max_rounds,
+            coin_seed,
+            coin_tap: None,
+        };
+        MachineProcess::build(spec, None)
+    }
+
+    /// Routes coin flips through a shared [`ChoiceTap`] instead of the
+    /// seeded RNG (see [`BenOrSpec::coin_tap`]): the hook `bne-mc` uses
+    /// to enumerate coin outcomes. Tapped processes have canonical
+    /// [`AsyncProcess::state_words`], so the checker can deduplicate
+    /// states; untapped ones do not (an RNG has no canonical encoding).
+    ///
+    /// [`ChoiceTap`]: bne_byzantine::choice::ChoiceTap
+    pub fn with_coin_tap(mut self, tap: SharedTap) -> Self {
+        self.spec.coin_tap = Some(tap);
+        self
     }
 }
 
 /// Single-decree Paxos as an [`AsyncProcess`].
 ///
-/// Process 0 opens ballot 1 at start; every process arms a retry timer
+/// Process 0 opens ballot 1 at start; every process arms the retry timer
 /// and, if still undecided when it fires, escalates to a fresh own
-/// ballot ([`PaxosState::on_timeout`]) — that timeout path is the leader
-/// failover mechanism the crash plans of `e22` exercise. Timers are
-/// staggered by process id so concurrent escalations do not duel
-/// forever under symmetric schedules.
+/// ballot — that timeout path is the leader failover mechanism the crash
+/// plans of `e22` exercise.
 ///
 /// The acceptor state (promise + accepted ballot/value) is durable
 /// across planned crashes; the in-flight proposal, quorum tallies and
 /// even the learned decision are volatile and are re-learned through a
 /// fresh ballot after recovery ([`AsyncProcess::on_recover`] re-arms the
-/// timer, since pending timers are absorbed while crashed).
-pub struct PaxosProcess {
-    input: Value,
-    timeout_ticks: u64,
-    max_timeouts: u32,
-    timeouts: u32,
-    state: Option<PaxosState>,
-    ballot_probe: Option<Rc<Cell<Option<u64>>>>,
-}
+/// timer, since pending timers are absorbed while crashed). No
+/// `quiescent` claim: even a decided acceptor keeps answering phase
+/// messages and re-broadcasting `Decided`, so no Paxos process is ever
+/// permanently silent while peers may still ask.
+pub type PaxosProcess = MachineProcess<PaxosState>;
 
 impl PaxosProcess {
     /// A participant proposing `input` when free to choose. The retry
@@ -312,133 +297,7 @@ impl PaxosProcess {
     /// `max_timeouts` times, bounding ballot escalation so executions
     /// always drain.
     pub fn new(input: Value, timeout_ticks: u64, max_timeouts: u32) -> Self {
-        PaxosProcess {
-            input,
-            timeout_ticks,
-            max_timeouts,
-            timeouts: 0,
-            state: None,
-            ballot_probe: None,
-        }
-    }
-
-    /// Attaches a probe cell set to the deciding ballot the moment this
-    /// process decides (scenarios read it after the run).
-    pub fn with_ballot_probe(mut self, probe: Rc<Cell<Option<u64>>>) -> Self {
-        self.ballot_probe = Some(probe);
-        self
-    }
-
-    fn arm(&self, ctx: &mut NetCtx<PaxosMsg>) {
-        ctx.set_timer(self.timeout_ticks + ctx.id() as u64, 0);
-    }
-
-    fn flush(&mut self, out: Vec<PaxosMsg>, ctx: &mut NetCtx<PaxosMsg>) {
-        for m in out {
-            ctx.multicast(0..ctx.n(), m);
-        }
-        if let (Some(probe), Some(state)) = (&self.ballot_probe, &self.state) {
-            if probe.get().is_none() {
-                probe.set(state.decided_ballot());
-            }
-        }
-    }
-
-    fn decided(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.decided().is_some())
-    }
-}
-
-impl AsyncProcess for PaxosProcess {
-    type Msg = PaxosMsg;
-
-    fn on_start(&mut self, ctx: &mut NetCtx<PaxosMsg>) {
-        let mut state = PaxosState::new(ctx.id(), ctx.n(), self.input);
-        let out = state.start();
-        self.state = Some(state);
-        self.flush(out, ctx);
-        self.arm(ctx);
-    }
-
-    fn on_message(&mut self, src: ProcId, msg: PaxosMsg, ctx: &mut NetCtx<PaxosMsg>) {
-        let state = self.state.as_mut().expect("on_start ran");
-        let out = state.handle(src, &msg);
-        self.flush(out, ctx);
-    }
-
-    fn on_timer(&mut self, _timer: u64, ctx: &mut NetCtx<PaxosMsg>) {
-        if self.decided() || self.timeouts >= self.max_timeouts {
-            return; // stop re-arming: let the execution drain
-        }
-        self.timeouts += 1;
-        let out = self.state.as_mut().expect("on_start ran").on_timeout();
-        self.flush(out, ctx);
-        self.arm(ctx);
-    }
-
-    fn on_recover(&mut self, ctx: &mut NetCtx<PaxosMsg>) {
-        // pending timers were absorbed while crashed: re-arm, so the
-        // next timeout runs a recovery ballot and re-learns the value
-        self.arm(ctx);
-    }
-
-    fn save_durable(&self) -> Option<DurableState> {
-        self.state
-            .as_ref()
-            .map(|s| DurableState::from(s.durable_words()))
-    }
-
-    fn restore_durable(&mut self, state: &DurableState) {
-        if let Some(s) = self.state.as_mut() {
-            s.restore_durable(state.words());
-        }
-    }
-
-    fn decision(&self) -> Option<u64> {
-        self.state.as_ref().and_then(|s| s.decided())
-    }
-
-    // no `quiescent` override: even a decided acceptor keeps answering
-    // phase messages and re-broadcasting `Decided`, so no Paxos process
-    // is ever permanently silent while peers may still ask.
-    fn timer_absorbed(&self, _timer: u64) -> bool {
-        // mirrors the `on_timer` early return: once decided or out of
-        // retry budget a firing neither acts nor re-arms, and (under
-        // crash-stop faults) both conditions are permanent
-        self.decided() || self.timeouts >= self.max_timeouts
-    }
-
-    fn absorbs(&self, src: ProcId, msg: &PaxosMsg) -> bool {
-        // sound here because the checker's faults are crash-stop
-        // (injected crashes never recover), so `PaxosState::absorbs`'s
-        // no-recovery caveat holds
-        self.state.as_ref().is_some_and(|s| s.absorbs(src, msg))
-    }
-
-    fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = PaxosMsg>>> {
-        Some(Box::new(PaxosProcess {
-            input: self.input,
-            timeout_ticks: self.timeout_ticks,
-            max_timeouts: self.max_timeouts,
-            timeouts: self.timeouts,
-            state: self.state.clone(),
-            ballot_probe: self.ballot_probe.as_ref().map(Rc::clone),
-        }))
-    }
-
-    fn state_words(&self) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        self.state_words_into(&mut out).then_some(out)
-    }
-
-    fn state_words_into(&self, out: &mut Vec<u64>) -> bool {
-        // the timeout counter bounds future escalations, so it is part
-        // of the reachable-behavior state
-        out.extend([u64::from(self.state.is_some()), u64::from(self.timeouts)]);
-        if let Some(state) = &self.state {
-            state.state_words(out);
-        }
-        true
+        MachineProcess::build(input, Some((timeout_ticks, max_timeouts)))
     }
 }
 
@@ -446,109 +305,21 @@ impl AsyncProcess for PaxosProcess {
 ///
 /// Everyone enters round 1 at start (led by process 0); an undecided
 /// process whose retry timer fires advances one round, rotating the
-/// coordinator ([`HsucState::on_timeout`]). Round entry is contagious
-/// through higher-round messages, so one impatient process pulls the
-/// whole network forward — the failover path the crash plans exercise.
+/// coordinator. Round entry is contagious through higher-round messages,
+/// so one impatient process pulls the whole network forward — the
+/// failover path the crash plans exercise.
 ///
 /// The locked estimate pair and round counter are durable across
 /// planned crashes; tallies and the decision are volatile (a recovered
 /// process re-learns from decided peers' `Decide` rebroadcasts).
-pub struct HsucProcess {
-    input: Value,
-    timeout_ticks: u64,
-    max_timeouts: u32,
-    timeouts: u32,
-    state: Option<HsucState>,
-    round_probe: Option<Rc<Cell<Option<u64>>>>,
-}
+pub type HsucProcess = MachineProcess<HsucState>;
 
 impl HsucProcess {
     /// A participant with initial estimate `input`; the retry timer
     /// fires every `timeout_ticks` (staggered by id) at most
     /// `max_timeouts` times.
     pub fn new(input: Value, timeout_ticks: u64, max_timeouts: u32) -> Self {
-        HsucProcess {
-            input,
-            timeout_ticks,
-            max_timeouts,
-            timeouts: 0,
-            state: None,
-            round_probe: None,
-        }
-    }
-
-    /// Attaches a probe cell set to the deciding round the moment this
-    /// process decides.
-    pub fn with_round_probe(mut self, probe: Rc<Cell<Option<u64>>>) -> Self {
-        self.round_probe = Some(probe);
-        self
-    }
-
-    fn arm(&self, ctx: &mut NetCtx<HsucMsg>) {
-        ctx.set_timer(self.timeout_ticks + ctx.id() as u64, 0);
-    }
-
-    fn flush(&mut self, out: Vec<HsucMsg>, ctx: &mut NetCtx<HsucMsg>) {
-        for m in out {
-            ctx.multicast(0..ctx.n(), m);
-        }
-        if let (Some(probe), Some(state)) = (&self.round_probe, &self.state) {
-            if probe.get().is_none() {
-                probe.set(state.decided_round());
-            }
-        }
-    }
-
-    fn decided(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.decided().is_some())
-    }
-}
-
-impl AsyncProcess for HsucProcess {
-    type Msg = HsucMsg;
-
-    fn on_start(&mut self, ctx: &mut NetCtx<HsucMsg>) {
-        let mut state = HsucState::new(ctx.id(), ctx.n(), self.input);
-        let out = state.start();
-        self.state = Some(state);
-        self.flush(out, ctx);
-        self.arm(ctx);
-    }
-
-    fn on_message(&mut self, src: ProcId, msg: HsucMsg, ctx: &mut NetCtx<HsucMsg>) {
-        let state = self.state.as_mut().expect("on_start ran");
-        let out = state.handle(src, &msg);
-        self.flush(out, ctx);
-    }
-
-    fn on_timer(&mut self, _timer: u64, ctx: &mut NetCtx<HsucMsg>) {
-        if self.decided() || self.timeouts >= self.max_timeouts {
-            return;
-        }
-        self.timeouts += 1;
-        let out = self.state.as_mut().expect("on_start ran").on_timeout();
-        self.flush(out, ctx);
-        self.arm(ctx);
-    }
-
-    fn on_recover(&mut self, ctx: &mut NetCtx<HsucMsg>) {
-        self.arm(ctx);
-    }
-
-    fn save_durable(&self) -> Option<DurableState> {
-        self.state
-            .as_ref()
-            .map(|s| DurableState::from(s.durable_words()))
-    }
-
-    fn restore_durable(&mut self, state: &DurableState) {
-        if let Some(s) = self.state.as_mut() {
-            s.restore_durable(state.words());
-        }
-    }
-
-    fn decision(&self) -> Option<u64> {
-        self.state.as_ref().and_then(|s| s.decided())
+        MachineProcess::build(input, Some((timeout_ticks, max_timeouts)))
     }
 }
 
@@ -640,15 +411,10 @@ pub fn run_bracha(
     cfg: crate::model::NetConfig,
     max_events: usize,
 ) -> EventNet<BrachaMsg> {
-    let procs: Vec<Box<dyn AsyncProcess<Msg = BrachaMsg>>> = (0..n)
+    let procs = (0..n)
         .map(|_| Box::new(BrachaProcess::new(t, 0, input)) as _)
         .collect();
-    let mut net = EventNet::new(procs, cfg);
-    assert!(
-        net.run(max_events),
-        "bracha event queue did not drain within {max_events} events"
-    );
-    net
+    run_drained("bracha", procs, cfg, max_events)
 }
 
 /// Convenience: runs a full Paxos network (process `i` proposing
@@ -665,16 +431,11 @@ pub fn run_paxos(
     cfg: crate::model::NetConfig,
     max_events: usize,
 ) -> EventNet<PaxosMsg> {
-    let procs: Vec<Box<dyn AsyncProcess<Msg = PaxosMsg>>> = inputs
+    let procs = inputs
         .iter()
         .map(|&v| Box::new(PaxosProcess::new(v, timeout_ticks, max_timeouts)) as _)
         .collect();
-    let mut net = EventNet::new(procs, cfg);
-    assert!(
-        net.run(max_events),
-        "paxos event queue did not drain within {max_events} events"
-    );
-    net
+    run_drained("paxos", procs, cfg, max_events)
 }
 
 /// Convenience: runs a full HSUC-style network (process `i` with initial
@@ -690,14 +451,25 @@ pub fn run_hsuc(
     cfg: crate::model::NetConfig,
     max_events: usize,
 ) -> EventNet<HsucMsg> {
-    let procs: Vec<Box<dyn AsyncProcess<Msg = HsucMsg>>> = inputs
+    let procs = inputs
         .iter()
         .map(|&v| Box::new(HsucProcess::new(v, timeout_ticks, max_timeouts)) as _)
         .collect();
+    run_drained("hsuc", procs, cfg, max_events)
+}
+
+/// Runs `procs` on `cfg` until the queue drains, panicking, with the
+/// protocol's `name`, if it has not drained within `max_events`.
+fn run_drained<M: Clone>(
+    name: &str,
+    procs: Vec<Box<dyn AsyncProcess<Msg = M>>>,
+    cfg: crate::model::NetConfig,
+    max_events: usize,
+) -> EventNet<M> {
     let mut net = EventNet::new(procs, cfg);
     assert!(
         net.run(max_events),
-        "hsuc event queue did not drain within {max_events} events"
+        "{name} event queue did not drain within {max_events} events"
     );
     net
 }
@@ -730,12 +502,11 @@ mod tests {
 
     #[test]
     fn ben_or_unanimous_lockstep_decides_in_round_one() {
-        let probes: Vec<Rc<Cell<Option<u32>>>> = (0..5).map(|_| Rc::new(Cell::new(None))).collect();
+        let probes: Vec<Rc<Cell<Option<u64>>>> = (0..5).map(|_| Rc::new(Cell::new(None))).collect();
         let procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = (0..5)
             .map(|i| {
                 Box::new(
-                    BenOrProcess::new(1, 1, 30, 100 + i as u64)
-                        .with_round_probe(Rc::clone(&probes[i])),
+                    BenOrProcess::new(1, 1, 30, 100 + i as u64).with_probe(Rc::clone(&probes[i])),
                 ) as _
             })
             .collect();
@@ -867,6 +638,63 @@ mod tests {
             vec![Some(7); 3],
             "recovered process re-learns the chosen value"
         );
+    }
+
+    /// Starts `p` as process 0 of `n` and delivers `msgs` from processes
+    /// 1, 2, …; then fires its timer while one is armed, recording
+    /// [`AsyncProcess::timer_absorbed`] before each firing.
+    fn absorbed_per_firing<P: AsyncProcess>(p: &mut P, n: usize, msgs: &[P::Msg]) -> Vec<bool> {
+        let mut ctx = NetCtx::new(0, n, 0);
+        p.on_start(&mut ctx);
+        for (i, msg) in msgs.iter().enumerate() {
+            p.on_message(i + 1, msg.clone(), &mut ctx);
+        }
+        let mut absorbed = Vec::new();
+        while ctx.drain_actions().timers.count() > 0 {
+            absorbed.push(p.timer_absorbed(0));
+            p.on_timer(0, &mut ctx);
+        }
+        absorbed
+    }
+
+    #[test]
+    fn only_paxos_and_hsuc_arm_a_timer_and_absorb_it_once_spent() {
+        // process 0 of 3 hears nothing back, so it stays undecided and
+        // only its budget of two firings ends the timer
+        let mut paxos = PaxosProcess::new(7, 5, 2);
+        assert_eq!(
+            absorbed_per_firing(&mut paxos, 3, &[]),
+            [false, false, true]
+        );
+        let mut hsuc = HsucProcess::new(7, 5, 2);
+        assert_eq!(absorbed_per_firing(&mut hsuc, 3, &[]), [false, false, true]);
+        assert_eq!((paxos.decision(), hsuc.decision()), (None, None));
+        // a decision before the first firing absorbs it, budget or not
+        let mut paxos = PaxosProcess::new(7, 5, 2);
+        let decided = [PaxosMsg::Decided {
+            ballot: 2,
+            value: 8,
+        }];
+        assert_eq!(absorbed_per_firing(&mut paxos, 3, &decided), [true]);
+        let mut hsuc = HsucProcess::new(7, 5, 2);
+        let decided = [HsucMsg::Decide { round: 2, value: 8 }];
+        assert_eq!(absorbed_per_firing(&mut hsuc, 3, &decided), [true]);
+        assert_eq!((paxos.decision(), hsuc.decision()), (Some(8), Some(8)));
+
+        // Bracha and Ben-Or (n = 4, t = 1) arm no timer and absorb none,
+        // undecided or decided
+        for msgs in [vec![], vec![BrachaMsg::Ready(1); 3]] {
+            let mut bracha = BrachaProcess::new(1, 0, 1);
+            assert!(absorbed_per_firing(&mut bracha, 4, &msgs).is_empty());
+            assert!(!bracha.timer_absorbed(0));
+            assert_eq!(bracha.decision().is_some(), !msgs.is_empty());
+        }
+        for msgs in [vec![], vec![BenOrMsg::Decided { value: 1 }; 3]] {
+            let mut ben_or = BenOrProcess::new(1, 1, 5, 9);
+            assert!(absorbed_per_firing(&mut ben_or, 4, &msgs).is_empty());
+            assert!(!ben_or.timer_absorbed(0));
+            assert_eq!(ben_or.decision().is_some(), !msgs.is_empty());
+        }
     }
 
     #[test]

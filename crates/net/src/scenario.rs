@@ -18,11 +18,14 @@
 use crate::adapter::run_round_protocol;
 use crate::model::{FaultPlan, LatencyModel, NetConfig, Partition, QueueImpl, SchedulerPolicy};
 use crate::obs::{HistogramSpec, MetricsObserver};
-use crate::protocols::{BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, PaxosProcess};
+use crate::protocols::{
+    BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, MachineProcess, PaxosProcess,
+};
 use crate::retry::{RetryAdapter, RetryMsg, RetryPolicy};
 use crate::runtime::{AsyncProcess, EventNet, IdleProcess, NetStats};
 use bne_byzantine::adversary::FaultyBehavior;
 use bne_byzantine::bracha::BrachaMsg;
+use bne_byzantine::event::EventMachine;
 use bne_byzantine::om::TraitorStrategy;
 use bne_byzantine::om_process::{om_colluding_process_set, om_process_set};
 use bne_byzantine::properties::{check_agreement, check_validity, rb_report};
@@ -595,8 +598,8 @@ pub struct BenOrCell {
 /// # Panics
 ///
 /// [`Scenario::run`] panics if a cell has more `faults` than processes,
-/// or (through [`BenOrState::new`](bne_byzantine::BenOrState::new)) a
-/// fault budget `t` above `n`.
+/// or (through Ben-Or's [`EventMachine::start`]) a fault budget `t`
+/// above `n`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BenOrScenario;
 
@@ -614,7 +617,7 @@ impl Scenario for BenOrScenario {
         let mut rng = StdRng::seed_from_u64(seed);
         let honest_count = cell.n - cell.faults;
         let common: Value = rng.random_range(0..2u64);
-        let probes: Vec<Rc<Cell<Option<u32>>>> = (0..honest_count)
+        let probes: Vec<Rc<Cell<Option<u64>>>> = (0..honest_count)
             .map(|_| Rc::new(Cell::new(None)))
             .collect();
         let mut procs: Vec<Box<dyn AsyncProcess<Msg = BenOrMsg>>> = Vec::with_capacity(cell.n);
@@ -627,7 +630,7 @@ impl Scenario for BenOrScenario {
             let coin_seed = derive_seed(seed, STREAM_COIN, i as u64);
             procs.push(Box::new(
                 BenOrProcess::new(cell.t, pref, cell.max_rounds, coin_seed)
-                    .with_round_probe(Rc::clone(probe)),
+                    .with_probe(Rc::clone(probe)),
             ));
         }
         let byzantine: BTreeSet<ProcId> = (honest_count..cell.n).collect();
@@ -650,7 +653,7 @@ impl Scenario for BenOrScenario {
         let agreement = check_agreement(&run.decisions, &honest);
         let validity = !cell.unanimous_start || check_validity(&run.decisions, &honest, common);
         let max_round = probes.iter().filter_map(|p| p.get()).max().unwrap_or(0);
-        let rounds = Some(f64::from(max_round));
+        let rounds = Some(max_round as f64);
         ConsensusStats::of_run(run, 0..honest_count, agreement, validity, rounds)
     }
 }
@@ -953,12 +956,12 @@ impl QuorumConsensusCell {
         (0..self.n).filter(|i| !exempt.contains(i)).collect()
     }
 
-    /// One Paxos or HSUC replica: `make` builds each process from its
-    /// input and the probe it reports its deciding ballot or round to.
-    fn run_replica<M: Clone>(
+    /// One Paxos or HSUC replica: `make` is the machine's constructor,
+    /// and each process reports its deciding ballot or round to a probe.
+    fn run_replica<S: EventMachine>(
         &self,
         seed: u64,
-        make: impl Fn(Value, Rc<Cell<Option<u64>>>) -> Box<dyn AsyncProcess<Msg = M>>,
+        make: fn(Value, u64, u32) -> MachineProcess<S>,
     ) -> ConsensusStats {
         let inputs = self.inputs(seed);
         let probes: Vec<Rc<Cell<Option<u64>>>> =
@@ -966,7 +969,10 @@ impl QuorumConsensusCell {
         let procs = inputs
             .iter()
             .zip(&probes)
-            .map(|(&v, probe)| make(v, Rc::clone(probe)))
+            .map(|(&v, probe)| {
+                let process = make(v, self.timeout_ticks, self.max_timeouts);
+                Box::new(process.with_probe(Rc::clone(probe))) as _
+            })
             .collect();
         let hist = self.net.latency_hist.as_ref();
         let run = drive(procs, self.net_config(seed), hist, EVENT_BUDGET);
@@ -1000,12 +1006,7 @@ impl Scenario for PaxosScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> ConsensusStats {
-        cell.run_replica(seed, |input, probe| {
-            Box::new(
-                PaxosProcess::new(input, cell.timeout_ticks, cell.max_timeouts)
-                    .with_ballot_probe(probe),
-            )
-        })
+        cell.run_replica(seed, PaxosProcess::new)
     }
 }
 
@@ -1021,12 +1022,7 @@ impl Scenario for HsucScenario {
     type Outcome = ConsensusStats;
 
     fn run(&self, cell: &QuorumConsensusCell, seed: u64) -> ConsensusStats {
-        cell.run_replica(seed, |input, probe| {
-            Box::new(
-                HsucProcess::new(input, cell.timeout_ticks, cell.max_timeouts)
-                    .with_round_probe(probe),
-            )
-        })
+        cell.run_replica(seed, HsucProcess::new)
     }
 }
 

@@ -160,6 +160,58 @@ fn replay_rejects_a_process_count_outside_one_to_sixty_four() {
     }
 }
 
+#[test]
+fn replay_rejects_out_of_range_parameters_and_script_entries() {
+    let bracha =
+        |t: u64| format!(r#""n":4,"t":{t},"input":1,"liar":0,"amp_quorum":2,"deliver_quorum":3"#);
+    let ben_or =
+        |t: u64, max_rounds: u64| format!(r#""n":3,"t":{t},"prefs":0,"max_rounds":{max_rounds}"#);
+    let paxos = |ticks: u64, max_timeouts: u64| {
+        format!(
+            r#""n":3,"inputs":6,"timeout_ticks":{ticks},"max_timeouts":{max_timeouts},"crash_budget":0"#
+        )
+    };
+    // `as u32` truncated this to 1
+    let past_u32 = u64::from(u32::MAX) + 2;
+    let mut cases = vec![
+        // t > n tripped the Ben-Or constructor's assertion
+        (trace_json("ben_or", &ben_or(4, 1), ""), "\"t\""),
+        // `t + 1` overflowed building the Bracha quorums
+        (trace_json("bracha", &bracha(u64::MAX), ""), "\"t\""),
+        // `timeout_ticks + id` overflowed arming the first retry timer
+        (
+            trace_json("paxos", &paxos(u64::MAX, 1), ""),
+            "\"timeout_ticks\"",
+        ),
+        (
+            trace_json("ben_or", &ben_or(1, past_u32), ""),
+            "\"max_rounds\"",
+        ),
+        (
+            trace_json("paxos", &paxos(8, past_u32), ""),
+            "\"max_timeouts\"",
+        ),
+    ];
+    // the liar draws each lie from 0..5: an entry of 9 tripped a debug
+    // assertion, and a release build clamped it and replayed to no
+    // violation, as if the trace had stopped reproducing
+    let (_, mut trace) = corpus_traces()
+        .into_iter()
+        .find(|(name, _)| name == "bracha_amp_quorum.json")
+        .expect("the corpus holds the planted Bracha trace");
+    trace.script[2] = 9;
+    cases.push((trace, "domain"));
+    for (trace, key) in cases {
+        let err = replay_trace(&trace).expect_err("malformed trace");
+        assert!(
+            err.contains(key),
+            "{} {:?}: {err}",
+            trace.scenario,
+            trace.params
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Exact exploration counts
 // ---------------------------------------------------------------------

@@ -9,14 +9,16 @@
 //! level's dump to reappear, and each undone step, taken again, to
 //! reach its old dump. They cover both queue implementations, a
 //! retry timer beyond the timing wheel's 64-tick horizon (it waits in the
-//! overflow heap) and a planned crash with recovery.
+//! overflow heap) and a planned crash with recovery, on Paxos and on
+//! HSUC.
 
+use bne_core::byzantine::hsuc::HsucMsg;
 use bne_core::byzantine::paxos::PaxosMsg;
 use bne_core::mc::scenario::mc_config;
 use bne_core::mc::McWords;
 use bne_core::net::{
-    AsyncProcess, EnabledKind, EventNet, FaultPlan, NetConfig, NetStats, PaxosProcess, QueueImpl,
-    Undo,
+    AsyncProcess, EnabledKind, EventNet, FaultPlan, HsucProcess, NetConfig, NetStats, PaxosProcess,
+    QueueImpl, Undo,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,7 +36,7 @@ struct Dump {
     now: u64,
 }
 
-fn dump(net: &EventNet<PaxosMsg>) -> Dump {
+fn dump<M: Clone + McWords>(net: &EventNet<M>) -> Dump {
     Dump {
         events: net
             .enabled_events()
@@ -68,6 +70,15 @@ fn paxos(cfg: NetConfig) -> EventNet<PaxosMsg> {
     EventNet::new(procs, cfg)
 }
 
+/// HSUC n = 3 with the same far retry timers.
+fn hsuc(cfg: NetConfig) -> EventNet<HsucMsg> {
+    let procs: Vec<Box<dyn AsyncProcess<Msg = HsucMsg>>> = [0, 1, 1]
+        .into_iter()
+        .map(|input| Box::new(HsucProcess::new(input, 70, 2)) as _)
+        .collect();
+    EventNet::new(procs, cfg)
+}
+
 /// What the walks exercised, summed over all of them.
 #[derive(Default)]
 struct Coverage {
@@ -85,7 +96,7 @@ enum Action {
     Crash(usize),
 }
 
-fn take(net: &mut EventNet<PaxosMsg>, action: Action) -> Undo<PaxosMsg> {
+fn take<M: Clone>(net: &mut EventNet<M>, action: Action) -> Undo<M> {
     match action {
         Action::Crash(proc) => net.inject_crash_undoable(proc),
         Action::Dispatch(seq) => {
@@ -105,13 +116,18 @@ fn take(net: &mut EventNet<PaxosMsg>, action: Action) -> Undo<PaxosMsg> {
 /// on the way out, and re-taking the undone step must reach the same
 /// dump again (so state the dump does not show, such as a crashed
 /// process's durable copy, came back too).
-fn walk(mut net: EventNet<PaxosMsg>, seed: u64, steps: usize, coverage: &mut Coverage) {
+fn walk<M: Clone + McWords>(
+    mut net: EventNet<M>,
+    seed: u64,
+    steps: usize,
+    coverage: &mut Coverage,
+) {
     assert!(net.can_undo());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut crash_budget = 2;
     let mut dumps = vec![dump(&net)];
     let mut actions = Vec::new();
-    let mut undos: Vec<Undo<PaxosMsg>> = Vec::new();
+    let mut undos: Vec<Undo<M>> = Vec::new();
     for _ in 0..steps {
         let live: Vec<usize> = (0..net.num_processes())
             .filter(|&p| !net.is_crashed(p))
@@ -177,6 +193,7 @@ fn undo_restores_every_level_on_both_queues() {
 #[test]
 fn undo_restores_planned_crashes_and_recoveries() {
     let mut coverage = Coverage::default();
+    let mut hsuc_coverage = Coverage::default();
     for queue in [QueueImpl::Wheel, QueueImpl::Heap] {
         for seed in 0..24 {
             let cfg = NetConfig {
@@ -184,10 +201,16 @@ fn undo_restores_planned_crashes_and_recoveries() {
                 ..mc_config()
             }
             .with_queue(queue);
-            walk(paxos(cfg), seed, 60, &mut coverage);
+            walk(paxos(cfg.clone()), seed, 60, &mut coverage);
+            walk(hsuc(cfg), seed, 60, &mut hsuc_coverage);
         }
     }
     assert!(coverage.recoveries > 0, "no planned recovery fired");
+    assert!(hsuc_coverage.crashes > 0, "no crash was injected into HSUC");
+    assert!(
+        hsuc_coverage.recoveries > 0,
+        "no planned HSUC recovery fired"
+    );
 }
 
 #[test]
