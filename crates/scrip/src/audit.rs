@@ -29,7 +29,7 @@
 //! summarized. Engines are pooled: a query takes an idle engine
 //! (building one only when every engine is busy) and returns it, so the
 //! backend keeps one engine per query that ever ran concurrently — one
-//! per worker of the sampled oracle's fan-out, 2 × 25 MB at 10^6 agents
+//! per worker of the sampled oracle's fan-out, 2 × 24 MB at 10^6 agents
 //! on two workers — until it is dropped.
 
 use crate::economy::{Economy, EconomyConfig};
