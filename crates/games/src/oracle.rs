@@ -741,17 +741,20 @@ impl<'g> DeviationOracle<'g> {
         found
     }
 
-    /// Parallel collection sweep with chunk-order concatenation —
-    /// bit-identical to [`Self::collect`] for any worker count.
+    /// Parallel collection sweep with index-order concatenation —
+    /// bit-identical to [`Self::collect`] for any worker count. `workers`
+    /// as in [`crate::parallel::fan_out`]: `None` applies the fan-out
+    /// rule, a count forces exactly that many workers.
     #[cfg(feature = "parallel")]
     fn collect_with_workers<F: Fn(usize) -> bool + Sync>(
         &self,
         nash_implying: bool,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
         pred: F,
     ) -> Vec<ActionProfile> {
+        let workers = workers.into();
         if self.prunes(nash_implying) {
-            crate::parallel::collect_chunked_with(self.pruned_profile_count(), workers, |range| {
+            crate::parallel::collect_ranges(self.pruned_profile_count(), workers, |range| {
                 let mut hits = Vec::new();
                 self.visit_pruned_range(range, |flat| {
                     if pred(flat) {
@@ -772,13 +775,14 @@ impl<'g> DeviationOracle<'g> {
     fn first_with_workers<F: Fn(usize) -> bool + Sync>(
         &self,
         nash_implying: bool,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
         pred: F,
     ) -> Option<ActionProfile> {
+        let workers = workers.into();
         if self.prunes(nash_implying) {
             // lowest pruned index == lowest original flat index (the
             // pruned→flat map is strictly increasing)
-            crate::parallel::find_first_with(self.pruned_profile_count(), workers, |idx| {
+            crate::parallel::find_first(self.pruned_profile_count(), workers, |idx| {
                 pred(self.pruned_to_flat(idx))
             })
             .map(|idx| self.game.profile_at(self.pruned_to_flat(idx)))
@@ -798,14 +802,23 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::nash_profiles`]; bit-identical output.
+    /// `workers` is an exact worker count, or `None` for the fan-out
+    /// rule of [`crate::parallel`]; likewise for every `*_with_workers`
+    /// sweep below.
     #[cfg(feature = "parallel")]
-    pub fn nash_profiles_with_workers(&self, workers: usize) -> Vec<ActionProfile> {
+    pub fn nash_profiles_with_workers(
+        &self,
+        workers: impl Into<Option<usize>>,
+    ) -> Vec<ActionProfile> {
         self.collect_with_workers(true, workers, |flat| self.is_nash(flat))
     }
 
     /// Parallel form of [`Self::first_nash`].
     #[cfg(feature = "parallel")]
-    pub fn first_nash_with_workers(&self, workers: usize) -> Option<ActionProfile> {
+    pub fn first_nash_with_workers(
+        &self,
+        workers: impl Into<Option<usize>>,
+    ) -> Option<ActionProfile> {
         self.first_with_workers(true, workers, |flat| self.is_nash(flat))
     }
 
@@ -831,7 +844,7 @@ impl<'g> DeviationOracle<'g> {
         &self,
         k: usize,
         variant: ResilienceVariant,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> Vec<ActionProfile> {
         self.collect_with_workers(k >= 1, workers, |flat| {
             self.is_k_resilient(flat, k, variant)
@@ -844,7 +857,7 @@ impl<'g> DeviationOracle<'g> {
         &self,
         k: usize,
         variant: ResilienceVariant,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> Option<ActionProfile> {
         self.first_with_workers(k >= 1, workers, |flat| {
             self.is_k_resilient(flat, k, variant)
@@ -864,7 +877,11 @@ impl<'g> DeviationOracle<'g> {
 
     /// Parallel form of [`Self::t_immune_profiles`].
     #[cfg(feature = "parallel")]
-    pub fn t_immune_profiles_with_workers(&self, t: usize, workers: usize) -> Vec<ActionProfile> {
+    pub fn t_immune_profiles_with_workers(
+        &self,
+        t: usize,
+        workers: impl Into<Option<usize>>,
+    ) -> Vec<ActionProfile> {
         self.collect_with_workers(false, workers, |flat| self.is_t_immune(flat, t))
     }
 
@@ -873,7 +890,7 @@ impl<'g> DeviationOracle<'g> {
     pub fn first_t_immune_profile_with_workers(
         &self,
         t: usize,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> Option<ActionProfile> {
         self.first_with_workers(false, workers, |flat| self.is_t_immune(flat, t))
     }
@@ -895,7 +912,7 @@ impl<'g> DeviationOracle<'g> {
         &self,
         k: usize,
         t: usize,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> Vec<ActionProfile> {
         self.collect_with_workers(k >= 1, workers, |flat| self.is_robust(flat, k, t))
     }
@@ -906,7 +923,7 @@ impl<'g> DeviationOracle<'g> {
         &self,
         k: usize,
         t: usize,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> Option<ActionProfile> {
         self.first_with_workers(k >= 1, workers, |flat| self.is_robust(flat, k, t))
     }
@@ -929,7 +946,7 @@ impl<'g> DeviationOracle<'g> {
         &self,
         base: &[Utility],
         p: usize,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> Vec<ActionProfile> {
         self.collect_with_workers(false, workers, |flat| self.is_punishment(flat, base, p))
     }

@@ -44,40 +44,26 @@
 //!    samples that move at least one player (the others gain exactly 0
 //!    and cost no query);
 //! 2. **evaluate** — the moved samples' gains: every payoff query of the
-//!    audit but the one batched base-profile read. A moved sample is the
-//!    unit of parallel work: with the `parallel` feature the moved list
-//!    is chunked across workers and the gains come back in sample order;
+//!    audit but the one batched base-profile read. With the `parallel`
+//!    feature each moved sample is a unit of `crate::parallel::fan_out`,
+//!    so an economy audit, whose queries take milliseconds, recruits
+//!    every core and a small dense game's stays inline;
 //! 3. **fold** — the gains in sample order, block by block, into the
 //!    certificate; the witness is the lowest-index sample over ε.
 //!
 //! Neither the draws nor the fold depend on the worker count, so the
 //! certificates are **bit-identical** — same gains, same counterexample,
 //! same confidence numbers — for any worker count.
-//! [`SampledOracle::audit`] spreads its queries across threads only when
-//! the base-profile query it issues first took at least
-//! [`FAN_OUT_MIN_QUERY`]; cheaper audits run inline.
 
 use crate::backend::{PayoffBackend, ProfileView};
 use crate::{ActionId, PlayerId, Utility, EPSILON};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// Number of samples drawn per seeded block — the unit of seeding and of
 /// the fold. Fixed so the block structure (and therefore every merge)
 /// depends only on the sample count, never the worker count; the unit of
 /// parallel work is the moved sample.
 pub const SAMPLE_BLOCK: usize = 64;
-
-/// Base-profile query time from which [`SampledOracle::audit`] spreads
-/// its payoff queries across threads (with the `parallel` feature;
-/// without it every audit runs inline). A scoped thread spawn and join
-/// costs about 53 µs on a 2-vCPU x86-64 host, so past this mark the
-/// spawn costs at most about half what the audit already paid for its
-/// base query. A small dense or local game answers in well under a
-/// microsecond and stays inline; one run of a simulated economy takes
-/// milliseconds and fans out.
-pub const FAN_OUT_MIN_QUERY: Duration = Duration::from_micros(100);
 
 /// Derives the RNG seed of sample block `block` at coalition size `size`.
 /// Same bijective SplitMix64-style mix as `bne_sim::derive_seed`, so audit
@@ -353,26 +339,6 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
         }
     }
 
-    /// The gains of the moved samples `draws.moved[range]`, in order.
-    fn gains(&self, draws: &Draws<'_>, range: Range<usize>) -> Vec<f64> {
-        draws.moved[range]
-            .iter()
-            .map(|&s| draws.gain(self.backend, s))
-            .collect()
-    }
-
-    /// [`SampledOracle::gains`] of every moved sample on `workers`
-    /// threads, the calling thread among them.
-    #[cfg(feature = "parallel")]
-    fn evaluate(&self, draws: &Draws<'_>, workers: usize) -> Vec<f64>
-    where
-        B: Sync,
-    {
-        crate::parallel::collect_chunked_with(draws.moved.len(), workers, |range| {
-            self.gains(draws, range)
-        })
-    }
-
     /// Folds the moved samples' gains (`moved_gains`, in sample order;
     /// every other sample gains 0) block by block into the certificate
     /// for `draws`' coalition size.
@@ -428,19 +394,17 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
     /// The audit shared by [`SampledOracle::audit`] and
     /// [`SampledOracle::audit_with_workers`]: for each coalition size,
     /// draw the samples, let `evaluate` compute the moved samples' gains
-    /// in sample order (it also gets the base-profile query's wall time),
-    /// and fold them into the certificate.
+    /// in sample order, and fold them into the certificate.
     fn audit_by<E>(&self, base: &[ActionId], spec: &AuditSpec, evaluate: E) -> SampledAudit
     where
-        E: Fn(&Draws<'_>, Duration) -> Vec<f64>,
+        E: Fn(&Draws<'_>) -> Vec<f64>,
     {
-        let (base_payoffs, base_query) = self.validate(base, spec);
+        let base_payoffs = self.validate(base, spec);
         let max_size = spec.max_coalition.min(self.backend.num_players());
         let certificates = (1..=max_size)
             .map(|size| {
                 let draws = self.draw(base, &base_payoffs, size, spec);
-                let gains = evaluate(&draws, base_query);
-                self.certify(spec, &draws, &gains)
+                self.certify(spec, &draws, &evaluate(&draws))
             })
             .collect();
         Self::seal(certificates)
@@ -451,10 +415,11 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
     /// `spec.samples` joint deviations and certifies "no sampled
     /// deviation gains more than ε" with the spec's confidence bounds.
     ///
-    /// With the `parallel` feature the moved samples' payoff queries run
-    /// on [`costly_workers`](crate::parallel::costly_workers) threads
-    /// when the base-profile query took at least [`FAN_OUT_MIN_QUERY`],
-    /// and inline otherwise; the result is the same either way.
+    /// With the `parallel` feature the moved samples' payoff queries fan
+    /// out under the workspace's rule: the first moved sample runs
+    /// inline and is timed, and helpers join only when the remaining
+    /// samples are estimated to outweigh their spawn. The result is the
+    /// same either way.
     ///
     /// # Panics
     ///
@@ -466,14 +431,7 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
     where
         B: Sync,
     {
-        self.audit_by(base, spec, |draws, base_query| {
-            let workers = if base_query >= FAN_OUT_MIN_QUERY {
-                crate::parallel::costly_workers(draws.moved.len())
-            } else {
-                1
-            };
-            self.evaluate(draws, workers)
-        })
+        self.audit_with_workers(base, spec, None)
     }
 
     /// Audits the profile `base`: for each coalition size
@@ -490,15 +448,17 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
     /// NaN, or `spec.delta` lies outside `(0, 1]`.
     #[cfg(not(feature = "parallel"))]
     pub fn audit(&self, base: &[ActionId], spec: &AuditSpec) -> SampledAudit {
-        self.audit_by(base, spec, |draws, _| {
-            self.gains(draws, 0..draws.moved.len())
+        self.audit_by(base, spec, |draws| {
+            let gain = |&s: &usize| draws.gain(self.backend, s);
+            draws.moved.iter().map(gain).collect()
         })
     }
 
     /// [`SampledOracle::audit`] on exactly `workers` threads, the calling
-    /// thread among them, whatever the queries cost: the moved samples
-    /// are chunked across the workers and their gains folded in sample
-    /// order, so the result is bit-identical to the sequential audit.
+    /// thread among them, whatever the queries cost (`None`: the fan-out
+    /// rule decides). The moved samples are claimed one at a time and
+    /// their gains folded in sample order, so the result is bit-identical
+    /// to the sequential audit.
     ///
     /// # Panics
     ///
@@ -508,18 +468,28 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
         &self,
         base: &[ActionId],
         spec: &AuditSpec,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
     ) -> SampledAudit
     where
         B: Sync,
     {
-        self.audit_by(base, spec, |draws, _| self.evaluate(draws, workers))
+        let workers = workers.into();
+        self.audit_by(base, spec, |draws| {
+            let mut gains = Vec::with_capacity(draws.moved.len());
+            let run = |samples: std::ops::Range<usize>, emit: &mut dyn FnMut(f64)| {
+                let gain = |&s: &usize| emit(draws.gain(self.backend, s));
+                draws.moved[samples].iter().for_each(gain);
+                true
+            };
+            crate::parallel::fan_out(draws.moved.len(), workers, run, |gain| gains.push(gain));
+            gains
+        })
     }
 
     /// Validates the audit inputs and returns the cached base payoffs —
     /// one batched read shared by every size and sample (for simulation
-    /// backends this is a single run) — with the wall time of that read.
-    fn validate(&self, base: &[ActionId], spec: &AuditSpec) -> (Vec<Utility>, Duration) {
+    /// backends this is a single run).
+    fn validate(&self, base: &[ActionId], spec: &AuditSpec) -> Vec<Utility> {
         let n = self.backend.num_players();
         assert_eq!(base.len(), n, "base profile must assign every player");
         assert!(spec.samples > 0, "audits need at least one sample");
@@ -540,10 +510,9 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
             );
         }
         let mut base_payoffs = vec![0.0; n];
-        let t0 = Instant::now();
         self.backend
             .payoffs_into(&ProfileView::of_base(base), &mut base_payoffs);
-        (base_payoffs, t0.elapsed())
+        base_payoffs
     }
 
     fn seal(certificates: Vec<SampledCertificate>) -> SampledAudit {

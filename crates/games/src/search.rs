@@ -4,8 +4,9 @@
 //! satisfying X" search in the workspace (pure Nash, k-resilience,
 //! t-immunity, (k,t)-robustness, punishment strategies) is the same shape:
 //! a predicate on the flat profile index, swept sequentially with the
-//! zero-allocation cursor or in parallel over contiguous chunks. These four
-//! functions are that shape, written once.
+//! zero-allocation cursor or in parallel over contiguous index ranges
+//! (`crate::parallel`). These four functions are that shape, written
+//! once.
 //!
 //! Results are deterministic: collection sweeps return profiles in flat
 //! (odometer) order regardless of worker count, and first-witness sweeps
@@ -41,16 +42,17 @@ pub fn first_profile<F: Fn(usize) -> bool>(
     found
 }
 
-/// Parallel form of [`find_profiles`]: chunks the space across `workers`
-/// threads and concatenates per-chunk hits in chunk order, so the output
-/// is bit-identical to the sequential sweep.
+/// Parallel form of [`find_profiles`]: index ranges fan out across
+/// threads (`workers` as in [`crate::parallel::fan_out`]) and their hits
+/// concatenate in index order, so the output is bit-identical to the
+/// sequential sweep.
 #[cfg(feature = "parallel")]
 pub fn find_profiles_parallel<F: Fn(usize) -> bool + Sync>(
     game: &NormalFormGame,
-    workers: usize,
+    workers: Option<usize>,
     pred: F,
 ) -> Vec<ActionProfile> {
-    crate::parallel::collect_chunked_with(game.num_profiles(), workers, |range| {
+    crate::parallel::collect_ranges(game.num_profiles(), workers, |range| {
         let mut hits = Vec::new();
         game.visit_profiles_in(range, |profile, flat| {
             if pred(flat) {
@@ -67,10 +69,10 @@ pub fn find_profiles_parallel<F: Fn(usize) -> bool + Sync>(
 #[cfg(feature = "parallel")]
 pub fn first_profile_parallel<F: Fn(usize) -> bool + Sync>(
     game: &NormalFormGame,
-    workers: usize,
+    workers: Option<usize>,
     pred: F,
 ) -> Option<ActionProfile> {
-    crate::parallel::find_first_with(game.num_profiles(), workers, pred)
+    crate::parallel::find_first(game.num_profiles(), workers, pred)
         .map(|flat| game.profile_at(flat))
 }
 
@@ -98,7 +100,7 @@ mod tests {
     #[test]
     fn parallel_helpers_are_bit_identical_for_any_worker_count() {
         let g = random_game(78, &[2, 3, 2, 2]);
-        for workers in [1, 2, 3, 8] {
+        for workers in [None, Some(1), Some(2), Some(3), Some(8)] {
             assert_eq!(
                 find_profiles(&g, |flat| flat % 3 == 1),
                 find_profiles_parallel(&g, workers, |flat| flat % 3 == 1)

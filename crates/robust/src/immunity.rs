@@ -160,15 +160,12 @@ pub fn first_t_immune_profile(game: &NormalFormGame, t: usize) -> Option<ActionP
     DeviationOracle::new(game).first_t_immune_profile(t)
 }
 
-/// Parallel form of [`find_t_immune_profiles`]; output is bit-identical to
-/// the sequential sweep (chunk-order concatenation).
+/// Parallel form of [`find_t_immune_profiles`] under the fan-out rule of
+/// `bne_games::parallel`; output is bit-identical to the sequential sweep
+/// (index-order concatenation).
 #[cfg(feature = "parallel")]
 pub fn find_t_immune_profiles_parallel(game: &NormalFormGame, t: usize) -> Vec<ActionProfile> {
-    find_t_immune_profiles_with_workers(
-        game,
-        t,
-        bne_games::parallel::costly_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).t_immune_profiles_with_workers(t, None)
 }
 
 /// [`find_t_immune_profiles_parallel`] with an explicit worker count.
@@ -185,11 +182,7 @@ pub fn find_t_immune_profiles_with_workers(
 /// lowest-flat-index-wins semantics.
 #[cfg(feature = "parallel")]
 pub fn first_t_immune_profile_parallel(game: &NormalFormGame, t: usize) -> Option<ActionProfile> {
-    first_t_immune_profile_with_workers(
-        game,
-        t,
-        bne_games::parallel::costly_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).first_t_immune_profile_with_workers(t, None)
 }
 
 /// [`first_t_immune_profile_parallel`] with an explicit worker count.

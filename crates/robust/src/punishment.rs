@@ -85,8 +85,9 @@ pub fn find_punishment_strategies(
     DeviationOracle::new(game).punishment_profiles(&base, p)
 }
 
-/// Parallel form of [`find_punishment_strategies`]; the output is
-/// bit-identical to the sequential sweep (chunk-order concatenation).
+/// Parallel form of [`find_punishment_strategies`] under the fan-out rule
+/// of `bne_games::parallel`; the output is bit-identical to the
+/// sequential sweep (index-order concatenation).
 #[cfg(feature = "parallel")]
 pub fn find_punishment_strategies_parallel(
     game: &NormalFormGame,
@@ -98,8 +99,7 @@ pub fn find_punishment_strategies_parallel(
     let base: Vec<f64> = (0..game.num_players())
         .map(|i| game.payoff(i, equilibrium))
         .collect();
-    let workers = bne_games::parallel::costly_workers(game.num_profiles());
-    DeviationOracle::new(game).punishment_profiles_with_workers(&base, p, workers)
+    DeviationOracle::new(game).punishment_profiles_with_workers(&base, p, None)
 }
 
 #[cfg(test)]

@@ -210,23 +210,17 @@ pub fn first_k_resilient_profile(
     DeviationOracle::new(game).first_k_resilient_profile(k, variant)
 }
 
-/// Parallel form of [`find_k_resilient_profiles`]: the flat profile space
-/// is chunked across threads and results are concatenated in chunk order,
-/// so the output is bit-identical to the sequential sweep.
+/// Parallel form of [`find_k_resilient_profiles`]: ranges of the flat
+/// profile space fan out under the rule of `bne_games::parallel` and
+/// their results concatenate in index order, so the output is
+/// bit-identical to the sequential sweep.
 #[cfg(feature = "parallel")]
 pub fn find_k_resilient_profiles_parallel(
     game: &NormalFormGame,
     k: usize,
     variant: ResilienceVariant,
 ) -> Vec<ActionProfile> {
-    // Per-profile cost is an exponential coalition sweep, so skip the
-    // cheap-work heuristic and use every available thread.
-    find_k_resilient_profiles_with_workers(
-        game,
-        k,
-        variant,
-        bne_games::parallel::costly_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).k_resilient_profiles_with_workers(k, variant, None)
 }
 
 /// [`find_k_resilient_profiles_parallel`] with an explicit worker count
@@ -250,12 +244,7 @@ pub fn first_k_resilient_profile_parallel(
     k: usize,
     variant: ResilienceVariant,
 ) -> Option<ActionProfile> {
-    first_k_resilient_profile_with_workers(
-        game,
-        k,
-        variant,
-        bne_games::parallel::costly_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).first_k_resilient_profile_with_workers(k, variant, None)
 }
 
 /// [`first_k_resilient_profile_parallel`] with an explicit worker count.

@@ -157,20 +157,16 @@ pub fn find_robust_frontier(
     DeviationOracle::new(game).robust_frontier(cells)
 }
 
-/// Parallel form of [`find_robust_profiles`]; the output is bit-identical
-/// to the sequential sweep (chunk-order concatenation).
+/// Parallel form of [`find_robust_profiles`] under the fan-out rule of
+/// `bne_games::parallel`; the output is bit-identical to the sequential
+/// sweep (index-order concatenation).
 #[cfg(feature = "parallel")]
 pub fn find_robust_profiles_parallel(
     game: &NormalFormGame,
     k: usize,
     t: usize,
 ) -> Vec<ActionProfile> {
-    find_robust_profiles_with_workers(
-        game,
-        k,
-        t,
-        bne_games::parallel::costly_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).robust_profiles_with_workers(k, t, None)
 }
 
 /// [`find_robust_profiles_parallel`] with an explicit worker count.
@@ -192,12 +188,7 @@ pub fn first_robust_profile_parallel(
     k: usize,
     t: usize,
 ) -> Option<ActionProfile> {
-    first_robust_profile_with_workers(
-        game,
-        k,
-        t,
-        bne_games::parallel::costly_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).first_robust_profile_with_workers(k, t, None)
 }
 
 /// [`first_robust_profile_parallel`] with an explicit worker count.

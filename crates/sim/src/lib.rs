@@ -7,13 +7,14 @@
 //! adversarial schedules, machine-game tournaments. Their interesting
 //! properties only emerge from large ensembles of seeded runs, and before
 //! this crate each workload had its own bespoke sequential loop. `bne-sim`
-//! generalizes the flat-index profile engine's chunked parallelism from
+//! carries the profile engine's fan-out rule (`bne_games::parallel`) from
 //! *profile sweeps* to *replica sweeps*:
 //!
 //! * a [`Scenario`] trait — `(config, seed) → outcome`, with outcomes that
 //!   [`Merge`] into streaming aggregates instead of being stored;
-//! * a [`SimRunner`] — fans a parameter grid × replica count across
-//!   `std::thread::scope` workers (`parallel` feature), with per-replica
+//! * a [`SimRunner`] — fans a parameter grid × replica count, one replica
+//!   per unit of work, across `std::thread::scope` workers (`parallel`
+//!   feature), with per-replica
 //!   seeds from the bijective [`derive_seed`] mix and a **fixed merge
 //!   structure** ([`REPLICA_BLOCK`]) that makes sequential and parallel
 //!   aggregation bit-identical;

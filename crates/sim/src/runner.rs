@@ -16,6 +16,8 @@
 //!   though floating-point merging is not associative.
 
 use crate::stats::Merge;
+#[cfg(feature = "parallel")]
+use std::ops::Range;
 
 /// A simulation workload: one seeded run of one configuration.
 ///
@@ -34,10 +36,10 @@ pub trait Scenario {
 }
 
 /// Number of replicas folded into one intermediate accumulator before
-/// accumulators are folded into the cell aggregate. This is the unit of
-/// parallel work; it is a fixed constant precisely so the merge tree —
-/// and therefore every floating-point rounding — is identical no matter
-/// how many workers run the sweep.
+/// accumulators are folded into the cell aggregate. It is a fixed
+/// constant precisely so the merge tree — and therefore every
+/// floating-point rounding — is identical no matter how many workers run
+/// the sweep; the unit of parallel work is the single replica.
 pub const REPLICA_BLOCK: usize = 16;
 
 fn splitmix_finalize(mut z: u64) -> u64 {
@@ -75,24 +77,37 @@ pub struct CellResult<O> {
 /// bit-identical to this fold — benches use it as the legacy-vs-engine
 /// equality gate. Returns `None` for an empty iterator.
 pub fn canonical_fold<O: Merge>(outcomes: impl IntoIterator<Item = O>) -> Option<O> {
-    let mut cell_acc: Option<O> = None;
-    let mut block_acc: Option<O> = None;
-    let mut in_block = 0usize;
-    for outcome in outcomes {
-        match block_acc.as_mut() {
-            None => block_acc = Some(outcome),
-            Some(acc) => acc.merge(&outcome),
+    let outcomes: Vec<O> = outcomes.into_iter().collect();
+    let (replicas, mut cells) = (outcomes.len(), Vec::new());
+    outcomes
+        .into_iter()
+        .for_each(cell_fold(replicas, &mut cells));
+    cells.pop().map(|cell| cell.outcome)
+}
+
+/// The fold every execution path pushes outcomes through, in flat
+/// (cell-major, replica-minor) order: each cell's `replicas` outcomes
+/// left-fold within blocks of [`REPLICA_BLOCK`], the block accumulators
+/// left-fold into the cell, and the cell joins `cells`. The merge
+/// sequence is therefore identical by construction.
+fn cell_fold<O: Merge>(replicas: usize, cells: &mut Vec<CellResult<O>>) -> impl FnMut(O) + '_ {
+    let (mut pushed, mut block, mut cell) = (0, None, None);
+    move |outcome| {
+        merge_into(&mut block, outcome);
+        pushed += 1;
+        if pushed % REPLICA_BLOCK == 0 || pushed == replicas {
+            merge_into(&mut cell, block.take().expect("an open block"));
         }
-        in_block += 1;
-        if in_block == REPLICA_BLOCK {
-            merge_into(&mut cell_acc, block_acc.take().expect("non-empty block"));
-            in_block = 0;
+        if pushed == replicas {
+            let outcome = cell.take().expect("a cell has at least one replica");
+            cells.push(CellResult {
+                cell: cells.len(),
+                replicas,
+                outcome,
+            });
+            pushed = 0;
         }
     }
-    if let Some(last) = block_acc {
-        merge_into(&mut cell_acc, last);
-    }
-    cell_acc
 }
 
 fn merge_into<O: Merge>(acc: &mut Option<O>, value: O) {
@@ -138,54 +153,18 @@ impl SimRunner {
         self.base_seed
     }
 
-    fn blocks_per_cell(&self) -> usize {
-        self.replicas.div_ceil(REPLICA_BLOCK)
-    }
-
-    /// Runs one block of replicas of one cell (the parallel work unit).
-    fn run_block<S: Scenario>(
+    /// Runs replica `flat % replicas` of cell `flat / replicas`.
+    fn run_replica<S: Scenario>(
         &self,
         scenario: &S,
-        config: &S::Config,
-        cell: usize,
-        block: usize,
+        grid: &[S::Config],
+        flat: usize,
     ) -> S::Outcome {
-        let start = block * REPLICA_BLOCK;
-        let end = (start + REPLICA_BLOCK).min(self.replicas);
-        let mut acc = scenario.run(
-            config,
-            derive_seed(self.base_seed, cell as u64, start as u64),
-        );
-        for replica in start + 1..end {
-            let outcome = scenario.run(
-                config,
-                derive_seed(self.base_seed, cell as u64, replica as u64),
-            );
-            acc.merge(&outcome);
-        }
-        acc
-    }
-
-    /// Folds a flat (cell-major, block-minor) list of block accumulators
-    /// into per-cell results. Both execution paths funnel through this, so
-    /// the merge order is identical by construction.
-    fn fold_blocks<O: Merge>(&self, cells: usize, block_accs: Vec<O>) -> Vec<CellResult<O>> {
-        let bpc = self.blocks_per_cell();
-        debug_assert_eq!(block_accs.len(), cells * bpc);
-        let mut results = Vec::with_capacity(cells);
-        let mut iter = block_accs.into_iter();
-        for cell in 0..cells {
-            let mut acc = iter.next().expect("at least one block per cell");
-            for _ in 1..bpc {
-                acc.merge(&iter.next().expect("block count is exact"));
-            }
-            results.push(CellResult {
-                cell,
-                replicas: self.replicas,
-                outcome: acc,
-            });
-        }
-        results
+        let (cell, replica) = (flat / self.replicas, flat % self.replicas);
+        scenario.run(
+            &grid[cell],
+            derive_seed(self.base_seed, cell as u64, replica as u64),
+        )
     }
 
     /// Runs the whole grid on the calling thread.
@@ -194,18 +173,20 @@ impl SimRunner {
         scenario: &S,
         grid: &[S::Config],
     ) -> Vec<CellResult<S::Outcome>> {
-        let bpc = self.blocks_per_cell();
-        let mut block_accs = Vec::with_capacity(grid.len() * bpc);
-        for (cell, config) in grid.iter().enumerate() {
-            for block in 0..bpc {
-                block_accs.push(self.run_block(scenario, config, cell, block));
-            }
-        }
-        self.fold_blocks(grid.len(), block_accs)
+        let mut cells = Vec::with_capacity(grid.len());
+        (0..grid.len() * self.replicas)
+            .map(|flat| self.run_replica(scenario, grid, flat))
+            .for_each(cell_fold(self.replicas, &mut cells));
+        cells
     }
 
-    /// Runs the grid across `std::thread::scope` workers (chunked over the
-    /// flat cell × block space), with results bit-identical to
+    /// Runs the grid under the workspace's fan-out rule
+    /// ([`bne_games::parallel::fan_out`]): the calling thread times the
+    /// first replica and recruits helpers only when the rest of the grid
+    /// is worth their spawn; every worker then claims single replicas in
+    /// flat (cell-major) order, so uneven replicas and small grids
+    /// balance. Outcomes fold in replica order through the fixed
+    /// [`REPLICA_BLOCK`] structure, so the result is bit-identical to
     /// [`SimRunner::run_sequential`].
     #[cfg(feature = "parallel")]
     pub fn run_parallel<S>(&self, scenario: &S, grid: &[S::Config]) -> Vec<CellResult<S::Outcome>>
@@ -214,16 +195,17 @@ impl SimRunner {
         S::Config: Sync,
         S::Outcome: Send,
     {
-        let total = grid.len() * self.blocks_per_cell();
-        self.run_parallel_with(bne_games::parallel::costly_workers(total), scenario, grid)
+        self.run_parallel_with(None, scenario, grid)
     }
 
-    /// [`SimRunner::run_parallel`] with an explicit worker count (the
-    /// equality property tests force several counts on any machine).
+    /// [`SimRunner::run_parallel`] on exactly `workers` threads, the
+    /// calling thread among them, with no timing rule (the equality
+    /// property tests force several counts on any machine); `None`
+    /// applies the rule.
     #[cfg(feature = "parallel")]
     pub fn run_parallel_with<S>(
         &self,
-        workers: usize,
+        workers: impl Into<Option<usize>>,
         scenario: &S,
         grid: &[S::Config],
     ) -> Vec<CellResult<S::Outcome>>
@@ -232,14 +214,15 @@ impl SimRunner {
         S::Config: Sync,
         S::Outcome: Send,
     {
-        let bpc = self.blocks_per_cell();
-        let total = grid.len() * bpc;
-        let block_accs = bne_games::parallel::collect_chunked_with(total, workers, |range| {
-            range
-                .map(|flat| self.run_block(scenario, &grid[flat / bpc], flat / bpc, flat % bpc))
-                .collect()
-        });
-        self.fold_blocks(grid.len(), block_accs)
+        let mut cells = Vec::with_capacity(grid.len());
+        let run = |replicas: Range<usize>, emit: &mut dyn FnMut(S::Outcome)| {
+            replicas.for_each(|flat| emit(self.run_replica(scenario, grid, flat)));
+            true
+        };
+        let units = grid.len() * self.replicas;
+        let fold = cell_fold(self.replicas, &mut cells);
+        bne_games::parallel::fan_out(units, workers.into(), run, fold);
+        cells
     }
 
     /// Runs the grid with the best available strategy: parallel when the
@@ -350,6 +333,79 @@ mod tests {
     fn derived_seeds_differ_across_base_seeds() {
         assert_ne!(derive_seed(1, 0, 0), derive_seed(2, 0, 0));
         assert_ne!(derive_seed(1, 0, 1), derive_seed(1, 1, 0));
+    }
+
+    /// [`TraceScenario`] whose replicas take 0–600 µs, by seed, and note
+    /// the threads that ran them; config 3 is invalid.
+    #[cfg(feature = "parallel")]
+    #[derive(Default)]
+    struct SleepyScenario {
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    #[cfg(feature = "parallel")]
+    impl Scenario for SleepyScenario {
+        type Config = u64;
+        type Outcome = Trace;
+        fn run(&self, config: &u64, seed: u64) -> Trace {
+            assert!(*config != 3, "cell 3 has an invalid config");
+            std::thread::sleep(std::time::Duration::from_micros(seed % 4 * 200));
+            self.threads
+                .lock()
+                .unwrap()
+                .insert(std::thread::current().id());
+            TraceScenario.run(config, seed)
+        }
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn uneven_replicas_fold_like_the_sequential_run_at_any_worker_count() {
+        // no replica, one, fewer than the workers, and an uneven grid
+        for (replicas, grid) in [(1, vec![]), (1, vec![7]), (2, vec![5]), (37, vec![0, 1, 2])] {
+            let runner = SimRunner::new(replicas, 5);
+            let sequential = runner.run_sequential(&TraceScenario, &grid);
+            for workers in [1, 2, 3, 8] {
+                let parallel = runner.run_parallel_with(workers, &SleepyScenario::default(), &grid);
+                assert_eq!(
+                    sequential, parallel,
+                    "{replicas} x {grid:?}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    #[should_panic(expected = "cell 3 has an invalid config")]
+    fn a_panicking_replica_surfaces_its_own_message() {
+        let runner = SimRunner::new(4, 1);
+        runner.run_parallel_with(2, &SleepyScenario::default(), &[0, 1, 2, 3]);
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn a_few_cells_of_slow_replicas_spread_over_every_thread() {
+        // the e15 shape: 5 cells of 8 replicas, each about 1 ms
+        struct Slow(SleepyScenario);
+        impl Scenario for Slow {
+            type Config = u64;
+            type Outcome = Trace;
+            fn run(&self, config: &u64, seed: u64) -> Trace {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                self.0.run(config, seed)
+            }
+        }
+        let slow = Slow(SleepyScenario::default());
+        let runner = SimRunner::new(8, 15);
+        let grid = [10, 11, 12, 14, 15];
+        let results = runner.run_parallel(&slow, &grid);
+        assert_eq!(results, runner.run_sequential(&TraceScenario, &grid));
+        let threads = slow.0.threads.into_inner().unwrap().len();
+        assert!(
+            threads >= 2.min(bne_games::parallel::num_threads()),
+            "{threads} thread(s)"
+        );
     }
 
     #[cfg(feature = "parallel")]

@@ -37,16 +37,13 @@ pub fn pure_nash_equilibria_with_strategy(
     DeviationOracle::with_strategy(game, strategy).nash_profiles()
 }
 
-/// Parallel form of [`pure_nash_equilibria`]: the flat profile space is
-/// chunked across threads; results are concatenated in chunk order, so the
-/// output is bit-identical to the sequential sweep.
+/// Parallel form of [`pure_nash_equilibria`]: ranges of the flat profile
+/// space fan out under the rule of `bne_games::parallel`; results are
+/// concatenated in index order, so the output is bit-identical to the
+/// sequential sweep.
 #[cfg(feature = "parallel")]
 pub fn pure_nash_equilibria_parallel(game: &NormalFormGame) -> Vec<ActionProfile> {
-    // The per-profile Nash check is cheap, so apply the spawn heuristic.
-    pure_nash_equilibria_with_workers(
-        game,
-        bne_games::parallel::cheap_workers(game.num_profiles()),
-    )
+    DeviationOracle::new(game).nash_profiles_with_workers(None)
 }
 
 /// [`pure_nash_equilibria_parallel`] with an explicit worker count (lets
@@ -69,8 +66,7 @@ pub fn first_pure_nash(game: &NormalFormGame) -> Option<ActionProfile> {
 /// lowest-flat-index-wins semantics.
 #[cfg(feature = "parallel")]
 pub fn first_pure_nash_parallel(game: &NormalFormGame) -> Option<ActionProfile> {
-    DeviationOracle::new(game)
-        .first_nash_with_workers(bne_games::parallel::cheap_workers(game.num_profiles()))
+    DeviationOracle::new(game).first_nash_with_workers(None)
 }
 
 /// The best-response table of one player: entry `flat` is the
@@ -87,7 +83,7 @@ pub fn best_response_table(game: &NormalFormGame, player: PlayerId) -> Vec<Actio
 /// Parallel form of [`best_response_table`]; bit-identical output.
 #[cfg(feature = "parallel")]
 pub fn best_response_table_parallel(game: &NormalFormGame, player: PlayerId) -> Vec<ActionId> {
-    bne_games::parallel::collect_chunked(game.num_profiles(), |range| {
+    bne_games::parallel::collect_ranges(game.num_profiles(), None, |range| {
         range
             .map(|flat| game.best_unilateral_deviation_by_index(player, flat).0)
             .collect()

@@ -237,19 +237,19 @@ mod parallel_properties {
             }
         }
 
-        /// The chunked primitives themselves are order-preserving and
+        /// The range primitives themselves are order-preserving and
         /// deterministic for any worker count, including worker counts that
         /// force real threads on this machine.
         #[test]
         fn chunked_primitives_are_deterministic(total in 1usize..4_000, workers in 1usize..9) {
-            use bne_core::games::parallel::{collect_chunked_with, find_first_with};
-            let hits = collect_chunked_with(total, workers, |range| {
+            use bne_core::games::parallel::{collect_ranges, find_first};
+            let hits = collect_ranges(total, Some(workers), |range| {
                 range.filter(|i| i % 13 == 5).collect::<Vec<_>>()
             });
             let expected: Vec<usize> = (0..total).filter(|i| i % 13 == 5).collect();
             prop_assert_eq!(hits, expected);
             prop_assert_eq!(
-                find_first_with(total, workers, |i| i % 17 == 11),
+                find_first(total, Some(workers), |i| i % 17 == 11),
                 (0..total).find(|i| i % 17 == 11)
             );
         }
