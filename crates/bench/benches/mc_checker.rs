@@ -20,8 +20,7 @@
 //! Run and record to `BENCH_10.json` in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
-//!     --bench mc_checker
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --bench mc_checker
 //! ```
 //!
 //! The report's headline adds explored-state counts and one-shot proof

@@ -1,13 +1,12 @@
 //! Flat-index profile engine benches: the allocating baseline (the old
 //! clone-profile-and-re-encode pattern) vs. the stride-arithmetic engine,
-//! sequentially and (with the `parallel` feature) across threads.
+//! sequentially and across threads.
 //!
 //! Run and record to `BENCH_1.json` (all legs) and `BENCH_4.json` (the
 //! pruned vs unpruned deviation-oracle legs), in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
-//!     --bench profile_engine
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --bench profile_engine
 //! ```
 //!
 //! Every search is checked for bit-identical results against the baseline
@@ -17,8 +16,10 @@ use bne_bench::BenchReport;
 use bne_core::games::profile::{strides_for, subsets_up_to_size, ProfileIter};
 use bne_core::games::random::random_game;
 use bne_core::games::{DeviationOracle, NormalFormGame, SearchStrategy};
-use bne_core::robust::{find_robust_profiles, find_robust_profiles_with_strategy};
-use bne_core::solvers::pure_nash_equilibria;
+use bne_core::robust::{
+    find_robust_profiles, find_robust_profiles_with_strategy, find_robust_profiles_with_workers,
+};
+use bne_core::solvers::{pure_nash_equilibria, pure_nash_equilibria_with_workers};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -133,19 +134,16 @@ fn bench_profile_engine(c: &mut Criterion) {
         pure_nash_equilibria(&g44),
         "flat-index nash search diverged from the allocating baseline"
     );
-    #[cfg(feature = "parallel")]
-    {
-        assert_eq!(
-            find_robust_profiles(&g44, k, t),
-            bne_core::robust::find_robust_profiles_parallel(&g44, k, t),
-            "parallel robustness search is not bit-identical"
-        );
-        assert_eq!(
-            pure_nash_equilibria(&g44),
-            bne_core::solvers::pure_nash_equilibria_parallel(&g44),
-            "parallel nash search is not bit-identical"
-        );
-    }
+    assert_eq!(
+        find_robust_profiles(&g44, k, t),
+        find_robust_profiles_with_workers(&g44, k, t, None),
+        "parallel robustness search is not bit-identical"
+    );
+    assert_eq!(
+        pure_nash_equilibria(&g44),
+        pure_nash_equilibria_with_workers(&g44, None),
+        "parallel nash search is not bit-identical"
+    );
 
     c.bench_function("robust_search_alloc_baseline/4p4a_k2t1", |b| {
         b.iter(|| black_box(alloc_find_robust_profiles(&g44, k, t)))
@@ -153,9 +151,8 @@ fn bench_profile_engine(c: &mut Criterion) {
     c.bench_function("robust_search_flat_seq/4p4a_k2t1", |b| {
         b.iter(|| black_box(find_robust_profiles(&g44, k, t)))
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("robust_search_flat_par/4p4a_k2t1", |b| {
-        b.iter(|| black_box(bne_core::robust::find_robust_profiles_parallel(&g44, k, t)))
+        b.iter(|| black_box(find_robust_profiles_with_workers(&g44, k, t, None)))
     });
 
     c.bench_function("nash_enum_alloc_baseline/4p4a", |b| {
@@ -164,9 +161,8 @@ fn bench_profile_engine(c: &mut Criterion) {
     c.bench_function("nash_enum_flat_seq/4p4a", |b| {
         b.iter(|| black_box(pure_nash_equilibria(&g44)))
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("nash_enum_flat_par/4p4a", |b| {
-        b.iter(|| black_box(bne_core::solvers::pure_nash_equilibria_parallel(&g44)))
+        b.iter(|| black_box(pure_nash_equilibria_with_workers(&g44, None)))
     });
 
     // Sweep over the 3–6 player / 2–5 action grid the roadmap tracks.
@@ -187,9 +183,8 @@ fn bench_profile_engine(c: &mut Criterion) {
         c.bench_function(&format!("robust_sweep_flat_seq/{label}_k2t1"), |b| {
             b.iter(|| black_box(find_robust_profiles(&game, k, t)))
         });
-        #[cfg(feature = "parallel")]
         c.bench_function(&format!("robust_sweep_flat_par/{label}_k2t1"), |b| {
-            b.iter(|| black_box(bne_core::robust::find_robust_profiles_parallel(&game, k, t)))
+            b.iter(|| black_box(find_robust_profiles_with_workers(&game, k, t, None)))
         });
     }
 
@@ -202,7 +197,6 @@ fn bench_profile_engine(c: &mut Criterion) {
             }
         })
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("best_response_table_par/5p3a", |b| {
         b.iter(|| {
             for p in 0..g53.num_players() {
@@ -224,7 +218,6 @@ fn bench_profile_engine(c: &mut Criterion) {
             base / flat
         );
     }
-    #[cfg(feature = "parallel")]
     if let (Some(base), Some(par)) = (
         median("robust_search_alloc_baseline/4p4a_k2t1"),
         median("robust_search_flat_par/4p4a_k2t1"),

@@ -1,12 +1,11 @@
 //! Scenario-engine benches: the old bespoke sequential loops (collect every
 //! outcome, aggregate at the end) vs the `bne-sim` engine, sequentially and
-//! (with the `parallel` feature) across threads.
+//! across threads.
 //!
 //! Run and record to `BENCH_2.json` (all legs) in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
-//!     --bench scenario_engine
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --bench scenario_engine
 //! ```
 //!
 //! CI runs this bench in bounded smoke mode (`BNE_BENCH_SMOKE=1`): smaller
@@ -49,8 +48,8 @@ fn legacy_sweep<C, O>(
         .collect()
 }
 
-/// Asserts the engine's sequential (and, with `parallel`, threaded)
-/// aggregates are bit-identical to folding the legacy per-replica outcomes.
+/// Asserts the engine's sequential and threaded aggregates are
+/// bit-identical to folding the legacy per-replica outcomes.
 fn assert_engine_matches_legacy<S>(
     label: &str,
     runner: &SimRunner,
@@ -71,20 +70,17 @@ where
             "{label}: engine cell {cell} diverged from the legacy sequential path"
         );
     }
-    #[cfg(feature = "parallel")]
-    {
-        let par = runner.run_parallel(scenario, grid);
+    let par = runner.run(scenario, grid);
+    assert_eq!(
+        engine, par,
+        "{label}: parallel aggregation is not bit-identical to sequential"
+    );
+    for workers in [2, 3, 5] {
         assert_eq!(
-            engine, par,
-            "{label}: parallel aggregation is not bit-identical to sequential"
+            engine,
+            runner.run_parallel_with(workers, scenario, grid),
+            "{label}: {workers}-worker aggregation is not bit-identical"
         );
-        for workers in [2, 3, 5] {
-            assert_eq!(
-                engine,
-                runner.run_parallel_with(workers, scenario, grid),
-                "{label}: {workers}-worker aggregation is not bit-identical"
-            );
-        }
     }
     engine
 }
@@ -108,9 +104,8 @@ fn bench_scenario_engine(c: &mut Criterion) {
     c.bench_function("scrip_sweep_engine_seq/pop_grid", |b| {
         b.iter(|| black_box(scrip_runner.run_sequential(&ScripScenario, &scrip_grid)))
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("scrip_sweep_engine_par/pop_grid", |b| {
-        b.iter(|| black_box(scrip_runner.run_parallel(&ScripScenario, &scrip_grid)))
+        b.iter(|| black_box(scrip_runner.run(&ScripScenario, &scrip_grid)))
     });
     c.bench_function("scrip_sweep_legacy_seq/pop_grid", |b| {
         b.iter(|| {
@@ -187,9 +182,8 @@ fn bench_scenario_engine(c: &mut Criterion) {
     c.bench_function("p2p_sweep_engine_seq/cost_grid", |b| {
         b.iter(|| black_box(p2p_runner.run_sequential(&P2pScenario, &p2p_grid)))
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("p2p_sweep_engine_par/cost_grid", |b| {
-        b.iter(|| black_box(p2p_runner.run_parallel(&P2pScenario, &p2p_grid)))
+        b.iter(|| black_box(p2p_runner.run(&P2pScenario, &p2p_grid)))
     });
     c.bench_function("p2p_sweep_legacy_seq/cost_grid", |b| {
         b.iter(|| {
@@ -247,9 +241,8 @@ fn bench_scenario_engine(c: &mut Criterion) {
     c.bench_function("phase_king_sweep_engine_seq/equivocate", |b| {
         b.iter(|| black_box(pk_runner.run_sequential(&PhaseKingScenario, &pk_grid)))
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("phase_king_sweep_engine_par/equivocate", |b| {
-        b.iter(|| black_box(pk_runner.run_parallel(&PhaseKingScenario, &pk_grid)))
+        b.iter(|| black_box(pk_runner.run(&PhaseKingScenario, &pk_grid)))
     });
     c.bench_function("phase_king_sweep_legacy_seq/equivocate", |b| {
         b.iter(|| {
@@ -287,9 +280,8 @@ fn bench_scenario_engine(c: &mut Criterion) {
     c.bench_function("tournament_sweep_engine_seq/standard_field", |b| {
         b.iter(|| black_box(t_runner.run_sequential(&TournamentScenario, &t_grid)))
     });
-    #[cfg(feature = "parallel")]
     c.bench_function("tournament_sweep_engine_par/standard_field", |b| {
-        b.iter(|| black_box(t_runner.run_parallel(&TournamentScenario, &t_grid)))
+        b.iter(|| black_box(t_runner.run(&TournamentScenario, &t_grid)))
     });
     c.bench_function("tournament_sweep_legacy_seq/standard_field", |b| {
         b.iter(|| {

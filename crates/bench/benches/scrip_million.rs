@@ -18,8 +18,7 @@
 //! Run and record to `BENCH_9.json` in the repo root:
 //!
 //! ```text
-//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --features bne-bench/parallel \
-//!     --bench scrip_million
+//! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --bench scrip_million
 //! ```
 //!
 //! The report's headline adds throughput metrics (agents/sec,
@@ -131,7 +130,6 @@ fn gates() {
     }
 
     // 2. sampled seq == par bit-identity under forced worker counts
-    #[cfg(feature = "parallel")]
     {
         let base = vec![0usize; 3];
         let spec = audit_spec(384, 3);

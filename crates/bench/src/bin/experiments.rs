@@ -500,9 +500,9 @@ fn e12_tournament() {
 
 // ---------------------------------------------------------------------------
 // Scenario-engine grid sweeps (e13..e16): replicated Monte Carlo through
-// bne-sim instead of single-seed runs. Build with
-// `--features bne-bench/parallel` to fan replicas across threads; results
-// are bit-identical either way.
+// bne-sim instead of single-seed runs. `SimRunner::run` fans replicas
+// across threads under the fan-out rule; results are bit-identical to a
+// one-thread run (`BNE_THREADS=1`).
 // ---------------------------------------------------------------------------
 
 /// Formats a streaming statistic as `mean ± std`.

@@ -44,7 +44,6 @@ pub mod extensive;
 pub mod mixed;
 pub mod normal_form;
 pub mod oracle;
-#[cfg(feature = "parallel")]
 pub mod parallel;
 pub mod profile;
 pub mod random;

@@ -288,7 +288,7 @@ impl NormalFormGame {
     }
 
     /// Visits the contiguous flat-index `range` of the profile space (the
-    /// chunking primitive used by the `parallel` feature). Stops early when
+    /// range primitive of the parallel sweeps). Stops early when
     /// `f` returns `false`; returns `true` when the chunk completed.
     pub fn visit_profiles_in<F: FnMut(&[ActionId], usize) -> bool>(
         &self,

@@ -63,7 +63,7 @@
 //! ```
 
 use crate::normal_form::NormalFormGame;
-use crate::profile::{index_to_profile, try_for_each_subset_of_size, with_scratch, ActionProfile};
+use crate::profile::{try_for_each_subset_of_size, with_scratch, ActionProfile};
 use crate::{ActionId, PlayerId, Utility, EPSILON};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -339,53 +339,66 @@ impl<'g> DeviationOracle<'g> {
         self.pruned_space().rounds
     }
 
-    /// Original flat index of the `idx`-th profile of the pruned sub-box
-    /// (ascending in `idx` because survivor lists are increasing).
-    fn pruned_to_flat(&self, idx: usize) -> usize {
+    /// Decodes pruned index `idx` into the sub-box `digits` (mixed radix,
+    /// last player fastest, as in `index_to_profile`) and returns the
+    /// original flat index of that profile — ascending in `idx`, because
+    /// survivor lists are increasing. Allocates nothing.
+    fn decode_pruned(&self, mut idx: usize, digits: &mut [usize]) -> usize {
         let space = self.pruned_space();
-        let digits = index_to_profile(idx, &space.radices);
-        digits
-            .iter()
-            .enumerate()
-            .map(|(p, &d)| space.surviving[p][d] * self.game.strides()[p])
-            .sum()
+        let strides = self.game.strides();
+        let mut flat = 0;
+        for p in (0..digits.len()).rev() {
+            digits[p] = idx % space.radices[p];
+            idx /= space.radices[p];
+            flat += space.surviving[p][digits[p]] * strides[p];
+        }
+        flat
+    }
+
+    /// Original flat index of the `idx`-th profile of the pruned sub-box.
+    fn pruned_to_flat(&self, idx: usize) -> usize {
+        with_scratch(self.game.num_players(), |digits| {
+            self.decode_pruned(idx, digits)
+        })
     }
 
     /// Visits the pruned sub-box over the contiguous pruned-index `range`
     /// as `f(original_flat)`, maintaining the original flat index with
-    /// stride-delta updates (no per-step re-encoding). Returns `true`
-    /// when the whole range was visited.
+    /// stride-delta updates (one decode of `range.start`, no per-step
+    /// re-encoding, no allocation). Returns `true` when the whole range
+    /// was visited.
     fn visit_pruned_range<F: FnMut(usize) -> bool>(&self, range: Range<usize>, mut f: F) -> bool {
         if range.start >= range.end {
             return true;
         }
         let space = self.pruned_space();
         let strides = self.game.strides();
-        let mut digits = index_to_profile(range.start, &space.radices);
-        let mut flat = self.pruned_to_flat(range.start);
-        for _ in range {
-            if !f(flat) {
-                return false;
-            }
-            // advance the pruned odometer, updating the original flat
-            // index in place
-            let mut i = digits.len();
-            loop {
-                if i == 0 {
-                    return true; // wrapped: range end was the last profile
+        with_scratch(self.game.num_players(), |digits| {
+            let mut flat = self.decode_pruned(range.start, digits);
+            for _ in range {
+                if !f(flat) {
+                    return false;
                 }
-                i -= 1;
-                let s = &space.surviving[i];
-                digits[i] += 1;
-                if digits[i] < s.len() {
-                    flat += (s[digits[i]] - s[digits[i] - 1]) * strides[i];
-                    break;
+                // advance the pruned odometer, updating the original flat
+                // index in place
+                let mut i = digits.len();
+                loop {
+                    if i == 0 {
+                        return true; // wrapped: range end was the last profile
+                    }
+                    i -= 1;
+                    let s = &space.surviving[i];
+                    digits[i] += 1;
+                    if digits[i] < s.len() {
+                        flat += (s[digits[i]] - s[digits[i] - 1]) * strides[i];
+                        break;
+                    }
+                    flat -= (s[s.len() - 1] - s[0]) * strides[i];
+                    digits[i] = 0;
                 }
-                flat -= (s[s.len() - 1] - s[0]) * strides[i];
-                digits[i] = 0;
             }
-        }
-        true
+            true
+        })
     }
 
     // -----------------------------------------------------------------
@@ -745,7 +758,6 @@ impl<'g> DeviationOracle<'g> {
     /// bit-identical to [`Self::collect`] for any worker count. `workers`
     /// as in [`crate::parallel::fan_out`]: `None` applies the fan-out
     /// rule, a count forces exactly that many workers.
-    #[cfg(feature = "parallel")]
     fn collect_with_workers<F: Fn(usize) -> bool + Sync>(
         &self,
         nash_implying: bool,
@@ -771,7 +783,6 @@ impl<'g> DeviationOracle<'g> {
 
     /// Parallel first-witness sweep with deterministic
     /// lowest-flat-index-wins semantics.
-    #[cfg(feature = "parallel")]
     fn first_with_workers<F: Fn(usize) -> bool + Sync>(
         &self,
         nash_implying: bool,
@@ -805,7 +816,6 @@ impl<'g> DeviationOracle<'g> {
     /// `workers` is an exact worker count, or `None` for the fan-out
     /// rule of [`crate::parallel`]; likewise for every `*_with_workers`
     /// sweep below.
-    #[cfg(feature = "parallel")]
     pub fn nash_profiles_with_workers(
         &self,
         workers: impl Into<Option<usize>>,
@@ -814,7 +824,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::first_nash`].
-    #[cfg(feature = "parallel")]
     pub fn first_nash_with_workers(
         &self,
         workers: impl Into<Option<usize>>,
@@ -839,7 +848,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::k_resilient_profiles`].
-    #[cfg(feature = "parallel")]
     pub fn k_resilient_profiles_with_workers(
         &self,
         k: usize,
@@ -852,7 +860,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::first_k_resilient_profile`].
-    #[cfg(feature = "parallel")]
     pub fn first_k_resilient_profile_with_workers(
         &self,
         k: usize,
@@ -876,7 +883,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::t_immune_profiles`].
-    #[cfg(feature = "parallel")]
     pub fn t_immune_profiles_with_workers(
         &self,
         t: usize,
@@ -886,7 +892,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::first_t_immune_profile`].
-    #[cfg(feature = "parallel")]
     pub fn first_t_immune_profile_with_workers(
         &self,
         t: usize,
@@ -907,7 +912,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::robust_profiles`].
-    #[cfg(feature = "parallel")]
     pub fn robust_profiles_with_workers(
         &self,
         k: usize,
@@ -918,7 +922,6 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Parallel form of [`Self::first_robust_profile`].
-    #[cfg(feature = "parallel")]
     pub fn first_robust_profile_with_workers(
         &self,
         k: usize,
@@ -938,17 +941,6 @@ impl<'g> DeviationOracle<'g> {
     /// The `p`-punishment strategy with the lowest flat index, if any.
     pub fn first_punishment_profile(&self, base: &[Utility], p: usize) -> Option<ActionProfile> {
         self.first(false, |flat| self.is_punishment(flat, base, p))
-    }
-
-    /// Parallel form of [`Self::punishment_profiles`].
-    #[cfg(feature = "parallel")]
-    pub fn punishment_profiles_with_workers(
-        &self,
-        base: &[Utility],
-        p: usize,
-        workers: impl Into<Option<usize>>,
-    ) -> Vec<ActionProfile> {
-        self.collect_with_workers(false, workers, |flat| self.is_punishment(flat, base, p))
     }
 }
 
@@ -1136,7 +1128,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_oracle_sweeps_are_bit_identical() {
         let g = random_game(23, &[3, 2, 3, 2]);

@@ -1,4 +1,4 @@
-//! Multi-threaded sweeps under one fan-out rule (the `parallel` feature).
+//! Multi-threaded sweeps under one fan-out rule.
 //!
 //! The build is offline, so this module uses `std::thread::scope` instead
 //! of rayon. Every parallel path in the workspace — the profile sweeps, the
@@ -20,7 +20,8 @@
 //! tests use it to run real threads on any machine. A panicking unit
 //! re-raises its own payload. [`collect_ranges`] and [`find_first`] cut a
 //! flat index space into contiguous ranges, so a sweep's allocation-free
-//! cursor runs once per range. `BNE_THREADS` pins the thread count.
+//! cursor runs once per range. `BNE_THREADS` pins the thread count; the
+//! timing rule and that variable are the only thread controls.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -31,24 +32,41 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of worker threads used by the parallel searches: `BNE_THREADS`
-/// if set to a positive integer, otherwise
-/// `std::thread::available_parallelism`. Cached after the first call —
-/// `available_parallelism` re-reads cgroup limits on every invocation,
-/// which would dwarf a small search.
+/// if set to a positive integer (surrounding whitespace allowed);
+/// `std::thread::available_parallelism` if it is unset or empty. Cached
+/// after the first call — `available_parallelism` re-reads cgroup limits
+/// on every invocation, which would dwarf a small search.
+///
+/// # Panics
+///
+/// If `BNE_THREADS` is set to anything but a positive integer.
 pub fn num_threads() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| {
-        if let Ok(v) = std::env::var("BNE_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        let value = std::env::var_os("BNE_THREADS");
+        let value = value.as_ref().map(|v| v.to_string_lossy());
+        thread_count(value.as_deref(), || {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        })
     })
+}
+
+/// The thread count that `BNE_THREADS` set to `value` asks for (`None`:
+/// unset). Unset or empty means `available()`; a positive integer, with
+/// surrounding whitespace allowed, is the count.
+///
+/// # Panics
+///
+/// On any other value (`0`, `-1`, `two`, a blank), naming the variable
+/// and the value: a mistyped setting must not silently run on every core.
+fn thread_count(value: Option<&str>, available: impl FnOnce() -> usize) -> usize {
+    match value {
+        None | Some("") => available(),
+        Some(raw) => match raw.trim().parse::<usize>() {
+            Ok(threads) if threads > 0 => threads,
+            _ => panic!("BNE_THREADS must be a positive integer, got {raw:?}"),
+        },
+    }
 }
 
 /// The estimated remaining work from which [`fan_out`] spawns helpers:
@@ -311,6 +329,28 @@ mod tests {
     use std::thread::ThreadId;
 
     const MICRO: Duration = Duration::from_micros(1);
+
+    #[test]
+    fn thread_count_reads_unset_empty_and_positive_values() {
+        let cores = || 6;
+        assert_eq!(thread_count(None, cores), 6);
+        assert_eq!(thread_count(Some(""), cores), 6);
+        assert_eq!(thread_count(Some("1"), cores), 1);
+        assert_eq!(thread_count(Some(" 12\n"), cores), 12);
+    }
+
+    #[test]
+    fn thread_count_rejects_every_other_value() {
+        for value in ["0", "-1", "two", " ", "2.5", "3 4"] {
+            let read = panic::catch_unwind(|| thread_count(Some(value), || 6));
+            let payload = read.expect_err(value);
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains("BNE_THREADS"), "{message}");
+            assert!(message.contains(&format!("{value:?}")), "{message}");
+        }
+    }
 
     #[test]
     fn helpers_follow_the_timing_rule_at_its_edges() {

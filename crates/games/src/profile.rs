@@ -142,7 +142,7 @@ pub fn visit_mixed_radix_while<F: FnMut(&[usize], usize) -> bool>(
 
 /// Calls `f(profile, flat)` for every flat index in `range` (a contiguous
 /// slice of the odometer order), reusing a single buffer. This is the
-/// chunking primitive behind the `parallel` feature: a worker visits
+/// range primitive behind the parallel sweeps: a worker visits
 /// `start..end` without materializing any profile.
 ///
 /// # Panics

@@ -44,10 +44,10 @@
 //!    samples that move at least one player (the others gain exactly 0
 //!    and cost no query);
 //! 2. **evaluate** — the moved samples' gains: every payoff query of the
-//!    audit but the one batched base-profile read. With the `parallel`
-//!    feature each moved sample is a unit of `crate::parallel::fan_out`,
-//!    so an economy audit, whose queries take milliseconds, recruits
-//!    every core and a small dense game's stays inline;
+//!    audit but the one batched base-profile read. Each moved sample is a
+//!    unit of `crate::parallel::fan_out`, so an economy audit, whose
+//!    queries take milliseconds, recruits every core and a small dense
+//!    game's stays inline;
 //! 3. **fold** — the gains in sample order, block by block, into the
 //!    certificate; the witness is the lowest-index sample over ε.
 //!
@@ -391,42 +391,21 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
         }
     }
 
-    /// The audit shared by [`SampledOracle::audit`] and
-    /// [`SampledOracle::audit_with_workers`]: for each coalition size,
-    /// draw the samples, let `evaluate` compute the moved samples' gains
-    /// in sample order, and fold them into the certificate.
-    fn audit_by<E>(&self, base: &[ActionId], spec: &AuditSpec, evaluate: E) -> SampledAudit
-    where
-        E: Fn(&Draws<'_>) -> Vec<f64>,
-    {
-        let base_payoffs = self.validate(base, spec);
-        let max_size = spec.max_coalition.min(self.backend.num_players());
-        let certificates = (1..=max_size)
-            .map(|size| {
-                let draws = self.draw(base, &base_payoffs, size, spec);
-                self.certify(spec, &draws, &evaluate(&draws))
-            })
-            .collect();
-        Self::seal(certificates)
-    }
-
     /// Audits the profile `base`: for each coalition size
     /// `1..=spec.max_coalition` (clamped to the player count), samples
     /// `spec.samples` joint deviations and certifies "no sampled
     /// deviation gains more than ε" with the spec's confidence bounds.
     ///
-    /// With the `parallel` feature the moved samples' payoff queries fan
-    /// out under the workspace's rule: the first moved sample runs
-    /// inline and is timed, and helpers join only when the remaining
-    /// samples are estimated to outweigh their spawn. The result is the
-    /// same either way.
+    /// The moved samples' payoff queries fan out under the workspace's
+    /// rule: the first moved sample runs inline and is timed, and helpers
+    /// join only when the remaining samples are estimated to outweigh
+    /// their spawn. The result is the same either way.
     ///
     /// # Panics
     ///
     /// Panics if `base` has the wrong length or an out-of-range action,
     /// `spec.samples == 0`, `spec.max_coalition == 0`, `spec.epsilon` is
     /// NaN, or `spec.delta` lies outside `(0, 1]`.
-    #[cfg(feature = "parallel")]
     pub fn audit(&self, base: &[ActionId], spec: &AuditSpec) -> SampledAudit
     where
         B: Sync,
@@ -434,36 +413,16 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
         self.audit_with_workers(base, spec, None)
     }
 
-    /// Audits the profile `base`: for each coalition size
-    /// `1..=spec.max_coalition` (clamped to the player count), samples
-    /// `spec.samples` joint deviations and certifies "no sampled
-    /// deviation gains more than ε" with the spec's confidence bounds.
-    /// (Sequential build: every query runs inline and the backend needs
-    /// no `Sync`.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` has the wrong length or an out-of-range action,
-    /// `spec.samples == 0`, `spec.max_coalition == 0`, `spec.epsilon` is
-    /// NaN, or `spec.delta` lies outside `(0, 1]`.
-    #[cfg(not(feature = "parallel"))]
-    pub fn audit(&self, base: &[ActionId], spec: &AuditSpec) -> SampledAudit {
-        self.audit_by(base, spec, |draws| {
-            let gain = |&s: &usize| draws.gain(self.backend, s);
-            draws.moved.iter().map(gain).collect()
-        })
-    }
-
     /// [`SampledOracle::audit`] on exactly `workers` threads, the calling
     /// thread among them, whatever the queries cost (`None`: the fan-out
-    /// rule decides). The moved samples are claimed one at a time and
-    /// their gains folded in sample order, so the result is bit-identical
-    /// to the sequential audit.
+    /// rule decides). For each coalition size it draws the samples, runs
+    /// the moved samples' payoff queries (claimed one at a time) and
+    /// folds their gains in sample order into the certificate, so the
+    /// result is bit-identical for any worker count.
     ///
     /// # Panics
     ///
     /// As [`SampledOracle::audit`].
-    #[cfg(feature = "parallel")]
     pub fn audit_with_workers(
         &self,
         base: &[ActionId],
@@ -474,16 +433,22 @@ impl<'b, B: PayoffBackend> SampledOracle<'b, B> {
         B: Sync,
     {
         let workers = workers.into();
-        self.audit_by(base, spec, |draws| {
-            let mut gains = Vec::with_capacity(draws.moved.len());
-            let run = |samples: std::ops::Range<usize>, emit: &mut dyn FnMut(f64)| {
-                let gain = |&s: &usize| emit(draws.gain(self.backend, s));
-                draws.moved[samples].iter().for_each(gain);
-                true
-            };
-            crate::parallel::fan_out(draws.moved.len(), workers, run, |gain| gains.push(gain));
-            gains
-        })
+        let base_payoffs = self.validate(base, spec);
+        let max_size = spec.max_coalition.min(self.backend.num_players());
+        let certificates = (1..=max_size)
+            .map(|size| {
+                let draws = self.draw(base, &base_payoffs, size, spec);
+                let mut gains = Vec::with_capacity(draws.moved.len());
+                let run = |samples: std::ops::Range<usize>, emit: &mut dyn FnMut(f64)| {
+                    let gain = |&s: &usize| emit(draws.gain(self.backend, s));
+                    draws.moved[samples].iter().for_each(gain);
+                    true
+                };
+                crate::parallel::fan_out(draws.moved.len(), workers, run, |gain| gains.push(gain));
+                self.certify(spec, &draws, &gains)
+            })
+            .collect();
+        Self::seal(certificates)
     }
 
     /// Validates the audit inputs and returns the cached base payoffs —
@@ -641,14 +606,14 @@ mod tests {
         SampledOracle::new(&backend).audit(&[1, 1], &spec);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_audit_is_bit_identical() {
         let g = random_game(33, &[4, 3, 3]);
         let backend = DenseBackend::new(&g);
         let oracle = SampledOracle::new(&backend);
         let base = vec![1usize, 0, 2];
-        let sequential = oracle.audit(&base, &spec(0.0, 500, 2, 9));
+        let sequential = oracle.audit_with_workers(&base, &spec(0.0, 500, 2, 9), 1);
+        assert_eq!(sequential, oracle.audit(&base, &spec(0.0, 500, 2, 9)));
         for workers in [2, 3, 5] {
             assert_eq!(
                 sequential,

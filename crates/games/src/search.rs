@@ -46,7 +46,6 @@ pub fn first_profile<F: Fn(usize) -> bool>(
 /// threads (`workers` as in [`crate::parallel::fan_out`]) and their hits
 /// concatenate in index order, so the output is bit-identical to the
 /// sequential sweep.
-#[cfg(feature = "parallel")]
 pub fn find_profiles_parallel<F: Fn(usize) -> bool + Sync>(
     game: &NormalFormGame,
     workers: Option<usize>,
@@ -66,7 +65,6 @@ pub fn find_profiles_parallel<F: Fn(usize) -> bool + Sync>(
 
 /// Parallel form of [`first_profile`] with deterministic
 /// lowest-flat-index-wins semantics.
-#[cfg(feature = "parallel")]
 pub fn first_profile_parallel<F: Fn(usize) -> bool + Sync>(
     game: &NormalFormGame,
     workers: Option<usize>,
@@ -96,7 +94,6 @@ mod tests {
         assert_eq!(first_profile(&g, |_| false), None);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_helpers_are_bit_identical_for_any_worker_count() {
         let g = random_game(78, &[2, 3, 2, 2]);

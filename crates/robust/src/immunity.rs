@@ -162,35 +162,23 @@ pub fn first_t_immune_profile(game: &NormalFormGame, t: usize) -> Option<ActionP
 
 /// Parallel form of [`find_t_immune_profiles`] under the fan-out rule of
 /// `bne_games::parallel`; output is bit-identical to the sequential sweep
-/// (index-order concatenation).
-#[cfg(feature = "parallel")]
-pub fn find_t_immune_profiles_parallel(game: &NormalFormGame, t: usize) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).t_immune_profiles_with_workers(t, None)
-}
-
-/// [`find_t_immune_profiles_parallel`] with an explicit worker count.
-#[cfg(feature = "parallel")]
+/// (index-order concatenation). `workers` is `None` for the rule, or an
+/// exact worker count.
 pub fn find_t_immune_profiles_with_workers(
     game: &NormalFormGame,
     t: usize,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Vec<ActionProfile> {
     DeviationOracle::new(game).t_immune_profiles_with_workers(t, workers)
 }
 
 /// Parallel form of [`first_t_immune_profile`] with deterministic
-/// lowest-flat-index-wins semantics.
-#[cfg(feature = "parallel")]
-pub fn first_t_immune_profile_parallel(game: &NormalFormGame, t: usize) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_t_immune_profile_with_workers(t, None)
-}
-
-/// [`first_t_immune_profile_parallel`] with an explicit worker count.
-#[cfg(feature = "parallel")]
+/// lowest-flat-index-wins semantics. `workers` as in
+/// [`find_t_immune_profiles_with_workers`].
 pub fn first_t_immune_profile_with_workers(
     game: &NormalFormGame,
     t: usize,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Option<ActionProfile> {
     DeviationOracle::new(game).first_t_immune_profile_with_workers(t, workers)
 }
@@ -293,7 +281,6 @@ mod tests {
         assert!(!is_t_immune(&b, &[0, 0, 0, 0], 1));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_immune_search_is_bit_identical() {
         for seed in 10..14 {
@@ -302,12 +289,12 @@ mod tests {
                 let seq = find_t_immune_profiles(&g, t);
                 assert_eq!(
                     seq,
-                    find_t_immune_profiles_parallel(&g, t),
+                    find_t_immune_profiles_with_workers(&g, t, None),
                     "seed {seed} t {t}"
                 );
                 assert_eq!(
                     first_t_immune_profile(&g, t),
-                    first_t_immune_profile_parallel(&g, t),
+                    first_t_immune_profile_with_workers(&g, t, None),
                     "seed {seed} t {t}"
                 );
                 // force real threads

@@ -29,8 +29,8 @@
 //! Nash-implying predicates (k-resilience and (k,t)-robustness with
 //! `k ≥ 1`) — iterated never-best-response elimination shrinks the
 //! searched space. Results are bit-identical to the exhaustive sweeps,
-//! which remain reachable through the `*_with_strategy` variants with
-//! [`bne_games::SearchStrategy::Exhaustive`].
+//! which remain reachable through [`find_robust_profiles_with_strategy`]
+//! with [`bne_games::SearchStrategy::Exhaustive`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,25 +43,18 @@ pub mod robustness;
 
 pub use analysis::{classify_profile, ProfileClassification};
 pub use immunity::{
-    find_t_immune_profiles, first_t_immune_profile, immunity_counterexample, is_t_immune,
+    find_t_immune_profiles, find_t_immune_profiles_with_workers, first_t_immune_profile,
+    first_t_immune_profile_with_workers, immunity_counterexample, is_t_immune,
     is_t_immune_by_index, max_immunity_by_index, ImmunityViolation,
 };
-#[cfg(feature = "parallel")]
-pub use immunity::{find_t_immune_profiles_parallel, first_t_immune_profile_parallel};
-#[cfg(feature = "parallel")]
-pub use punishment::find_punishment_strategies_parallel;
 pub use punishment::{find_punishment_strategies, is_punishment_strategy};
 pub use resilience::{
-    find_k_resilient_profiles, find_k_resilient_profiles_with_strategy, first_k_resilient_profile,
-    is_k_resilient, is_k_resilient_by_index, max_resilience_by_index, resilience_counterexample,
-    CoalitionDeviation, ResilienceVariant,
+    find_k_resilient_profiles, find_k_resilient_profiles_with_workers, first_k_resilient_profile,
+    first_k_resilient_profile_with_workers, is_k_resilient, is_k_resilient_by_index,
+    max_resilience_by_index, resilience_counterexample, CoalitionDeviation, ResilienceVariant,
 };
-#[cfg(feature = "parallel")]
-pub use resilience::{find_k_resilient_profiles_parallel, first_k_resilient_profile_parallel};
 pub use robustness::{
-    find_robust_frontier, find_robust_profiles, find_robust_profiles_with_strategy,
-    first_robust_profile, is_robust, is_robust_by_index, max_robustness, RobustnessChecker,
-    RobustnessReport,
+    find_robust_profiles, find_robust_profiles_with_strategy, find_robust_profiles_with_workers,
+    first_robust_profile, first_robust_profile_with_workers, is_robust, is_robust_by_index,
+    max_robustness, RobustnessChecker, RobustnessReport,
 };
-#[cfg(feature = "parallel")]
-pub use robustness::{find_robust_profiles_parallel, first_robust_profile_parallel};

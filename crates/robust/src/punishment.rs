@@ -85,23 +85,6 @@ pub fn find_punishment_strategies(
     DeviationOracle::new(game).punishment_profiles(&base, p)
 }
 
-/// Parallel form of [`find_punishment_strategies`] under the fan-out rule
-/// of `bne_games::parallel`; the output is bit-identical to the
-/// sequential sweep (index-order concatenation).
-#[cfg(feature = "parallel")]
-pub fn find_punishment_strategies_parallel(
-    game: &NormalFormGame,
-    equilibrium: &[ActionId],
-    p: usize,
-) -> Vec<Vec<ActionId>> {
-    game.validate_profile(equilibrium)
-        .expect("equilibrium profile must be valid");
-    let base: Vec<f64> = (0..game.num_players())
-        .map(|i| game.payoff(i, equilibrium))
-        .collect();
-    DeviationOracle::new(game).punishment_profiles_with_workers(&base, p, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

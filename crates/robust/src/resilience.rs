@@ -190,17 +190,6 @@ pub fn find_k_resilient_profiles(
     DeviationOracle::new(game).k_resilient_profiles(k, variant)
 }
 
-/// [`find_k_resilient_profiles`] with an explicit [`SearchStrategy`]
-/// ([`SearchStrategy::Exhaustive`] is the property-test equality gate).
-pub fn find_k_resilient_profiles_with_strategy(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-    strategy: SearchStrategy,
-) -> Vec<ActionProfile> {
-    DeviationOracle::with_strategy(game, strategy).k_resilient_profiles(k, variant)
-}
-
 /// The k-resilient profile with the lowest flat index, if any.
 pub fn first_k_resilient_profile(
     game: &NormalFormGame,
@@ -213,47 +202,27 @@ pub fn first_k_resilient_profile(
 /// Parallel form of [`find_k_resilient_profiles`]: ranges of the flat
 /// profile space fan out under the rule of `bne_games::parallel` and
 /// their results concatenate in index order, so the output is
-/// bit-identical to the sequential sweep.
-#[cfg(feature = "parallel")]
-pub fn find_k_resilient_profiles_parallel(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).k_resilient_profiles_with_workers(k, variant, None)
-}
-
-/// [`find_k_resilient_profiles_parallel`] with an explicit worker count
-/// (lets tests force real threads on any machine).
-#[cfg(feature = "parallel")]
+/// bit-identical to the sequential sweep. `workers` is `None` for the
+/// rule, or an exact worker count (lets tests force real threads on any
+/// machine).
 pub fn find_k_resilient_profiles_with_workers(
     game: &NormalFormGame,
     k: usize,
     variant: ResilienceVariant,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Vec<ActionProfile> {
     DeviationOracle::new(game).k_resilient_profiles_with_workers(k, variant, workers)
 }
 
 /// Parallel form of [`first_k_resilient_profile`] with deterministic
 /// first-witness semantics: always the lowest flat index, independent of
-/// thread timing.
-#[cfg(feature = "parallel")]
-pub fn first_k_resilient_profile_parallel(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_k_resilient_profile_with_workers(k, variant, None)
-}
-
-/// [`first_k_resilient_profile_parallel`] with an explicit worker count.
-#[cfg(feature = "parallel")]
+/// thread timing. `workers` as in
+/// [`find_k_resilient_profiles_with_workers`].
 pub fn first_k_resilient_profile_with_workers(
     game: &NormalFormGame,
     k: usize,
     variant: ResilienceVariant,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Option<ActionProfile> {
     DeviationOracle::new(game).first_k_resilient_profile_with_workers(k, variant, workers)
 }
@@ -429,15 +398,18 @@ mod tests {
         assert!(first_k_resilient_profile(&mp, 1, ResilienceVariant::SomeMemberGains).is_none());
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_resilient_search_is_bit_identical() {
         for seed in 0..4 {
             let g = bne_games::random::random_game(seed, &[3, 3, 2, 2]);
             for k in 1..=3 {
                 let seq = find_k_resilient_profiles(&g, k, ResilienceVariant::SomeMemberGains);
-                let par =
-                    find_k_resilient_profiles_parallel(&g, k, ResilienceVariant::SomeMemberGains);
+                let par = find_k_resilient_profiles_with_workers(
+                    &g,
+                    k,
+                    ResilienceVariant::SomeMemberGains,
+                    None,
+                );
                 assert_eq!(seq, par, "seed {seed} k {k}");
                 // force real threads (public entry points may fall back to
                 // one worker on small machines)
@@ -465,7 +437,12 @@ mod tests {
                 }
                 assert_eq!(
                     first_k_resilient_profile(&g, k, ResilienceVariant::SomeMemberGains),
-                    first_k_resilient_profile_parallel(&g, k, ResilienceVariant::SomeMemberGains),
+                    first_k_resilient_profile_with_workers(
+                        &g,
+                        k,
+                        ResilienceVariant::SomeMemberGains,
+                        None
+                    ),
                     "seed {seed} k {k}"
                 );
             }

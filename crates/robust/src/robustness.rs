@@ -145,59 +145,27 @@ pub fn first_robust_profile(game: &NormalFormGame, k: usize, t: usize) -> Option
     DeviationOracle::new(game).first_robust_profile(k, t)
 }
 
-/// Sweeps a whole `(k, t)` frontier in **one** scan: `result[i]` equals
-/// `find_robust_profiles(game, cells[i].0, cells[i].1)`, but each profile
-/// is classified once (maximal `k` and `t`, single-pass each) and matched
-/// against every cell, instead of re-sweeping the space per pair — the
-/// shape of the e-series classification tables.
-pub fn find_robust_frontier(
-    game: &NormalFormGame,
-    cells: &[(usize, usize)],
-) -> Vec<Vec<ActionProfile>> {
-    DeviationOracle::new(game).robust_frontier(cells)
-}
-
 /// Parallel form of [`find_robust_profiles`] under the fan-out rule of
 /// `bne_games::parallel`; the output is bit-identical to the sequential
-/// sweep (index-order concatenation).
-#[cfg(feature = "parallel")]
-pub fn find_robust_profiles_parallel(
-    game: &NormalFormGame,
-    k: usize,
-    t: usize,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).robust_profiles_with_workers(k, t, None)
-}
-
-/// [`find_robust_profiles_parallel`] with an explicit worker count.
-#[cfg(feature = "parallel")]
+/// sweep (index-order concatenation). `workers` is `None` for the rule,
+/// or an exact worker count.
 pub fn find_robust_profiles_with_workers(
     game: &NormalFormGame,
     k: usize,
     t: usize,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Vec<ActionProfile> {
     DeviationOracle::new(game).robust_profiles_with_workers(k, t, workers)
 }
 
 /// Parallel form of [`first_robust_profile`] with deterministic
-/// lowest-flat-index-wins semantics.
-#[cfg(feature = "parallel")]
-pub fn first_robust_profile_parallel(
-    game: &NormalFormGame,
-    k: usize,
-    t: usize,
-) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_robust_profile_with_workers(k, t, None)
-}
-
-/// [`first_robust_profile_parallel`] with an explicit worker count.
-#[cfg(feature = "parallel")]
+/// lowest-flat-index-wins semantics. `workers` as in
+/// [`find_robust_profiles_with_workers`].
 pub fn first_robust_profile_with_workers(
     game: &NormalFormGame,
     k: usize,
     t: usize,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Option<ActionProfile> {
     DeviationOracle::new(game).first_robust_profile_with_workers(k, t, workers)
 }
@@ -613,7 +581,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_robust_search_is_bit_identical() {
         for seed in 20..24 {
@@ -622,12 +589,12 @@ mod tests {
                 let seq = find_robust_profiles(&g, k, t);
                 assert_eq!(
                     seq,
-                    find_robust_profiles_parallel(&g, k, t),
+                    find_robust_profiles_with_workers(&g, k, t, None),
                     "seed {seed} k={k} t={t}"
                 );
                 assert_eq!(
                     first_robust_profile(&g, k, t),
-                    first_robust_profile_parallel(&g, k, t),
+                    first_robust_profile_with_workers(&g, k, t, None),
                     "seed {seed} k={k} t={t}"
                 );
                 // force real threads

@@ -234,7 +234,6 @@ mod tests {
         assert_eq!(hoarded, 4);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn economy_sweep_is_bit_identical_seq_vs_par() {
         let grid = economy_grid(60, 6, &[3], &[0.0, 0.02], &[0.0, 0.1], 2_000);

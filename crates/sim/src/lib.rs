@@ -13,11 +13,10 @@
 //! * a [`Scenario`] trait — `(config, seed) → outcome`, with outcomes that
 //!   [`Merge`] into streaming aggregates instead of being stored;
 //! * a [`SimRunner`] — fans a parameter grid × replica count, one replica
-//!   per unit of work, across `std::thread::scope` workers (`parallel`
-//!   feature), with per-replica
-//!   seeds from the bijective [`derive_seed`] mix and a **fixed merge
-//!   structure** ([`REPLICA_BLOCK`]) that makes sequential and parallel
-//!   aggregation bit-identical;
+//!   per unit of work, across `std::thread::scope` workers, with
+//!   per-replica seeds from the bijective [`derive_seed`] mix and a
+//!   **fixed merge structure** ([`REPLICA_BLOCK`]) that makes sequential
+//!   and parallel aggregation bit-identical;
 //! * [`StreamingStats`] / [`Histogram`] — O(1)-per-replica accumulators
 //!   (count/mean/variance/min/max and fixed-bucket distributions).
 //!

@@ -16,7 +16,6 @@
 //!   though floating-point merging is not associative.
 
 use crate::stats::Merge;
-#[cfg(feature = "parallel")]
 use std::ops::Range;
 
 /// A simulation workload: one seeded run of one configuration.
@@ -119,9 +118,8 @@ fn merge_into<O: Merge>(acc: &mut Option<O>, value: O) {
 
 /// Drives a [`Scenario`] over a parameter grid × replica count.
 ///
-/// `run_sequential` and (with the `parallel` feature) `run_parallel` /
-/// `run_parallel_with` produce **bit-identical** results; `run` picks the
-/// best available strategy.
+/// [`SimRunner::run`], [`SimRunner::run_parallel_with`] and
+/// [`SimRunner::run_sequential`] produce **bit-identical** results.
 #[derive(Debug, Clone, Copy)]
 pub struct SimRunner {
     replicas: usize,
@@ -188,8 +186,7 @@ impl SimRunner {
     /// balance. Outcomes fold in replica order through the fixed
     /// [`REPLICA_BLOCK`] structure, so the result is bit-identical to
     /// [`SimRunner::run_sequential`].
-    #[cfg(feature = "parallel")]
-    pub fn run_parallel<S>(&self, scenario: &S, grid: &[S::Config]) -> Vec<CellResult<S::Outcome>>
+    pub fn run<S>(&self, scenario: &S, grid: &[S::Config]) -> Vec<CellResult<S::Outcome>>
     where
         S: Scenario + Sync,
         S::Config: Sync,
@@ -198,11 +195,10 @@ impl SimRunner {
         self.run_parallel_with(None, scenario, grid)
     }
 
-    /// [`SimRunner::run_parallel`] on exactly `workers` threads, the
-    /// calling thread among them, with no timing rule (the equality
-    /// property tests force several counts on any machine); `None`
-    /// applies the rule.
-    #[cfg(feature = "parallel")]
+    /// [`SimRunner::run`] on exactly `workers` threads, the calling
+    /// thread among them, with no timing rule (the equality property
+    /// tests force several counts on any machine); `None` applies the
+    /// rule.
     pub fn run_parallel_with<S>(
         &self,
         workers: impl Into<Option<usize>>,
@@ -223,31 +219,6 @@ impl SimRunner {
         let fold = cell_fold(self.replicas, &mut cells);
         bne_games::parallel::fan_out(units, workers.into(), run, fold);
         cells
-    }
-
-    /// Runs the grid with the best available strategy: parallel when the
-    /// `parallel` feature is enabled, sequential otherwise.
-    #[cfg(feature = "parallel")]
-    pub fn run<S>(&self, scenario: &S, grid: &[S::Config]) -> Vec<CellResult<S::Outcome>>
-    where
-        S: Scenario + Sync,
-        S::Config: Sync,
-        S::Outcome: Send,
-    {
-        self.run_parallel(scenario, grid)
-    }
-
-    /// Runs the grid with the best available strategy: parallel when the
-    /// `parallel` feature is enabled, sequential otherwise. (Sequential
-    /// build: no `Sync`/`Send` bounds, so single-threaded scenarios may
-    /// hold non-`Sync` state.)
-    #[cfg(not(feature = "parallel"))]
-    pub fn run<S: Scenario>(
-        &self,
-        scenario: &S,
-        grid: &[S::Config],
-    ) -> Vec<CellResult<S::Outcome>> {
-        self.run_sequential(scenario, grid)
     }
 }
 
@@ -337,13 +308,11 @@ mod tests {
 
     /// [`TraceScenario`] whose replicas take 0–600 µs, by seed, and note
     /// the threads that ran them; config 3 is invalid.
-    #[cfg(feature = "parallel")]
     #[derive(Default)]
     struct SleepyScenario {
         threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
     }
 
-    #[cfg(feature = "parallel")]
     impl Scenario for SleepyScenario {
         type Config = u64;
         type Outcome = Trace;
@@ -358,7 +327,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn uneven_replicas_fold_like_the_sequential_run_at_any_worker_count() {
         // no replica, one, fewer than the workers, and an uneven grid
@@ -375,7 +343,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "cell 3 has an invalid config")]
     fn a_panicking_replica_surfaces_its_own_message() {
@@ -383,7 +350,6 @@ mod tests {
         runner.run_parallel_with(2, &SleepyScenario::default(), &[0, 1, 2, 3]);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn a_few_cells_of_slow_replicas_spread_over_every_thread() {
         // the e15 shape: 5 cells of 8 replicas, each about 1 ms
@@ -399,7 +365,7 @@ mod tests {
         let slow = Slow(SleepyScenario::default());
         let runner = SimRunner::new(8, 15);
         let grid = [10, 11, 12, 14, 15];
-        let results = runner.run_parallel(&slow, &grid);
+        let results = runner.run(&slow, &grid);
         assert_eq!(results, runner.run_sequential(&TraceScenario, &grid));
         let threads = slow.0.threads.into_inner().unwrap().len();
         assert!(
@@ -408,7 +374,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_run_is_bit_identical_for_any_worker_count() {
         let runner = SimRunner::new(37, 123);
@@ -418,6 +383,6 @@ mod tests {
             let parallel = runner.run_parallel_with(workers, &TraceScenario, &grid);
             assert_eq!(sequential, parallel, "workers = {workers}");
         }
-        assert_eq!(sequential, runner.run_parallel(&TraceScenario, &grid));
+        assert_eq!(sequential, runner.run(&TraceScenario, &grid));
     }
 }

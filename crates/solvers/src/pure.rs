@@ -40,18 +40,12 @@ pub fn pure_nash_equilibria_with_strategy(
 /// Parallel form of [`pure_nash_equilibria`]: ranges of the flat profile
 /// space fan out under the rule of `bne_games::parallel`; results are
 /// concatenated in index order, so the output is bit-identical to the
-/// sequential sweep.
-#[cfg(feature = "parallel")]
-pub fn pure_nash_equilibria_parallel(game: &NormalFormGame) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).nash_profiles_with_workers(None)
-}
-
-/// [`pure_nash_equilibria_parallel`] with an explicit worker count (lets
-/// tests force real threads regardless of machine or space size).
-#[cfg(feature = "parallel")]
+/// sequential sweep. `workers` is `None` for the rule, or an exact worker
+/// count (lets tests force real threads regardless of machine or space
+/// size).
 pub fn pure_nash_equilibria_with_workers(
     game: &NormalFormGame,
-    workers: usize,
+    workers: impl Into<Option<usize>>,
 ) -> Vec<ActionProfile> {
     DeviationOracle::new(game).nash_profiles_with_workers(workers)
 }
@@ -60,13 +54,6 @@ pub fn pure_nash_equilibria_with_workers(
 /// deterministic witness used when only existence matters.
 pub fn first_pure_nash(game: &NormalFormGame) -> Option<ActionProfile> {
     DeviationOracle::new(game).first_nash()
-}
-
-/// Parallel form of [`first_pure_nash`] with deterministic
-/// lowest-flat-index-wins semantics.
-#[cfg(feature = "parallel")]
-pub fn first_pure_nash_parallel(game: &NormalFormGame) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_nash_with_workers(None)
 }
 
 /// The best-response table of one player: entry `flat` is the
@@ -81,7 +68,6 @@ pub fn best_response_table(game: &NormalFormGame, player: PlayerId) -> Vec<Actio
 }
 
 /// Parallel form of [`best_response_table`]; bit-identical output.
-#[cfg(feature = "parallel")]
 pub fn best_response_table_parallel(game: &NormalFormGame, player: PlayerId) -> Vec<ActionId> {
     bne_games::parallel::collect_ranges(game.num_profiles(), None, |range| {
         range
@@ -218,13 +204,18 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_solvers_are_bit_identical() {
         for seed in 40..44 {
             let g = bne_games::random::random_game(seed, &[3, 3, 2, 2]);
-            assert_eq!(pure_nash_equilibria(&g), pure_nash_equilibria_parallel(&g));
-            assert_eq!(first_pure_nash(&g), first_pure_nash_parallel(&g));
+            assert_eq!(
+                pure_nash_equilibria(&g),
+                pure_nash_equilibria_with_workers(&g, None)
+            );
+            assert_eq!(
+                first_pure_nash(&g),
+                DeviationOracle::new(&g).first_nash_with_workers(None)
+            );
             // force real threads: the public entry points fall back to one
             // worker on small spaces / small machines
             for workers in [2, 5] {

@@ -4,9 +4,8 @@
 //!
 //! ```text
 //! cargo run --release -p bne-examples --bin scrip_economy
-//! # multi-threaded replica sweep:
-//! cargo run --release -p bne-examples --bin scrip_economy \
-//!     --features bne-core/parallel
+//! # the same output from a one-thread replica sweep:
+//! BNE_THREADS=1 cargo run --release -p bne-examples --bin scrip_economy
 //! ```
 
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario};

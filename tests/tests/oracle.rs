@@ -181,7 +181,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel_oracle {
     use super::*;
 

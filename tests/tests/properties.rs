@@ -199,7 +199,6 @@ proptest! {
 
 }
 
-#[cfg(feature = "parallel")]
 mod parallel_properties {
     use super::*;
 
@@ -207,27 +206,27 @@ mod parallel_properties {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Parallel and sequential searches return bit-identical results on
-        /// random games (the parallel worker count is forced above 1 via the
-        /// explicit `_with` primitives inside the `*_parallel` functions, but
-        /// here we also compare through the public API on this machine).
+        /// random games, through the public API under the fan-out rule on
+        /// this machine (the forced worker counts live in the crates' own
+        /// tests and in `tests/oracle.rs`).
         #[test]
         fn parallel_searches_match_sequential(seed in 0u64..200, num_players in 3usize..6) {
             use bne_core::games::random::random_game;
             use bne_core::robust::{
-                find_robust_profiles, find_robust_profiles_parallel, first_robust_profile,
-                first_robust_profile_parallel,
+                find_robust_profiles, find_robust_profiles_with_workers, first_robust_profile,
+                first_robust_profile_with_workers,
             };
-            use bne_core::solvers::{pure_nash_equilibria_parallel, best_response_table, best_response_table_parallel};
+            use bne_core::solvers::{pure_nash_equilibria_with_workers, best_response_table, best_response_table_parallel};
             let radices: Vec<usize> = (0..num_players).map(|p| 2 + (seed as usize + p) % 2).collect();
             let game = random_game(seed, &radices);
-            prop_assert_eq!(pure_nash_equilibria(&game), pure_nash_equilibria_parallel(&game));
+            prop_assert_eq!(pure_nash_equilibria(&game), pure_nash_equilibria_with_workers(&game, None));
             prop_assert_eq!(
                 find_robust_profiles(&game, 2, 1),
-                find_robust_profiles_parallel(&game, 2, 1)
+                find_robust_profiles_with_workers(&game, 2, 1, None)
             );
             prop_assert_eq!(
                 first_robust_profile(&game, 1, 1),
-                first_robust_profile_parallel(&game, 1, 1)
+                first_robust_profile_with_workers(&game, 1, 1, None)
             );
             for p in 0..game.num_players() {
                 prop_assert_eq!(

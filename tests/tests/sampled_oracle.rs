@@ -13,10 +13,10 @@
 //! * **backend independence** — auditing a utility-locality
 //!   [`LocalBackend`] and auditing its own densification produce
 //!   bit-identical certificates (same samples, same gains, same bounds);
-//! * **seq == par** — with the `parallel` feature, `audit` and every
-//!   forced worker count reproduce the one-worker audit bit-for-bit, on
-//!   dense games and on a scrip economy whose queries `audit` may fan
-//!   out, and every worker count issues the same payoff queries.
+//! * **seq == par** — `audit` and every forced worker count reproduce the
+//!   one-worker audit bit-for-bit, on dense games and on a scrip economy
+//!   whose queries `audit` may fan out, and every worker count issues the
+//!   same payoff queries.
 
 use bne_core::games::backend::{DenseBackend, LocalBackend, PayoffBackend};
 use bne_core::games::sampled::{AuditSpec, SampledOracle};
@@ -158,7 +158,6 @@ fn local_and_dense_audits_are_bit_identical() {
     );
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
     use bne_core::games::backend::ProfileView;

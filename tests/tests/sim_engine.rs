@@ -124,7 +124,6 @@ fn p2p_scenario_agrees_with_legacy_simulate() {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
     use bne_core::byzantine::adversary::FaultyBehavior;
@@ -161,7 +160,7 @@ mod parallel {
                 "workers = {workers}"
             );
         }
-        assert_eq!(sequential, runner.run_parallel(&ScripScenario, &grid));
+        assert_eq!(sequential, runner.run(&ScripScenario, &grid));
     }
 
     #[test]
