@@ -2,7 +2,8 @@
 //! async event queue vs parallel replica sweeps through the scenario
 //! engine.
 //!
-//! Run and record to `BENCH_3.json` (all legs), `BENCH_5.json`
+//! Run and record to `BENCH_3.json` (all legs, with the null-echo
+//! runtime floor in ns/event as its headline), `BENCH_5.json`
 //! (event-driven protocol legs), `BENCH_6.json` (timing-wheel vs
 //! reference-heap legs plus the 10^6-run mega sweep), `BENCH_7.json`
 //! (crash-recovery consensus: Paxos throughput, failover latency, the
@@ -33,6 +34,7 @@ use bne_core::byzantine::om_process::{om_process_set, OmProcess};
 use bne_core::byzantine::paxos::PaxosMsg;
 use bne_core::byzantine::phase_king::PhaseKingProcess;
 use bne_core::byzantine::Value;
+use bne_core::mc::json::Json;
 use bne_core::net::protocols::run_bracha;
 use bne_core::net::scenario::{
     async_om_loss_grid, ben_or_scheduler_grid, quorum_consensus_grid, AsyncPhaseKingCell,
@@ -41,7 +43,7 @@ use bne_core::net::scenario::{
 use bne_core::net::{
     run_paxos, run_round_protocol, AsyncOmScenario, AsyncPhaseKingScenario, AsyncProcess,
     BrachaProcess, EventNet, FaultPlan, HistogramSpec, LatencyModel, LinkFaults, MetricsObserver,
-    NetConfig, PaxosProcess, QueueImpl, RetryAdapter, RetryMsg, RetryPolicy, RoundAdapter,
+    NetConfig, NetCtx, PaxosProcess, QueueImpl, RetryAdapter, RetryMsg, RetryPolicy, RoundAdapter,
     SchedulerPolicy,
 };
 use bne_core::sim::SimRunner;
@@ -62,6 +64,44 @@ fn run_bracha_retry(
         .collect();
     let mut net = EventNet::new(procs, cfg);
     assert!(net.run(10_000_000), "retry queue must drain");
+    net
+}
+
+/// Processes in a null-echo replica.
+const NULL_ECHO_N: usize = 11;
+/// Hops each null-echo token makes after its first send.
+const NULL_ECHO_HOPS: u64 = 200;
+/// Events in one null-echo replica: every token is delivered once per
+/// hop plus once for its first send (11 × 201 = 2,211).
+const NULL_ECHO_EVENTS: usize = NULL_ECHO_N * (NULL_ECHO_HOPS as usize + 1);
+
+/// The null protocol of the runtime-floor legs: each process starts one
+/// token with a hop budget, and every delivery is answered by one unicast
+/// back to the sender until the budget is spent. The handlers do no work,
+/// so time per event is the event runtime's own cost.
+struct NullEcho;
+
+impl AsyncProcess for NullEcho {
+    type Msg = u64;
+    fn on_start(&mut self, ctx: &mut NetCtx<u64>) {
+        ctx.send((ctx.id() + 1) % ctx.n(), NULL_ECHO_HOPS);
+    }
+    fn on_message(&mut self, src: usize, hops: u64, ctx: &mut NetCtx<u64>) {
+        if hops > 0 {
+            ctx.send(src, hops - 1);
+        }
+    }
+    fn decision(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// Runs one null-echo replica to quiescence.
+fn run_null_echo(cfg: &NetConfig) -> EventNet<u64> {
+    let procs: Vec<Box<dyn AsyncProcess<Msg = u64>>> =
+        (0..NULL_ECHO_N).map(|_| Box::new(NullEcho) as _).collect();
+    let mut net = EventNet::new(procs, cfg.clone());
+    assert!(net.run(NULL_ECHO_EVENTS), "the null echo drains");
     net
 }
 
@@ -338,6 +378,44 @@ fn bench_net_engine(c: &mut Criterion) {
             ))
         })
     });
+
+    // -- the runtime floor: a null protocol, the BENCH_3 null-echo legs ---
+    //
+    // n = 11, `Constant(1)` latency, 2,211 events per replica: the cost
+    // of an event with no protocol work, on the wheel under FIFO and
+    // random interleaving and on the reference heap. Gate first: every
+    // configuration processes exactly the planned events, and the heap
+    // reproduces the wheel's FIFO execution.
+    let null_fifo = NetConfig {
+        latency: LatencyModel::Constant(1),
+        ..NetConfig::lockstep(1)
+    };
+    let null_legs = [
+        ("net_null_echo/wheel_fifo", null_fifo.clone()),
+        (
+            "net_null_echo/wheel_random",
+            NetConfig {
+                scheduler: SchedulerPolicy::RandomInterleave { seed: 5, jitter: 2 },
+                ..null_fifo.clone()
+            },
+        ),
+        (
+            "net_null_echo/heap_fifo",
+            null_fifo.clone().with_queue(QueueImpl::Heap),
+        ),
+    ];
+    for (name, cfg) in &null_legs {
+        let stats = run_null_echo(cfg).stats();
+        assert_eq!(stats.events_processed, NULL_ECHO_EVENTS, "{name}");
+    }
+    assert_eq!(
+        run_null_echo(&null_fifo).stats(),
+        run_null_echo(&null_legs[2].1).stats(),
+        "wheel/heap divergence on the null echo"
+    );
+    for (name, cfg) in &null_legs {
+        c.bench_function(name, |b| b.iter(|| black_box(run_null_echo(cfg).now())));
+    }
 
     // -- replica sweeps through the scenario engine -------------------------
     let loss_grid = async_om_loss_grid(
@@ -790,8 +868,31 @@ fn bench_net_engine(c: &mut Criterion) {
         let r = ratio(name, "net_obs/off");
         println!("{name}: {r:.2}x the silent run (median; {label})");
     }
+    // BENCH_3 headline: the runtime floor, in ns per processed event
+    let ns_per_event = |leg: &str| median(leg).unwrap() / NULL_ECHO_EVENTS as f64;
+    for (name, _) in &null_legs {
+        let ns = ns_per_event(name);
+        println!("{name}: {ns:.1} ns/event (median; the runtime floor)");
+    }
+    let floor = |leg: &str| Json::F64((ns_per_event(leg) * 10.0).round() / 10.0);
     let report = |name: &str| BenchReport::new(name, "net_engine", results.clone());
-    report("BENCH_3").write();
+    report("BENCH_3")
+        .headline([
+            ("null_echo_events", Json::U64(NULL_ECHO_EVENTS as u64)),
+            (
+                "null_echo_wheel_fifo_ns_per_event",
+                floor("net_null_echo/wheel_fifo"),
+            ),
+            (
+                "null_echo_wheel_random_ns_per_event",
+                floor("net_null_echo/wheel_random"),
+            ),
+            (
+                "null_echo_heap_fifo_ns_per_event",
+                floor("net_null_echo/heap_fifo"),
+            ),
+        ])
+        .write();
     report("BENCH_5")
         .only(&[
             "event_bracha/direct",

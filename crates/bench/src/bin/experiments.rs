@@ -7,7 +7,8 @@
 //! cargo run --release -p bne-bench --bin experiments -- e3 e9  # run a subset
 //! ```
 //!
-//! An unknown id is an error (exit status 2) and nothing runs. With
+//! An unknown id is an error (exit status 2) and nothing runs; a
+//! malformed `BNE_THREADS` panics before any output. With
 //! `BNE_BENCH_DIR` set, every printed table is also exported to
 //! `$BNE_BENCH_DIR/experiments.json`. The experiment ids (e1..e25) are
 //! documented in `EXPERIMENTS.md`.
@@ -56,6 +57,9 @@ fn main() {
         eprintln!("valid ids: all {}", EXPERIMENT_IDS.join(" "));
         std::process::exit(2);
     });
+    // read `BNE_THREADS` now: a malformed value panics before any table
+    // is printed, not at the first parallel sweep
+    bne_core::games::parallel::num_threads();
     for id in selected {
         match id {
             "e1" => e1_coordination(),

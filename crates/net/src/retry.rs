@@ -9,12 +9,11 @@
 //!
 //! * each inner send becomes a [`RetryMsg::Data`] carrying a locally
 //!   unique id, tracked in a pending table with a retransmission timer;
-//! * a **multicast** (consecutive sends sharing one `Rc` payload) becomes
-//!   **one** table entry per (message, recipient-set): a single id, a
-//!   per-recipient ack bitmask, and one `Rc`-shared wire message reused by
-//!   the initial fan-out and every retransmission — the payload is never
-//!   cloned into the table, and retransmissions go only to the recipients
-//!   that have not acked yet;
+//! * a **multicast** (the sends of one [`NetCtx::multicast`] call)
+//!   becomes **one** table entry per (message, recipient-set): a single
+//!   id, the list of recipients that have not acked yet, and one wire
+//!   message reused by the initial fan-out and every retransmission.
+//!   Retransmissions go only to the recipients that have not acked;
 //! * receivers acknowledge every `Data` (re-acking duplicates, since the
 //!   previous ack may itself have been lost) and deliver the payload to
 //!   the inner process exactly once per `(sender, id)`;
@@ -22,10 +21,20 @@
 //!   timeout scaled by [`RetryPolicy::backoff`] each attempt, until
 //!   [`RetryPolicy::max_attempts`] is exhausted (0 = retry forever).
 //!
-//! The unicast path is the degenerate one-recipient table entry: the
-//! payload is moved (not cloned) into the single `Rc`-shared wire message,
-//! so a message pending through `k` attempts costs one allocation total,
-//! not `k` payload clones.
+//! The unicast path is the degenerate one-recipient table entry. The wire
+//! message follows the runtime's payload rule: plain data (every
+//! event-protocol message) is copied to each recipient and attempt, so a
+//! tracked send allocates nothing once the tables have warmed up; a
+//! payload with drop glue is moved (not cloned) into one `Rc`-shared wire
+//! message, so a message pending through `k` attempts costs one
+//! allocation, not `k` payload clones.
+//!
+//! Both tables are flat. Ids are issued in order, so the pending entries
+//! sit in a window indexed by `id − oldest live id`, and the recipient
+//! buffers of removed entries are reused. Per sender, the delivered ids
+//! are a contiguous prefix plus the few that arrived early. An `Ack` or
+//! `Data` with an id far outside either (a crafted `u64::MAX`) allocates
+//! nothing sized by that id.
 //!
 //! Under a loss-free network the adapter is behaviorally invisible: the
 //! inner processes see the same deliveries in the same order and decide
@@ -43,7 +52,7 @@
 use crate::runtime::{AsyncProcess, NetCtx, Payload};
 use bne_byzantine::ProcId;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Retransmission policy of a [`RetryAdapter`].
@@ -113,15 +122,13 @@ pub enum RetryMsg<M> {
 /// One pending table entry: a (message, recipient-set) pair awaiting
 /// acknowledgement. Unicast sends are the one-recipient special case.
 struct Pending<M> {
-    /// The recipient set of the original fan-out, in send order.
+    /// The recipients that have not acked yet, in send order (distinct:
+    /// a repeated destination starts a new entry).
     recipients: Vec<ProcId>,
-    /// Per-recipient ack bitmask (bit `i` set ⇔ `recipients[i]` acked).
-    acked: Vec<u64>,
-    /// Recipients still unacked (`== recipients.len() - popcount(acked)`).
-    remaining: usize,
-    /// The one `Rc`-shared wire message: reused by the initial fan-out
-    /// and every retransmission — the payload lives here exactly once.
-    msg: Rc<RetryMsg<M>>,
+    /// The wire message, reused by the initial fan-out and every
+    /// retransmission: plain data by value, anything else behind one
+    /// shared `Rc`, so the payload lives here exactly once.
+    msg: Payload<RetryMsg<M>>,
     /// Send attempts so far (the initial fan-out counts as 1).
     attempts: u32,
     /// Current retransmission timeout (grows by the backoff factor).
@@ -129,32 +136,134 @@ struct Pending<M> {
 }
 
 impl<M> Pending<M> {
-    fn new(recipients: Vec<ProcId>, msg: Rc<RetryMsg<M>>, timeout: u64) -> Self {
-        let words = recipients.len().div_ceil(64);
-        Pending {
-            remaining: recipients.len(),
-            acked: vec![0; words],
-            recipients,
-            msg,
-            attempts: 1,
-            timeout,
-        }
-    }
-
-    fn is_acked(&self, idx: usize) -> bool {
-        self.acked[idx / 64] & (1u64 << (idx % 64)) != 0
-    }
-
-    /// Marks `src`'s slot acked; returns `true` if this was the last
-    /// outstanding recipient.
+    /// Marks `src` acked; returns `true` if it was the last outstanding
+    /// recipient.
     fn ack(&mut self, src: ProcId) -> bool {
-        if let Some(idx) =
-            (0..self.recipients.len()).find(|&i| self.recipients[i] == src && !self.is_acked(i))
-        {
-            self.acked[idx / 64] |= 1u64 << (idx % 64);
-            self.remaining -= 1;
+        if let Some(idx) = self.recipients.iter().position(|&r| r == src) {
+            self.recipients.remove(idx);
         }
-        self.remaining == 0
+        self.recipients.is_empty()
+    }
+}
+
+/// Entries keyed by ids issued in increasing order, stored in a window
+/// over `[base, base + slots.len())` indexed by `id − base`. The front is
+/// the oldest live id; a removed entry leaves a hole until every older
+/// entry is gone too. Ids outside the window, a crafted `u64::MAX`
+/// included, find nothing and touch nothing.
+struct IdWindow<T> {
+    base: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> IdWindow<T> {
+    fn new() -> Self {
+        IdWindow {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// Adds the entry of a newly issued id.
+    ///
+    /// # Panics
+    ///
+    /// If the window is not empty and `id` is not the next id after its
+    /// last one.
+    fn insert(&mut self, id: u64, value: T) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        assert_eq!(
+            id,
+            self.base + self.slots.len() as u64,
+            "pending ids enter the window in issue order"
+        );
+        self.slots.push_back(Some(value));
+    }
+
+    /// The slot index of `id`, if it lies in the window.
+    fn index(&self, id: u64) -> Option<usize> {
+        let offset = id.checked_sub(self.base)?;
+        (offset < self.slots.len() as u64).then_some(offset as usize)
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        let idx = self.index(id)?;
+        self.slots[idx].as_mut()
+    }
+
+    /// Removes and returns the entry of `id`, then drops the holes at the
+    /// front so the window starts at the oldest live id.
+    fn remove(&mut self, id: u64) -> Option<T> {
+        let idx = self.index(id)?;
+        let value = self.slots[idx].take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        value
+    }
+
+    /// The live entries with their ids, in ascending id order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+        let base = self.base;
+        self.slots
+            .iter_mut()
+            .zip(base..)
+            .filter_map(|(slot, id)| slot.as_mut().map(|value| (id, value)))
+    }
+}
+
+/// Which `(sender, id)` pairs have been delivered to the inner process.
+/// A sender issues its ids in order, so per sender this is every id below
+/// `below` plus the ids above it that arrived early, kept sorted. The
+/// prefix only grows past ids this process receives: a sender whose ids
+/// also go to others (unicasts to other processes) leaves gaps, and its
+/// later ids stay in `early`, one word each.
+#[derive(Default)]
+struct Delivered {
+    senders: Vec<Seen>,
+}
+
+/// The delivered ids of one sender (see [`Delivered`]).
+#[derive(Default)]
+struct Seen {
+    below: u64,
+    early: Vec<u64>,
+}
+
+impl Delivered {
+    /// Records the delivery of `src`'s message `id`; returns whether it
+    /// is new.
+    fn insert(&mut self, src: ProcId, id: u64) -> bool {
+        if src >= self.senders.len() {
+            self.senders.resize_with(src + 1, Seen::default);
+        }
+        let seen = &mut self.senders[src];
+        if id < seen.below {
+            return false;
+        }
+        if id > seen.below {
+            return match seen.early.binary_search(&id) {
+                Ok(_) => false,
+                Err(pos) => {
+                    seen.early.insert(pos, id);
+                    true
+                }
+            };
+        }
+        // the prefix grows, absorbing the early ids it now reaches
+        seen.below += 1;
+        let reached = seen
+            .early
+            .iter()
+            .zip(seen.below..)
+            .take_while(|&(&early, next)| early == next)
+            .count();
+        seen.below += reached as u64;
+        seen.early.drain(..reached);
+        true
     }
 }
 
@@ -164,8 +273,10 @@ pub struct RetryAdapter<P: AsyncProcess> {
     inner: P,
     policy: RetryPolicy,
     next_id: u64,
-    pending: BTreeMap<u64, Pending<P::Msg>>,
-    delivered: BTreeSet<(ProcId, u64)>,
+    pending: IdWindow<Pending<P::Msg>>,
+    /// Emptied recipient buffers of removed entries, reused by new ones.
+    spare: Vec<Vec<ProcId>>,
+    delivered: Delivered,
     /// Retransmissions actually sent (excludes first attempts), counted
     /// per retransmitted message (a table entry resent to 3 unacked
     /// recipients counts 3).
@@ -173,8 +284,8 @@ pub struct RetryAdapter<P: AsyncProcess> {
     /// Optional shared counter mirroring `retransmissions` (lets scenario
     /// probes read the total after the adapter is boxed away).
     probe: Option<Rc<Cell<u64>>>,
-    /// Recycled inner-callback context (capacity retained across events).
-    scratch: Option<NetCtx<P::Msg>>,
+    /// The inner process's callback context, reused across events.
+    ictx: NetCtx<P::Msg>,
 }
 
 impl<P: AsyncProcess> RetryAdapter<P> {
@@ -184,18 +295,21 @@ impl<P: AsyncProcess> RetryAdapter<P> {
     ///
     /// Panics if `policy.timeout == 0` (a zero timeout would retransmit
     /// in the same tick as the original send, before any ack could
-    /// possibly arrive).
+    /// possibly arrive). A callback of the wrapped process panics if it
+    /// arms a timer with an id of `2^63` or more, which does not fit the
+    /// adapter's timer namespace (see the [module docs](self)).
     pub fn new(inner: P, policy: RetryPolicy) -> Self {
         assert!(policy.timeout >= 1, "retry timeout must be at least 1");
         RetryAdapter {
             inner,
             policy,
             next_id: 0,
-            pending: BTreeMap::new(),
-            delivered: BTreeSet::new(),
+            pending: IdWindow::new(),
+            spare: Vec::new(),
+            delivered: Delivered::default(),
             retransmissions: 0,
             probe: None,
-            scratch: None,
+            ictx: NetCtx::new(0, 0, 0),
         }
     }
 
@@ -223,56 +337,86 @@ impl<P: AsyncProcess> RetryAdapter<P> {
         }
     }
 
-    /// Opens one pending entry for a (payload, recipient-set) group and
-    /// fans the shared wire message out to every recipient.
-    fn track(&mut self, dsts: Vec<ProcId>, payload: P::Msg, ctx: &mut NetCtx<RetryMsg<P::Msg>>) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let msg = Rc::new(RetryMsg::Data { id, payload });
-        for &dst in &dsts {
-            ctx.send_shared(dst, Rc::clone(&msg));
-        }
-        if self.policy.max_attempts != 1 {
-            ctx.set_timer(self.policy.timeout, (id << 1) | 1);
-            self.pending
-                .insert(id, Pending::new(dsts, msg, self.policy.timeout));
+    /// Runs one callback of the inner process on the reused inner context,
+    /// then absorbs what it buffered.
+    fn with_inner(
+        &mut self,
+        ctx: &mut NetCtx<RetryMsg<P::Msg>>,
+        callback: impl FnOnce(&mut P, &mut NetCtx<P::Msg>),
+    ) {
+        self.ictx.reset(ctx.id(), ctx.n(), ctx.now());
+        callback(&mut self.inner, &mut self.ictx);
+        self.absorb(ctx);
+    }
+
+    /// Removes a finished entry, keeping its recipient buffer for reuse.
+    fn release(&mut self, id: u64) {
+        if let Some(mut entry) = self.pending.remove(id) {
+            entry.recipients.clear();
+            self.spare.push(entry.recipients);
         }
     }
 
     /// Applies the actions an inner callback buffered: forwards timers
-    /// (shifted into the even namespace) and converts sends into tracked
-    /// `Data` messages with retransmission timers. Consecutive sends
-    /// sharing one multicast `Rc` payload collapse into a single table
-    /// entry; the payload is extracted by dropping the redundant `Rc`
-    /// handles and unwrapping the last — no clone on this path.
-    fn absorb(&mut self, ictx: &mut NetCtx<P::Msg>, ctx: &mut NetCtx<RetryMsg<P::Msg>>) {
-        let actions = ictx.drain_actions();
+    /// (shifted into the even namespace) and turns sends into tracked
+    /// `Data` messages with retransmission timers. The sends of one
+    /// multicast call form a single table entry, split where a
+    /// destination repeats; the payload moves out of the call's first
+    /// send — a clone happens only for an `Rc`-shared payload whose call
+    /// was split.
+    ///
+    /// # Panics
+    ///
+    /// If an inner timer id is `2^63` or more: shifted, it would lose its
+    /// top bit and come back to the inner process as a different id.
+    fn absorb(&mut self, ctx: &mut NetCtx<RetryMsg<P::Msg>>) {
+        let actions = self.ictx.drain_actions();
         for (delay, timer) in actions.timers {
-            debug_assert!(timer < 1 << 63, "inner timer id overflows the namespace");
+            assert!(
+                timer < 1 << 63,
+                "inner timer id {timer} does not fit the retry adapter's namespace (ids below 2^63)"
+            );
             ctx.set_timer(delay, timer << 1);
         }
-        let mut sends = actions.sends.peekable();
-        while let Some((dst, payload)) = sends.next() {
-            match payload {
-                Payload::Owned(msg) => self.track(vec![dst], msg, ctx),
-                Payload::Shared(rc) => {
-                    let mut dsts = vec![dst];
-                    while let Some((next_dst, Payload::Shared(next_rc))) = sends.peek() {
-                        // repeated destinations split into separate
-                        // entries, keeping (sender, id) delivery dedup
-                        // per physical send
-                        if !Rc::ptr_eq(&rc, next_rc) || dsts.contains(next_dst) {
-                            break;
-                        }
-                        dsts.push(*next_dst);
-                        sends.next(); // drops the redundant Rc handle
-                    }
-                    // the group held the only live handles: move the
-                    // payload out (clone only in the pathological
-                    // repeated-destination case)
-                    let msg = Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone());
-                    self.track(dsts, msg, ctx);
+        let mut calls = actions.multicasts.peekable();
+        let mut call_end = 0;
+        let mut sends = actions.sends.enumerate().peekable();
+        while let Some((i, (dst, payload))) = sends.next() {
+            if i >= call_end {
+                // a send outside the last call starts the next call or is
+                // a unicast
+                call_end = calls
+                    .next_if(|call| call.start == i)
+                    .map_or(i + 1, |call| call.end);
+            }
+            let mut dsts = self.spare.pop().unwrap_or_default();
+            dsts.push(dst);
+            while let Some((j, (next_dst, _))) = sends.peek() {
+                // repeated destinations split into separate entries,
+                // keeping (sender, id) delivery dedup per physical send
+                if *j >= call_end || dsts.contains(next_dst) {
+                    break;
                 }
+                dsts.push(*next_dst);
+                sends.next(); // drops the redundant copy or `Rc` handle
+            }
+            let id = self.next_id;
+            self.next_id += 1;
+            let payload = payload.into_msg();
+            let msg = Payload::shareable(RetryMsg::Data { id, payload });
+            ctx.fan_out(dsts.iter().copied(), &msg);
+            if self.policy.max_attempts == 1 {
+                dsts.clear();
+                self.spare.push(dsts);
+            } else {
+                ctx.set_timer(self.policy.timeout, (id << 1) | 1);
+                let entry = Pending {
+                    recipients: dsts,
+                    msg,
+                    attempts: 1,
+                    timeout: self.policy.timeout,
+                };
+                self.pending.insert(id, entry);
             }
         }
     }
@@ -282,11 +426,7 @@ impl<P: AsyncProcess> AsyncProcess for RetryAdapter<P> {
     type Msg = RetryMsg<P::Msg>;
 
     fn on_start(&mut self, ctx: &mut NetCtx<Self::Msg>) {
-        let mut ictx = self.scratch.take().unwrap_or_else(|| NetCtx::new(0, 0, 0));
-        ictx.reset(ctx.id(), ctx.n(), ctx.now());
-        self.inner.on_start(&mut ictx);
-        self.absorb(&mut ictx, ctx);
-        self.scratch = Some(ictx);
+        self.with_inner(ctx, |inner, ictx| inner.on_start(ictx));
     }
 
     fn on_message(&mut self, src: ProcId, msg: Self::Msg, ctx: &mut NetCtx<Self::Msg>) {
@@ -294,19 +434,13 @@ impl<P: AsyncProcess> AsyncProcess for RetryAdapter<P> {
             RetryMsg::Data { id, payload } => {
                 // always ack — the previous ack may have been lost
                 ctx.send(src, RetryMsg::Ack { id });
-                if self.delivered.insert((src, id)) {
-                    let mut ictx = self.scratch.take().unwrap_or_else(|| NetCtx::new(0, 0, 0));
-                    ictx.reset(ctx.id(), ctx.n(), ctx.now());
-                    self.inner.on_message(src, payload, &mut ictx);
-                    self.absorb(&mut ictx, ctx);
-                    self.scratch = Some(ictx);
+                if self.delivered.insert(src, id) {
+                    self.with_inner(ctx, |inner, ictx| inner.on_message(src, payload, ictx));
                 }
             }
             RetryMsg::Ack { id } => {
-                if let Some(p) = self.pending.get_mut(&id) {
-                    if p.ack(src) {
-                        self.pending.remove(&id);
-                    }
+                if self.pending.get_mut(id).is_some_and(|p| p.ack(src)) {
+                    self.release(id);
                 }
             }
         }
@@ -315,34 +449,22 @@ impl<P: AsyncProcess> AsyncProcess for RetryAdapter<P> {
     fn on_timer(&mut self, timer: u64, ctx: &mut NetCtx<Self::Msg>) {
         if timer & 1 == 0 {
             // an inner timer, forwarded
-            let mut ictx = self.scratch.take().unwrap_or_else(|| NetCtx::new(0, 0, 0));
-            ictx.reset(ctx.id(), ctx.n(), ctx.now());
-            self.inner.on_timer(timer >> 1, &mut ictx);
-            self.absorb(&mut ictx, ctx);
-            self.scratch = Some(ictx);
+            self.with_inner(ctx, |inner, ictx| inner.on_timer(timer >> 1, ictx));
             return;
         }
         let id = timer >> 1;
-        let Some(p) = self.pending.get_mut(&id) else {
+        let Some(p) = self.pending.get_mut(id) else {
             return; // fully acknowledged in the meantime
         };
         if self.policy.max_attempts != 0 && p.attempts >= self.policy.max_attempts {
-            self.pending.remove(&id);
+            self.release(id);
             return; // gave up
         }
         p.attempts += 1;
         p.timeout = p.timeout.saturating_mul(self.policy.backoff.max(1));
-        let timeout = p.timeout;
-        // resend the one shared wire message to every unacked recipient
-        let mut resent = 0;
-        for i in 0..p.recipients.len() {
-            if !p.is_acked(i) {
-                let dst = p.recipients[i];
-                let msg = Rc::clone(&p.msg);
-                ctx.send_shared(dst, msg);
-                resent += 1;
-            }
-        }
+        // resend the one wire message to every unacked recipient
+        ctx.fan_out(p.recipients.iter().copied(), &p.msg);
+        let (resent, timeout) = (p.recipients.len() as u64, p.timeout);
         self.count_retransmissions(resent);
         ctx.set_timer(timeout, (id << 1) | 1);
     }
@@ -352,23 +474,20 @@ impl<P: AsyncProcess> AsyncProcess for RetryAdapter<P> {
     }
 
     fn on_recover(&mut self, ctx: &mut NetCtx<Self::Msg>) {
-        // re-arm the retransmission timer of every still-pending entry
-        // (the timers scheduled before the crash were absorbed), then
-        // give the inner process its own recovery callback. The pending
-        // and delivered tables survive the crash in the adapter's
-        // in-memory state by the suspend/resume default; a peer's
-        // retransmissions re-fill whatever the crash window dropped —
-        // the adapter IS the replay mechanism for durable protocols.
+        // re-arm the retransmission timer of every still-pending entry,
+        // in ascending id order (the timers scheduled before the crash
+        // were absorbed), then give the inner process its own recovery
+        // callback. The pending and delivered tables survive the crash
+        // in the adapter's in-memory state by the suspend/resume
+        // default; a peer's retransmissions re-fill whatever the crash
+        // window dropped — the adapter IS the replay mechanism for
+        // durable protocols.
         let timeout = self.policy.timeout;
-        for (&id, p) in &mut self.pending {
+        for (id, p) in self.pending.iter_mut() {
             p.timeout = timeout;
             ctx.set_timer(timeout, (id << 1) | 1);
         }
-        let mut ictx = self.scratch.take().unwrap_or_else(|| NetCtx::new(0, 0, 0));
-        ictx.reset(ctx.id(), ctx.n(), ctx.now());
-        self.inner.on_recover(&mut ictx);
-        self.absorb(&mut ictx, ctx);
-        self.scratch = Some(ictx);
+        self.with_inner(ctx, |inner, ictx| inner.on_recover(ictx));
     }
 
     fn save_durable(&self) -> Option<crate::runtime::DurableState> {
@@ -402,6 +521,21 @@ mod tests {
             .map(|_| Box::new(RetryAdapter::new(BrachaProcess::new(t, 0, 1), policy)) as _)
             .collect();
         EventNet::new(procs, cfg)
+    }
+
+    /// Map-like views of the pending window for the table tests.
+    impl<T> IdWindow<T> {
+        fn len(&self) -> usize {
+            self.values().count()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        fn values(&self) -> impl Iterator<Item = &T> {
+            self.slots.iter().flatten()
+        }
     }
 
     #[test]
@@ -524,7 +658,6 @@ mod tests {
         assert_eq!(adapter.pending.len(), 1, "one entry per multicast group");
         let entry = adapter.pending.values().next().unwrap();
         assert_eq!(entry.recipients, vec![0, 1, 2]);
-        assert_eq!(entry.remaining, 3);
         for _ in 0..2 {
             let mut ctx = NetCtx::new(0, 3, 0);
             adapter.on_timer(1, &mut ctx); // retry timer of id 0
@@ -553,7 +686,7 @@ mod tests {
         let mut ctx = NetCtx::new(0, 3, 0);
         adapter.on_message(1, RetryMsg::Ack { id: 0 }, &mut ctx);
         let entry = adapter.pending.values().next().unwrap();
-        assert_eq!(entry.remaining, 2);
+        assert_eq!(entry.recipients, vec![0, 2]);
         // the next timer resends only to the 2 unacked recipients
         let mut ctx = NetCtx::new(0, 3, 0);
         adapter.on_timer(1, &mut ctx);
@@ -629,5 +762,100 @@ mod tests {
         // the n - 1 deliveries materializes one clone because the table's
         // handle is still live until the ack lands
         assert_eq!(clones.get(), n - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the retry adapter's namespace")]
+    fn inner_timer_ids_outside_the_namespace_panic() {
+        /// Arms the first timer id the adapter's namespace cannot hold.
+        struct ArmsTopBit;
+        impl AsyncProcess for ArmsTopBit {
+            type Msg = u64;
+            fn on_start(&mut self, ctx: &mut NetCtx<u64>) {
+                ctx.set_timer(1, 1 << 63);
+            }
+            fn on_message(&mut self, _s: ProcId, _m: u64, _c: &mut NetCtx<u64>) {}
+            fn decision(&self) -> Option<u64> {
+                None
+            }
+        }
+        let mut adapter = RetryAdapter::new(ArmsTopBit, RetryPolicy::default());
+        adapter.on_start(&mut NetCtx::new(0, 1, 0));
+    }
+
+    #[test]
+    fn flat_tables_match_the_btree_tables_they_replace() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // the pending window against a map keyed by id: ids issued in
+            // order, removed in random order, probed with ids that are
+            // live, already gone, not yet issued, or crafted
+            let mut window = IdWindow::new();
+            let mut map = BTreeMap::new();
+            let mut next_id = 0u64;
+            for step in 0..2_000usize {
+                if rng.random_range(0..5u32) < 2 {
+                    window.insert(next_id, step);
+                    map.insert(next_id, step);
+                    next_id += 1;
+                    continue;
+                }
+                let id = match rng.random_range(0..6u32) {
+                    0 => u64::MAX,
+                    1 => next_id + rng.random_range(0..1_000u64),
+                    _ => rng.random_range(0..next_id.max(1)),
+                };
+                let capacity = window.slots.capacity();
+                assert_eq!(window.get_mut(id).copied(), map.get(&id).copied());
+                assert_eq!(window.remove(id), map.remove(&id));
+                assert_eq!(window.slots.capacity(), capacity, "a probe never grows");
+                let live: Vec<(u64, usize)> = window.iter_mut().map(|(id, v)| (id, *v)).collect();
+                let expected: Vec<(u64, usize)> = map.iter().map(|(&id, &v)| (id, v)).collect();
+                assert_eq!(live, expected, "seed {seed}, step {step}");
+                // the window starts at the oldest live id
+                let span = map.keys().next().map_or(0, |&oldest| next_id - oldest);
+                assert_eq!(window.slots.len() as u64, span, "seed {seed}, step {step}");
+            }
+
+            // the delivered table against the set of pairs: mostly
+            // in-order ids per sender, some out of order or duplicated,
+            // some crafted
+            let mut flat = Delivered::default();
+            let mut set = BTreeSet::new();
+            let mut next = [0u64; 4];
+            for step in 0..4_000 {
+                let src = rng.random_range(0..4usize);
+                let id = match rng.random_range(0..10u32) {
+                    0 => u64::MAX,
+                    1 => u64::MAX - rng.random_range(0..3u64),
+                    2..=4 => rng.random_range(0..next[src] + 8),
+                    _ => {
+                        next[src] += 1;
+                        next[src] - 1
+                    }
+                };
+                assert_eq!(
+                    flat.insert(src, id),
+                    set.insert((src, id)),
+                    "seed {seed}, step {step}: ({src}, {id})"
+                );
+            }
+            for (src, seen) in flat.senders.iter().enumerate() {
+                assert!(seen.early.windows(2).all(|w| w[0] < w[1]));
+                assert!(seen.early.first().is_none_or(|&first| first > seen.below));
+                let ids: Vec<u64> = (0..seen.below).chain(seen.early.iter().copied()).collect();
+                let expected: Vec<u64> = set
+                    .range((src, 0)..=(src, u64::MAX))
+                    .map(|&(_, id)| id)
+                    .collect();
+                assert_eq!(ids, expected, "seed {seed}, sender {src}");
+                // crafted ids stay single entries: nothing sized by them
+                assert!(seen.early.len() <= 16, "sender {src}: {}", seen.early.len());
+            }
+        }
     }
 }

@@ -84,8 +84,10 @@ use bne_byzantine::ProcId;
 use bne_sim::derive_seed;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Stream tag for the latency/drop RNG (see [`bne_sim::derive_seed`]).
@@ -246,18 +248,25 @@ pub struct NetStats {
     pub recoveries: Vec<u64>,
 }
 
-/// A queued message payload: unicast sends own their message outright
-/// (no extra allocation over the pre-`Rc` queue), multicasts share one
-/// `Rc`-backed allocation across every recipient. The payload is only
-/// materialized into an owned `M` at delivery time — the last live
-/// reference is moved out instead of cloned, and messages dropped by
-/// loss or partitions never pay for a clone at all. This is what cuts
-/// the per-recipient clone cost of big multicast payloads (e.g. the
-/// Dolev–Strong signature chains) on large `n`.
+/// A queued message payload. A unicast send owns its message outright. A
+/// payload for several recipients (a multicast, or a retry adapter's
+/// fan-out and retransmissions) takes its representation from the message
+/// type, via [`Payload::shareable`]:
+///
+/// * **plain data** — a type without drop glue
+///   (`!std::mem::needs_drop::<M>()`), such as every event-protocol
+///   message — travels by value: each recipient gets its own copy, so a
+///   multicast allocates nothing;
+/// * a type **with drop glue** (it owns heap data, so a clone allocates)
+///   is put behind one `Rc` shared by every recipient, and only
+///   materialized into an owned `M` at delivery time: the last live
+///   reference is moved out instead of cloned, and messages dropped by
+///   loss or partitions never pay for a clone at all.
 pub(crate) enum Payload<M> {
-    /// A unicast message, owned by its single queue entry.
+    /// A message owned by its single queue entry: a unicast, or one
+    /// recipient's copy of plain data.
     Owned(M),
-    /// A multicast message, shared across recipients.
+    /// A message with drop glue, shared across recipients.
     Shared(Rc<M>),
 }
 
@@ -273,6 +282,17 @@ impl<M: Clone> Clone for Payload<M> {
 }
 
 impl<M: Clone> Payload<M> {
+    /// A payload for one or more recipients, represented by the type rule
+    /// above: by value for plain data, one shared `Rc` otherwise. Every
+    /// recipient takes a [`Clone`] of it — a copy or a refcount bump.
+    pub(crate) fn shareable(msg: M) -> Self {
+        if std::mem::needs_drop::<M>() {
+            Payload::Shared(Rc::new(msg))
+        } else {
+            Payload::Owned(msg)
+        }
+    }
+
     /// Materializes an owned message for delivery, cloning only when
     /// other recipients still hold the shared payload.
     pub(crate) fn into_msg(self) -> M {
@@ -296,28 +316,34 @@ impl<M: Clone> Payload<M> {
 ///
 /// Sends and timers requested here are applied by the runtime after the
 /// callback returns, in request order — which keeps the sampling order of
-/// the latency/drop RNG well-defined. The runtime recycles one scratch
-/// buffer across events, so steady-state event processing allocates
-/// nothing here.
+/// the latency/drop RNG well-defined. The runtime keeps one context for
+/// its whole life and hands it to every callback in place, so
+/// steady-state event processing allocates nothing here.
 pub struct NetCtx<M> {
     id: ProcId,
     n: usize,
     now: u64,
     sends: Vec<(ProcId, Payload<M>)>,
+    /// The ranges of `sends` that one [`NetCtx::multicast`] call each
+    /// made (non-empty, in request order). Plain-data copies carry no
+    /// shared handle, so this is how the retry adapter tells one
+    /// multicast from several sends of equal messages.
+    multicasts: Vec<Range<usize>>,
     timers: Vec<(u64, u64)>,
 }
 
 /// The drained action buffers of one [`NetCtx`], handed out by
-/// [`NetCtx::drain_actions`]: timers and sends as separate draining
-/// iterators (in request order, capacity retained by the context). This
-/// is the one sanctioned way for adapters in this crate to consume an
-/// inner context's buffered actions — previously `retry.rs` reached into
-/// the fields directly.
+/// [`NetCtx::drain_actions`]: timers, sends and multicast ranges as
+/// separate draining iterators (in request order, capacity retained by
+/// the context). This is how adapters in this crate consume an inner
+/// context's buffered actions.
 pub(crate) struct NetActions<'a, M> {
     /// Buffered `(delay, timer-id)` requests, in request order.
     pub(crate) timers: std::vec::Drain<'a, (u64, u64)>,
     /// Buffered `(destination, payload)` sends, in request order.
     pub(crate) sends: std::vec::Drain<'a, (ProcId, Payload<M>)>,
+    /// The index range within `sends` of each multicast call, in order.
+    pub(crate) multicasts: std::vec::Drain<'a, Range<usize>>,
 }
 
 impl<M> NetCtx<M> {
@@ -327,6 +353,7 @@ impl<M> NetCtx<M> {
             n,
             now,
             sends: Vec::new(),
+            multicasts: Vec::new(),
             timers: Vec::new(),
         }
     }
@@ -338,6 +365,7 @@ impl<M> NetCtx<M> {
         self.n = n;
         self.now = now;
         self.sends.clear();
+        self.multicasts.clear();
         self.timers.clear();
     }
 
@@ -362,23 +390,35 @@ impl<M> NetCtx<M> {
         self.sends.push((dst, Payload::Owned(msg)));
     }
 
-    /// Sends an already-shared payload to `dst` without cloning it —
-    /// the internal hook the retry adapter uses to retransmit one tracked
-    /// allocation to many recipients across many attempts.
-    pub(crate) fn send_shared(&mut self, dst: ProcId, msg: Rc<M>) {
-        self.sends.push((dst, Payload::Shared(msg)));
+    /// Sends one `msg` to every destination in `dsts`. Delivery order,
+    /// fault sampling and statistics are identical to calling
+    /// [`Self::send`] once per destination with a clone (see the
+    /// `multicast_matches_per_recipient_sends` test); only the allocation
+    /// profile depends on the message type. Plain data (no drop glue)
+    /// is copied to each recipient, so the call allocates nothing; a
+    /// message with drop glue is stored **once** behind an `Rc` shared by
+    /// every recipient, and cloned only at delivery while another
+    /// recipient still holds it.
+    pub fn multicast<I: IntoIterator<Item = ProcId>>(&mut self, dsts: I, msg: M)
+    where
+        M: Clone,
+    {
+        self.fan_out(dsts, &Payload::shareable(msg));
     }
 
-    /// Sends one `msg` to every destination in `dsts`, storing the
-    /// payload **once** in the event queue (`Rc`-backed) instead of
-    /// cloning it per recipient. Delivery order, fault sampling and
-    /// statistics are identical to calling [`Self::send`] once per
-    /// destination with a clone — only the allocation profile changes
-    /// (see the `multicast_matches_per_recipient_sends` test).
-    pub fn multicast<I: IntoIterator<Item = ProcId>>(&mut self, dsts: I, msg: M) {
-        let shared = Rc::new(msg);
-        for dst in dsts {
-            self.sends.push((dst, Payload::Shared(Rc::clone(&shared))));
+    /// Sends a clone of `payload` (a copy, or one more handle on a shared
+    /// message) to every destination in `dsts`, recorded as one multicast
+    /// call — the hook the retry adapter fans a tracked message out
+    /// through, on the first attempt and on every retransmission.
+    pub(crate) fn fan_out<I: IntoIterator<Item = ProcId>>(&mut self, dsts: I, payload: &Payload<M>)
+    where
+        M: Clone,
+    {
+        let start = self.sends.len();
+        self.sends
+            .extend(dsts.into_iter().map(|dst| (dst, payload.clone())));
+        if self.sends.len() > start {
+            self.multicasts.push(start..self.sends.len());
         }
     }
 
@@ -388,12 +428,14 @@ impl<M> NetCtx<M> {
         self.timers.push((delay, timer));
     }
 
-    /// Drains the buffered actions (timers and sends, each in request
-    /// order) while retaining buffer capacity for the next callback.
+    /// Drains the buffered actions (timers, sends and multicast ranges,
+    /// each in request order) while retaining buffer capacity for the
+    /// next callback.
     pub(crate) fn drain_actions(&mut self) -> NetActions<'_, M> {
         NetActions {
             timers: self.timers.drain(..),
             sends: self.sends.drain(..),
+            multicasts: self.multicasts.drain(..),
         }
     }
 }
@@ -702,6 +744,9 @@ impl<M> Arena<M> {
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("arena capacity");
                 self.slots.push(Some(ev));
+                // the free list is empty here; size it with the slab, so
+                // that freeing a slot never allocates
+                self.free.reserve(self.slots.capacity());
                 slot
             }
         }
@@ -755,10 +800,9 @@ impl<M> Arena<M> {
 /// near-future spread is heavy-tail latency at `base × 2^max_doublings`
 /// plus scheduler jitter, ≈ 55 ticks); only far-future retry-backoff
 /// timers overflow, and those are rare enough that the overflow heap is
-/// cheap. Kept deliberately small because the ring is initialized per
-/// `EventNet` — replica ensembles build millions of nets, so ring setup
-/// cost is part of the hot path (64 × 32-byte buckets = one 2 KiB
-/// write).
+/// cheap. Kept deliberately small: replica ensembles build millions of
+/// nets, and although each thread reuses one spare ring (see
+/// [`TimingWheel`]), emptying it is part of every net's teardown.
 const WHEEL_SLOTS: usize = 64;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
@@ -784,8 +828,7 @@ struct TickKey {
 struct Bucket {
     items: Vec<TickKey>,
     /// Drain cursor: `items[..next]` have been popped. `u32` keeps the
-    /// bucket at 32 bytes — the ring is initialized per `EventNet`, so
-    /// its footprint is construction cost.
+    /// bucket at 32 bytes, so the ring stays compact.
     next: u32,
     /// Whether `items[next..]` needs sorting before the next pop.
     dirty: bool,
@@ -825,10 +868,27 @@ impl Bucket {
     }
 }
 
+thread_local! {
+    /// The emptied wheel of the last wheel-queued net dropped on this
+    /// thread, handed to the next one built here (see [`TimingWheel`]).
+    static SPARE_WHEEL: Cell<Option<TimingWheel>> = const { Cell::new(None) };
+}
+
 /// The bucketed timing wheel: per-tick buckets over
 /// `[base, base + WHEEL_SLOTS)` plus an overflow heap for events beyond
 /// the horizon. An occupancy bitmap makes "find the next non-empty tick"
 /// a handful of word scans instead of a ring walk.
+///
+/// **One spare wheel per thread.** Replica ensembles build millions of
+/// short-lived nets, and a fresh wheel regrows every bucket it touches
+/// (4 → 8 → … keys). So a dropped net empties its wheel and leaves it as
+/// its thread's one spare, and the next net built on that thread takes
+/// it, capacity included; a second drop before the next build replaces
+/// the spare. An [`EventNet`] is not `Send` (its processes are trait
+/// objects without a `Send` bound), so the thread that builds a net also
+/// drops it. An emptied wheel is
+/// indistinguishable from a new one except for its capacity, so reuse
+/// cannot change an execution.
 struct TimingWheel {
     buckets: Vec<Bucket>,
     occupied: [u64; WHEEL_WORDS],
@@ -845,11 +905,51 @@ impl TimingWheel {
     fn new() -> Self {
         TimingWheel {
             buckets: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
+            ..TimingWheel::hollow()
+        }
+    }
+
+    /// A wheel with no buckets, which allocates nothing: the placeholder
+    /// a dropped net leaves behind when its wheel becomes the spare.
+    fn hollow() -> Self {
+        TimingWheel {
+            buckets: Vec::new(),
             occupied: [0; WHEEL_WORDS],
             base: 0,
             len: 0,
             overflow: BinaryHeap::new(),
         }
+    }
+
+    /// This thread's spare wheel, or a new one if there is none.
+    fn spare_or_new() -> Self {
+        SPARE_WHEEL
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_else(TimingWheel::new)
+    }
+
+    /// Empties the wheel and makes it this thread's spare, replacing any
+    /// earlier one; `self` is left hollow.
+    fn retire(&mut self) {
+        // every bucket without an occupancy bit is already empty and clean
+        // (pop, remove and drop_since reset a bucket they empty)
+        for idx in self.occupied_indices() {
+            let bucket = &mut self.buckets[idx];
+            bucket.items.clear();
+            bucket.next = 0;
+            bucket.dirty = false;
+        }
+        self.overflow.clear();
+        let spare = TimingWheel {
+            buckets: std::mem::take(&mut self.buckets),
+            overflow: std::mem::take(&mut self.overflow),
+            ..TimingWheel::hollow()
+        };
+        // at thread exit the slot may already be gone; the wheel is then
+        // simply freed
+        let _ = SPARE_WHEEL.try_with(|slot| slot.set(Some(spare)));
     }
 
     fn len(&self) -> usize {
@@ -1081,7 +1181,7 @@ enum EventQueue {
 impl EventQueue {
     fn new(impl_choice: QueueImpl) -> Self {
         match impl_choice {
-            QueueImpl::Wheel => EventQueue::Wheel(TimingWheel::new()),
+            QueueImpl::Wheel => EventQueue::Wheel(TimingWheel::spare_or_new()),
             QueueImpl::Heap => EventQueue::Heap(BinaryHeap::new()),
         }
     }
@@ -1163,6 +1263,15 @@ impl EventQueue {
         match self {
             EventQueue::Wheel(wheel) => wheel.drop_since(from),
             EventQueue::Heap(heap) => heap.retain(|&Reverse(key)| key.2 < from),
+        }
+    }
+}
+
+impl Drop for EventQueue {
+    /// A dropped wheel becomes its thread's spare (see [`TimingWheel`]).
+    fn drop(&mut self) {
+        if let EventQueue::Wheel(wheel) = self {
+            wheel.retire();
         }
     }
 }
@@ -1258,9 +1367,9 @@ pub struct EventNet<M: Clone> {
     queue_len: usize,
     trace: TraceSink,
     decision_times: Vec<Option<u64>>,
-    /// Recycled action buffer: one live callback at a time, so a single
-    /// scratch context serves every event.
-    scratch: Option<NetCtx<M>>,
+    /// The callback context: one live callback at a time, so this one
+    /// context serves every event, handed to each callback in place.
+    scratch: NetCtx<M>,
     /// Which processes are currently crashed (events addressed to them
     /// are absorbed).
     crashed: Vec<bool>,
@@ -1350,7 +1459,7 @@ impl<M: Clone> EventNet<M> {
             queue_len: 0,
             procs: Vec::new(),
             decision_times: vec![None; n],
-            scratch: None,
+            scratch: NetCtx::new(0, n, 0),
             crashed: vec![false; n],
             handled: vec![0; n],
             saved: (0..n).map(|_| None).collect(),
@@ -1361,9 +1470,7 @@ impl<M: Clone> EventNet<M> {
             created_keys: Vec::new(),
         };
         // install the processes before starting them, so destination
-        // validity checks in `route` see the real process count; one
-        // context serves every start callback (and seeds the scratch
-        // buffer the event loop recycles)
+        // validity checks in `route` see the real process count
         net.procs = procs;
         // enact the fault plan: time-0 crashes fire before any `on_start`
         // (crash-at-start), and later timed crashes are queued ahead of
@@ -1385,18 +1492,16 @@ impl<M: Clone> EventNet<M> {
                 CrashTrigger::AfterEvents(_) => {} // checked after each dispatch
             }
         }
-        let mut ctx = NetCtx::new(0, n, 0);
         for id in 0..n {
             if net.crashed[id] {
                 continue; // crashed at start: boots at recovery, if any
             }
             net.started[id] = true;
-            ctx.reset(id, n, 0);
-            net.procs[id].on_start(&mut ctx);
+            net.scratch.reset(id, n, 0);
+            net.procs[id].on_start(&mut net.scratch);
             net.note_decision(id);
-            net.apply(id, &mut ctx);
+            net.apply(id);
         }
-        net.scratch = Some(ctx);
         net
     }
 
@@ -1592,12 +1697,15 @@ impl<M: Clone> EventNet<M> {
         }
     }
 
-    /// Applies the actions a callback buffered in its [`NetCtx`]: timers
-    /// first, then sends, each in request order. The context's buffers
-    /// are drained in place (capacity retained for the next event).
-    fn apply(&mut self, src: ProcId, ctx: &mut NetCtx<M>) {
-        let actions = ctx.drain_actions();
-        for (delay, timer) in actions.timers {
+    /// Applies the actions a callback buffered in the context: timers
+    /// first, then sends, each in request order. The buffers are drained
+    /// where they are (capacity retained for the next event); routing
+    /// needs the whole net, so the send buffer is lent out for the loop
+    /// and put back. The next callback's reset clears the multicast
+    /// ranges, which only the retry adapter reads.
+    fn apply(&mut self, src: ProcId) {
+        for i in 0..self.scratch.timers.len() {
+            let (delay, timer) = self.scratch.timers[i];
             self.push_event(
                 self.now.saturating_add(delay),
                 0,
@@ -1608,9 +1716,12 @@ impl<M: Clone> EventNet<M> {
                 },
             );
         }
-        for (dst, msg) in actions.sends {
+        self.scratch.timers.clear();
+        let mut sends = std::mem::take(&mut self.scratch.sends);
+        for (dst, msg) in sends.drain(..) {
             self.route(src, dst, msg);
         }
+        self.scratch.sends = sends;
     }
 
     /// Routes one message: validity check, fault sampling, latency and
@@ -1710,7 +1821,6 @@ impl<M: Clone> EventNet<M> {
         self.stats.events_processed += 1;
         let event = self.arena.take(slot);
         let n = self.procs.len();
-        let mut ctx = self.scratch.take().unwrap_or_else(|| NetCtx::new(0, n, 0));
         match event {
             EventKind::Deliver {
                 src,
@@ -1728,11 +1838,12 @@ impl<M: Clone> EventNet<M> {
                     self.lamport[dst] = self.lamport[dst].max(clk) + 1;
                     let clock = self.lamport[dst];
                     self.record(TraceKind::Deliver, src as u64, dst as u64, sent_at, clock);
-                    ctx.reset(dst, n, self.now);
-                    // the last live reference moves out without cloning
-                    self.procs[dst].on_message(src, msg.into_msg(), &mut ctx);
+                    self.scratch.reset(dst, n, self.now);
+                    // plain data and the last live reference move out
+                    // without cloning
+                    self.procs[dst].on_message(src, msg.into_msg(), &mut self.scratch);
                     self.note_decision(dst);
-                    self.apply(dst, &mut ctx);
+                    self.apply(dst);
                     self.after_dispatch(dst);
                 }
             }
@@ -1749,10 +1860,10 @@ impl<M: Clone> EventNet<M> {
                     self.lamport[proc] += 1;
                     let clock = self.lamport[proc];
                     self.record(TraceKind::Timer, proc as u64, timer, armed_at, clock);
-                    ctx.reset(proc, n, self.now);
-                    self.procs[proc].on_timer(timer, &mut ctx);
+                    self.scratch.reset(proc, n, self.now);
+                    self.procs[proc].on_timer(timer, &mut self.scratch);
                     self.note_decision(proc);
-                    self.apply(proc, &mut ctx);
+                    self.apply(proc);
                     self.after_dispatch(proc);
                 }
             }
@@ -1770,21 +1881,20 @@ impl<M: Clone> EventNet<M> {
                     if let Some(state) = self.saved[proc].take() {
                         self.procs[proc].restore_durable(&state);
                     }
-                    ctx.reset(proc, n, self.now);
+                    self.scratch.reset(proc, n, self.now);
                     if self.started[proc] {
-                        self.procs[proc].on_recover(&mut ctx);
+                        self.procs[proc].on_recover(&mut self.scratch);
                     } else {
                         // crashed before it ever initialized: recovery
                         // is a (late) boot, not a resume
                         self.started[proc] = true;
-                        self.procs[proc].on_start(&mut ctx);
+                        self.procs[proc].on_start(&mut self.scratch);
                     }
                     self.note_decision(proc);
-                    self.apply(proc, &mut ctx);
+                    self.apply(proc);
                 }
             }
         }
-        self.scratch = Some(ctx);
     }
 
     /// Runs until the event queue drains or `max_events` have been
@@ -2160,6 +2270,12 @@ mod tests {
         }
         fn decision(&self) -> Option<u64> {
             self.decided
+        }
+        fn fork(&self) -> Option<Box<dyn AsyncProcess<Msg = u64>>> {
+            Some(Box::new(Echo {
+                got: self.got.clone(),
+                decided: self.decided,
+            }))
         }
     }
 
@@ -2697,6 +2813,38 @@ mod tests {
         assert_eq!(wheel.trace(), heap.trace());
         assert_eq!(wheel.stats(), heap.stats());
         assert_eq!(wheel.decisions(), heap.decisions());
+    }
+
+    #[test]
+    fn a_dropped_net_leaves_an_empty_clean_spare_wheel() {
+        let cfg = NetConfig {
+            latency: LatencyModel::UniformJitter { min: 0, max: 9 },
+            scheduler: SchedulerPolicy::RandomInterleave { seed: 3, jitter: 4 },
+            ..NetConfig::lockstep(77)
+        };
+        let mut net = echo_net(cfg, 6);
+        // leave events queued, some of them moved by undoable steps
+        assert!(!net.run(3));
+        let first = net.enabled_events()[0];
+        let undo = net.step_undoable(&first).expect("pending");
+        net.undo(undo);
+        let first = net.enabled_events()[0];
+        let _ = net.step_undoable(&first).expect("pending");
+        assert!(net.pending_events() > 0);
+        drop(net);
+        let spare = SPARE_WHEEL
+            .with(Cell::take)
+            .expect("the dropped net left its wheel");
+        assert_eq!(
+            (spare.len(), spare.base, spare.occupied),
+            (0, 0, [0; WHEEL_WORDS])
+        );
+        assert_eq!(spare.buckets.len(), WHEEL_SLOTS);
+        assert!(spare
+            .buckets
+            .iter()
+            .all(|b| b.items.is_empty() && b.next == 0 && !b.dirty));
+        assert!(spare.buckets.iter().any(|b| b.items.capacity() > 0));
     }
 
     #[test]
