@@ -2,15 +2,11 @@
 //! async event queue vs parallel replica sweeps through the scenario
 //! engine.
 //!
-//! Run and record to `BENCH_3.json` (all legs, with the null-echo
-//! runtime floor in ns/event as its headline), `BENCH_5.json`
-//! (event-driven protocol legs), `BENCH_6.json` (timing-wheel vs
-//! reference-heap legs plus the 10^6-run mega sweep), `BENCH_7.json`
-//! (crash-recovery consensus: Paxos throughput, failover latency, the
-//! durable round-trip, and the e22 crash-grid sweeps) and `BENCH_8.json`
-//! (observability overhead: trace sink off vs recording vs streaming
-//! metrics on the identical, gate-verified bit-identical workload), all
-//! in the repo root:
+//! Run and record to `BENCH_3.json` in the repo root: every leg —
+//! lockstep vs event queue, the event-driven protocols, timing wheel vs
+//! reference heap, crash-recovery consensus, observability overhead, the
+//! null-echo runtime floor and the 10^6-run mega sweep — with the floor
+//! in ns/event as its headline:
 //!
 //! ```text
 //! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --bench net_engine
@@ -29,8 +25,7 @@ use bne_bench::BenchReport;
 use bne_core::byzantine::adversary::{FaultyBehavior, FaultyProcess};
 use bne_core::byzantine::bracha::BrachaMsg;
 use bne_core::byzantine::network::{Process, SyncNetwork};
-use bne_core::byzantine::om::{OmConfig, TraitorStrategy};
-use bne_core::byzantine::om_process::{om_process_set, OmProcess};
+use bne_core::byzantine::om::{om_process_set, OmConfig, OmProcess, TraitorStrategy};
 use bne_core::byzantine::paxos::PaxosMsg;
 use bne_core::byzantine::phase_king::PhaseKingProcess;
 use bne_core::byzantine::Value;
@@ -185,7 +180,7 @@ fn assert_lockstep_equals_sync(pk_cells: &[(usize, usize)], om_cells: &[(usize, 
     }
 }
 
-/// The BENCH_6 gate: the timing wheel and the reference binary heap must
+/// The queue gate: the timing wheel and the reference binary heap must
 /// produce **bit-identical executions** — same event traces, same
 /// statistics (including the work counters: events processed, peak queue
 /// length, arena high-water mark), same decisions and decision times —
@@ -321,7 +316,7 @@ fn bench_net_engine(c: &mut Criterion) {
     });
     c.bench_function("net_async_heap/phase_king", |b| {
         // the reference heap on the identical workload — the wheel leg
-        // above is the default queue, so this pair is the BENCH_6
+        // above is the default queue, so this pair is the
         // queue-implementation comparison
         b.iter(|| {
             black_box(run_round_protocol(
@@ -379,7 +374,7 @@ fn bench_net_engine(c: &mut Criterion) {
         })
     });
 
-    // -- the runtime floor: a null protocol, the BENCH_3 null-echo legs ---
+    // -- the runtime floor: a null protocol, the null-echo legs ------------
     //
     // n = 11, `Constant(1)` latency, 2,211 events per replica: the cost
     // of an event with no protocol work, on the wheel under FIFO and
@@ -439,7 +434,7 @@ fn bench_net_engine(c: &mut Criterion) {
         b.iter(|| black_box(runner.run(&AsyncPhaseKingScenario, &pk_grid)))
     });
 
-    // -- event-driven protocols (no round adapter): the BENCH_5 legs --------
+    // -- event-driven protocols (no round adapter) --------------------------
     //
     // Gates first, like every other timing run in this bench: Bracha on
     // the lockstep configuration must satisfy all three RB conditions,
@@ -522,7 +517,7 @@ fn bench_net_engine(c: &mut Criterion) {
         b.iter(|| black_box(ben_or_runner.run_sequential(&BenOrScenario, &rush_grid)))
     });
     // the same FIFO ensemble on the reference heap: the ensemble-level
-    // half of the BENCH_6 queue comparison (work counters are asserted
+    // half of the queue comparison (work counters are asserted
     // identical by the gate; only wall time may differ)
     let fifo_grid_heap: Vec<BenOrCell> = fifo_grid
         .iter()
@@ -535,7 +530,7 @@ fn bench_net_engine(c: &mut Criterion) {
         b.iter(|| black_box(ben_or_runner.run_sequential(&BenOrScenario, &fifo_grid_heap)))
     });
 
-    // -- crash-recovery consensus: the BENCH_7 legs ------------------------
+    // -- crash-recovery consensus -------------------------------------------
     //
     // Gates first, as always: before anything is timed, single-decree
     // Paxos must be safe and live on the clean network, survive losing
@@ -630,7 +625,7 @@ fn bench_net_engine(c: &mut Criterion) {
         b.iter(|| black_box(crash_runner.run_sequential(&HsucScenario, &crash_grid)))
     });
 
-    // -- observability: the BENCH_8 legs -----------------------------------
+    // -- observability ------------------------------------------------------
     //
     // What watching costs. The identical Paxos crash-recovery workload
     // (the `event_paxos/crash_recovery` leg above) is run three ways:
@@ -722,7 +717,7 @@ fn bench_net_engine(c: &mut Criterion) {
         })
     });
 
-    // -- the BENCH_6 mega sweep: 10^6 protocol runs, wall-clock ------------
+    // -- the mega sweep: 10^6 protocol runs, wall-clock ---------------------
     //
     // One million minimal Ben-Or replicas (n = 4, unanimous start,
     // lockstep timing) through the scenario engine — the throughput
@@ -731,7 +726,7 @@ fn bench_net_engine(c: &mut Criterion) {
     // batches (the payload is seconds long; batching would multiply it).
     // Full mode times five passes, since one pass is at the mercy of host
     // noise, and records their median, min and max as a hand-built leg of
-    // BENCH_6.json; smoke mode times one.
+    // BENCH_3.json; smoke mode times one.
     let mega_cell = BenOrCell {
         n: 4,
         t: 0,
@@ -810,12 +805,12 @@ fn bench_net_engine(c: &mut Criterion) {
         }
     }
 
-    // The BENCH_5..8 legs are always timed (their reports below fail
-    // otherwise), so their headlines read the medians directly.
+    // The legs below are always timed, so their ratios read the medians
+    // directly.
     let ratio = |num: &str, den: &str| median(num).unwrap() / median(den).unwrap();
-    // BENCH_5 headlines: what the ack/retransmit machinery costs when it
-    // never fires, what 20% loss costs when it does, and what the rushing
-    // scheduler costs Ben-Or.
+    // What the ack/retransmit machinery costs when it never fires, what
+    // 20% loss costs when it does, and what the rushing scheduler costs
+    // Ben-Or.
     println!(
         "event_bracha_retry/zero_loss: {:.2}x the bare protocol (median; acks that never fire)",
         ratio("event_bracha_retry/zero_loss", "event_bracha/direct")
@@ -828,8 +823,8 @@ fn bench_net_engine(c: &mut Criterion) {
         "event_ben_or_sweep/rush: {:.2}x the FIFO ensemble (median; the scheduler is the adversary)",
         ratio("event_ben_or_sweep/rush", "event_ben_or_sweep/fifo")
     );
-    // BENCH_6 headlines: the wheel against the reference heap on
-    // identical (gate-verified bit-identical) workloads.
+    // The wheel against the reference heap on identical (gate-verified
+    // bit-identical) workloads.
     for (wheel, heap) in [
         (
             "net_async_event_queue/phase_king",
@@ -841,9 +836,9 @@ fn bench_net_engine(c: &mut Criterion) {
         let r = ratio(wheel, heap);
         println!("{wheel}: wheel at {r:.2}x the heap cost (median; <1 = faster)");
     }
-    // BENCH_7 headlines: what coordinator failure and the durable
-    // round-trip cost over the clean two-phase pipeline, and HSUC's
-    // rotation against Paxos's ballot race on the identical crash grid.
+    // What coordinator failure and the durable round-trip cost over the
+    // clean two-phase pipeline, and HSUC's rotation against Paxos's
+    // ballot race on the identical crash grid.
     println!(
         "event_paxos/failover: {:.2}x the clean decision (median wall time; the crashed proposer's silence is cheap to simulate — the failover price is paid in *virtual* time, see e22)",
         ratio("event_paxos/failover", "event_paxos/clean")
@@ -859,8 +854,8 @@ fn bench_net_engine(c: &mut Criterion) {
             "event_paxos_sweep/crash_grid"
         )
     );
-    // BENCH_8 headlines: what each trace sink costs over the silent run
-    // on the identical (gate-verified bit-identical) workload.
+    // What each trace sink costs over the silent run on the identical
+    // (gate-verified bit-identical) workload.
     for (name, label) in [
         ("net_obs/record", "recording the full trace"),
         ("net_obs/stream_metrics", "streaming metrics"),
@@ -875,8 +870,8 @@ fn bench_net_engine(c: &mut Criterion) {
         println!("{name}: {ns:.1} ns/event (median; the runtime floor)");
     }
     let floor = |leg: &str| Json::F64((ns_per_event(leg) * 10.0).round() / 10.0);
-    let report = |name: &str| BenchReport::new(name, "net_engine", results.clone());
-    report("BENCH_3")
+    let with_mega = [results.clone(), vec![mega_result]].concat();
+    BenchReport::new("BENCH_3", "net_engine", with_mega)
         .headline([
             ("null_echo_events", Json::U64(NULL_ECHO_EVENTS as u64)),
             (
@@ -892,42 +887,6 @@ fn bench_net_engine(c: &mut Criterion) {
                 floor("net_null_echo/heap_fifo"),
             ),
         ])
-        .write();
-    report("BENCH_5")
-        .only(&[
-            "event_bracha/direct",
-            "event_bracha_retry/zero_loss",
-            "event_bracha_retry/loss20",
-            "event_ben_or_sweep/fifo",
-            "event_ben_or_sweep/rush",
-        ])
-        .write();
-    let with_mega = [results.clone(), vec![mega_result]].concat();
-    BenchReport::new("BENCH_6", "net_engine", with_mega)
-        .only(&[
-            "net_sync_lockstep/phase_king",
-            "net_async_event_queue/phase_king",
-            "net_async_heap/phase_king",
-            "net_sync_lockstep/om_eig",
-            "net_async_event_queue/om_eig",
-            "net_async_heap/om_eig",
-            "event_ben_or_sweep/fifo",
-            "event_ben_or_sweep/rush",
-            "event_ben_or_sweep_heap/fifo",
-            "net_mega_sweep/ben_or_1e6",
-        ])
-        .write();
-    report("BENCH_7")
-        .only(&[
-            "event_paxos/clean",
-            "event_paxos/failover",
-            "event_paxos/crash_recovery",
-            "event_paxos_sweep/crash_grid",
-            "event_hsuc_sweep/crash_grid",
-        ])
-        .write();
-    report("BENCH_8")
-        .only(&["net_obs/off", "net_obs/record", "net_obs/stream_metrics"])
         .write();
 }
 

@@ -2,8 +2,8 @@
 //! clone-profile-and-re-encode pattern) vs. the stride-arithmetic engine,
 //! sequentially and across threads.
 //!
-//! Run and record to `BENCH_1.json` (all legs) and `BENCH_4.json` (the
-//! pruned vs unpruned deviation-oracle legs), in the repo root:
+//! Run and record to `BENCH_1.json` (all legs, among them the pruned vs
+//! unpruned deviation-oracle legs) in the repo root:
 //!
 //! ```text
 //! BNE_BENCH_DIR=$PWD cargo bench -p bne-bench --bench profile_engine
@@ -230,7 +230,7 @@ fn bench_profile_engine(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_4: pruned vs unpruned deviation-oracle search
+// Pruned vs unpruned deviation-oracle search
 // ---------------------------------------------------------------------------
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) so the bench games
@@ -409,10 +409,7 @@ fn bench_oracle_pruning(c: &mut Criterion) {
         println!("speedup pruned vs unpruned ({label}, 4p5a dom): {speedup:.2}x");
     }
     // this target runs last, so `results` holds every leg of the bench
-    let report = |name: &str| BenchReport::new(name, "profile_engine", results.clone());
-    report("BENCH_1").write();
-    let bench4: Vec<&str> = pairs.iter().flat_map(|&(p, u, _)| [p, u]).collect();
-    report("BENCH_4").only(&bench4).write();
+    BenchReport::new("BENCH_1", "profile_engine", results).write();
 }
 
 criterion_group! {

@@ -1,6 +1,8 @@
 //! Scenario-engine benches: the old bespoke sequential loops (collect every
 //! outcome, aggregate at the end) vs the `bne-sim` engine, sequentially and
-//! across threads.
+//! across threads, plus one whole run of each simulator the engine fans
+//! out (`scrip/*`, `p2p/*`), the baseline for work on the simulators
+//! themselves.
 //!
 //! Run and record to `BENCH_2.json` (all legs) in the repo root:
 //!
@@ -21,7 +23,7 @@ use bne_core::machine::tournament::{rank_of, run_tournament, Competitor};
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario, P2pStats};
 use bne_core::p2p::{simulate as p2p_simulate, P2pConfig, P2pOutcome};
 use bne_core::scrip::scenario::{population_grid, ScripScenario, ScripStats};
-use bne_core::scrip::{simulate as scrip_simulate, ScripOutcome};
+use bne_core::scrip::{simulate as scrip_simulate, ScripConfig, ScripOutcome};
 use bne_core::sim::{canonical_fold, derive_seed, CellResult, Merge, Scenario, SimRunner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -299,6 +301,16 @@ fn bench_scenario_engine(c: &mut Criterion) {
                 .collect();
             black_box(standings)
         })
+    });
+
+    // -- one whole simulator run each, outside the engine --------------------
+    let scrip_config = ScripConfig::homogeneous(50, 10, 20_000);
+    c.bench_function("scrip/50_agents_20k_rounds", |b| {
+        b.iter(|| black_box(scrip_simulate(&scrip_config, 7)))
+    });
+    let p2p_config = P2pConfig::default();
+    c.bench_function("p2p/2000_peers_20k_queries", |b| {
+        b.iter(|| black_box(p2p_simulate(&p2p_config, 42)))
     });
 
     // Headline ratios straight in the bench output. Both medians and mins

@@ -31,8 +31,7 @@ use bne_core::machine::scenario::{rounds_grid, TournamentScenario};
 use bne_core::machine::tournament::{run_tournament, Competitor, TournamentConfig};
 use bne_core::mediator::feasibility::{classify_regime, Assumptions, Implementability};
 use bne_core::mediator::{
-    distributions_match, ByzantineAgreementGame, MediatorGame, OralMessagesCheapTalk,
-    SignedBroadcastCheapTalk, TruthfulMediator,
+    distributions_match, ByzantineAgreementGame, MediatorGame, TruthfulMediator,
 };
 use bne_core::net::scenario::{
     async_broadcast_partition_grid, async_om_loss_grid, async_phase_king_scheduler_grid,
@@ -40,7 +39,7 @@ use bne_core::net::scenario::{
     AsyncBroadcastScenario, AsyncOmScenario, AsyncPhaseKingScenario, BenOrScenario, CrashRegime,
     HsucScenario, PaxosScenario, SchedulerSpec,
 };
-use bne_core::net::LatencyModel;
+use bne_core::net::{LatencyModel, OralMessagesCheapTalk, SignedBroadcastCheapTalk};
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario};
 use bne_core::p2p::{simulate as p2p_simulate, P2pConfig};
 use bne_core::robust::classify_profile;

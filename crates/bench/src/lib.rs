@@ -9,7 +9,7 @@
 //! Each file is an object written one line per key, and one line per
 //! element of an array-valued key, so a regenerated file diffs line by
 //! line. A report's keys, in order: `schema` (1), `report` (e.g.
-//! `"BENCH_5"`), `bench` (e.g. `"net_engine"`), `mode` (`"smoke"` or
+//! `"BENCH_3"`), `bench` (e.g. `"net_engine"`), `mode` (`"smoke"` or
 //! `"full"`, see [`bench_smoke_mode`]), `cores` (available parallelism),
 //! `headline` (the bench's own scalars, `{}` for most reports) and `legs`
 //! (one criterion result per timed benchmark id, times rounded to 0.1 ns).
@@ -154,7 +154,7 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// The report `report` (e.g. `"BENCH_5"`) of the bench target `bench`
+    /// The report `report` (e.g. `"BENCH_3"`) of the bench target `bench`
     /// (e.g. `"net_engine"`), holding `legs` in order: usually every leg
     /// the process timed, [`criterion::results`].
     pub fn new(report: &str, bench: &str, legs: Vec<BenchResult>) -> Self {

@@ -13,10 +13,9 @@
 //!   behaviors;
 //! * [`adversary`] — canned faulty behaviors (crash, silent, random,
 //!   equivocating, value-flipping);
-//! * [`om`] — the recursive Oral Messages algorithm OM(m) of Lamport,
-//!   Shostak and Pease, correct for `n > 3t`;
-//! * [`om_process`] — the same protocol as message-passing processes (the
-//!   EIG formulation), runnable on [`network::SyncNetwork`] and on the
+//! * [`om`] — the Oral Messages algorithm OM(m) of Lamport, Shostak and
+//!   Pease as message-passing processes (the EIG formulation), correct
+//!   for `n > 3t` and runnable on [`network::SyncNetwork`] and on the
 //!   async `bne-net` runtime;
 //! * [`phase_king`] — the Berman–Garay–Perry phase-king consensus protocol
 //!   running on the network simulator, correct for `n > 4t`;
@@ -59,7 +58,6 @@ pub mod hsuc;
 pub mod mediator_ba;
 pub mod network;
 pub mod om;
-pub mod om_process;
 pub mod paxos;
 pub mod phase_king;
 pub mod properties;
@@ -73,10 +71,9 @@ pub use event::EventMachine;
 pub use hsuc::{HsucMsg, HsucState};
 pub use mediator_ba::mediator_byzantine_agreement;
 pub use network::{ProcId, Process, RoundStats, SyncNetwork};
-pub use om::{om_byzantine_generals, OmConfig, OmOutcome};
-pub use om_process::{
+pub use om::{
     om_colluding_process_set, om_process_set, run_om_process, OmColludingTraitorProcess,
-    OmCollusion, OmMsg, OmProcess, OmTraitorProcess,
+    OmCollusion, OmConfig, OmMsg, OmProcess, OmTraitorProcess, TraitorStrategy,
 };
 pub use paxos::{PaxosMsg, PaxosState};
 pub use phase_king::{run_phase_king, PhaseKingProcess};

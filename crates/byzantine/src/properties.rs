@@ -1,7 +1,7 @@
 //! Agreement and validity checking for Byzantine agreement executions, plus
 //! the sweep helper used by experiment E4 (the t < n/3 boundary table).
 
-use crate::om::{om_byzantine_generals, OmConfig, TraitorStrategy};
+use crate::om::{run_om_process, OmConfig, TraitorStrategy};
 use crate::Value;
 use std::collections::BTreeSet;
 
@@ -157,29 +157,26 @@ pub fn om_boundary_sweep(
             } else {
                 (1..=t).collect()
             };
+            // the loyal lieutenants are judged; the commander is not
+            let honest: Vec<bool> = (0..n).map(|i| i != 0 && !traitors.contains(&i)).collect();
+            let general_honest = !traitors.contains(&0);
             let config = OmConfig {
                 n,
                 m: t,
                 commander_value: 1,
-                traitors: traitors.clone(),
+                traitors,
                 strategy: TraitorStrategy::SplitByParity,
                 default_value: 0,
             };
-            let outcome = om_byzantine_generals(&config);
-            let values: Vec<Value> = outcome.decisions.values().copied().collect();
-            let agreement = values.windows(2).all(|w| w[0] == w[1]);
-            let validity = if traitors.contains(&0) {
-                true
-            } else {
-                values.iter().all(|&v| v == 1)
-            };
+            let (decisions, stats) = run_om_process(&config);
+            let verdict = report(&decisions, &honest, general_honest, 1);
             rows.push(BoundarySweepRow {
                 n,
                 t,
                 theoretically_possible: n > 3 * t,
-                agreement,
-                validity,
-                messages: outcome.messages,
+                agreement: verdict.agreement,
+                validity: verdict.validity,
+                messages: stats.messages_sent,
             });
         }
     }
@@ -256,6 +253,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn boundary_sweep_rows_are_pinned() {
+        // (n, t, agreement, validity, messages) of every row e4 draws
+        // from; t = 0 rows are pinned too, though e4 does not print them
+        let expected = [
+            (2, 0, true, true, 1),
+            (2, 1, true, true, 1),
+            (3, 0, true, true, 2),
+            (3, 1, true, false, 4),
+            (3, 2, true, true, 4),
+            (4, 0, true, true, 3),
+            (4, 1, true, true, 9),
+            (4, 2, true, true, 15),
+            (5, 0, true, true, 4),
+            (5, 1, true, true, 16),
+            (5, 2, false, false, 40),
+            (6, 0, true, true, 5),
+            (6, 1, true, true, 25),
+            (6, 2, false, false, 85),
+            (7, 0, true, true, 6),
+            (7, 1, true, true, 36),
+            (7, 2, true, true, 156),
+            (8, 0, true, true, 7),
+            (8, 1, true, true, 49),
+            (8, 2, true, true, 259),
+            (9, 0, true, true, 8),
+            (9, 1, true, true, 64),
+            (9, 2, true, true, 400),
+            (10, 0, true, true, 9),
+            (10, 1, true, true, 81),
+            (10, 2, true, true, 585),
+        ];
+        let rows: Vec<_> = om_boundary_sweep(10, 2, false)
+            .into_iter()
+            .map(|r| (r.n, r.t, r.agreement, r.validity, r.messages))
+            .collect();
+        assert_eq!(rows, expected);
     }
 
     #[test]

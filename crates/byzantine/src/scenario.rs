@@ -18,8 +18,7 @@
 use crate::adversary::{FaultyBehavior, FaultyProcess};
 use crate::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMessage};
 use crate::network::{ProcId, Process, SyncNetwork};
-use crate::om::{om_byzantine_generals, OmConfig, TraitorStrategy};
-use crate::om_process::OmProcess;
+use crate::om::{run_om_process, OmConfig, OmProcess, TraitorStrategy};
 use crate::phase_king::PhaseKingProcess;
 use crate::properties::{check_agreement, check_validity};
 use crate::Value;
@@ -76,8 +75,8 @@ pub type EngineOutput = (Vec<Option<Value>>, usize);
 /// what the run is judged against.
 pub struct RoundReplica<P> {
     /// What the engine runs: a process set for phase king and
-    /// Dolev–Strong; for OM the [`OmConfig`] that the recursive run and
-    /// the EIG process set are both built from.
+    /// Dolev–Strong; for OM the [`OmConfig`] its process set is built
+    /// from, honest or colluding.
     protocol: P,
     /// Rounds the protocol needs.
     rounds: usize,
@@ -239,7 +238,7 @@ pub fn dolev_strong_replica(
 pub struct OmCell {
     /// Total number of participants (commander + lieutenants).
     pub n: usize,
-    /// Number of traitors (also the recursion depth `m`).
+    /// Number of traitors (also the relay depth `m`).
     pub t: usize,
     /// How traitors lie.
     pub strategy: TraitorStrategy,
@@ -259,12 +258,8 @@ impl Scenario for OmScenario {
     fn run(&self, cell: &OmCell, seed: u64) -> ProtocolStats {
         om_replica(cell.n, cell.t, cell.strategy, cell.commander_faulty, seed).run(
             |config, _, _| {
-                // the recursion reports the loyal lieutenants only
-                let outcome = om_byzantine_generals(&config);
-                let decisions = (0..config.n)
-                    .map(|i| outcome.decisions.get(&i).copied())
-                    .collect();
-                (decisions, outcome.messages)
+                let (decisions, stats) = run_om_process(&config);
+                (decisions, stats.messages_sent)
             },
         )
     }

@@ -22,7 +22,8 @@
 //! Monte Carlo engine that fans any of those simulators across grid ×
 //! replica sweeps; [`net`] is the deterministic async discrete-event
 //! network runtime (latency models, adversarial schedulers, link faults)
-//! that the round-based protocols run on unchanged.
+//! that the round-based protocols run on unchanged, and the home of the
+//! cheap-talk protocols that implement the mediator.
 //!
 //! # Quick start
 //!

@@ -128,8 +128,6 @@ pub fn distributions_match<M: Mediator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mediator_game::{ByzantineAgreementGame, TruthfulMediator};
-    use crate::protocols::{OralMessagesCheapTalk, SignedBroadcastCheapTalk};
 
     #[test]
     fn total_variation_basics() {
@@ -141,58 +139,5 @@ mod tests {
         assert!((total_variation_distance(&a, &a)).abs() < 1e-12);
         assert!((total_variation_distance(&a, &b) - 0.5).abs() < 1e-12);
         assert!((total_variation_distance(&b, &a) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn om_protocol_implements_the_mediator_in_the_strong_regime() {
-        // n = 7 > 3(k + t) with k = 1, t = 1; faulty soldiers 5 and 6.
-        let game = ByzantineAgreementGame::build(7, 0.5);
-        let mg = MediatorGame::new(&game, TruthfulMediator);
-        let protocol = OralMessagesCheapTalk::new(7, 1, 1);
-        let faulty: BTreeSet<usize> = [5, 6].into_iter().collect();
-        assert!(distributions_match(&mg, &protocol, &faulty, 5, 1e-9));
-    }
-
-    #[test]
-    fn om_protocol_fails_to_implement_below_the_threshold() {
-        // n = 4 with k + t = 2 violates n > 3(k + t) = 6: with faulty
-        // players actively lying, the honest players no longer follow the
-        // general, so the induced distribution differs from the mediator's.
-        let game = ByzantineAgreementGame::build(4, 0.5);
-        let mg = MediatorGame::new(&game, TruthfulMediator);
-        let protocol = OralMessagesCheapTalk::new(4, 1, 1);
-        let faulty: BTreeSet<usize> = [2, 3].into_iter().collect();
-        assert!(!distributions_match(&mg, &protocol, &faulty, 5, 1e-9));
-    }
-
-    #[test]
-    fn signed_broadcast_implements_the_mediator_beyond_n_over_3() {
-        // n = 5 with k + t = 3 faulty soldiers — hopeless for OM, fine for
-        // the PKI-based protocol.
-        let game = ByzantineAgreementGame::build(5, 0.5);
-        let mg = MediatorGame::new(&game, TruthfulMediator);
-        let protocol = SignedBroadcastCheapTalk::new(5, 1, 2);
-        let faulty: BTreeSet<usize> = [2, 3, 4].into_iter().collect();
-        assert!(distributions_match(&mg, &protocol, &faulty, 5, 1e-9));
-
-        let om = OralMessagesCheapTalk::new(5, 1, 2);
-        assert!(!distributions_match(&mg, &om, &faulty, 5, 1e-9));
-    }
-
-    #[test]
-    fn no_faults_every_protocol_implements() {
-        let game = ByzantineAgreementGame::build(4, 0.3);
-        let mg = MediatorGame::new(&game, TruthfulMediator);
-        let faulty = BTreeSet::new();
-        for protocol in [
-            Box::new(OralMessagesCheapTalk::new(4, 0, 1)) as Box<dyn CheapTalkImplementation>,
-            Box::new(SignedBroadcastCheapTalk::new(4, 0, 1)),
-        ] {
-            assert!(
-                distributions_match(&mg, protocol.as_ref(), &faulty, 3, 1e-9),
-                "{}",
-                protocol.name()
-            );
-        }
     }
 }

@@ -9,9 +9,9 @@
 //! which bullet of the paper justified the answer.
 //!
 //! The classification is the *statement* of the theorems, not a proof; the
-//! executable evidence lives in [`crate::protocols`] (constructive, for the
-//! regimes where we implement the protocol) and in `bne-byzantine` (the
-//! `t < n/3` boundary that drives the impossibility results).
+//! executable evidence lives in `bne_net::cheap_talk` (constructive, for
+//! the regimes where we implement the protocol) and in `bne-byzantine`
+//! (the `t < n/3` boundary that drives the impossibility results).
 
 use bne_games::{ActionId, DeviationOracle, NormalFormGame, Utility};
 

@@ -13,15 +13,16 @@
 //!   mediator, and the induced distribution over actions the cheap-talk
 //!   game must reproduce;
 //! * [`cheap_talk`] — the cheap-talk extension `Γ_CT`: a communication
-//!   phase (built on the `bne-byzantine` and `bne-crypto` substrates)
-//!   followed by an action phase;
-//! * [`protocols`] — concrete cheap-talk implementations of the
-//!   Byzantine-agreement mediator: an oral-messages implementation for
-//!   `n > 3(k + t)` and a signed-broadcast (PKI) implementation for
-//!   `n > k + t`;
+//!   phase followed by an action phase, as the
+//!   [`CheapTalkImplementation`] trait;
 //! * [`equivalence`] — checking that a cheap-talk implementation induces
 //!   the same distribution over actions as the mediator, type profile by
 //!   type profile (the paper's definition of "implements").
+//!
+//! The crate phrases these definitions only. The concrete cheap-talk
+//! protocols — oral messages for `n > 3(k + t)` and signed broadcast over
+//! a PKI for `n > k + t` — run their talk phase on the network runtime,
+//! so they live with it in `bne_net::cheap_talk`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,6 @@ pub mod cheap_talk;
 pub mod equivalence;
 pub mod feasibility;
 pub mod mediator_game;
-pub mod protocols;
 
 pub use cheap_talk::{CheapTalkImplementation, CheapTalkOutcome};
 pub use equivalence::{distributions_match, total_variation_distance, ActionDistribution};
@@ -41,4 +41,3 @@ pub use feasibility::{
 pub use mediator_game::{
     ByzantineAgreementGame, DeviationChoice, Mediator, MediatorGame, TruthfulMediator,
 };
-pub use protocols::{OralMessagesCheapTalk, SignedBroadcastCheapTalk};

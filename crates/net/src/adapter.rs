@@ -27,8 +27,8 @@
 //! [`NetConfig::lockstep`] the outcomes coincide exactly:
 //!
 //! ```
-//! use bne_byzantine::{ProcId, Process};
-//! use bne_net::{run_round_protocol, run_sync_protocol, NetConfig};
+//! use bne_byzantine::{ProcId, Process, SyncNetwork};
+//! use bne_net::{run_round_protocol, NetConfig};
 //!
 //! /// Every process broadcasts its id in round 0 and decides the sum of
 //! /// what it heard in round 1.
@@ -60,16 +60,19 @@
 //! let make = || -> Vec<Box<dyn Process<Msg = u64>>> {
 //!     (0..4).map(|_| Box::new(SumIds { id: 0, n: 0, sum: None }) as _).collect()
 //! };
-//! let (sync_decisions, sync_stats) = run_sync_protocol(make(), 2);
+//! let mut sync = SyncNetwork::new(make());
+//! sync.run(2);
 //! let async_out = run_round_protocol(make(), 2, NetConfig::lockstep(0));
-//! assert_eq!(async_out.decisions, sync_decisions);
-//! assert_eq!(async_out.round_stats(), sync_stats);
+//! assert_eq!(async_out.decisions, sync.decisions());
+//! assert_eq!(async_out.round_stats(), sync.stats());
 //! assert_eq!(async_out.decisions[0], Some(1 + 2 + 3));
 //! ```
+//!
+//! [`SyncNetwork`]: bne_byzantine::SyncNetwork
 
 use crate::model::NetConfig;
 use crate::runtime::{AsyncProcess, EventNet, NetCtx, NetStats};
-use bne_byzantine::{ProcId, Process, RoundStats, SyncNetwork};
+use bne_byzantine::{ProcId, Process, RoundStats};
 
 /// Adapts a round-based [`Process`] to the [`AsyncProcess`] interface.
 pub struct RoundAdapter<M: Clone> {
@@ -154,6 +157,8 @@ pub struct AsyncRunOutcome {
 
 impl AsyncRunOutcome {
     /// The subset of statistics comparable with a [`SyncNetwork`] run.
+    ///
+    /// [`SyncNetwork`]: bne_byzantine::SyncNetwork
     pub fn round_stats(&self) -> RoundStats {
         RoundStats {
             messages_sent: self.stats.messages_sent,
@@ -169,6 +174,8 @@ impl AsyncRunOutcome {
 ///
 /// Panics if the event queue fails to drain within a generous bound
 /// (which would indicate a runaway process, not a scheduling artifact).
+///
+/// [`SyncNetwork::run`]: bne_byzantine::SyncNetwork::run
 pub fn run_round_protocol<M: Clone + 'static>(
     processes: Vec<Box<dyn Process<Msg = M>>>,
     rounds: usize,
@@ -193,16 +200,4 @@ pub fn run_round_protocol<M: Clone + 'static>(
         stats: net.stats(),
         rounds,
     }
-}
-
-/// Runs the same processes on the lockstep [`SyncNetwork`] — the sync side
-/// of the equality gate, returned in the same shape as
-/// [`run_round_protocol`] for direct comparison.
-pub fn run_sync_protocol<M: Clone>(
-    processes: Vec<Box<dyn Process<Msg = M>>>,
-    rounds: usize,
-) -> (Vec<Option<u64>>, RoundStats) {
-    let mut net = SyncNetwork::new(processes);
-    net.run(rounds);
-    (net.decisions(), net.stats())
 }

@@ -5,10 +5,10 @@
 //! workspace.
 //!
 //! The paper's thesis is that solution concepts must survive the
-//! realities of distributed computing, but the protocols in
-//! `bne-byzantine` and `bne-mediator` previously ran only on the lockstep
-//! [`bne_byzantine::SyncNetwork`]. This crate supplies the message-passing
-//! model that dominates practice:
+//! realities of distributed computing, so the round-based protocols of
+//! `bne-byzantine`, written for the lockstep
+//! [`bne_byzantine::SyncNetwork`], also run here, under the
+//! message-passing model that dominates practice:
 //!
 //! * [`runtime`] — an event queue keyed by `(virtual time, tiebreak,
 //!   sequence number)` driving [`runtime::AsyncProcess`]es, with a single
@@ -45,8 +45,10 @@
 //!   rates sweep over latency × loss × scheduler × fault-plan × `f/n`
 //!   grids through the parallel Monte Carlo engine (experiments
 //!   e17–e22);
-//! * [`cheap_talk`] — the mediator cheap-talk implementations re-hosted
-//!   on the async runtime.
+//! * [`cheap_talk`] — the cheap-talk implementations of the paper's
+//!   Byzantine-agreement mediator ([`OralMessagesCheapTalk`] and
+//!   [`SignedBroadcastCheapTalk`]), whose talk phase runs on the runtime
+//!   under any [`NetProfile`], lockstep by default.
 //!
 //! The `net_engine` bench gates its timing runs on the
 //! lockstep-equals-`SyncNetwork` assertion and records `BENCH_3.json`.
@@ -63,7 +65,8 @@ pub mod retry;
 pub mod runtime;
 pub mod scenario;
 
-pub use adapter::{run_round_protocol, run_sync_protocol, AsyncRunOutcome, RoundAdapter};
+pub use adapter::{run_round_protocol, AsyncRunOutcome, RoundAdapter};
+pub use cheap_talk::{OralMessagesCheapTalk, SignedBroadcastCheapTalk};
 pub use model::{
     CrashTrigger, FaultPlan, LatencyModel, LinkFaults, NetConfig, Partition, ProcessFault,
     QueueImpl, SchedulerPolicy,

@@ -208,11 +208,11 @@ impl TraceEvent {
 /// Aggregate statistics of one execution.
 ///
 /// Besides the message counts, this carries the **work counters** the
-/// `BENCH_6` methodology reports: events processed, the peak number of
-/// simultaneously queued events, and the arena high-water mark (event
-/// slots ever allocated — the allocation footprint of the run). All of
-/// them are part of the deterministic execution, so they are bit-identical
-/// across queue implementations.
+/// wheel-vs-heap legs of `BENCH_3` report: events processed, the peak
+/// number of simultaneously queued events, and the arena high-water mark
+/// (event slots ever allocated — the allocation footprint of the run).
+/// All of them are part of the deterministic execution, so they are
+/// bit-identical across queue implementations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetStats {
     /// Messages handed to the network with a valid destination (counted at

@@ -26,8 +26,7 @@ use crate::runtime::{AsyncProcess, EventNet, IdleProcess, NetStats};
 use bne_byzantine::adversary::FaultyBehavior;
 use bne_byzantine::bracha::BrachaMsg;
 use bne_byzantine::event::EventMachine;
-use bne_byzantine::om::TraitorStrategy;
-use bne_byzantine::om_process::{om_colluding_process_set, om_process_set};
+use bne_byzantine::om::{om_colluding_process_set, om_process_set, TraitorStrategy};
 use bne_byzantine::properties::{check_agreement, check_validity, rb_report};
 use bne_byzantine::scenario::{
     dolev_strong_replica, om_replica, phase_king_replica, EngineOutput, ProcessSet, ProtocolStats,
@@ -201,7 +200,7 @@ fn event_net<M: Clone + 'static>(
 pub struct AsyncOmCell {
     /// Total number of participants (commander + lieutenants).
     pub n: usize,
-    /// Number of traitors (also the recursion depth `m`).
+    /// Number of traitors (also the relay depth `m`).
     pub t: usize,
     /// How traitors lie.
     pub strategy: TraitorStrategy,
@@ -509,7 +508,7 @@ pub struct ConsensusStats {
     /// Point-to-point messages handed to the network.
     pub messages: StreamingStats,
     /// Runtime events processed (deliveries + timers) — the work metric
-    /// the BENCH_6 queue comparison reports alongside wall time.
+    /// the BENCH_3 queue comparison reports alongside wall time.
     pub events: StreamingStats,
     /// Timers fired on live processes ([`crate::NetStats::timers_fired`])
     /// — the retry/timeout-pressure column previously hidden inside

@@ -130,7 +130,7 @@ pub fn find_robust_profiles(game: &NormalFormGame, k: usize, t: usize) -> Vec<Ac
 
 /// [`find_robust_profiles`] with an explicit [`SearchStrategy`]
 /// ([`SearchStrategy::Exhaustive`] is the unpruned escape hatch the
-/// property tests and the BENCH_4 pruning leg compare against).
+/// property tests and the BENCH_1 pruning legs compare against).
 pub fn find_robust_profiles_with_strategy(
     game: &NormalFormGame,
     k: usize,

@@ -13,8 +13,9 @@ use bne_core::byzantine::mediator_byzantine_agreement;
 use bne_core::mediator::feasibility::{classify_regime, Assumptions, Implementability};
 use bne_core::mediator::{
     distributions_match, ByzantineAgreementGame, CheapTalkImplementation, MediatorGame,
-    OralMessagesCheapTalk, SignedBroadcastCheapTalk, TruthfulMediator,
+    TruthfulMediator,
 };
+use bne_core::net::{OralMessagesCheapTalk, SignedBroadcastCheapTalk};
 use std::collections::BTreeSet;
 
 fn main() {

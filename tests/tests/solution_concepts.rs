@@ -6,9 +6,9 @@ use bne_core::machine::frpd::{equilibrium_threshold, MemoryCostModel};
 use bne_core::machine::roshambo;
 use bne_core::mediator::feasibility::{classify_regime, Assumptions, Implementability};
 use bne_core::mediator::{
-    distributions_match, ByzantineAgreementGame, MediatorGame, OralMessagesCheapTalk,
-    SignedBroadcastCheapTalk, TruthfulMediator,
+    distributions_match, ByzantineAgreementGame, MediatorGame, TruthfulMediator,
 };
+use bne_core::net::{OralMessagesCheapTalk, SignedBroadcastCheapTalk};
 use bne_core::robust::{classify_profile, is_robust};
 use bne_core::solvers::{pure_nash_equilibria, support_enumeration};
 use std::collections::BTreeSet;
