@@ -13,10 +13,11 @@
 //!   behaviors;
 //! * [`adversary`] — canned faulty behaviors (crash, silent, random,
 //!   equivocating, value-flipping);
-//! * [`om`] — the Oral Messages algorithm OM(m) of Lamport, Shostak and
-//!   Pease as message-passing processes (the EIG formulation), correct
-//!   for `n > 3t` and runnable on [`network::SyncNetwork`] and on the
-//!   async `bne-net` runtime;
+//! * [`om`] — the Oral Messages problem OM(m) of Lamport, Shostak and
+//!   Pease: configuration, traitor strategies and the majority rule;
+//! * [`om_process`] — its one implementation, as message-passing
+//!   processes (the EIG formulation), correct for `n > 3t` and runnable
+//!   on [`network::SyncNetwork`] and on the async `bne-net` runtime;
 //! * [`phase_king`] — the Berman–Garay–Perry phase-king consensus protocol
 //!   running on the network simulator, correct for `n > 4t`;
 //! * [`broadcast`] — Dolev–Strong authenticated broadcast on top of the
@@ -58,6 +59,7 @@ pub mod hsuc;
 pub mod mediator_ba;
 pub mod network;
 pub mod om;
+pub mod om_process;
 pub mod paxos;
 pub mod phase_king;
 pub mod properties;
@@ -71,9 +73,10 @@ pub use event::EventMachine;
 pub use hsuc::{HsucMsg, HsucState};
 pub use mediator_ba::mediator_byzantine_agreement;
 pub use network::{ProcId, Process, RoundStats, SyncNetwork};
-pub use om::{
+pub use om::{OmConfig, TraitorStrategy};
+pub use om_process::{
     om_colluding_process_set, om_process_set, run_om_process, OmColludingTraitorProcess,
-    OmCollusion, OmConfig, OmMsg, OmProcess, OmTraitorProcess, TraitorStrategy,
+    OmCollusion, OmMsg, OmProcess, OmTraitorProcess,
 };
 pub use paxos::{PaxosMsg, PaxosState};
 pub use phase_king::{run_phase_king, PhaseKingProcess};

@@ -1,21 +1,23 @@
-//! The Oral Messages algorithm as a *message-passing process* (the
-//! exponential-information-gathering formulation).
+//! The Oral Messages algorithm OM(m) as message-passing processes (the
+//! exponential-information-gathering formulation) — the one
+//! implementation of the protocol whose problem, parameters and
+//! guarantee [`crate::om`] states.
 //!
-//! [`crate::om`] simulates OM(m) as a recursive function — convenient for
-//! counting and correctness, but not something a network can execute. This
-//! module provides the same protocol as [`Process`] implementations
-//! exchanging [`OmMsg`]s on a network simulator, so OM runs on the
-//! lockstep [`crate::network::SyncNetwork`] *and* (through `bne-net`'s
-//! round adapter) on the asynchronous discrete-event runtime, where
-//! message loss and adversarial timing degrade it measurably.
-//!
-//! The EIG formulation: in round 0 the commander (process 0) sends its
-//! order to every lieutenant; in round `r ≤ m` every lieutenant relays
-//! each value it learned along a path of `r` distinct relays to everyone
-//! not yet on that path. After `m + 1` relay levels each lieutenant holds
-//! an information tree whose recursive majority (ties and missing values
+//! In round 0 the commander (process 0) sends its order to every
+//! lieutenant; in round `r ≤ m` every lieutenant relays each value it
+//! learned along a path of `r` distinct relays to everyone not yet on
+//! that path. After `m + 1` relay levels each lieutenant holds an
+//! information tree whose recursive majority (ties and missing values
 //! fall to the default) is its decision — correct whenever `n > 3t` and
-//! `m ≥ t`, like the recursive version.
+//! `m ≥ t`. Traitors lie per a [`TraitorStrategy`], or collude through
+//! one [`OmCollusion`] ledger.
+//!
+//! The processes are [`Process`] implementations exchanging [`OmMsg`]s,
+//! so OM runs on the lockstep [`SyncNetwork`] ([`run_om_process`]) *and*
+//! (through `bne-net`'s round adapter) on the asynchronous discrete-event
+//! runtime, where message loss and adversarial timing degrade it
+//! measurably. Message counts are the sends that actually happen: a
+//! `Silent` traitor sends nothing, so its relays are not counted.
 
 use crate::network::{ProcId, Process, RoundStats, SyncNetwork};
 use crate::om::{majority, OmConfig, TraitorStrategy};
@@ -88,10 +90,10 @@ impl EigState {
 
     /// The recursive EIG majority: leaves report their stored value; an
     /// internal node takes the majority over its own directly-received
-    /// value plus the resolved relays of every other participant (this
-    /// mirrors `attributed[i][i]` in the recursive [`crate::om`] — the
-    /// process's own receipt votes alongside the relays). Ties and
-    /// missing values fall to the default.
+    /// value plus the resolved relays of every other participant (as in
+    /// Lamport–Shostak–Pease's recursion, the process's own receipt votes
+    /// alongside the relays). Ties and missing values fall to the
+    /// default.
     fn resolve(&self, path: &mut Vec<ProcId>) -> Value {
         if path.len() == self.m + 1 {
             return self.vals.get(path).copied().unwrap_or(self.default);
@@ -129,7 +131,7 @@ impl OmProcess {
         }
     }
 
-    /// Network rounds needed for recursion depth `m`: the commander's
+    /// Network rounds needed for relay depth `m`: the commander's
     /// round, `m` relay rounds, and the final absorb-and-decide round.
     pub fn rounds_needed(m: usize) -> usize {
         m + 2
@@ -551,6 +553,12 @@ mod tests {
             assert!(values.windows(2).all(|w| w[0] == w[1]), "agreement");
             assert!(values.iter().all(|&v| v == 1), "validity ({strategy:?})");
         }
+        // a traitorous commander plus one traitorous lieutenant
+        let cfg = config(7, 2, &[0, 3], TraitorStrategy::SplitByParity);
+        let (decisions, _) = run_om_process(&cfg);
+        let values = honest_decisions(&decisions, &cfg.traitors);
+        assert_eq!(values.len(), 5);
+        assert!(values.windows(2).all(|w| w[0] == w[1]), "agreement");
     }
 
     #[test]

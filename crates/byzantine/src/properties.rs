@@ -1,7 +1,8 @@
 //! Agreement and validity checking for Byzantine agreement executions, plus
 //! the sweep helper used by experiment E4 (the t < n/3 boundary table).
 
-use crate::om::{run_om_process, OmConfig, TraitorStrategy};
+use crate::om::{OmConfig, TraitorStrategy};
+use crate::om_process::run_om_process;
 use crate::Value;
 use std::collections::BTreeSet;
 

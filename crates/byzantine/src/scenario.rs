@@ -18,7 +18,8 @@
 use crate::adversary::{FaultyBehavior, FaultyProcess};
 use crate::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMessage};
 use crate::network::{ProcId, Process, SyncNetwork};
-use crate::om::{run_om_process, OmConfig, OmProcess, TraitorStrategy};
+use crate::om::{OmConfig, TraitorStrategy};
+use crate::om_process::{run_om_process, OmProcess};
 use crate::phase_king::PhaseKingProcess;
 use crate::properties::{check_agreement, check_validity};
 use crate::Value;

@@ -28,7 +28,8 @@ use crate::adapter::run_round_protocol;
 use crate::scenario::NetProfile;
 use bne_byzantine::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMessage};
 use bne_byzantine::network::{ProcId, Process};
-use bne_byzantine::om::{om_process_set, OmConfig, OmProcess, TraitorStrategy};
+use bne_byzantine::om::{OmConfig, TraitorStrategy};
+use bne_byzantine::om_process::{om_process_set, OmProcess};
 use bne_crypto::pki::PublicKeyInfrastructure;
 use bne_games::TypeId;
 use bne_mediator::{CheapTalkImplementation, CheapTalkOutcome};
@@ -232,18 +233,33 @@ mod tests {
     }
 
     #[test]
-    fn om_cheap_talk_implements_the_mediator_in_the_strong_regime() {
-        // n = 7 > 3(k + t) = 6 with k = t = 1: the paper's first bullet
+    fn async_om_cheap_talk_implements_the_mediator_on_a_lockstep_net() {
+        // n = 7 > 3(k + t) = 6 with k = t = 1 — the paper's first bullet,
+        // running through the event queue
         let ct = OralMessagesCheapTalk::new(7, 1, 1);
         for ids in [[4, 6], [5, 6]] {
             assert!(implements(7, &ct, &ids), "faulty {ids:?}");
         }
-        // one talk phase in full: every honest player follows the
-        // general, and OM(2) runs its four rounds on the full EIG schedule
+    }
+
+    #[test]
+    fn async_om_matches_actions_shape_of_the_sync_port() {
+        // one talk phase in full, with the action vector the synchronous
+        // port gave: every honest player follows the general, and OM(2)
+        // runs its four network rounds on the full EIG schedule
+        let ct = OralMessagesCheapTalk::new(7, 1, 1);
         let out = ct.execute(&[1, 0, 0, 0, 0, 0, 0], &faulty(&[4, 6]), 3);
         assert_eq!(out.actions, [1, 1, 1, 1, 0, 1, 0]);
-        assert_eq!(out.rounds, 4);
+        assert_eq!(out.rounds, OmProcess::rounds_needed(2));
         assert_eq!(out.messages, 6 + 6 * 5 + 6 * 5 * 4);
+        // the honest players follow the general's preference, either one
+        for pref in [0, 1] {
+            let out = ct.execute(&[pref, 0, 0, 0, 0, 0, 0], &faulty(&[4, 6]), 0);
+            for p in [0, 1, 2, 3, 5] {
+                assert_eq!(out.actions[p], pref, "player {p} pref {pref}");
+            }
+            assert!(out.messages > 0);
+        }
     }
 
     #[test]
@@ -264,20 +280,25 @@ mod tests {
             ..OralMessagesCheapTalk::new(3, 0, 1)
         };
         assert_ne!(flip.execute(&[1, 0, 0], &faulty(&[2]), 0).actions[1], 1);
-        // with the faulty players actively lying, the honest players'
-        // action distribution differs from the mediator's
-        for (n, k, t, ids) in [(4, 1, 1, &[2, 3][..]), (5, 1, 2, &[2, 3, 4])] {
-            let om = OralMessagesCheapTalk::new(n, k, t);
-            assert!(!implements(n, &om, ids), "n = {n}, faulty {ids:?}");
-        }
+        // n = 4 with k + t = 2 violates it too: with the faulty players
+        // actively lying, the honest players' action distribution
+        // differs from the mediator's
+        let om = OralMessagesCheapTalk::new(4, 1, 1);
+        assert!(!implements(4, &om, &[2, 3]));
     }
 
     #[test]
-    fn signed_broadcast_implements_the_mediator_beyond_n_over_3() {
+    fn async_signed_broadcast_implements_the_mediator_beyond_n_over_3() {
         // n = 5 with k + t = 3 faulty soldiers — hopeless for OM, fine for
         // the PKI-based protocol (the paper's last bullet)
         let ct = SignedBroadcastCheapTalk::new(5, 1, 2);
         assert!(implements(5, &ct, &[2, 3, 4]));
+        let om = OralMessagesCheapTalk::new(5, 1, 2);
+        assert!(!implements(5, &om, &[2, 3, 4]));
+        // in one talk phase the lone honest soldier follows the general
+        let out = ct.execute(&[1, 0, 0, 0, 0], &faulty(&[2, 3, 4]), 7);
+        assert_eq!(out.actions[0], 1);
+        assert_eq!(out.actions[1], 1, "the lone honest soldier follows");
     }
 
     #[test]

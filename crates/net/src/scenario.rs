@@ -26,7 +26,8 @@ use crate::runtime::{AsyncProcess, EventNet, IdleProcess, NetStats};
 use bne_byzantine::adversary::FaultyBehavior;
 use bne_byzantine::bracha::BrachaMsg;
 use bne_byzantine::event::EventMachine;
-use bne_byzantine::om::{om_colluding_process_set, om_process_set, TraitorStrategy};
+use bne_byzantine::om::TraitorStrategy;
+use bne_byzantine::om_process::{om_colluding_process_set, om_process_set};
 use bne_byzantine::properties::{check_agreement, check_validity, rb_report};
 use bne_byzantine::scenario::{
     dolev_strong_replica, om_replica, phase_king_replica, EngineOutput, ProcessSet, ProtocolStats,

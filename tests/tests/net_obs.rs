@@ -12,8 +12,8 @@
 //! across runs.
 
 use bne_core::byzantine::bracha::BrachaMsg;
-use bne_core::byzantine::om::{om_process_set, OmProcess};
 use bne_core::byzantine::om::{OmConfig, TraitorStrategy};
+use bne_core::byzantine::om_process::{om_process_set, OmProcess};
 use bne_core::byzantine::PaxosMsg;
 use bne_core::net::{
     AsyncProcess, BenOrProcess, BrachaProcess, EventNet, LatencyModel, LinkFaults, MetricsObserver,

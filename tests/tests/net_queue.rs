@@ -16,8 +16,8 @@
 use bne_core::byzantine::adversary::{FaultyBehavior, FaultyProcess};
 use bne_core::byzantine::bracha::BrachaMsg;
 use bne_core::byzantine::network::Process;
-use bne_core::byzantine::om::{om_process_set, OmProcess};
 use bne_core::byzantine::om::{OmConfig, TraitorStrategy};
+use bne_core::byzantine::om_process::{om_process_set, OmProcess};
 use bne_core::byzantine::phase_king::PhaseKingProcess;
 use bne_core::byzantine::PaxosMsg;
 use bne_core::byzantine::Value;
