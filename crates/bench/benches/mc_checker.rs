@@ -25,7 +25,9 @@
 //!
 //! The report's headline adds explored-state counts and one-shot proof
 //! wall times to the criterion legs (the big proofs run once — a
-//! 10^6-state exhaustion is not an iterable timing target).
+//! 10^6-state exhaustion is not an iterable timing target). The two big
+//! proofs also record their work counters: transitions taken, and how
+//! many of them the transition memo skipped without dispatching.
 
 use bne_bench::BenchReport;
 use bne_core::mc::json::Json;
@@ -192,8 +194,14 @@ fn bench_mc_checker(c: &mut Criterion) {
         ben_or_report.verdict
     );
     println!(
-        "ben-or n={} t={} r<={}: Proven over {} states in {ben_or_s:.2}s",
-        p.ben_or.n, p.ben_or.t, p.ben_or.max_rounds, ben_or_report.states
+        "ben-or n={} t={} r<={}: Proven over {} states in {ben_or_s:.2}s \
+         ({} transitions, {} skipped)",
+        p.ben_or.n,
+        p.ben_or.t,
+        p.ben_or.max_rounds,
+        ben_or_report.states,
+        ben_or_report.transitions,
+        ben_or_report.skipped
     );
 
     // --- proof: Paxos under a crash budget ---
@@ -214,7 +222,8 @@ fn bench_mc_checker(c: &mut Criterion) {
         paxos_report.verdict
     );
     println!(
-        "paxos n={} f={}{}: Proven over {} states in {paxos_s:.2}s",
+        "paxos n={} f={}{}: Proven over {} states in {paxos_s:.2}s \
+         ({} transitions, {} skipped)",
         p.paxos.n,
         p.paxos.crash_budget,
         if p.paxos_leader_only {
@@ -222,7 +231,9 @@ fn bench_mc_checker(c: &mut Criterion) {
         } else {
             ""
         },
-        paxos_report.states
+        paxos_report.states,
+        paxos_report.transitions,
+        paxos_report.skipped
     );
 
     // --- adversary synthesis: best >= rush by construction ---
@@ -300,11 +311,15 @@ fn bench_mc_checker(c: &mut Criterion) {
             ("ben_or_n", count(p.ben_or.n)),
             ("ben_or_t", count(p.ben_or.t)),
             ("ben_or_states", Json::U64(ben_or_report.states)),
+            ("ben_or_transitions", Json::U64(ben_or_report.transitions)),
+            ("ben_or_skipped", Json::U64(ben_or_report.skipped)),
             ("ben_or_secs", Json::F64(ben_or_s)),
             ("paxos_n", count(p.paxos.n)),
             ("paxos_f", count(p.paxos.crash_budget)),
             ("paxos_leader_only", Json::Bool(p.paxos_leader_only)),
             ("paxos_states", Json::U64(paxos_report.states)),
+            ("paxos_transitions", Json::U64(paxos_report.transitions)),
+            ("paxos_skipped", Json::U64(paxos_report.skipped)),
             ("paxos_secs", Json::F64(paxos_s)),
             ("synth_rollouts", count(outcome.rollouts)),
             ("synth_rush_undecided", Json::U64(rush.undecided)),

@@ -1472,6 +1472,7 @@ fn e24_million_agent_audit() {
 /// replayable counterexample, and the synthesized worst-case adversary
 /// against e20's rush heuristic.
 fn e25_model_checker() {
+    use bne_core::games::parallel::{fan_out, num_threads};
     use bne_core::mc::synth::ben_or_noise_factory;
     use bne_core::mc::{
         bracha_net, replay_trace, BrachaParams, Explorer, SynthConfig, Synthesizer, Verdict,
@@ -1516,9 +1517,30 @@ fn e25_model_checker() {
             naive_cap_n4,
         ),
     ];
-    for (label, params, naive_cap) in &workloads {
-        let por = explore(params, true, 10_000_000);
-        let naive = explore(params, false, *naive_cap);
+    // each workload's POR and naive explorations are two units of one
+    // fan-out, folded in row order; each unit builds its own net (nets
+    // are not `Send`). Their costs differ by four orders of magnitude, so
+    // the first unit's time predicts nothing: every thread claims one
+    // unit at a time instead, and the two capped naive n = 4 rows share
+    // the cores.
+    let mut reports = Vec::with_capacity(2 * workloads.len());
+    fan_out(
+        2 * workloads.len(),
+        Some(num_threads()),
+        |units, emit| {
+            for unit in units {
+                let (_, params, naive_cap) = &workloads[unit / 2];
+                emit(match unit % 2 {
+                    0 => explore(params, true, 10_000_000),
+                    _ => explore(params, false, *naive_cap),
+                });
+            }
+            true
+        },
+        |report| reports.push(report),
+    );
+    for ((label, ..), pair) in workloads.iter().zip(reports.chunks_exact(2)) {
+        let (por, naive) = (&pair[0], &pair[1]);
         let naive_capped = matches!(naive.verdict, Verdict::Truncated(_));
         if let Verdict::Violated(trace) = &por.verdict {
             // every counterexample the table reports must reproduce on

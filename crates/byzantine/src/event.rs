@@ -56,7 +56,11 @@ pub trait EventMachine: Clone + 'static {
 
     /// Appends a canonical encoding of the local state and returns
     /// `true`, or returns `false` when there is none. States with equal
-    /// words must behave identically on every future event.
+    /// words must behave identically on every future event: the encoding
+    /// is a congruence, so from equal words the same input gives equal
+    /// words after it, the same messages and the same choice draws. The
+    /// model checker skips steps on that promise, and its debug builds
+    /// check each skip.
     fn state_words(&self, out: &mut Vec<u64>) -> bool;
 
     /// Whether handling `msg` from `src`, now or after any further

@@ -119,10 +119,56 @@
 //! degrades the verdict to [`Verdict::Truncated`] if a cycle shows up
 //! under POR.
 //!
+//! # Transition memo
+//!
+//! Most transitions of a large search lead to a state it has already
+//! covered, and dispatching one just to learn that costs a fork, a
+//! handler, an encode and an undo. A step's effect on the key depends
+//! only on its target's words, the event and whether the target is
+//! crashed, so the explorer memoises **local steps** under those ids:
+//! `[target's words id, transition id, kind]`, with the outcome being the
+//! target's words id after the step and the ids of the events it created.
+//! Before dispatching, it looks the step up. On a hit it builds the
+//! child's exact key without touching the net (the same `build_key` as
+//! the real path, from the process ids with the target's replaced, the
+//! crash flags plus the victim of a crash, the budget less one for a
+//! crash, and the pending ids without the dispatched one and with the
+//! created ones) and finds it in the visited set without inserting. If
+//! the child is visited and a remembered sleep set covers the child's
+//! (the transition's sleep set less any id the step re-creates), the
+//! transition counts in [`ExploreReport::transitions`] and
+//! [`ExploreReport::skipped`] and is not dispatched. Otherwise it is
+//! dispatched as usual, but the key moves on from the memo's outcome:
+//! the target is not re-encoded, the created events are not interned,
+//! and the child enters with the key already built.
+//!
+//! * **Memoised:** each dispatched delivery or timer that drew nothing
+//!   from the choice tap, and each injected crash (its own kind, so a
+//!   crash key never meets an event key).
+//! * **Never memoised:** steps that drew from the tap (Ben-Or coins,
+//!   the Bracha liar's lies), and every step on a net whose fault plan
+//!   names process faults, where an `AfterEvents` trigger can fire inside
+//!   a step. Planned crash and recovery events exist only on such nets.
+//! * **Soundness** rests on [`bne_net::AsyncProcess::state_words`] being
+//!   a congruence: from equal words the same event gives equal words,
+//!   the same created events and the same tap use. Debug builds dispatch
+//!   every skipped step anyway, compare it with the memo and undo it,
+//!   re-encode every dispatched step, and rebuild every predicted key;
+//!   release builds trust the memo unchecked.
+//! * **The stale crash flags.** The crash loop in `Explorer::expand`
+//!   reads the flags of the state entered last (see the comment there).
+//!   A skip leaves them as the skipped child's entry would have: this
+//!   state's flags, plus the victim of a crash. The fix that makes the
+//!   loop read the expanded state's own flags deletes this emulation too.
+//! * **Recovery injection**, if the crash adversary gains it, makes a
+//!   step's outcome depend on the durable copy a crash saved, which no
+//!   key holds today: it must add the durable words to the state key,
+//!   and so to the memo key.
+//!
 //! [`LatencyModel::Constant`]: bne_net::LatencyModel::Constant
 //! [`SchedulerPolicy::Fifo`]: bne_net::SchedulerPolicy::Fifo
 
-use crate::intern::Interner;
+use crate::intern::{self, Interner};
 use crate::property::{Property, StateView, Violation};
 use crate::trace::CounterexampleTrace;
 use crate::words::McWords;
@@ -233,8 +279,14 @@ pub struct ExploreReport {
     pub verdict: Verdict,
     /// Distinct states visited.
     pub states: u64,
-    /// Transitions executed (including tap-refinement re-runs).
+    /// Transitions taken, dispatched or skipped (including
+    /// tap-refinement re-runs).
     pub transitions: u64,
+    /// Transitions counted in `transitions` that were never dispatched:
+    /// the transition memo predicted that each leads to a visited state
+    /// whose remembered sleep set covers the child's (see the module
+    /// docs). The dispatched transitions number `transitions - skipped`.
+    pub skipped: u64,
     /// Terminal (fully drained) states reached.
     pub terminals: u64,
     /// Deepest point of the search.
@@ -270,8 +322,65 @@ struct Visit {
     on_stack: bool,
 }
 
-/// Ends a list in the [`SleepCache`].
+/// Ends a list in the [`SleepCache`]; also "none yet" in id caches.
 const NIL: u32 = u32::MAX;
+
+/// [`Explorer::pick_drain`]'s marks: a planned crash or recovery of the
+/// process is pending, or one of its timers is.
+const FAULT: u8 = 1;
+const TIMER: u8 = 2;
+
+/// The local steps the search has dispatched, each keyed by ids the
+/// explorer already holds: `[target's words id, transition id, kind]`,
+/// where the kind is 0 for an event to a live target, 1 for one to a
+/// crashed target and 2 for an injected crash. Its outcome is the
+/// target's words id after the step, then the ids of the events the step
+/// created, in creation order. See the module docs on the transition
+/// memo.
+struct StepMemo {
+    keys: Interner<u32>,
+    /// `outcomes[id]` is the outcome of step `id`: the words id, then the
+    /// created ids.
+    outcomes: Vec<Vec<u32>>,
+}
+
+impl StepMemo {
+    fn new() -> Self {
+        StepMemo {
+            keys: Interner::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// The outcome `id`: the target's words id after the step, and the
+    /// created ids.
+    fn outcome(&self, id: u32) -> (u32, &[u32]) {
+        let run = &self.outcomes[id as usize];
+        (run[0], &run[1..])
+    }
+
+    /// Records the outcome of the step `key` names, unless one is already
+    /// recorded; in debug builds a recorded one must equal it.
+    fn record(&mut self, key: &[u32; 3], words: u32, created: &[u32]) {
+        let (id, fresh) = self.keys.intern(key);
+        if fresh {
+            self.outcomes.push([&[words], created].concat());
+        } else {
+            debug_assert_eq!(
+                self.outcome(id),
+                (words, created),
+                "state_words is not a congruence: a step from equal words changed them differently"
+            );
+        }
+    }
+}
+
+/// A step's memo key, and the outcome the memo knows for it.
+#[derive(Clone, Copy)]
+struct Recall {
+    key: [u32; 3],
+    known: Option<u32>,
+}
 
 /// The sleep sets every visited state has been expanded under, in one
 /// flat word arena: each remembered set is a run of `words`, and each
@@ -376,6 +485,21 @@ pub struct Explorer<M: Clone + McWords> {
     /// The crash flags (one bit per process) of the state the search
     /// entered last; see [`Explorer::expand`] for why they are kept.
     entered_crashed: Vec<u32>,
+    /// The hash of `key` when [`Explorer::skip_covered`] built it and did
+    /// not skip: then `key` and `entered_crashed` already hold those of
+    /// the child the search enters next.
+    primed: Option<u64>,
+    /// The transition memo.
+    memo: StepMemo,
+    /// `crash_ids[p]`: the transition id of crashing `p`, or [`NIL`]
+    /// before the first.
+    crash_ids: Vec<u32>,
+    /// The ids of the events the step [`Explorer::advance`] last moved
+    /// past created, in creation order.
+    created_ids: Vec<u32>,
+    /// Per-process [`FAULT`] and [`TIMER`] bits of the pending events,
+    /// rebuilt by each [`Explorer::pick_drain`].
+    marks: Vec<u8>,
     /// Scratch buffers for a state key, the words of a process or a
     /// transition, and the property checks' view of a state.
     key: Vec<u32>,
@@ -393,6 +517,7 @@ pub struct Explorer<M: Clone + McWords> {
     crash_budget: usize,
     states: u64,
     transitions: u64,
+    skipped: u64,
     terminals: u64,
     max_depth_seen: usize,
     cycles: u64,
@@ -427,6 +552,7 @@ impl<M: Clone + McWords> Explorer<M> {
             "tap demands during on_start: draw choices on events, not at startup"
         );
         let crash_budget = cfg.crash_budget;
+        let n = net.num_processes();
         let mut ex = Explorer {
             net,
             tap,
@@ -440,6 +566,11 @@ impl<M: Clone + McWords> Explorer<M> {
             visits: Vec::new(),
             sleeps: SleepCache::default(),
             entered_crashed: Vec::new(),
+            primed: None,
+            memo: StepMemo::new(),
+            crash_ids: vec![NIL; n],
+            created_ids: Vec::new(),
+            marks: Vec::new(),
             key: Vec::new(),
             words: Vec::new(),
             decisions: Vec::new(),
@@ -450,6 +581,7 @@ impl<M: Clone + McWords> Explorer<M> {
             crash_budget,
             states: 0,
             transitions: 0,
+            skipped: 0,
             terminals: 0,
             max_depth_seen: 0,
             cycles: 0,
@@ -457,9 +589,7 @@ impl<M: Clone + McWords> Explorer<M> {
         };
         // fail fast (with a clear message) if any process lacks a
         // canonical encoding, rather than deep inside the search
-        ex.proc_ids = (0..ex.net.num_processes())
-            .map(|p| ex.encode_process(p))
-            .collect();
+        ex.proc_ids = (0..n).map(|p| ex.encode_process(p)).collect();
         ex
     }
 
@@ -487,6 +617,7 @@ impl<M: Clone + McWords> Explorer<M> {
             verdict,
             states: self.states,
             transitions: self.transitions,
+            skipped: self.skipped,
             terminals: self.terminals,
             max_depth_seen: self.max_depth_seen,
             cycles: self.cycles,
@@ -532,11 +663,15 @@ impl<M: Clone + McWords> Explorer<M> {
         self.intern_transition(ev.kind.target())
     }
 
-    /// The transition id of an injected-crash choice.
+    /// The transition id of an injected-crash choice, interned on first
+    /// use.
     fn crash_id(&mut self, proc: ProcId) -> u32 {
-        self.words.clear();
-        self.words.extend([CRASH_TAG, proc as u64]);
-        self.intern_transition(proc)
+        if self.crash_ids[proc] == NIL {
+            self.words.clear();
+            self.words.extend([CRASH_TAG, proc as u64]);
+            self.crash_ids[proc] = self.intern_transition(proc);
+        }
+        self.crash_ids[proc]
     }
 
     /// The members of `sleep` independent of transition `id` — the whole
@@ -567,8 +702,8 @@ impl<M: Clone + McWords> Explorer<M> {
     }
 
     /// The pending events after the dispatch of `dispatched` created
-    /// `created`, kept in `(time, tie, seq)` order, in a buffer off the
-    /// free list.
+    /// `created`, whose ids [`Explorer::advance`] put in `created_ids`,
+    /// kept in `(time, tie, seq)` order, in a buffer off the free list.
     fn successor(
         &mut self,
         pending: &[Pending],
@@ -577,23 +712,53 @@ impl<M: Clone + McWords> Explorer<M> {
     ) -> Vec<Pending> {
         let mut next = take(&mut self.free_pending);
         next.extend(pending.iter().filter(|p| p.ev.seq != dispatched));
-        for ev in created {
-            let id = self.event_id(ev);
+        for (ev, &id) in created.iter().zip(&self.created_ids) {
             let at = next.partition_point(|p| p.ev < *ev);
             next.insert(at, Pending { ev: *ev, id });
         }
         next
     }
 
-    /// Re-encodes the process a step ran (the only one whose words it
-    /// can change) and returns its previous id for [`Explorer::retreat`].
-    fn advance(&mut self, undo: &Undo<M>) -> u32 {
+    /// Moves the key past the step `undo` records, which changed only its
+    /// target's words, and returns the target's previous words id for
+    /// [`Explorer::retreat`]. The ids of the events the step created go
+    /// to `created_ids`. Both come off the memo when it knows the step;
+    /// otherwise the target is re-encoded, the created events are
+    /// interned, and the outcome is recorded under the step's memo key
+    /// unless the step drew from the tap. Debug builds take the second way
+    /// for every step, so recording a known step checks it against the
+    /// memo.
+    fn advance(&mut self, undo: &Undo<M>, memo: Option<Recall>, tap_save: &ChoiceTap) -> u32 {
         let p = undo.target();
-        let old = self.proc_ids[p];
-        if undo.reached_process() {
-            self.proc_ids[p] = self.encode_process(p);
-        }
-        old
+        let known = memo.and_then(|m| m.known);
+        self.created_ids.clear();
+        let words = match known {
+            Some(known) if !cfg!(debug_assertions) => {
+                let (words, created) = self.memo.outcome(known);
+                self.created_ids.extend_from_slice(created);
+                words
+            }
+            _ => {
+                for ev in undo.created() {
+                    let id = self.event_id(ev);
+                    self.created_ids.push(id);
+                }
+                let words = match undo.reached_process() {
+                    true => self.encode_process(p),
+                    false => self.proc_ids[p],
+                };
+                if self.tap.borrow().pos() == tap_save.pos() {
+                    if let Some(memo) = memo {
+                        self.memo.record(&memo.key, words, &self.created_ids);
+                    }
+                } else {
+                    // a step that drew from the tap is never memoised
+                    assert!(known.is_none(), "a memoised step drew from the tap");
+                }
+                words
+            }
+        };
+        std::mem::replace(&mut self.proc_ids[p], words)
     }
 
     /// Takes back a step [`Explorer::advance`] moved the key past.
@@ -612,19 +777,101 @@ impl<M: Clone + McWords> Explorer<M> {
         }
     }
 
-    /// Builds into `key` the exact key of the current state, from its
-    /// interned parts: process ids, crash flags, crash budget and the
-    /// sorted pending ids. Expects `entered_crashed` to hold this state's
-    /// crash flags.
-    fn build_key(&mut self, pending: &[Pending]) {
-        self.key.clear();
-        self.key.extend_from_slice(&self.proc_ids);
-        self.key.extend_from_slice(&self.entered_crashed);
-        self.key
-            .push(u32::try_from(self.crash_budget).expect("crash budget fits a word"));
-        let start = self.key.len();
-        self.key.extend(pending.iter().map(|p| p.id));
-        self.key[start..].sort_unstable();
+    /// The memo key of the step of transition `id` on `target` from the
+    /// current state (`crash`: an injected crash, else an event) and the
+    /// outcome the memo knows for it; `None` under a fault plan with
+    /// process faults, whose steps are never memoised.
+    fn recall(&self, target: ProcId, id: u32, crash: bool) -> Option<Recall> {
+        let kind = if crash {
+            2
+        } else {
+            u32::from(self.net.is_crashed(target))
+        };
+        let key = [self.proc_ids[target], id, kind];
+        (!self.net.plans_process_faults()).then(|| Recall {
+            key,
+            known: self.memo.keys.find(&key),
+        })
+    }
+
+    /// Skips the step `memo` names — dispatching `ev`, or crashing
+    /// `target` if `ev` is `None` — when the memo knows its outcome and
+    /// the child it predicts is a visited state with a remembered sleep
+    /// set covering the child's (`sleep` minus the ids the step
+    /// re-creates). The skipped transition still counts, and leaves
+    /// `entered_crashed` as the child's [`Explorer::enter`] would have.
+    /// Returns whether it skipped.
+    fn skip_covered(
+        &mut self,
+        memo: Recall,
+        target: ProcId,
+        ev: Option<&EnabledEvent>,
+        tap_save: &ChoiceTap,
+        pending: &[Pending],
+        sleep: &[u32],
+    ) -> bool {
+        let Some(known) = memo.known else {
+            return false;
+        };
+        // the child's crash flags, which stay in `entered_crashed` on a
+        // skip: the crash loop in `expand` reads them. This emulation goes
+        // with the fix that makes that loop read the expanded state's own
+        // flags.
+        self.note_crash_flags();
+        let crash = ev.is_none();
+        if crash {
+            self.entered_crashed[target / 32] |= 1 << (target % 32);
+        }
+        let dispatched = ev.map(|ev| ev.seq);
+        let (words, created) = self.memo.outcome(known);
+        let old = std::mem::replace(&mut self.proc_ids[target], words);
+        build_key(
+            &mut self.key,
+            &self.proc_ids,
+            &self.entered_crashed,
+            self.crash_budget - usize::from(crash),
+            pending
+                .iter()
+                .filter(|p| Some(p.ev.seq) != dispatched)
+                .map(|p| p.id)
+                .chain(created.iter().copied()),
+        );
+        self.proc_ids[target] = old;
+        let hash = intern::hash(&self.key);
+        self.primed = Some(hash);
+        let Some(state) = self.state_keys.find_hashed(&self.key, hash) else {
+            return false;
+        };
+        let visit = &self.visits[state as usize];
+        let mut child_sleep = take(&mut self.free_sets);
+        child_sleep.extend(sleep.iter().filter(|z| !created.contains(z)));
+        let covered = self.sleeps.covers(visit.sleeps, &child_sleep);
+        give(&mut self.free_sets, child_sleep);
+        if !covered {
+            return false;
+        }
+        if visit.on_stack {
+            self.cycles += 1;
+        }
+        self.primed = None;
+        self.transitions += 1;
+        self.skipped += 1;
+        if cfg!(debug_assertions) {
+            // dispatch the step anyway: advancing past it checks it
+            // against the memo (same words, created ids and no tap draw),
+            // which checks that `state_words` is a congruence
+            self.tap.borrow_mut().restore(tap_save);
+            let undo = match ev {
+                Some(ev) => self
+                    .net
+                    .step_undoable(ev)
+                    .expect("a skipped event is pending"),
+                None => self.net.inject_crash_undoable(target),
+            };
+            let old = self.advance(&undo, Some(memo), tap_save);
+            self.retreat(undo, old);
+        }
+        true
     }
 
     fn check_properties(&mut self) -> Option<Violation> {
@@ -663,7 +910,19 @@ impl<M: Clone + McWords> Explorer<M> {
     /// runtime absorbs it) or self-declared quiescent. `None` if no such
     /// delivery exists or draining is unsafe here (crash adversary still
     /// aiming at the target, or a recovery pending for it).
-    fn pick_drain(&self, pending: &[Pending]) -> Option<Pending> {
+    fn pick_drain(&mut self, pending: &[Pending]) -> Option<Pending> {
+        self.marks.clear();
+        self.marks.resize(self.net.num_processes(), 0);
+        for p in pending {
+            match p.ev.kind {
+                EnabledKind::Crash { proc } | EnabledKind::Recover { proc } => {
+                    self.marks[proc] |= FAULT;
+                }
+                EnabledKind::Timer { proc, .. } => self.marks[proc] |= TIMER,
+                EnabledKind::Deliver { .. } => {}
+            }
+        }
+        let pending_fault = |proc: ProcId| self.marks[proc] & FAULT != 0;
         // `pending` is in (time, tie, seq) order, so the first match is
         // the oldest
         pending.iter().copied().find(|p| {
@@ -675,7 +934,7 @@ impl<M: Clone + McWords> Explorer<M> {
                 // (an exhausted retry budget); a *live* quiescent
                 // process makes no timer claim, so nothing else drains
                 EnabledKind::Timer { proc, .. } => {
-                    return !pending_fault(pending, proc)
+                    return !pending_fault(proc)
                         && (self.net.is_crashed(proc) || self.net.event_absorbed(ev));
                 }
                 _ => return false,
@@ -683,8 +942,8 @@ impl<M: Clone + McWords> Explorer<M> {
             if self.net.is_crashed(target) {
                 // absorbed on dispatch; sound unless a recovery could
                 // race it back to life
-                !pending_fault(pending, target)
-            } else if pending_fault(pending, target) {
+                !pending_fault(target)
+            } else if pending_fault(target) {
                 // a scheduled crash/recovery for the target races
                 // anything addressed to it
                 false
@@ -702,7 +961,7 @@ impl<M: Clone + McWords> Explorer<M> {
                 // commute; cross-target ones always do, and timers
                 // (which the guarantee says nothing about) must not
                 // race this target
-                !pending_timer(pending, target)
+                self.marks[target] & TIMER == 0
             } else {
                 self.net.process_quiescent(target)
             }
@@ -732,9 +991,27 @@ impl<M: Clone + McWords> Explorer<M> {
         sleep: &mut Vec<u32>,
         pending: &[Pending],
     ) -> Result<(), Stop> {
-        self.note_crash_flags();
-        self.build_key(pending);
-        let (state, fresh) = self.state_keys.intern(&self.key);
+        let hash = match self.primed.take() {
+            // `skip_covered` left this state's key and crash flags
+            Some(hash) if !cfg!(debug_assertions) => hash,
+            primed => {
+                let predicted = primed.map(|_| self.key.clone());
+                self.note_crash_flags();
+                build_key(
+                    &mut self.key,
+                    &self.proc_ids,
+                    &self.entered_crashed,
+                    self.crash_budget,
+                    pending.iter().map(|p| p.id),
+                );
+                assert!(
+                    predicted.is_none_or(|key| key == self.key),
+                    "the memo mispredicted a key"
+                );
+                intern::hash(&self.key)
+            }
+        };
+        let (state, fresh) = self.state_keys.intern_hashed(&self.key, hash);
         let state = state as usize;
         if fresh {
             self.visits.push(Visit {
@@ -861,19 +1138,26 @@ impl<M: Clone + McWords> Explorer<M> {
                     continue;
                 }
                 let child_sleep = self.independent_of(cur_sleep, id);
-                let mut child_pending = take(&mut self.free_pending);
-                child_pending.extend_from_slice(pending);
-                self.tap.borrow_mut().restore(tap_save);
-                let undo = self.net.inject_crash_undoable(proc);
-                self.crash_budget -= 1;
-                self.transitions += 1;
-                self.path.push(Choice::Crash { proc });
-                let old = self.advance(&undo);
-                let r = self.dfs(depth + 1, child_sleep, child_pending);
-                self.retreat(undo, old);
-                self.path.pop();
-                self.crash_budget += 1;
-                r?;
+                let memo = self.recall(proc, id, true);
+                if memo.is_some_and(|m| {
+                    self.skip_covered(m, proc, None, tap_save, pending, &child_sleep)
+                }) {
+                    give(&mut self.free_sets, child_sleep);
+                } else {
+                    let mut child_pending = take(&mut self.free_pending);
+                    child_pending.extend_from_slice(pending);
+                    self.tap.borrow_mut().restore(tap_save);
+                    let undo = self.net.inject_crash_undoable(proc);
+                    self.crash_budget -= 1;
+                    self.transitions += 1;
+                    self.path.push(Choice::Crash { proc });
+                    let old = self.advance(&undo, memo, tap_save);
+                    let r = self.dfs(depth + 1, child_sleep, child_pending);
+                    self.retreat(undo, old);
+                    self.path.pop();
+                    self.crash_budget += 1;
+                    r?;
+                }
                 if self.cfg.por {
                     insert_sorted(cur_sleep, id);
                 }
@@ -887,6 +1171,7 @@ impl<M: Clone + McWords> Explorer<M> {
     /// uncovered tap draw until the transition is fully scripted, and
     /// recurses into each resulting state with `sleep` (minus any slept
     /// id the dispatch re-created — a fresh copy is a new transition).
+    /// A memoised dispatch into a covered state is skipped instead.
     fn explore_event(
         &mut self,
         tap_save: &ChoiceTap,
@@ -895,6 +1180,13 @@ impl<M: Clone + McWords> Explorer<M> {
         depth: usize,
         sleep: &[u32],
     ) -> Result<(), Stop> {
+        let target = ev.ev.kind.target();
+        let memo = self.recall(target, ev.id, false);
+        if memo
+            .is_some_and(|m| self.skip_covered(m, target, Some(&ev.ev), tap_save, pending, sleep))
+        {
+            return Ok(());
+        }
         // stack of script extensions still to try, which allocates only
         // once a handler draws past its script; empty extension first
         let mut extensions: Vec<Vec<u64>> = Vec::new();
@@ -920,6 +1212,10 @@ impl<M: Clone + McWords> Explorer<M> {
                 // on every candidate value of the first uncovered draw
                 // ((rev) keeps exploration in value order, matching
                 // scripted-replay intuition)
+                assert!(
+                    memo.is_none_or(|m| m.known.is_none()),
+                    "a memoised step drew from the tap"
+                );
                 self.net.undo(undo);
                 for v in (0..domain).rev() {
                     let mut e = ext.clone();
@@ -928,21 +1224,11 @@ impl<M: Clone + McWords> Explorer<M> {
                 }
                 continue;
             }
-            let created = undo.created();
-            let child_pending = self.successor(pending, ev.ev.seq, created);
+            let old = self.advance(&undo, memo, tap_save);
+            let child_pending = self.successor(pending, ev.ev.seq, undo.created());
+            // a slept id the dispatch re-created wakes up
             let mut child_sleep = take(&mut self.free_sets);
-            child_sleep.extend_from_slice(sleep);
-            if let Some(first) = created.first() {
-                // the created events are the pending ones newer than
-                // every pre-dispatch event; a slept id among them was
-                // re-created and wakes up
-                child_sleep.retain(|&z| {
-                    !child_pending
-                        .iter()
-                        .any(|p| p.ev.seq >= first.seq && p.id == z)
-                });
-            }
-            let old = self.advance(&undo);
+            child_sleep.extend(sleep.iter().filter(|z| !self.created_ids.contains(z)));
             self.path.push(Choice::Event {
                 seq: ev.ev.seq,
                 kind: ev.ev.kind,
@@ -954,6 +1240,24 @@ impl<M: Clone + McWords> Explorer<M> {
         }
         Ok(())
     }
+}
+
+/// Builds into `key` the exact key of a state from its interned parts:
+/// process ids, crash flags, crash budget and the pending ids, sorted.
+fn build_key(
+    key: &mut Vec<u32>,
+    procs: &[u32],
+    crashed: &[u32],
+    crash_budget: usize,
+    pending: impl Iterator<Item = u32>,
+) {
+    key.clear();
+    key.extend_from_slice(procs);
+    key.extend_from_slice(crashed);
+    key.push(u32::try_from(crash_budget).expect("crash budget fits a word"));
+    let start = key.len();
+    key.extend(pending);
+    key[start..].sort_unstable();
 }
 
 /// Whether sorted `a` is a subset of sorted `b`.
@@ -969,25 +1273,15 @@ fn insert_sorted(set: &mut Vec<u32>, id: u32) {
     }
 }
 
-fn pending_timer(pending: &[Pending], target: ProcId) -> bool {
-    pending
-        .iter()
-        .any(|p| matches!(p.ev.kind, EnabledKind::Timer { proc, .. } if proc == target))
-}
-
-fn pending_fault(pending: &[Pending], target: ProcId) -> bool {
-    pending.iter().any(|p| {
-        matches!(p.ev.kind,
-            EnabledKind::Recover { proc } | EnabledKind::Crash { proc } if proc == target)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{
-        ben_or_net, bracha_net, paxos_net, BenOrParams, BrachaParams, PaxosParams,
+        ben_or_net, bracha_net, mc_config, paxos_net, BenOrParams, BrachaParams, PaxosParams,
     };
+    use bne_byzantine::choice::shared_tap;
+    use bne_byzantine::paxos::PaxosMsg;
+    use bne_net::{AsyncProcess, FaultPlan, NetConfig, PaxosProcess};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -1020,7 +1314,13 @@ mod tests {
             let events: Vec<EnabledEvent> = pending.iter().map(|p| p.ev).collect();
             assert_eq!(events, self.net.enabled_events(), "pending list drifted");
             self.note_crash_flags();
-            self.build_key(pending);
+            build_key(
+                &mut self.key,
+                &self.proc_ids,
+                &self.entered_crashed,
+                self.crash_budget,
+                pending.iter().map(|p| p.id),
+            );
             let incremental = self.key.clone();
             assert_eq!(incremental, self.scratch_key());
             incremental
@@ -1066,10 +1366,11 @@ mod tests {
                 && (pending.is_empty() || rng.random_range(0..8) == 0);
             let step = if crash {
                 let proc = crashable[rng.random_range(0..crashable.len())];
+                let save = ex.tap.borrow().save();
                 let undo = ex.net.inject_crash_undoable(proc);
                 ex.crash_budget -= 1;
                 cov.crashes += 1;
-                let old = ex.advance(&undo);
+                let old = ex.advance(&undo, None, &save);
                 Step {
                     undo,
                     old,
@@ -1101,8 +1402,8 @@ mod tests {
                         }
                     }
                 };
+                let old = ex.advance(&undo, None, &save);
                 let next = ex.successor(&pending, ev.ev.seq, undo.created());
-                let old = ex.advance(&undo);
                 Step {
                     undo,
                     old,
@@ -1208,6 +1509,41 @@ mod tests {
         cache.remember(&mut heads[0], &[]);
         assert_eq!(listed(&cache, heads[0]), vec![Vec::<u32>::new()]);
         assert!(cache.covers(heads[0], &[]));
+    }
+
+    #[test]
+    fn steps_under_a_plan_of_process_faults_are_never_memoised() {
+        let params = PaxosParams::new(vec![0, 1], 8, 0);
+        let explore = |faults| {
+            let procs = params
+                .inputs
+                .iter()
+                .map(|&input| -> Box<dyn AsyncProcess<Msg = PaxosMsg>> {
+                    Box::new(PaxosProcess::new(input, 8, 0))
+                })
+                .collect();
+            let net = EventNet::new(
+                procs,
+                NetConfig {
+                    faults,
+                    ..mc_config()
+                },
+            );
+            Explorer::new(
+                net,
+                shared_tap(),
+                params.properties(),
+                params.explore_config(),
+            )
+            .run()
+        };
+        let plain = explore(FaultPlan::none());
+        assert!(plain.skipped > 0, "the memo skipped nothing");
+        // an `AfterEvents` crash or a planned recovery can fire inside a
+        // step, so under such a plan every transition is dispatched
+        let planned = explore(FaultPlan::none().crash_at(1, 2).recover_at(5));
+        assert!(planned.transitions > plain.transitions / 2);
+        assert_eq!(planned.skipped, 0);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The explorer names every process state, every transition and every
 //! visited state by an id from one of these. Sequences are stored back
 //! to back in one flat word arena, and an open-addressing index maps a
-//! hash to candidate ids. A hash hit is confirmed by comparing every
-//! word (and the length), so two distinct sequences never share an id:
-//! a collision costs one more probe, never a merged state.
+//! hash to candidate ids. Each index slot carries the hash's high 32 bits
+//! next to the id, so a probe rejects most other sequences without
+//! leaving the index. A tag hit is confirmed by comparing every word (and
+//! the length), so two distinct sequences never share an id: a collision
+//! costs one more probe, never a merged state.
 
 /// Maps each distinct word sequence to a dense `u32` id, in first-seen
 /// order.
@@ -15,12 +17,13 @@ pub(crate) struct Interner<W> {
     /// `ends[id]` is where sequence `id` ends in `words` (it starts where
     /// `id - 1` ends).
     ends: Vec<u32>,
-    /// The hash of each sequence, so probes reject and growth rehashes
-    /// without touching the words.
+    /// The hash of each sequence, so growth rehashes without touching
+    /// the words.
     hashes: Vec<u64>,
-    /// Open-addressing table of `id + 1` (0 = empty); its length is a
-    /// power of two and at most half full.
-    index: Vec<u32>,
+    /// Open-addressing table of slots holding the hash's high 32 bits
+    /// over `id + 1` (0 = empty); its length is a power of two and at
+    /// most half full.
+    index: Vec<u64>,
 }
 
 impl<W: Copy + Eq + Into<u64>> Interner<W> {
@@ -49,33 +52,62 @@ impl<W: Copy + Eq + Into<u64>> Interner<W> {
         &self.words[start..self.ends[id] as usize]
     }
 
+    /// The id of `key`, if it is interned.
+    pub(crate) fn find(&self, key: &[W]) -> Option<u32> {
+        self.find_hashed(key, hash(key))
+    }
+
+    /// [`Interner::find`] for a key whose [`hash`] is known.
+    pub(crate) fn find_hashed(&self, key: &[W], hash: u64) -> Option<u32> {
+        self.probe(key, hash).ok()
+    }
+
     /// The id of `key`, and whether this call interned it.
     pub(crate) fn intern(&mut self, key: &[W]) -> (u32, bool) {
+        self.intern_hashed(key, hash(key))
+    }
+
+    /// [`Interner::intern`] for a key whose [`hash`] is known.
+    pub(crate) fn intern_hashed(&mut self, key: &[W], hash: u64) -> (u32, bool) {
         if 2 * (self.len() + 1) > self.index.len() {
             self.grow();
         }
-        let hash = hash(key);
+        match self.probe(key, hash) {
+            Ok(id) => (id, false),
+            Err(at) => {
+                let id = u32::try_from(self.len()).expect("interner id space");
+                self.words.extend_from_slice(key);
+                self.ends
+                    .push(u32::try_from(self.words.len()).expect("interner arena capacity"));
+                self.hashes.push(hash);
+                self.index[at] = slot(hash, id);
+                (id, true)
+            }
+        }
+    }
+
+    /// Walks `key`'s probe sequence: `Ok(id)` if it is interned as `id`,
+    /// else `Err` of the empty slot where it would go.
+    fn probe(&self, key: &[W], hash: u64) -> Result<u32, usize> {
         let mask = self.index.len() - 1;
+        let tag = hash & TAG;
         let mut at = hash as usize & mask;
         loop {
             match self.index[at] {
-                0 => break,
-                entry => {
-                    let id = entry - 1;
-                    if self.hashes[id as usize] == hash && self.get(id) == key {
-                        return (id, false);
+                0 => return Err(at),
+                entry if entry & TAG == tag => {
+                    let id = entry as u32 - 1;
+                    let words = self.get(id);
+                    // an inlined loop: these keys are a few words long,
+                    // too short to pay for a `memcmp` call
+                    if words.len() == key.len() && words.iter().zip(key).all(|(a, b)| a == b) {
+                        return Ok(id);
                     }
                 }
+                _ => {}
             }
             at = (at + 1) & mask;
         }
-        let id = u32::try_from(self.len()).expect("interner id space");
-        self.words.extend_from_slice(key);
-        self.ends
-            .push(u32::try_from(self.words.len()).expect("interner arena capacity"));
-        self.hashes.push(hash);
-        self.index[at] = id + 1;
-        (id, true)
     }
 
     /// Doubles the index and re-places every id by its stored hash.
@@ -88,15 +120,24 @@ impl<W: Copy + Eq + Into<u64>> Interner<W> {
             while index[at] != 0 {
                 at = (at + 1) & mask;
             }
-            index[at] = id as u32 + 1;
+            index[at] = slot(hash, id as u32);
         }
         self.index = index;
     }
 }
 
+/// The tag half of an index slot.
+const TAG: u64 = !(u32::MAX as u64);
+
+/// The index slot of sequence `id` with hash `hash`: the hash's high 32
+/// bits over `id + 1`, never 0 since `id + 1` is not.
+fn slot(hash: u64, id: u32) -> u64 {
+    (hash & TAG) | u64::from(id + 1)
+}
+
 /// A multiply-rotate word hash with a final avalanche, so the low bits
 /// the index probes with depend on every word and on the length.
-fn hash<W: Copy + Into<u64>>(key: &[W]) -> u64 {
+pub(crate) fn hash<W: Copy + Into<u64>>(key: &[W]) -> u64 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut h = key.len() as u64;
     for &w in key {
@@ -147,6 +188,21 @@ mod tests {
         }
         assert!(interner.index.len() >= 2 * seen.len(), "the index grew");
         assert_eq!(interner.len(), seen.len());
+    }
+
+    #[test]
+    fn find_answers_like_intern_without_inserting() {
+        let mut interner: Interner<u64> = Interner::new();
+        for i in 0..1_000u64 {
+            interner.intern(&[i, i >> 3]);
+        }
+        for i in 0..2_000u64 {
+            let key = [i, i >> 3];
+            let found = interner.find(&key);
+            assert_eq!(found, (i < 1_000).then_some(i as u32), "{key:?}");
+        }
+        assert_eq!(interner.len(), 1_000, "find inserted nothing");
+        assert_eq!(interner.find(&[]), None);
     }
 
     #[test]

@@ -570,6 +570,11 @@ pub trait AsyncProcess {
     /// A canonical encoding of the full local state, used by the model
     /// checker to deduplicate visited states. Two processes with equal
     /// `state_words` must behave identically on every future event.
+    /// The encoding is a congruence: from equal words the same event
+    /// gives equal words after it, the same sends and timers and the same
+    /// draws from a choice tap. The checker's transition memo relies on
+    /// this to skip steps into states it has covered; debug builds
+    /// dispatch each skipped step anyway and check it.
     /// Defaults to `None` (no canonical encoding — exhaustive exploration
     /// with deduplication is unavailable for this process).
     ///
@@ -2017,6 +2022,13 @@ impl<M: Clone> EventNet<M> {
     /// callbacks of an undone step; the in-memory trace log can).
     pub fn can_undo(&self) -> bool {
         !matches!(self.trace, TraceSink::Stream(_)) && self.procs.iter().all(|p| p.fork().is_some())
+    }
+
+    /// Whether the fault plan names any process fault. Under such a plan a
+    /// step's effects reach past its target's state: a
+    /// [`CrashTrigger::AfterEvents`] fault can fire inside it.
+    pub fn plans_process_faults(&self) -> bool {
+        !self.cfg.faults.process.is_empty()
     }
 
     /// [`Self::step_chosen`] that also returns what the step changed, so

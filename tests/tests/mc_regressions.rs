@@ -290,3 +290,36 @@ fn exploration_counts_match_their_pins() {
         assert_eq!(got, pin, "{label}");
     }
 }
+
+/// The transition memo skips part of the work of each row above that
+/// revisits states, and never all of it: `skipped` counts transitions
+/// included in `transitions` that the search never dispatched, each one
+/// into a state it had already covered.
+#[test]
+fn the_transition_memo_skips_some_but_not_all_transitions() {
+    let rows = [
+        (
+            "paxos [0,1] crash budget 1",
+            explore_paxos(PaxosParams::new(vec![0, 1], 8, 0).with_crash_budget(1)),
+        ),
+        (
+            "planted bracha n=4",
+            explore_bracha(
+                BrachaParams::new(4, 1, 1).with_liar().with_thresholds(1, 3),
+                true,
+            ),
+        ),
+        (
+            "tapped ben-or t=0 [1,0,1] r<=1",
+            explore_ben_or(BenOrParams::new(0, vec![1, 0, 1], 1)),
+        ),
+    ];
+    for (label, report) in rows {
+        assert!(
+            0 < report.skipped && report.skipped < report.transitions,
+            "{label}: {} of {} transitions skipped",
+            report.skipped,
+            report.transitions
+        );
+    }
+}

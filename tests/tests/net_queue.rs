@@ -349,7 +349,8 @@ proptest! {
 }
 
 /// Deterministic spot check: the counters confirming "identical work"
-/// between queue implementations are exactly the ones BENCH_6 reports —
+/// between queue implementations are exactly the ones BENCH_3's queue
+/// gate compares —
 /// events processed, peak queue length, arena high-water mark.
 #[test]
 fn work_counters_are_identical_across_queue_impls() {
