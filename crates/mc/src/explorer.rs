@@ -129,18 +129,19 @@
 //! `[target's words id, transition id, kind]`, with the outcome being the
 //! target's words id after the step and the ids of the events it created.
 //! Before dispatching, it looks the step up. On a hit it builds the
-//! child's exact key without touching the net (the same `build_key` as
-//! the real path, from the process ids with the target's replaced, the
-//! crash flags plus the victim of a crash, the budget less one for a
-//! crash, and the pending ids without the dispatched one and with the
-//! created ones) and finds it in the visited set without inserting. If
+//! child's exact key without touching the net (as the real path does:
+//! the process ids with the target's replaced, the crash flags plus the
+//! victim of a crash, the budget less one for a crash, and the parent's
+//! sorted pending ids less the dispatched one, with the created ones
+//! merged in) and probes the visited set for it without inserting. If
 //! the child is visited and a remembered sleep set covers the child's
 //! (the transition's sleep set less any id the step re-creates), the
 //! transition counts in [`ExploreReport::transitions`] and
 //! [`ExploreReport::skipped`] and is not dispatched. Otherwise it is
 //! dispatched as usual, but the key moves on from the memo's outcome:
 //! the target is not re-encoded, the created events are not interned,
-//! and the child enters with the key already built.
+//! and the child enters with the key already built, interning it where
+//! the probe ended rather than probing again.
 //!
 //! * **Memoised:** each dispatched delivery or timer that drew nothing
 //!   from the choice tap, and each injected crash (its own kind, so a
@@ -168,7 +169,7 @@
 //! [`LatencyModel::Constant`]: bne_net::LatencyModel::Constant
 //! [`SchedulerPolicy::Fifo`]: bne_net::SchedulerPolicy::Fifo
 
-use crate::intern::{self, Interner};
+use crate::intern::{self, Interner, Probe};
 use crate::property::{Property, StateView, Violation};
 use crate::trace::CounterexampleTrace;
 use crate::words::McWords;
@@ -485,10 +486,11 @@ pub struct Explorer<M: Clone + McWords> {
     /// The crash flags (one bit per process) of the state the search
     /// entered last; see [`Explorer::expand`] for why they are kept.
     entered_crashed: Vec<u32>,
-    /// The hash of `key` when [`Explorer::skip_covered`] built it and did
-    /// not skip: then `key` and `entered_crashed` already hold those of
-    /// the child the search enters next.
-    primed: Option<u64>,
+    /// The hash of `key` and where its visited-set probe ended, when
+    /// [`Explorer::skip_covered`] built and looked it up but did not
+    /// skip: then `key` and `entered_crashed` already hold those of the
+    /// child the search enters next, which interns the key at that probe.
+    primed: Option<(u64, Probe)>,
     /// The transition memo.
     memo: StepMemo,
     /// `crash_ids[p]`: the transition id of crashing `p`, or [`NIL`]
@@ -596,7 +598,9 @@ impl<M: Clone + McWords> Explorer<M> {
     /// Runs the search to completion and reports.
     pub fn run(mut self) -> ExploreReport {
         let root = self.root_pending();
-        let verdict = match self.dfs(0, Vec::new(), root) {
+        let mut ids: Vec<u32> = root.iter().map(|p| p.id).collect();
+        ids.sort_unstable();
+        let verdict = match self.dfs(0, Vec::new(), root, ids) {
             Ok(()) => {
                 if self.cycles > 0 && self.cfg.por {
                     // a cycle means the reduction could in principle
@@ -798,7 +802,10 @@ impl<M: Clone + McWords> Explorer<M> {
     /// `target` if `ev` is `None` — when the memo knows its outcome and
     /// the child it predicts is a visited state with a remembered sleep
     /// set covering the child's (`sleep` minus the ids the step
-    /// re-creates). The skipped transition still counts, and leaves
+    /// re-creates). The child's key is built from the current state's
+    /// sorted pending `ids` by merging, and looked up once: when it is not
+    /// skipped, the child's [`Explorer::enter`] interns it where that
+    /// probe ended. The skipped transition still counts, and leaves
     /// `entered_crashed` as the child's [`Explorer::enter`] would have.
     /// Returns whether it skipped.
     fn skip_covered(
@@ -807,7 +814,7 @@ impl<M: Clone + McWords> Explorer<M> {
         target: ProcId,
         ev: Option<&EnabledEvent>,
         tap_save: &ChoiceTap,
-        pending: &[Pending],
+        ids: &[u32],
         sleep: &[u32],
     ) -> bool {
         let Some(known) = memo.known else {
@@ -822,24 +829,22 @@ impl<M: Clone + McWords> Explorer<M> {
         if crash {
             self.entered_crashed[target / 32] |= 1 << (target % 32);
         }
-        let dispatched = ev.map(|ev| ev.seq);
+        // an event's memo key names its transition id
+        let dispatched = ev.map(|_| memo.key[1]);
         let (words, created) = self.memo.outcome(known);
         let old = std::mem::replace(&mut self.proc_ids[target], words);
-        build_key(
+        key_prefix(
             &mut self.key,
             &self.proc_ids,
             &self.entered_crashed,
             self.crash_budget - usize::from(crash),
-            pending
-                .iter()
-                .filter(|p| Some(p.ev.seq) != dispatched)
-                .map(|p| p.id)
-                .chain(created.iter().copied()),
         );
+        push_child_ids(&mut self.key, ids, dispatched, created);
         self.proc_ids[target] = old;
         let hash = intern::hash(&self.key);
-        self.primed = Some(hash);
-        let Some(state) = self.state_keys.find_hashed(&self.key, hash) else {
+        let probe = self.state_keys.probe_hashed(&self.key, hash);
+        self.primed = Some((hash, probe));
+        let Probe::Found(state) = probe else {
             return false;
         };
         let visit = &self.visits[state as usize];
@@ -969,17 +974,19 @@ impl<M: Clone + McWords> Explorer<M> {
     }
 
     /// Visits the state the net is in, whose pending events are
-    /// `pending`, under sleep set `sleep`; both buffers go back to the
-    /// free lists afterwards.
+    /// `pending` with their ids sorted in `ids`, under sleep set `sleep`;
+    /// the three buffers go back to the free lists afterwards.
     fn dfs(
         &mut self,
         depth: usize,
         mut sleep: Vec<u32>,
         pending: Vec<Pending>,
+        ids: Vec<u32>,
     ) -> Result<(), Stop> {
-        let result = self.enter(depth, &mut sleep, &pending);
+        let result = self.enter(depth, &mut sleep, &pending, &ids);
         give(&mut self.free_sets, sleep);
         give(&mut self.free_pending, pending);
+        give(&mut self.free_sets, ids);
         result
     }
 
@@ -990,28 +997,41 @@ impl<M: Clone + McWords> Explorer<M> {
         depth: usize,
         sleep: &mut Vec<u32>,
         pending: &[Pending],
+        ids: &[u32],
     ) -> Result<(), Stop> {
-        let hash = match self.primed.take() {
-            // `skip_covered` left this state's key and crash flags
-            Some(hash) if !cfg!(debug_assertions) => hash,
+        let (state, fresh) = match self.primed.take() {
+            // `skip_covered` left this state's key and crash flags, and
+            // looked the key up
+            Some((hash, probe)) if !cfg!(debug_assertions) => {
+                self.state_keys.intern_probed(&self.key, hash, probe)
+            }
             primed => {
                 let predicted = primed.map(|_| self.key.clone());
                 self.note_crash_flags();
-                build_key(
+                key_prefix(
                     &mut self.key,
                     &self.proc_ids,
                     &self.entered_crashed,
                     self.crash_budget,
-                    pending.iter().map(|p| p.id),
                 );
+                self.key.extend_from_slice(ids);
+                if cfg!(debug_assertions) {
+                    // the merged ids are the pending ids, sorted
+                    let mut sorted: Vec<u32> = pending.iter().map(|p| p.id).collect();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, ids, "the merged pending ids drifted");
+                }
                 assert!(
                     predicted.is_none_or(|key| key == self.key),
                     "the memo mispredicted a key"
                 );
-                intern::hash(&self.key)
+                let hash = intern::hash(&self.key);
+                match primed {
+                    Some((_, probe)) => self.state_keys.intern_probed(&self.key, hash, probe),
+                    None => self.state_keys.intern_hashed(&self.key, hash),
+                }
             }
         };
-        let (state, fresh) = self.state_keys.intern_hashed(&self.key, hash);
         let state = state as usize;
         if fresh {
             self.visits.push(Visit {
@@ -1076,7 +1096,7 @@ impl<M: Clone + McWords> Explorer<M> {
                 // anything sharing its target)
                 let child_sleep = self.independent_of(sleep, drain.id);
                 self.visits[state].on_stack = true;
-                let r = self.explore_event(&tap_save, pending, drain, depth, &child_sleep);
+                let r = self.explore_event(&tap_save, pending, ids, drain, depth, &child_sleep);
                 self.visits[state].on_stack = false;
                 give(&mut self.free_sets, child_sleep);
                 return r;
@@ -1084,7 +1104,7 @@ impl<M: Clone + McWords> Explorer<M> {
         }
 
         self.visits[state].on_stack = true;
-        let result = self.expand(&tap_save, pending, depth, sleep);
+        let result = self.expand(&tap_save, pending, ids, depth, sleep);
         self.visits[state].on_stack = false;
         result
     }
@@ -1097,6 +1117,7 @@ impl<M: Clone + McWords> Explorer<M> {
         &mut self,
         tap_save: &ChoiceTap,
         pending: &[Pending],
+        ids: &[u32],
         depth: usize,
         cur_sleep: &mut Vec<u32>,
     ) -> Result<(), Stop> {
@@ -1110,7 +1131,7 @@ impl<M: Clone + McWords> Explorer<M> {
                 continue; // covered by the sibling that explored it
             }
             let child_sleep = self.independent_of(cur_sleep, rep.id);
-            let r = self.explore_event(tap_save, pending, rep, depth, &child_sleep);
+            let r = self.explore_event(tap_save, pending, ids, rep, depth, &child_sleep);
             give(&mut self.free_sets, child_sleep);
             r?;
             if self.cfg.por {
@@ -1139,9 +1160,9 @@ impl<M: Clone + McWords> Explorer<M> {
                 }
                 let child_sleep = self.independent_of(cur_sleep, id);
                 let memo = self.recall(proc, id, true);
-                if memo.is_some_and(|m| {
-                    self.skip_covered(m, proc, None, tap_save, pending, &child_sleep)
-                }) {
+                if memo
+                    .is_some_and(|m| self.skip_covered(m, proc, None, tap_save, ids, &child_sleep))
+                {
                     give(&mut self.free_sets, child_sleep);
                 } else {
                     let mut child_pending = take(&mut self.free_pending);
@@ -1152,7 +1173,9 @@ impl<M: Clone + McWords> Explorer<M> {
                     self.transitions += 1;
                     self.path.push(Choice::Crash { proc });
                     let old = self.advance(&undo, memo, tap_save);
-                    let r = self.dfs(depth + 1, child_sleep, child_pending);
+                    let mut child_ids = take(&mut self.free_sets);
+                    push_child_ids(&mut child_ids, ids, None, &self.created_ids);
+                    let r = self.dfs(depth + 1, child_sleep, child_pending, child_ids);
                     self.retreat(undo, old);
                     self.path.pop();
                     self.crash_budget += 1;
@@ -1176,15 +1199,14 @@ impl<M: Clone + McWords> Explorer<M> {
         &mut self,
         tap_save: &ChoiceTap,
         pending: &[Pending],
+        ids: &[u32],
         ev: Pending,
         depth: usize,
         sleep: &[u32],
     ) -> Result<(), Stop> {
         let target = ev.ev.kind.target();
         let memo = self.recall(target, ev.id, false);
-        if memo
-            .is_some_and(|m| self.skip_covered(m, target, Some(&ev.ev), tap_save, pending, sleep))
-        {
+        if memo.is_some_and(|m| self.skip_covered(m, target, Some(&ev.ev), tap_save, ids, sleep)) {
             return Ok(());
         }
         // stack of script extensions still to try, which allocates only
@@ -1226,6 +1248,8 @@ impl<M: Clone + McWords> Explorer<M> {
             }
             let old = self.advance(&undo, memo, tap_save);
             let child_pending = self.successor(pending, ev.ev.seq, undo.created());
+            let mut child_ids = take(&mut self.free_sets);
+            push_child_ids(&mut child_ids, ids, Some(ev.id), &self.created_ids);
             // a slept id the dispatch re-created wakes up
             let mut child_sleep = take(&mut self.free_sets);
             child_sleep.extend(sleep.iter().filter(|z| !self.created_ids.contains(z)));
@@ -1233,7 +1257,7 @@ impl<M: Clone + McWords> Explorer<M> {
                 seq: ev.ev.seq,
                 kind: ev.ev.kind,
             });
-            let r = self.dfs(depth + 1, child_sleep, child_pending);
+            let r = self.dfs(depth + 1, child_sleep, child_pending, child_ids);
             self.path.pop();
             self.retreat(undo, old);
             r?;
@@ -1242,22 +1266,32 @@ impl<M: Clone + McWords> Explorer<M> {
     }
 }
 
-/// Builds into `key` the exact key of a state from its interned parts:
-/// process ids, crash flags, crash budget and the pending ids, sorted.
-fn build_key(
-    key: &mut Vec<u32>,
-    procs: &[u32],
-    crashed: &[u32],
-    crash_budget: usize,
-    pending: impl Iterator<Item = u32>,
-) {
+/// Builds into `key` the part of a state's exact key before its sorted
+/// pending ids: the interned process ids, crash flags and crash budget.
+fn key_prefix(key: &mut Vec<u32>, procs: &[u32], crashed: &[u32], crash_budget: usize) {
     key.clear();
     key.extend_from_slice(procs);
     key.extend_from_slice(crashed);
     key.push(u32::try_from(crash_budget).expect("crash budget fits a word"));
-    let start = key.len();
-    key.extend(pending);
-    key[start..].sort_unstable();
+}
+
+/// Appends to `out` the sorted pending ids of a child state: its parent's
+/// sorted `ids` less one occurrence of the `dispatched` id (none for an
+/// injected crash), with the `created` ids merged in. A step changes a
+/// few ids, so this costs less than sorting them all again.
+fn push_child_ids(out: &mut Vec<u32>, ids: &[u32], dispatched: Option<u32>, created: &[u32]) {
+    let start = out.len();
+    out.extend_from_slice(ids);
+    if let Some(id) = dispatched {
+        let at = out[start..]
+            .binary_search(&id)
+            .expect("the dispatched event is pending");
+        out.remove(start + at);
+    }
+    for &id in created {
+        let at = out[start..].partition_point(|&x| x <= id);
+        out.insert(start + at, id);
+    }
 }
 
 /// Whether sorted `a` is a subset of sorted `b`.
@@ -1284,6 +1318,21 @@ mod tests {
     use bne_net::{AsyncProcess, FaultPlan, NetConfig, PaxosProcess};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// A state's exact key from its interned parts, the pending ids
+    /// sorted anew.
+    fn build_key(
+        key: &mut Vec<u32>,
+        procs: &[u32],
+        crashed: &[u32],
+        crash_budget: usize,
+        pending: impl Iterator<Item = u32>,
+    ) {
+        key_prefix(key, procs, crashed, crash_budget);
+        let start = key.len();
+        key.extend(pending);
+        key[start..].sort_unstable();
+    }
 
     impl<M: Clone + McWords> Explorer<M> {
         /// The current state's key encoded from scratch: every process

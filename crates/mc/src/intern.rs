@@ -54,12 +54,20 @@ impl<W: Copy + Eq + Into<u64>> Interner<W> {
 
     /// The id of `key`, if it is interned.
     pub(crate) fn find(&self, key: &[W]) -> Option<u32> {
-        self.find_hashed(key, hash(key))
+        self.probe(key, hash(key)).ok()
     }
 
-    /// [`Interner::find`] for a key whose [`hash`] is known.
-    pub(crate) fn find_hashed(&self, key: &[W], hash: u64) -> Option<u32> {
-        self.probe(key, hash).ok()
+    /// Looks up a key whose [`hash`] is known, remembering where the
+    /// probe ended so that [`Interner::intern_probed`] need not probe
+    /// again.
+    pub(crate) fn probe_hashed(&self, key: &[W], hash: u64) -> Probe {
+        match self.probe(key, hash) {
+            Ok(id) => Probe::Found(id),
+            Err(at) => Probe::Vacant {
+                at,
+                len: self.len(),
+            },
+        }
     }
 
     /// The id of `key`, and whether this call interned it.
@@ -74,16 +82,35 @@ impl<W: Copy + Eq + Into<u64>> Interner<W> {
         }
         match self.probe(key, hash) {
             Ok(id) => (id, false),
-            Err(at) => {
-                let id = u32::try_from(self.len()).expect("interner id space");
-                self.words.extend_from_slice(key);
-                self.ends
-                    .push(u32::try_from(self.words.len()).expect("interner arena capacity"));
-                self.hashes.push(hash);
-                self.index[at] = slot(hash, id);
-                (id, true)
-            }
+            Err(at) => (self.insert(key, hash, at), true),
         }
+    }
+
+    /// [`Interner::intern_hashed`] for a key that `probe`, an earlier
+    /// [`Interner::probe_hashed`] of it, looked up: a found id is
+    /// returned as it is, and a new key goes into the vacant slot the
+    /// probe found. Only when the interner has changed since, or must
+    /// grow first, is the key probed again.
+    pub(crate) fn intern_probed(&mut self, key: &[W], hash: u64, probe: Probe) -> (u32, bool) {
+        match probe {
+            Probe::Found(id) => (id, false),
+            Probe::Vacant { at, len } if len == self.len() && 2 * (len + 1) <= self.index.len() => {
+                (self.insert(key, hash, at), true)
+            }
+            Probe::Vacant { .. } => self.intern_hashed(key, hash),
+        }
+    }
+
+    /// Appends `key` as the next id, indexed at the vacant slot `at`.
+    fn insert(&mut self, key: &[W], hash: u64, at: usize) -> u32 {
+        debug_assert_eq!(self.index[at], 0, "inserting into a vacant slot");
+        let id = u32::try_from(self.len()).expect("interner id space");
+        self.words.extend_from_slice(key);
+        self.ends
+            .push(u32::try_from(self.words.len()).expect("interner arena capacity"));
+        self.hashes.push(hash);
+        self.index[at] = slot(hash, id);
+        id
     }
 
     /// Walks `key`'s probe sequence: `Ok(id)` if it is interned as `id`,
@@ -124,6 +151,15 @@ impl<W: Copy + Eq + Into<u64>> Interner<W> {
         }
         self.index = index;
     }
+}
+
+/// Where an [`Interner::probe_hashed`] ended: at the key's id, or at the
+/// vacant slot where it would go while the interner still holds `len`
+/// sequences.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Probe {
+    Found(u32),
+    Vacant { at: usize, len: usize },
 }
 
 /// The tag half of an index slot.
@@ -203,6 +239,38 @@ mod tests {
         }
         assert_eq!(interner.len(), 1_000, "find inserted nothing");
         assert_eq!(interner.find(&[]), None);
+    }
+
+    #[test]
+    fn probed_interns_match_plain_ones_even_when_the_probe_is_stale() {
+        let mut probed: Interner<u64> = Interner::new();
+        let mut plain: Interner<u64> = Interner::new();
+        for i in 0..3_000u64 {
+            // every third key repeats, and every fifth probe goes stale
+            // before its insert: another key goes in first
+            let key = [i % 1_000, i / 3];
+            let h = hash(&key);
+            let probe = probed.probe_hashed(&key, h);
+            let found = match probe {
+                Probe::Found(id) => Some(id),
+                Probe::Vacant { .. } => None,
+            };
+            assert_eq!(found, plain.find(&key));
+            if i % 5 == 0 {
+                let other = [u64::MAX - i];
+                assert_eq!(probed.intern(&other), plain.intern(&other));
+            }
+            assert_eq!(
+                probed.intern_probed(&key, h, probe),
+                plain.intern(&key),
+                "{key:?}"
+            );
+        }
+        assert_eq!(probed.len(), plain.len());
+        assert_eq!(
+            probed.index, plain.index,
+            "the same slots, in the same order"
+        );
     }
 
     #[test]

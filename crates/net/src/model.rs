@@ -51,6 +51,7 @@ impl LatencyModel {
     /// Samples one message latency. [`LatencyModel::Constant`] draws
     /// nothing from the RNG, so switching models never perturbs unrelated
     /// streams in the zero-latency lockstep gate.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
             LatencyModel::Constant(ticks) => ticks,

@@ -49,7 +49,7 @@
 //! timers are `id << 1 | 1`) and forwards inner timers shifted left one
 //! bit, so inner timer ids must stay below `2^63`.
 
-use crate::runtime::{AsyncProcess, NetCtx, Payload};
+use crate::runtime::{AsyncProcess, NetCtx, Payload, Staged};
 use bne_byzantine::ProcId;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -359,65 +359,81 @@ impl<P: AsyncProcess> RetryAdapter<P> {
 
     /// Applies the actions an inner callback buffered: forwards timers
     /// (shifted into the even namespace) and turns sends into tracked
-    /// `Data` messages with retransmission timers. The sends of one
-    /// multicast call form a single table entry, split where a
-    /// destination repeats; the payload moves out of the call's first
-    /// send — a clone happens only for an `Rc`-shared payload whose call
-    /// was split.
+    /// `Data` messages with retransmission timers. Each send call (a
+    /// unicast or one multicast) forms a single table entry, split where
+    /// a destination repeats; the staged payload moves into the call's
+    /// last entry — a clone happens only for a call that was split.
     ///
     /// # Panics
     ///
     /// If an inner timer id is `2^63` or more: shifted, it would lose its
     /// top bit and come back to the inner process as a different id.
     fn absorb(&mut self, ctx: &mut NetCtx<RetryMsg<P::Msg>>) {
-        let actions = self.ictx.drain_actions();
-        for (delay, timer) in actions.timers {
-            assert!(
-                timer < 1 << 63,
-                "inner timer id {timer} does not fit the retry adapter's namespace (ids below 2^63)"
-            );
-            ctx.set_timer(delay, timer << 1);
-        }
-        let mut calls = actions.multicasts.peekable();
-        let mut call_end = 0;
-        let mut sends = actions.sends.enumerate().peekable();
-        while let Some((i, (dst, payload))) = sends.next() {
-            if i >= call_end {
-                // a send outside the last call starts the next call or is
-                // a unicast
-                call_end = calls
-                    .next_if(|call| call.start == i)
-                    .map_or(i + 1, |call| call.end);
+        // the inner context is lent out while its actions become entries
+        let mut ictx = std::mem::replace(&mut self.ictx, NetCtx::new(0, 0, 0));
+        {
+            let actions = ictx.drain_actions();
+            for (delay, timer) in actions.timers {
+                assert!(
+                    timer < 1 << 63,
+                    "inner timer id {timer} does not fit the retry adapter's namespace (ids below 2^63)"
+                );
+                ctx.set_timer(delay, timer << 1);
             }
-            let mut dsts = self.spare.pop().unwrap_or_default();
-            dsts.push(dst);
-            while let Some((j, (next_dst, _))) = sends.peek() {
-                // repeated destinations split into separate entries,
-                // keeping (sender, id) delivery dedup per physical send
-                if *j >= call_end || dsts.contains(next_dst) {
-                    break;
+            let mut dsts = actions.dsts;
+            for Staged { count, payload } in actions.sends {
+                let mut call = dsts.by_ref().take(count);
+                let mut first = call.next();
+                while let Some(dst) = first {
+                    let mut group = self.spare.pop().unwrap_or_default();
+                    group.push(dst);
+                    first = None;
+                    for dst in call.by_ref() {
+                        // repeated destinations split into separate
+                        // entries, keeping (sender, id) delivery dedup per
+                        // physical send
+                        if group.contains(&dst) {
+                            first = Some(dst);
+                            break;
+                        }
+                        group.push(dst);
+                    }
+                    if first.is_none() {
+                        self.track(group, payload.into_msg(), ctx);
+                        break;
+                    }
+                    self.track(group, payload.clone().into_msg(), ctx);
                 }
-                dsts.push(*next_dst);
-                sends.next(); // drops the redundant copy or `Rc` handle
             }
-            let id = self.next_id;
-            self.next_id += 1;
-            let payload = payload.into_msg();
-            let msg = Payload::shareable(RetryMsg::Data { id, payload });
-            ctx.fan_out(dsts.iter().copied(), &msg);
-            if self.policy.max_attempts == 1 {
-                dsts.clear();
-                self.spare.push(dsts);
-            } else {
-                ctx.set_timer(self.policy.timeout, (id << 1) | 1);
-                let entry = Pending {
-                    recipients: dsts,
-                    msg,
-                    attempts: 1,
-                    timeout: self.policy.timeout,
-                };
-                self.pending.insert(id, entry);
-            }
+        }
+        self.ictx = ictx;
+    }
+
+    /// Sends `payload` to `dsts` as one `Data` message under a new id and,
+    /// unless the policy allows a single attempt, enters it in the
+    /// pending table with its retransmission timer.
+    fn track(
+        &mut self,
+        mut dsts: Vec<ProcId>,
+        payload: P::Msg,
+        ctx: &mut NetCtx<RetryMsg<P::Msg>>,
+    ) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let msg = Payload::shareable(RetryMsg::Data { id, payload });
+        ctx.fan_out(dsts.iter().copied(), &msg);
+        if self.policy.max_attempts == 1 {
+            dsts.clear();
+            self.spare.push(dsts);
+        } else {
+            ctx.set_timer(self.policy.timeout, (id << 1) | 1);
+            let entry = Pending {
+                recipients: dsts,
+                msg,
+                attempts: 1,
+                timeout: self.policy.timeout,
+            };
+            self.pending.insert(id, entry);
         }
     }
 }
@@ -692,10 +708,7 @@ mod tests {
         adapter.on_timer(1, &mut ctx);
         assert_eq!(adapter.retransmissions(), 2);
         assert_eq!(
-            ctx.drain_actions()
-                .sends
-                .map(|(d, _)| d)
-                .collect::<Vec<_>>(),
+            ctx.drain_actions().dsts.collect::<Vec<_>>(),
             vec![0, 2],
             "recipient 1 is not retransmitted to"
         );

@@ -12,9 +12,12 @@
 //!
 //! # The event core
 //!
-//! Queued events live in an **arena** (a slab indexed by `u32` handles
-//! with a free list), so the queue itself only ever moves small `Copy`
-//! keys around. Two queue implementations realize the same total order
+//! Queued events live in an **arena**: a slab of plain-data headers
+//! beside a slab of messages, indexed by one `u32` handle and recycled
+//! through a free list, so the queue itself only ever moves small `Copy`
+//! keys around and an event's bytes are written and read in place. A
+//! dropped net leaves its emptied buffers to the next net built on its
+//! thread. Two queue implementations realize the same total order
 //! (selected by [`NetConfig::queue`], see [`QueueImpl`]):
 //!
 //! * a **bucketed timing wheel**: a fixed ring of per-tick buckets over
@@ -87,7 +90,6 @@ use rand::{RngExt, SeedableRng};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 use std::rc::Rc;
 
 /// Stream tag for the latency/drop RNG (see [`bne_sim::derive_seed`]).
@@ -323,27 +325,38 @@ pub struct NetCtx<M> {
     id: ProcId,
     n: usize,
     now: u64,
-    sends: Vec<(ProcId, Payload<M>)>,
-    /// The ranges of `sends` that one [`NetCtx::multicast`] call each
-    /// made (non-empty, in request order). Plain-data copies carry no
-    /// shared handle, so this is how the retry adapter tells one
-    /// multicast from several sends of equal messages.
-    multicasts: Vec<Range<usize>>,
+    /// One entry per [`NetCtx::send`] or [`NetCtx::multicast`] call, in
+    /// request order: the payload, staged once, and how many of the
+    /// next `dsts` it goes to. So a multicast stages its message once,
+    /// and the retry adapter can tell one multicast from several sends
+    /// of equal messages.
+    sends: Vec<Staged<M>>,
+    /// The destinations of every staged send, call after call.
+    dsts: Vec<ProcId>,
     timers: Vec<(u64, u64)>,
 }
 
+/// One staged send call: its payload and its number of destinations.
+pub(crate) struct Staged<M> {
+    /// How many destinations (at least one) the call named.
+    pub(crate) count: usize,
+    /// The payload every destination receives a copy of.
+    pub(crate) payload: Payload<M>,
+}
+
 /// The drained action buffers of one [`NetCtx`], handed out by
-/// [`NetCtx::drain_actions`]: timers, sends and multicast ranges as
-/// separate draining iterators (in request order, capacity retained by
-/// the context). This is how adapters in this crate consume an inner
+/// [`NetCtx::drain_actions`]: timers, send calls and their destinations
+/// as separate draining iterators (in request order, capacity retained by
+/// the context). Each send call takes its `count` destinations off the
+/// front of `dsts`. This is how adapters in this crate consume an inner
 /// context's buffered actions.
 pub(crate) struct NetActions<'a, M> {
     /// Buffered `(delay, timer-id)` requests, in request order.
     pub(crate) timers: std::vec::Drain<'a, (u64, u64)>,
-    /// Buffered `(destination, payload)` sends, in request order.
-    pub(crate) sends: std::vec::Drain<'a, (ProcId, Payload<M>)>,
-    /// The index range within `sends` of each multicast call, in order.
-    pub(crate) multicasts: std::vec::Drain<'a, Range<usize>>,
+    /// Buffered send calls, in request order.
+    pub(crate) sends: std::vec::Drain<'a, Staged<M>>,
+    /// The destinations of the send calls, call after call.
+    pub(crate) dsts: std::vec::Drain<'a, ProcId>,
 }
 
 impl<M> NetCtx<M> {
@@ -353,7 +366,7 @@ impl<M> NetCtx<M> {
             n,
             now,
             sends: Vec::new(),
-            multicasts: Vec::new(),
+            dsts: Vec::new(),
             timers: Vec::new(),
         }
     }
@@ -365,7 +378,7 @@ impl<M> NetCtx<M> {
         self.n = n;
         self.now = now;
         self.sends.clear();
-        self.multicasts.clear();
+        self.dsts.clear();
         self.timers.clear();
     }
 
@@ -387,38 +400,49 @@ impl<M> NetCtx<M> {
     /// Sends `msg` to `dst`. Messages to nonexistent processes are
     /// silently discarded (matching [`bne_byzantine::SyncNetwork`]).
     pub fn send(&mut self, dst: ProcId, msg: M) {
-        self.sends.push((dst, Payload::Owned(msg)));
+        self.dsts.push(dst);
+        // built in place, after any growth, rather than in a temporary
+        self.sends.extend(std::iter::once_with(|| Staged {
+            count: 1,
+            payload: Payload::Owned(msg),
+        }));
     }
 
     /// Sends one `msg` to every destination in `dsts`. Delivery order,
     /// fault sampling and statistics are identical to calling
     /// [`Self::send`] once per destination with a clone (see the
     /// `multicast_matches_per_recipient_sends` test); only the allocation
-    /// profile depends on the message type. Plain data (no drop glue)
-    /// is copied to each recipient, so the call allocates nothing; a
-    /// message with drop glue is stored **once** behind an `Rc` shared by
-    /// every recipient, and cloned only at delivery while another
-    /// recipient still holds it.
+    /// profile depends on the message type. The message is staged once;
+    /// plain data (no drop glue) is copied to each recipient as it is
+    /// queued, so the call allocates nothing; a message with drop glue
+    /// is stored **once** behind an `Rc` shared by every recipient, and
+    /// cloned only at delivery while another recipient still holds it.
     pub fn multicast<I: IntoIterator<Item = ProcId>>(&mut self, dsts: I, msg: M)
     where
         M: Clone,
     {
-        self.fan_out(dsts, &Payload::shareable(msg));
+        self.stage(dsts, Payload::shareable(msg));
     }
 
-    /// Sends a clone of `payload` (a copy, or one more handle on a shared
-    /// message) to every destination in `dsts`, recorded as one multicast
-    /// call — the hook the retry adapter fans a tracked message out
-    /// through, on the first attempt and on every retransmission.
+    /// Stages a clone of `payload` (a copy, or one more handle on a
+    /// shared message) for every destination in `dsts`, recorded as one
+    /// multicast call — the hook the retry adapter fans a tracked message
+    /// out through, on the first attempt and on every retransmission.
     pub(crate) fn fan_out<I: IntoIterator<Item = ProcId>>(&mut self, dsts: I, payload: &Payload<M>)
     where
         M: Clone,
     {
-        let start = self.sends.len();
-        self.sends
-            .extend(dsts.into_iter().map(|dst| (dst, payload.clone())));
-        if self.sends.len() > start {
-            self.multicasts.push(start..self.sends.len());
+        self.stage(dsts, payload.clone());
+    }
+
+    /// Stages `payload` once for every destination in `dsts`; a call
+    /// naming no destination stages nothing.
+    fn stage<I: IntoIterator<Item = ProcId>>(&mut self, dsts: I, payload: Payload<M>) {
+        let start = self.dsts.len();
+        self.dsts.extend(dsts);
+        let count = self.dsts.len() - start;
+        if count > 0 {
+            self.sends.push(Staged { count, payload });
         }
     }
 
@@ -428,14 +452,14 @@ impl<M> NetCtx<M> {
         self.timers.push((delay, timer));
     }
 
-    /// Drains the buffered actions (timers, sends and multicast ranges,
-    /// each in request order) while retaining buffer capacity for the
-    /// next callback.
+    /// Drains the buffered actions (timers, send calls and their
+    /// destinations, each in request order) while retaining buffer
+    /// capacity for the next callback.
     pub(crate) fn drain_actions(&mut self) -> NetActions<'_, M> {
         NetActions {
             timers: self.timers.drain(..),
             sends: self.sends.drain(..),
-            multicasts: self.multicasts.drain(..),
+            dsts: self.dsts.drain(..),
         }
     }
 }
@@ -692,12 +716,13 @@ impl<M: Clone + 'static> AsyncProcess for IdleProcess<M> {
     }
 }
 
-#[derive(Clone)]
-enum EventKind<M> {
+/// The plain-data part of one queued event. A delivery's message sits
+/// beside it in the arena's message slab, at the same slot.
+#[derive(Clone, Copy)]
+enum Header {
     Deliver {
         src: ProcId,
         dst: ProcId,
-        msg: Payload<M>,
         /// Virtual time the message was sent — carried so the delivery
         /// can be annotated with its queue latency (`deliver − send`).
         sent_at: u64,
@@ -720,79 +745,104 @@ enum EventKind<M> {
 }
 
 // ---------------------------------------------------------------------------
-// The arena: payloads live in a slab, the queue moves 24-byte keys
+// The arena: events live in two slabs, the queue moves 24-byte keys
 // ---------------------------------------------------------------------------
 
 /// Slab storage for in-flight events. Queue entries reference slots by
-/// `u32` handle; freed slots are recycled through a free list, so a
-/// steady-state run stops allocating once it reaches its peak in-flight
-/// event count (the high-water mark reported in [`NetStats`]).
+/// `u32` handle; freed slots are recycled through a free list, so a run
+/// stops growing the slabs once it reaches its peak in-flight event count
+/// (the high-water mark reported in [`NetStats`]).
+///
+/// Each slot is split in two: a `Copy` [`Header`] in one slab and the
+/// delivery's message (`None` for every other event) in another. Routing
+/// writes both into their slot and dispatch reads them there, so an
+/// event's bytes move once on the way in and once on the way out, and
+/// the slabs, with the free list, are among the parts a dropped net
+/// leaves to its thread (see [`Spare`]).
 struct Arena<M> {
-    slots: Vec<Option<EventKind<M>>>,
+    headers: Vec<Header>,
+    msgs: Vec<Option<Payload<M>>>,
     free: Vec<u32>,
 }
 
 impl<M> Arena<M> {
-    fn new() -> Self {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn alloc(&mut self, ev: EventKind<M>) -> u32 {
+    /// The next slot to fill: the most recently freed one, or a new one
+    /// at the end of both slabs.
+    #[inline(always)]
+    fn alloc(&mut self, header: Header, msg: Option<Payload<M>>) -> u32 {
         match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(ev);
+                self.headers[slot as usize] = header;
+                self.msgs[slot as usize] = msg;
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("arena capacity");
-                self.slots.push(Some(ev));
+                let slot = u32::try_from(self.headers.len()).expect("arena capacity");
+                self.headers.push(header);
+                self.msgs.push(msg);
                 // the free list is empty here; size it with the slab, so
                 // that freeing a slot never allocates
-                self.free.reserve(self.slots.capacity());
+                self.free.reserve(self.headers.capacity());
                 slot
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> EventKind<M> {
-        let ev = self.slots[slot as usize].take().expect("live arena slot");
+    /// Frees `slot` and reads its header; a delivery's message stays in
+    /// the message slab until [`Arena::take_msg`] moves it out.
+    #[inline(always)]
+    fn take(&mut self, slot: u32) -> Header {
         self.free.push(slot);
-        ev
+        self.headers[slot as usize]
+    }
+
+    /// Moves the message out of a delivery's slot.
+    #[inline(always)]
+    fn take_msg(&mut self, slot: u32) -> Payload<M> {
+        self.msgs[slot as usize].take().expect("a queued delivery")
     }
 
     /// Slots ever allocated == peak number of concurrently live events.
     fn high_water(&self) -> usize {
-        self.slots.len()
+        self.headers.len()
     }
 
-    /// Borrows a live slot without freeing it — the model checker's
-    /// read-only view of a queued event.
-    fn peek(&self, slot: u32) -> &EventKind<M> {
-        self.slots[slot as usize].as_ref().expect("live arena slot")
+    /// Reads a live slot's header without freeing it — the model
+    /// checker's read-only view of a queued event.
+    fn peek(&self, slot: u32) -> Header {
+        self.headers[slot as usize]
+    }
+
+    /// Borrows a live delivery's message (`None` for other events).
+    fn peek_msg(&self, slot: u32) -> Option<&Payload<M>> {
+        self.msgs[slot as usize].as_ref()
     }
 
     /// Takes back one [`Arena::alloc`] made when the arena held
     /// `high_water` slots: the slot returns to the free list, or is
-    /// dropped if the allocation grew the slab. Undoing a step's
+    /// dropped if the allocation grew the slabs. Undoing a step's
     /// allocations newest first restores the free list exactly.
     fn unalloc(&mut self, slot: u32, high_water: usize) {
-        self.slots[slot as usize] = None;
+        self.msgs[slot as usize] = None;
         if slot as usize >= high_water {
-            assert_eq!(slot as usize + 1, self.slots.len(), "unalloc newest first");
-            self.slots.pop();
+            assert_eq!(
+                slot as usize + 1,
+                self.headers.len(),
+                "unalloc newest first"
+            );
+            self.headers.pop();
+            self.msgs.pop();
         } else {
             self.free.push(slot);
         }
     }
 
     /// Reverses the [`Arena::take`] of `slot`, which must be the most
-    /// recent free-list entry.
-    fn untake(&mut self, slot: u32, ev: EventKind<M>) {
+    /// recent free-list entry, putting its header and message back.
+    fn untake(&mut self, slot: u32, header: Header, msg: Option<Payload<M>>) {
         assert_eq!(self.free.pop(), Some(slot), "untake the latest take");
-        self.slots[slot as usize] = Some(ev);
+        self.headers[slot as usize] = header;
+        self.msgs[slot as usize] = msg;
     }
 }
 
@@ -806,8 +856,8 @@ impl<M> Arena<M> {
 /// plus scheduler jitter, ≈ 55 ticks); only far-future retry-backoff
 /// timers overflow, and those are rare enough that the overflow heap is
 /// cheap. Kept deliberately small: replica ensembles build millions of
-/// nets, and although each thread reuses one spare ring (see
-/// [`TimingWheel`]), emptying it is part of every net's teardown.
+/// nets, and although each thread reuses one spare ring (see [`Spare`]),
+/// emptying it is part of every net's teardown.
 const WHEEL_SLOTS: usize = 64;
 const WHEEL_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
@@ -873,25 +923,14 @@ impl Bucket {
     }
 }
 
-thread_local! {
-    /// The emptied wheel of the last wheel-queued net dropped on this
-    /// thread, handed to the next one built here (see [`TimingWheel`]).
-    static SPARE_WHEEL: Cell<Option<TimingWheel>> = const { Cell::new(None) };
-}
-
 /// The bucketed timing wheel: per-tick buckets over
 /// `[base, base + WHEEL_SLOTS)` plus an overflow heap for events beyond
 /// the horizon. An occupancy bitmap makes "find the next non-empty tick"
 /// a handful of word scans instead of a ring walk.
 ///
-/// **One spare wheel per thread.** Replica ensembles build millions of
-/// short-lived nets, and a fresh wheel regrows every bucket it touches
-/// (4 → 8 → … keys). So a dropped net empties its wheel and leaves it as
-/// its thread's one spare, and the next net built on that thread takes
-/// it, capacity included; a second drop before the next build replaces
-/// the spare. An [`EventNet`] is not `Send` (its processes are trait
-/// objects without a `Send` bound), so the thread that builds a net also
-/// drops it. An emptied wheel is
+/// A fresh wheel regrows every bucket it touches (4 → 8 → … keys), so a
+/// dropped net empties its wheel and leaves it to its thread with the
+/// net's other parts (see [`Spare`]). An emptied wheel is
 /// indistinguishable from a new one except for its capacity, so reuse
 /// cannot change an execution.
 struct TimingWheel {
@@ -910,15 +949,6 @@ impl TimingWheel {
     fn new() -> Self {
         TimingWheel {
             buckets: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
-            ..TimingWheel::hollow()
-        }
-    }
-
-    /// A wheel with no buckets, which allocates nothing: the placeholder
-    /// a dropped net leaves behind when its wheel becomes the spare.
-    fn hollow() -> Self {
-        TimingWheel {
-            buckets: Vec::new(),
             occupied: [0; WHEEL_WORDS],
             base: 0,
             len: 0,
@@ -926,18 +956,9 @@ impl TimingWheel {
         }
     }
 
-    /// This thread's spare wheel, or a new one if there is none.
-    fn spare_or_new() -> Self {
-        SPARE_WHEEL
-            .try_with(Cell::take)
-            .ok()
-            .flatten()
-            .unwrap_or_else(TimingWheel::new)
-    }
-
-    /// Empties the wheel and makes it this thread's spare, replacing any
-    /// earlier one; `self` is left hollow.
-    fn retire(&mut self) {
+    /// Empties the wheel, keeping the capacity of its buckets and of its
+    /// overflow heap.
+    fn clear(&mut self) {
         // every bucket without an occupancy bit is already empty and clean
         // (pop, remove and drop_since reset a bucket they empty)
         for idx in self.occupied_indices() {
@@ -946,15 +967,22 @@ impl TimingWheel {
             bucket.next = 0;
             bucket.dirty = false;
         }
+        self.occupied = [0; WHEEL_WORDS];
+        self.base = 0;
+        self.len = 0;
         self.overflow.clear();
-        let spare = TimingWheel {
-            buckets: std::mem::take(&mut self.buckets),
-            overflow: std::mem::take(&mut self.overflow),
-            ..TimingWheel::hollow()
-        };
-        // at thread exit the slot may already be gone; the wheel is then
-        // simply freed
-        let _ = SPARE_WHEEL.try_with(|slot| slot.set(Some(spare)));
+    }
+
+    /// Keeps, bucket by bucket, the larger of this emptied wheel's
+    /// buffers and `other`'s.
+    fn keep_larger(&mut self, mut other: TimingWheel) {
+        other.clear();
+        for (kept, bucket) in self.buckets.iter_mut().zip(other.buckets) {
+            keep_larger(&mut kept.items, bucket.items);
+        }
+        let mut overflow = std::mem::take(&mut self.overflow).into_vec();
+        keep_larger(&mut overflow, other.overflow.into_vec());
+        self.overflow = overflow.into();
     }
 
     fn len(&self) -> usize {
@@ -1184,10 +1212,27 @@ enum EventQueue {
 }
 
 impl EventQueue {
-    fn new(impl_choice: QueueImpl) -> Self {
+    /// A queue built on the spare's wheel or heap buffer.
+    fn new(impl_choice: QueueImpl, spare: &mut Spare) -> Self {
         match impl_choice {
-            QueueImpl::Wheel => EventQueue::Wheel(TimingWheel::spare_or_new()),
-            QueueImpl::Heap => EventQueue::Heap(BinaryHeap::new()),
+            QueueImpl::Wheel => {
+                EventQueue::Wheel(spare.wheel.take().unwrap_or_else(TimingWheel::new))
+            }
+            QueueImpl::Heap => EventQueue::Heap(std::mem::take(&mut spare.heap).into()),
+        }
+    }
+
+    /// Empties the queue into `spare`, which keeps the larger buffers.
+    fn retire(self, spare: &mut Spare) {
+        match self {
+            EventQueue::Wheel(mut wheel) => match &mut spare.wheel {
+                Some(kept) => kept.keep_larger(wheel),
+                None => {
+                    wheel.clear();
+                    spare.wheel = Some(wheel);
+                }
+            },
+            EventQueue::Heap(heap) => keep_larger(&mut spare.heap, heap.into_vec()),
         }
     }
 
@@ -1272,15 +1317,6 @@ impl EventQueue {
     }
 }
 
-impl Drop for EventQueue {
-    /// A dropped wheel becomes its thread's spare (see [`TimingWheel`]).
-    fn drop(&mut self) {
-        if let EventQueue::Wheel(wheel) = self {
-            wheel.retire();
-        }
-    }
-}
-
 /// The decoded class of one pending queue event, as seen by
 /// [`EventNet::enabled_events`]. Payloads stay in the arena; the model
 /// checker reads them through [`EventNet::event_msg`] when it needs the
@@ -1356,6 +1392,115 @@ enum TraceSink {
     Stream(Box<dyn Observer>),
 }
 
+thread_local! {
+    /// The parts of the last net dropped on this thread, handed to the
+    /// next one built here (see [`Spare`]).
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
+/// The emptied buffers a dropped [`EventNet`] leaves to its thread.
+///
+/// Replica ensembles build millions of short-lived nets, and a fresh net
+/// regrows every buffer it fills: the wheel's buckets, the event slabs
+/// and the free list, the per-process vectors, the callback context and
+/// the undo scratch. So a dropped net empties them and leaves them as its
+/// thread's one spare, and the next net built on that thread takes them,
+/// capacity included. When two nets' parts meet here, each buffer keeps
+/// the larger capacity, so every buffer holds the capacity of the largest
+/// net seen on the thread. An [`EventNet`] is not `Send` (its processes
+/// are trait objects without a `Send` bound), so the thread that builds a
+/// net also drops it. An emptied buffer is indistinguishable from a new
+/// one except for its capacity, so reuse cannot change an execution.
+///
+/// The message slab and the staged sends hold the net's message type,
+/// which a thread-wide slot cannot name, so only their capacities are
+/// passed on: the next net allocates each at once at that size, instead
+/// of regrowing it.
+#[derive(Default)]
+struct Spare {
+    wheel: Option<TimingWheel>,
+    heap: Vec<Reverse<(u64, u64, u64, u32)>>,
+    headers: Vec<Header>,
+    free: Vec<u32>,
+    /// The capacity of the largest staged-send buffer seen.
+    sends: usize,
+    dsts: Vec<ProcId>,
+    timers: Vec<(u64, u64)>,
+    recoveries: Vec<u64>,
+    decision_times: Vec<Option<u64>>,
+    crashed: Vec<bool>,
+    handled: Vec<u64>,
+    saved: Vec<Option<DurableState>>,
+    started: Vec<bool>,
+    fault_fired: Vec<bool>,
+    lamport: Vec<u64>,
+    created_free: Vec<Vec<EnabledEvent>>,
+    created_keys: Vec<(u64, u64, u64, u32)>,
+}
+
+impl Spare {
+    /// This thread's spare, or an empty one if there is none.
+    fn take() -> Self {
+        SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Makes `self` this thread's spare, replacing any earlier one.
+    fn stash(self) {
+        // at thread exit the slot may already be gone; the parts are then
+        // simply freed
+        let _ = SPARE.try_with(|slot| slot.set(Some(self)));
+    }
+
+    /// Takes back every buffer of a dropped net, keeping the larger of
+    /// each pair.
+    fn absorb<M: Clone>(&mut self, net: &mut EventNet<M>) {
+        std::mem::replace(&mut net.queue, EventQueue::Heap(BinaryHeap::new())).retire(self);
+        keep_larger(&mut self.headers, std::mem::take(&mut net.arena.headers));
+        keep_larger(&mut self.free, std::mem::take(&mut net.arena.free));
+        self.sends = self.sends.max(net.scratch.sends.capacity());
+        keep_larger(&mut self.dsts, std::mem::take(&mut net.scratch.dsts));
+        keep_larger(&mut self.timers, std::mem::take(&mut net.scratch.timers));
+        let recoveries = std::mem::take(&mut net.stats.recoveries);
+        keep_larger(&mut self.recoveries, recoveries);
+        let decision_times = std::mem::take(&mut net.decision_times);
+        keep_larger(&mut self.decision_times, decision_times);
+        keep_larger(&mut self.crashed, std::mem::take(&mut net.crashed));
+        keep_larger(&mut self.handled, std::mem::take(&mut net.handled));
+        keep_larger(&mut self.saved, std::mem::take(&mut net.saved));
+        keep_larger(&mut self.started, std::mem::take(&mut net.started));
+        keep_larger(&mut self.fault_fired, std::mem::take(&mut net.fault_fired));
+        keep_larger(&mut self.lamport, std::mem::take(&mut net.lamport));
+        // the free buffers are kept as they are: emptied lists to reuse
+        if net.created_free.len() > self.created_free.len() {
+            self.created_free = std::mem::take(&mut net.created_free);
+        }
+        keep_larger(
+            &mut self.created_keys,
+            std::mem::take(&mut net.created_keys),
+        );
+    }
+}
+
+/// Leaves in `kept` (an empty buffer) whichever of it and `other` has the
+/// larger capacity, emptied.
+fn keep_larger<T>(kept: &mut Vec<T>, mut other: Vec<T>) {
+    if other.capacity() > kept.capacity() {
+        other.clear();
+        *kept = other;
+    }
+}
+
+/// `len` copies of `value` in the spare buffer `buf` (an empty one).
+fn filled<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) -> Vec<T> {
+    let mut out = std::mem::take(buf);
+    out.resize(len, value);
+    out
+}
+
 /// The deterministic discrete-event network runtime.
 pub struct EventNet<M: Clone> {
     procs: Vec<Box<dyn AsyncProcess<Msg = M>>>,
@@ -1381,6 +1526,9 @@ pub struct EventNet<M: Clone> {
     /// Events (deliveries + timers) each process has handled; drives
     /// [`CrashTrigger::AfterEvents`]. Absorbed events do not count.
     handled: Vec<u64>,
+    /// Whether the fault plan has a [`CrashTrigger::AfterEvents`] fault,
+    /// so that `handled` needs counting at all.
+    counts_events: bool,
     /// Durable snapshots taken at crash time, consumed at recovery.
     saved: Vec<Option<DurableState>>,
     /// Whether each process's [`AsyncProcess::on_start`] has run. A
@@ -1448,9 +1596,19 @@ impl<M: Clone> EventNet<M> {
         };
         let n = procs.len();
         let fault_count = cfg.faults.process.len();
+        let counts_events = cfg
+            .faults
+            .process
+            .iter()
+            .any(|fault| matches!(fault.trigger, CrashTrigger::AfterEvents(_)));
+        let mut spare = Spare::take();
         let mut net = EventNet {
-            queue: EventQueue::new(cfg.queue),
-            arena: Arena::new(),
+            queue: EventQueue::new(cfg.queue, &mut spare),
+            arena: Arena {
+                msgs: Vec::with_capacity(spare.headers.capacity()),
+                headers: std::mem::take(&mut spare.headers),
+                free: std::mem::take(&mut spare.free),
+            },
             link_rng: StdRng::seed_from_u64(derive_seed(cfg.seed, STREAM_LINK, 0)),
             sched_rng: StdRng::seed_from_u64(derive_seed(cfg.seed, STREAM_SCHEDULER, sched_seed)),
             trace,
@@ -1458,22 +1616,30 @@ impl<M: Clone> EventNet<M> {
             now: 0,
             next_seq: 0,
             stats: NetStats {
-                recoveries: vec![0; n],
+                recoveries: filled(&mut spare.recoveries, n, 0),
                 ..NetStats::default()
             },
             queue_len: 0,
             procs: Vec::new(),
-            decision_times: vec![None; n],
-            scratch: NetCtx::new(0, n, 0),
-            crashed: vec![false; n],
-            handled: vec![0; n],
-            saved: (0..n).map(|_| None).collect(),
-            started: vec![false; n],
-            fault_fired: vec![false; fault_count],
-            lamport: vec![0; n],
-            created_free: Vec::new(),
-            created_keys: Vec::new(),
+            decision_times: filled(&mut spare.decision_times, n, None),
+            scratch: NetCtx {
+                sends: Vec::with_capacity(spare.sends),
+                dsts: std::mem::take(&mut spare.dsts),
+                timers: std::mem::take(&mut spare.timers),
+                ..NetCtx::new(0, n, 0)
+            },
+            crashed: filled(&mut spare.crashed, n, false),
+            handled: filled(&mut spare.handled, n, 0),
+            counts_events,
+            saved: filled(&mut spare.saved, n, None),
+            started: filled(&mut spare.started, n, false),
+            fault_fired: filled(&mut spare.fault_fired, fault_count, false),
+            lamport: filled(&mut spare.lamport, n, 0),
+            created_free: std::mem::take(&mut spare.created_free),
+            created_keys: std::mem::take(&mut spare.created_keys),
         };
+        // what this net did not take (the other queue's buffer) stays
+        spare.stash();
         // install the processes before starting them, so destination
         // validity checks in `route` see the real process count
         net.procs = procs;
@@ -1481,8 +1647,8 @@ impl<M: Clone> EventNet<M> {
         // (crash-at-start), and later timed crashes are queued ahead of
         // every send, so at equal (time, tie) a planned crash beats a
         // delivery
-        let plan = net.cfg.faults.process.clone();
-        for (i, fault) in plan.iter().enumerate() {
+        for i in 0..fault_count {
+            let fault = net.cfg.faults.process[i];
             assert!(
                 fault.proc < n,
                 "fault plan names process {} but the network has {n}",
@@ -1493,7 +1659,7 @@ impl<M: Clone> EventNet<M> {
                     net.fault_fired[i] = true;
                     net.crash_proc(fault.proc, fault.recover_at);
                 }
-                CrashTrigger::AtTime(t) => net.push_event(t, 0, EventKind::Crash { fault: i }),
+                CrashTrigger::AtTime(t) => net.push_event(t, 0, Header::Crash { fault: i }, None),
                 CrashTrigger::AfterEvents(_) => {} // checked after each dispatch
             }
         }
@@ -1632,15 +1798,15 @@ impl<M: Clone> EventNet<M> {
         self.record(TraceKind::Crash, proc as u64, 0, 0, clk);
         if let Some(t) = recover_at {
             // a recovery time already in the past fires immediately
-            self.push_event(t.max(self.now), 0, EventKind::Recover { proc });
+            self.push_event(t.max(self.now), 0, Header::Recover { proc }, None);
         }
     }
 
     /// Bumps `proc`'s handled-event counter and fires any
     /// [`CrashTrigger::AfterEvents`] fault it has now reached.
     fn after_dispatch(&mut self, proc: ProcId) {
-        if self.fault_fired.is_empty() {
-            return; // no process faults: zero bookkeeping on the hot path
+        if !self.counts_events {
+            return; // no event-count trigger: zero bookkeeping on the hot path
         }
         self.handled[proc] += 1;
         for i in 0..self.cfg.faults.process.len() {
@@ -1687,10 +1853,12 @@ impl<M: Clone> EventNet<M> {
         }
     }
 
-    fn push_event(&mut self, time: u64, tie: u64, kind: EventKind<M>) {
+    /// Queues one event, writing its header and message into their slot.
+    #[inline(always)]
+    fn push_event(&mut self, time: u64, tie: u64, header: Header, msg: Option<Payload<M>>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.arena.alloc(kind);
+        let slot = self.arena.alloc(header, msg);
         self.queue.push(time, tie, seq, slot);
         // incremental queue length (== self.queue.len()), so the peak
         // tracking costs two register ops instead of a queue traversal;
@@ -1703,36 +1871,49 @@ impl<M: Clone> EventNet<M> {
     }
 
     /// Applies the actions a callback buffered in the context: timers
-    /// first, then sends, each in request order. The buffers are drained
-    /// where they are (capacity retained for the next event); routing
-    /// needs the whole net, so the send buffer is lent out for the loop
-    /// and put back. The next callback's reset clears the multicast
-    /// ranges, which only the retry adapter reads.
+    /// first, then sends, each in request order, a multicast's copies in
+    /// the order of its destinations. The buffers are drained where they
+    /// are (capacity retained for the next event); routing needs the
+    /// whole net, so the send and destination buffers are lent out for
+    /// the loop and put back.
     fn apply(&mut self, src: ProcId) {
         for i in 0..self.scratch.timers.len() {
             let (delay, timer) = self.scratch.timers[i];
-            self.push_event(
-                self.now.saturating_add(delay),
-                0,
-                EventKind::Timer {
-                    proc: src,
-                    timer,
-                    armed_at: self.now,
-                },
-            );
+            let header = Header::Timer {
+                proc: src,
+                timer,
+                armed_at: self.now,
+            };
+            self.push_event(self.now.saturating_add(delay), 0, header, None);
         }
         self.scratch.timers.clear();
         let mut sends = std::mem::take(&mut self.scratch.sends);
-        for (dst, msg) in sends.drain(..) {
-            self.route(src, dst, msg);
+        let mut dsts = std::mem::take(&mut self.scratch.dsts);
+        // popped from the back, so reversed first: most callbacks stage
+        // one call or none, and a pop costs less than a draining iterator
+        sends.reverse();
+        let mut next = 0;
+        while let Some(Staged { count, payload }) = sends.pop() {
+            let (&last, copies) = dsts[next..next + count]
+                .split_last()
+                .expect("a staged send names a destination");
+            next += count;
+            for &dst in copies {
+                self.route(src, dst, payload.clone());
+            }
+            // the last destination takes the staged payload itself
+            self.route(src, last, payload);
         }
+        dsts.clear();
         self.scratch.sends = sends;
+        self.scratch.dsts = dsts;
     }
 
     /// Routes one message: validity check, fault sampling, latency and
     /// scheduler policy, then enqueue (or drop). Dropped payloads are
     /// simply released — a shared multicast payload is never cloned for
     /// a recipient who does not receive it.
+    #[inline]
     fn route(&mut self, src: ProcId, dst: ProcId, msg: Payload<M>) {
         if dst >= self.procs.len() {
             return; // nonexistent destination: discarded, not counted
@@ -1787,17 +1968,13 @@ impl<M: Clone> EventNet<M> {
                 }
             }
         };
-        self.push_event(
-            time,
-            tie,
-            EventKind::Deliver {
-                src,
-                dst,
-                msg,
-                sent_at: self.now,
-                clk,
-            },
-        );
+        let header = Header::Deliver {
+            src,
+            dst,
+            sent_at: self.now,
+            clk,
+        };
+        self.push_event(time, tie, header, Some(msg));
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -1824,16 +2001,15 @@ impl<M: Clone> EventNet<M> {
             }
         }
         self.stats.events_processed += 1;
-        let event = self.arena.take(slot);
         let n = self.procs.len();
-        match event {
-            EventKind::Deliver {
+        match self.arena.take(slot) {
+            Header::Deliver {
                 src,
                 dst,
-                msg,
                 sent_at,
                 clk,
             } => {
+                let msg = self.arena.take_msg(slot);
                 if self.crashed[dst] {
                     // absorbed: the shared payload is released without a clone
                     self.stats.crashed_drops += 1;
@@ -1852,7 +2028,7 @@ impl<M: Clone> EventNet<M> {
                     self.after_dispatch(dst);
                 }
             }
-            EventKind::Timer {
+            Header::Timer {
                 proc,
                 timer,
                 armed_at,
@@ -1872,11 +2048,11 @@ impl<M: Clone> EventNet<M> {
                     self.after_dispatch(proc);
                 }
             }
-            EventKind::Crash { fault } => {
+            Header::Crash { fault } => {
                 let fault = self.cfg.faults.process[fault];
                 self.crash_proc(fault.proc, fault.recover_at);
             }
-            EventKind::Recover { proc } => {
+            Header::Recover { proc } => {
                 self.lamport[proc] += 1;
                 let clock = self.lamport[proc];
                 self.record(TraceKind::Recover, proc as u64, 0, 0, clock);
@@ -1939,18 +2115,12 @@ impl<M: Clone> EventNet<M> {
     #[inline]
     fn enabled(&self, (time, tie, seq, slot): (u64, u64, u64, u32)) -> EnabledEvent {
         let kind = match self.arena.peek(slot) {
-            EventKind::Deliver { src, dst, .. } => EnabledKind::Deliver {
-                src: *src,
-                dst: *dst,
+            Header::Deliver { src, dst, .. } => EnabledKind::Deliver { src, dst },
+            Header::Timer { proc, timer, .. } => EnabledKind::Timer { proc, timer },
+            Header::Crash { fault } => EnabledKind::Crash {
+                proc: self.cfg.faults.process[fault].proc,
             },
-            EventKind::Timer { proc, timer, .. } => EnabledKind::Timer {
-                proc: *proc,
-                timer: *timer,
-            },
-            EventKind::Crash { fault } => EnabledKind::Crash {
-                proc: self.cfg.faults.process[*fault].proc,
-            },
-            EventKind::Recover { proc } => EnabledKind::Recover { proc: *proc },
+            Header::Recover { proc } => EnabledKind::Recover { proc },
         };
         EnabledEvent {
             time,
@@ -1965,10 +2135,7 @@ impl<M: Clone> EventNet<M> {
     /// event (`None` for timers and lifecycle events) — the read-only
     /// view state fingerprinting uses.
     pub fn event_msg(&self, ev: &EnabledEvent) -> Option<&M> {
-        match self.arena.peek(ev.slot) {
-            EventKind::Deliver { msg, .. } => Some(msg.as_msg()),
-            _ => None,
-        }
+        self.arena.peek_msg(ev.slot).map(Payload::as_msg)
     }
 
     /// Whether a pending delivery or timer would be absorbed by its
@@ -1977,10 +2144,11 @@ impl<M: Clone> EventNet<M> {
     /// `false` for other events.
     pub fn event_absorbed(&self, ev: &EnabledEvent) -> bool {
         match self.arena.peek(ev.slot) {
-            EventKind::Deliver { src, dst, msg, .. } => {
-                self.procs[*dst].absorbs(*src, msg.as_msg())
+            Header::Deliver { src, dst, .. } => {
+                let msg = self.arena.peek_msg(ev.slot).expect("a queued delivery");
+                self.procs[dst].absorbs(src, msg.as_msg())
             }
-            EventKind::Timer { proc, timer, .. } => self.procs[*proc].timer_absorbed(*timer),
+            Header::Timer { proc, timer, .. } => self.procs[proc].timer_absorbed(timer),
             _ => false,
         }
     }
@@ -2054,7 +2222,8 @@ impl<M: Clone> EventNet<M> {
         undo.removed = Some(Removed {
             key: (ev.time, ev.tie, ev.seq, ev.slot),
             pos,
-            event: self.arena.peek(ev.slot).clone(),
+            header: self.arena.peek(ev.slot),
+            msg: self.arena.peek_msg(ev.slot).cloned(),
         });
         self.queue_len -= 1;
         self.dispatch(ev.time.max(self.now), ev.slot);
@@ -2106,9 +2275,15 @@ impl<M: Clone> EventNet<M> {
         }
         created.clear();
         self.created_free.push(created);
-        if let Some(Removed { key, pos, event }) = undo.removed {
+        if let Some(Removed {
+            key,
+            pos,
+            header,
+            msg,
+        }) = undo.removed
+        {
             let (time, tie, seq, slot) = key;
-            self.arena.untake(slot, event);
+            self.arena.untake(slot, header, msg);
             self.queue.reinsert(time, tie, seq, slot, pos);
         }
         let recoveries = std::mem::take(&mut self.stats.recoveries);
@@ -2172,6 +2347,16 @@ impl<M: Clone> EventNet<M> {
     }
 }
 
+impl<M: Clone> Drop for EventNet<M> {
+    /// A dropped net leaves its emptied buffers to the next net built on
+    /// its thread.
+    fn drop(&mut self) {
+        let mut spare = Spare::take();
+        spare.absorb(self);
+        spare.stash();
+    }
+}
+
 /// What one [`EventNet::step_undoable`] or
 /// [`EventNet::inject_crash_undoable`] changed, consumed by
 /// [`EventNet::undo`]. A step acts on one process (its target): it may
@@ -2228,11 +2413,12 @@ impl<M: Clone> Undo<M> {
 }
 
 /// A dispatched event as [`EventNet::undo`] puts it back: its queue key,
-/// its position in its bucket, and its payload.
+/// its position in its bucket, its header and its message.
 struct Removed<M> {
     key: (u64, u64, u64, u32),
     pos: usize,
-    event: EventKind<M>,
+    header: Header,
+    msg: Option<Payload<M>>,
 }
 
 /// The per-process fields of a step's target before the step.
@@ -2844,9 +3030,14 @@ mod tests {
         let _ = net.step_undoable(&first).expect("pending");
         assert!(net.pending_events() > 0);
         drop(net);
-        let spare = SPARE_WHEEL
+        let parts = SPARE
             .with(Cell::take)
-            .expect("the dropped net left its wheel");
+            .expect("the dropped net left its parts");
+        // the slabs and per-process vectors come back empty, capacity kept
+        assert!(parts.headers.is_empty() && parts.headers.capacity() > 0);
+        assert!(parts.free.is_empty() && parts.lamport.is_empty());
+        assert!(parts.created_free.iter().all(Vec::is_empty));
+        let spare = parts.wheel.expect("the dropped net left its wheel");
         assert_eq!(
             (spare.len(), spare.base, spare.occupied),
             (0, 0, [0; WHEEL_WORDS])

@@ -70,14 +70,26 @@ pub trait SampleRange<T> {
     fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// One draw reduced into `0..span` as `next_u64() % span`. A span below
+/// `2^64` takes a 64-bit remainder; the only larger span, `2^64` (a
+/// full-width inclusive range), keeps the draw itself, which is what the
+/// remainder would give. No 128-bit division is made.
+#[inline]
+fn draw_below<R: Rng + ?Sized>(rng: &mut R, span: u128) -> i128 {
+    let draw = rng.next_u64();
+    match u64::try_from(span) {
+        Ok(span) => (draw % span) as i128,
+        Err(_) => draw as i128,
+    }
+}
+
 macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample from empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let draw = ((rng.next_u64() as u128) % span) as i128;
-                (self.start as i128 + draw) as $t
+                (self.start as i128 + draw_below(rng, span)) as $t
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
@@ -85,8 +97,7 @@ macro_rules! impl_sample_range_int {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample from empty range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let draw = ((rng.next_u64() as u128) % span) as i128;
-                (lo as i128 + draw) as $t
+                (lo as i128 + draw_below(rng, span)) as $t
             }
         }
     )*};
@@ -216,6 +227,65 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let dynrng: &mut dyn Rng = &mut rng;
         assert!(draw(dynrng) < 10);
+    }
+
+    /// The reduction every range used before `draw_below`: a 128-bit
+    /// remainder of the draw by the span.
+    fn reference(draw: u64, lo: i128, hi_inclusive: i128) -> i128 {
+        let span = (hi_inclusive - lo) as u128 + 1;
+        lo + ((draw as u128) % span) as i128
+    }
+
+    #[test]
+    fn range_draws_match_the_128_bit_remainder() {
+        const DRAWS: usize = 2_000;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut twin = rng.clone();
+        // unsigned spans 1, 2^32 - 1, 2^32, 2^32 + 1 and 2^64 - 1, then
+        // the full inclusive range (span 2^64)
+        for (lo, hi) in [
+            (7u64, 7u64),
+            (0, (1 << 32) - 2),
+            (0, (1 << 32) - 1),
+            (3, 3 + (1 << 32)),
+            (0, u64::MAX - 1),
+            (1, u64::MAX),
+            (0, u64::MAX),
+        ] {
+            for _ in 0..DRAWS {
+                let got: u64 = rng.random_range(lo..=hi);
+                let want = reference(twin.next_u64(), lo as i128, hi as i128);
+                assert_eq!(got as i128, want, "{lo}..={hi}");
+                if hi > lo {
+                    let got: u64 = rng.random_range(lo..hi);
+                    let want = reference(twin.next_u64(), lo as i128, hi as i128 - 1);
+                    assert_eq!(got as i128, want, "{lo}..{hi}");
+                }
+            }
+        }
+        // signed ranges with negative starts, up to the full inclusive i64
+        for (lo, hi) in [
+            (-1i64, -1i64),
+            (-5, 5),
+            (-(1 << 31), (1 << 31) - 1),
+            (-(1 << 31), 1 << 31),
+            (i64::MIN, i64::MAX - 1),
+            (i64::MIN + 1, i64::MAX),
+            (i64::MIN, i64::MAX),
+        ] {
+            for _ in 0..DRAWS {
+                let got: i64 = rng.random_range(lo..=hi);
+                let want = reference(twin.next_u64(), lo as i128, hi as i128);
+                assert_eq!(got as i128, want, "{lo}..={hi}");
+            }
+        }
+        // narrow types widen the same way
+        for _ in 0..DRAWS {
+            let got: i8 = rng.random_range(-128i8..=127);
+            assert_eq!(got as i128, reference(twin.next_u64(), -128, 127));
+            let got: usize = rng.random_range(3usize..9);
+            assert_eq!(got as i128, reference(twin.next_u64(), 3, 8));
+        }
     }
 
     #[test]

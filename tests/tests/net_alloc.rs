@@ -1,11 +1,14 @@
-//! Pins the event runtime's allocation-free message path.
+//! Pins the event runtime's allocation-free message path and its reuse
+//! of a dropped net's parts.
 //!
 //! A counting global allocator tallies the allocations each thread makes
 //! (the counter is a `const`-initialised thread-local, so tests running
 //! in parallel do not disturb each other). A warm-up net runs first; a
 //! second net with the same configuration on the same thread then takes
-//! over the first one's timing wheel, and its whole `run` must allocate
-//! nothing for a plain-data protocol that both unicasts and multicasts.
+//! over the parts the first one left behind, and its whole `run` must
+//! allocate nothing for a plain-data protocol that both unicasts and
+//! multicasts. Building, running and dropping it allocates only the two
+//! buffers typed by its message, each once at its final size.
 
 use bne_core::net::{
     AsyncProcess, EventNet, LatencyModel, NetConfig, NetCtx, RetryAdapter, RetryMsg, RetryPolicy,
@@ -182,4 +185,121 @@ fn retried_plain_data_allocates_nothing_per_message_once_warm() {
     let short = run_allocations(100, fifo);
     let long = run_allocations(400, fifo);
     assert_eq!(short, long, "allocations grew with the number of messages");
+}
+
+/// The buffers a net allocates for itself even on a warm thread: its
+/// message slab and its staged sends hold values of the message type,
+/// which the thread's spare cannot name, so only their sizes carry over
+/// and each is allocated once per net.
+const MESSAGE_BUFFERS: u64 = 2;
+
+thread_local! {
+    /// Allocations made inside process callbacks, which belong to the
+    /// processes rather than to the runtime.
+    static IN_CALLBACKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A process whose callbacks' allocations are set aside, so that the
+/// count left over is the runtime's own.
+struct Uncounted<P>(P);
+
+impl<P> Uncounted<P> {
+    fn aside<T>(f: impl FnOnce() -> T) -> T {
+        let (out, n) = allocations(f);
+        IN_CALLBACKS.with(|c| c.set(c.get() + n));
+        out
+    }
+}
+
+impl<P: AsyncProcess> AsyncProcess for Uncounted<P> {
+    type Msg = P::Msg;
+
+    fn on_start(&mut self, ctx: &mut NetCtx<P::Msg>) {
+        Self::aside(|| self.0.on_start(ctx));
+    }
+
+    fn on_message(&mut self, src: usize, msg: P::Msg, ctx: &mut NetCtx<P::Msg>) {
+        Self::aside(|| self.0.on_message(src, msg, ctx));
+    }
+
+    fn on_timer(&mut self, timer: u64, ctx: &mut NetCtx<P::Msg>) {
+        Self::aside(|| self.0.on_timer(timer, ctx));
+    }
+
+    fn decision(&self) -> Option<u64> {
+        self.0.decision()
+    }
+}
+
+/// Builds, runs and drops one net of `procs` on `cfg`, returning the
+/// allocations the runtime made for it outside the process callbacks.
+fn net_lifetime<M: Clone>(procs: Vec<Box<dyn AsyncProcess<Msg = M>>>, cfg: NetConfig) -> u64 {
+    let before = IN_CALLBACKS.with(Cell::get);
+    let ((), total) = allocations(|| {
+        let mut net = EventNet::new(procs, cfg);
+        assert!(net.run(1_000_000), "the queue drains");
+        assert!(net.decision_times().iter().all(Option::is_some));
+    });
+    total - (IN_CALLBACKS.with(Cell::get) - before)
+}
+
+fn rounds_procs(rounds: u64) -> Vec<Box<dyn AsyncProcess<Msg = Msg>>> {
+    (0..N)
+        .map(|_| {
+            let process = Rounds {
+                rounds,
+                replies: 0,
+                last: None,
+            };
+            Box::new(Uncounted(process)) as _
+        })
+        .collect()
+}
+
+fn retried_procs(rounds: u64) -> Vec<Box<dyn AsyncProcess<Msg = RetryMsg<Msg>>>> {
+    (0..N)
+        .map(|_| {
+            let inner = Rounds {
+                rounds,
+                replies: 0,
+                last: None,
+            };
+            let adapter = RetryAdapter::new(inner, RetryPolicy::default());
+            Box::new(Uncounted(adapter)) as _
+        })
+        .collect()
+}
+
+#[test]
+fn a_warm_thread_builds_runs_and_drops_a_net_from_the_last_ones_parts() {
+    // a thread of its own, so the first net surely finds no spare parts
+    std::thread::spawn(warm_lifetimes)
+        .join()
+        .expect("the lifetimes pass");
+}
+
+fn warm_lifetimes() {
+    const ROUNDS: u64 = 50;
+    let cold = net_lifetime(rounds_procs(ROUNDS), configs()[0].1.clone());
+    assert!(
+        cold > MESSAGE_BUFFERS,
+        "a cold net allocates its parts: {cold}"
+    );
+    for (name, cfg) in configs() {
+        net_lifetime(rounds_procs(ROUNDS), cfg.clone());
+        let procs = rounds_procs(ROUNDS);
+        let warm = net_lifetime(procs, cfg.clone());
+        assert_eq!(warm, MESSAGE_BUFFERS, "{name}: {warm} allocations");
+        // and again, with a longer run: nothing grows with the events
+        let procs = rounds_procs(4 * ROUNDS);
+        let warm = net_lifetime(procs, cfg);
+        assert_eq!(warm, MESSAGE_BUFFERS, "{name}: {warm} allocations");
+    }
+    // a retry-wrapped protocol: the adapters' own tables warm up inside
+    // their callbacks; what the runtime allocates around them is the same
+    let fifo = configs()[0].1.clone();
+    net_lifetime(retried_procs(ROUNDS), fifo.clone());
+    let procs = retried_procs(ROUNDS);
+    let warm = net_lifetime(procs, fifo);
+    assert_eq!(warm, MESSAGE_BUFFERS, "retry: {warm} allocations");
 }
