@@ -12,19 +12,29 @@
 //! arrivals and the gain estimate is low-variance. Queries are therefore
 //! deterministic, as the [`PayoffBackend`] contract requires.
 //!
-//! Per-round utilities are bounded a priori — a slot can at best be served
-//! every round (`benefit`) and at worst volunteer every round (`-cost`) —
-//! which gives the sampled oracle's Hoeffding bound a tight payoff range
-//! without scanning anything.
+//! Per-round utilities are bounded a priori: each round a slot gains
+//! `benefit` (served), loses `cost` (volunteered) or neither, so its
+//! average lies between the least and the greatest of `benefit`, `-cost`
+//! and 0. That range gives the sampled oracle's Hoeffding bound without
+//! scanning anything.
 //!
-//! Cost model: one payoff query is `trials` full economy runs, so audits
-//! should batch with [`PayoffBackend::payoffs_into`] (one set of runs
-//! yields *every* player's base payoff; the
+//! Cost model: a query that runs the economy costs `trials` full economy
+//! runs, so audits batch with [`PayoffBackend::payoffs_into`] (one set of
+//! runs yields *every* player's base payoff; the
 //! [`SampledOracle`](bne_games::sampled::SampledOracle) does this for the
-//! base profile automatically). Beyond its runs, a query makes one cheap
-//! pass over the base profile for entries off the common threshold (none
-//! in [`ThresholdAuditBackend::base_profile`]); the engine overrides are
-//! those entries and the view's override list,
+//! base profile automatically). Many queries run nothing, because a slot
+//! reads its threshold only after its holdings change, and at long
+//! horizons over large populations an agent trades a handful of times.
+//! The first query of the all-common profile records that run once per
+//! backend: every player's payoff, and the holdings each rational slot
+//! took (see [`ThresholdAuditBackend`]). A later query whose every
+//! overridden slot holds the same side of its override as of the common
+//! threshold throughout that run *is* that run, bit for bit, and returns
+//! the recorded payoffs. So an audit costs one set of runs per deviation
+//! that bites, not one per sampled deviation. Beyond its runs, a query
+//! makes one cheap pass over the base profile for entries off the common
+//! threshold (none in [`ThresholdAuditBackend::base_profile`]); the engine
+//! overrides are those entries and the view's override list,
 //! [`PayoffBackend::payoff`] reads one slot, and no aggregate outcome is
 //! summarized. Engines are pooled: a query takes an idle engine
 //! (building one only when every engine is busy) and returns it, so the
@@ -32,21 +42,104 @@
 //! per worker of the sampled oracle's fan-out, 2 × 24 MB at 10^6 agents
 //! on two workers — until it is dropped.
 
-use crate::economy::{Economy, EconomyConfig};
+use crate::economy::{Economy, EconomyConfig, RunLog};
 use bne_games::backend::{PayoffBackend, ProfileView};
 use bne_games::{ActionId, PlayerId, Utility};
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// The threshold-strategy audit game over a scrip economy.
+///
+/// # The base run
+///
+/// Cut the holdings axis at the `k` distinct candidate thresholds, in
+/// ascending order `cuts[0] < cuts[1] < …`; band `b` is the holdings
+/// `cuts[b]..cuts[b + 1]`. A rational slot volunteers for payment while
+/// its holdings lie below its threshold, and it reads its threshold once
+/// after the reset and again after every change to its holdings. So a slot moved from the common threshold `c` to `τ`
+/// decides exactly as before at every holdings value outside
+/// `min(τ, c)..max(τ, c)`, which is a union of whole bands. If no trial
+/// of the all-common run ever put the slot's holdings in those bands,
+/// then round by round every pool membership, draw and transfer of the
+/// deviated run is the base run's, and so is every utility, to the bit.
+/// With several slots overridden, every one of them must pass.
+///
+/// The first query of the all-common profile (no engine overrides; the
+/// sampled oracle's batched base read) runs every trial once and keeps
+/// every player's payoff, averaged in trial order as a query averages
+/// them, and one bit per band per rational slot, set when the slot's
+/// holdings entered the band in some trial: the initial scrip and every
+/// later value. Later queries that pass the band test return the
+/// recorded payoffs; every other query runs. The record is simulated at
+/// most once per backend and read-only afterwards, so concurrent queries
+/// share it. It takes one `f64` per player and `⌈(k − 1)/8⌉` bytes per
+/// rational slot (one byte for up to nine candidates): about 9 MB at
+/// 10^6 agents, beside the pooled engines' 24 MB each.
 pub struct ThresholdAuditBackend {
     config: EconomyConfig,
     candidates: Vec<u32>,
+    /// The distinct candidate thresholds, ascending: the cuts between the
+    /// bands of the holdings axis.
+    cuts: Vec<u32>,
     trials: usize,
     sim_seed: u64,
     /// Idle engines. The lock is held only to pop or push one, never
     /// across a run, so a panicking query cannot poison it.
     engines: Mutex<Vec<Economy>>,
+    /// The all-common run, recorded by the first query of it.
+    base_run: OnceLock<BaseRun>,
+    queries: AtomicU64,
+    recalled: AtomicU64,
+    economy_runs: AtomicU64,
+}
+
+/// The work a [`ThresholdAuditBackend`] has done since it was built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuditWork {
+    /// Payoff queries answered, single and batched.
+    pub queries: u64,
+    /// Of those, the queries answered from the recorded base run without
+    /// simulating.
+    pub recalled: u64,
+    /// Economy runs simulated: `trials` for each query that ran,
+    /// including the one that recorded the base run.
+    pub economy_runs: u64,
+}
+
+/// The all-common run: every player's payoff, and the bands of the
+/// holdings axis that each rational slot entered in any trial.
+struct BaseRun {
+    payoffs: Vec<Utility>,
+    /// [`ThresholdAuditBackend::band_bytes`] bytes per rational slot; bit
+    /// `b` is set when the slot's holdings entered band `b`.
+    bands: Vec<u8>,
+}
+
+/// Marks, for each rational slot, the band its holdings enter.
+struct BandLog<'a> {
+    cuts: &'a [u32],
+    rational_base: usize,
+    band_bytes: usize,
+    bands: &'a mut [u8],
+}
+
+impl BandLog<'_> {
+    fn mark(&mut self, player: PlayerId, holdings: u32) {
+        // below the lowest cut or at or above the highest, every
+        // candidate decides alike, so those holdings need no bit
+        let above = self.cuts.partition_point(|&t| t <= holdings);
+        if (1..self.cuts.len()).contains(&above) {
+            let band = above - 1;
+            self.bands[player * self.band_bytes + band / 8] |= 1 << (band % 8);
+        }
+    }
+}
+
+impl RunLog for BandLog<'_> {
+    fn holdings(&mut self, slot: usize, holdings: u32) {
+        self.mark(slot - self.rational_base, holdings);
+    }
 }
 
 impl ThresholdAuditBackend {
@@ -71,12 +164,20 @@ impl ThresholdAuditBackend {
             "the common threshold {} must be a candidate",
             config.threshold
         );
+        let mut cuts = candidates.clone();
+        cuts.sort_unstable();
+        cuts.dedup();
         ThresholdAuditBackend {
             config,
             candidates,
+            cuts,
             trials,
             sim_seed,
             engines: Mutex::new(Vec::new()),
+            base_run: OnceLock::new(),
+            queries: AtomicU64::new(0),
+            recalled: AtomicU64::new(0),
+            economy_runs: AtomicU64::new(0),
         }
     }
 
@@ -93,6 +194,16 @@ impl ThresholdAuditBackend {
     /// The audited economy configuration.
     pub fn config(&self) -> &EconomyConfig {
         &self.config
+    }
+
+    /// The queries answered and economy runs made so far. The counters
+    /// affect no result.
+    pub fn work(&self) -> AuditWork {
+        AuditWork {
+            queries: self.queries.load(Relaxed),
+            recalled: self.recalled.load(Relaxed),
+            economy_runs: self.economy_runs.load(Relaxed),
+        }
     }
 
     /// The engine overrides of `view`: every player whose threshold
@@ -132,17 +243,107 @@ impl ThresholdAuditBackend {
             .expect("checked at construction")
     }
 
-    /// Runs every trial of `view` on a pooled engine, handing the engine
-    /// to `read` after each run — the shared core of both query paths.
-    fn run_view(&self, view: &ProfileView<'_>, mut read: impl FnMut(&Economy)) {
-        let overrides = self.overrides(view);
+    /// Bytes per rational slot in a band record: a bit for each of the
+    /// `cuts.len() - 1` bands between two cuts.
+    fn band_bytes(&self) -> usize {
+        (self.cuts.len() - 1).div_ceil(8)
+    }
+
+    /// The recorded base run, when the runs of `overrides` are the base
+    /// run. A query of the base records it if no query has.
+    fn recall(&self, overrides: &[(usize, u32)]) -> Option<&BaseRun> {
+        let mut recorded = false;
+        let run = if overrides.is_empty() {
+            self.base_run.get_or_init(|| {
+                recorded = true;
+                self.record_base_run()
+            })
+        } else {
+            let run = self.base_run.get()?;
+            let cut = |t: u32| {
+                self.cuts
+                    .binary_search(&t)
+                    .expect("every threshold is a candidate")
+            };
+            let common = cut(self.config.threshold);
+            let width = self.band_bytes();
+            let unchanged = |&(slot, threshold): &(usize, u32)| {
+                let player = slot - self.config.rational_base();
+                let bands = &run.bands[player * width..][..width];
+                // the bands where the override and the common threshold
+                // decide differently
+                let moved = cut(threshold);
+                (moved.min(common)..moved.max(common)).all(|b| bands[b / 8] & (1 << (b % 8)) == 0)
+            };
+            if !overrides.iter().all(unchanged) {
+                return None;
+            }
+            run
+        };
+        if !recorded {
+            self.recalled.fetch_add(1, Relaxed);
+        }
+        Some(run)
+    }
+
+    /// Runs every trial of the all-common profile, recording the band
+    /// each rational slot's holdings enter.
+    fn record_base_run(&self) -> BaseRun {
+        let players = self.config.rational;
+        let mut payoffs = vec![0.0; players];
+        let mut bands = vec![0; players * self.band_bytes()];
+        let mut log = BandLog {
+            cuts: &self.cuts,
+            rational_base: self.config.rational_base(),
+            band_bytes: self.band_bytes(),
+            bands: &mut bands,
+        };
+        // a reset hands every slot the initial scrip
+        for player in 0..players {
+            log.mark(player, self.config.initial_scrip);
+        }
+        self.read_payoffs(&[], log, &mut payoffs);
+        BaseRun { payoffs, bands }
+    }
+
+    /// Every player's payoff under `overrides`, averaged over the trials
+    /// in trial order, with each run recorded in `log`.
+    fn read_payoffs(&self, overrides: &[(usize, u32)], log: impl RunLog, out: &mut [Utility]) {
+        let base = self.config.rational_base();
+        out.fill(0.0);
+        self.run(overrides, log, |economy| {
+            for (p, u) in out.iter_mut().enumerate() {
+                *u += economy.average_utility(base + p);
+            }
+        });
+        for u in out.iter_mut() {
+            *u /= self.trials as f64;
+        }
+    }
+
+    /// Runs every trial of `overrides` on a pooled engine, recording each
+    /// run in `log` and handing the engine to `read` after it — the
+    /// shared core of every query that runs.
+    fn run<L: RunLog>(
+        &self,
+        overrides: &[(usize, u32)],
+        mut log: L,
+        mut read: impl FnMut(&Economy),
+    ) {
         let idle = self.pool().pop();
         let mut economy = idle.unwrap_or_else(|| Economy::new(&self.config));
         for trial in 0..self.trials {
-            economy.simulate(&overrides, self.sim_seed.wrapping_add(trial as u64));
+            log = economy.simulate(overrides, self.sim_seed.wrapping_add(trial as u64), log);
             read(&economy);
         }
+        self.economy_runs.fetch_add(self.trials as u64, Relaxed);
         self.pool().push(economy);
+    }
+
+    /// Runs every trial of `view`, whatever the record says.
+    #[cfg(test)]
+    fn run_view(&self, view: &ProfileView<'_>, read: impl FnMut(&Economy)) {
+        self.run(&self.overrides(view), (), read);
     }
 
     fn pool(&self) -> MutexGuard<'_, Vec<Economy>> {
@@ -173,29 +374,32 @@ impl PayoffBackend for ThresholdAuditBackend {
     }
 
     fn payoff(&self, player: PlayerId, view: &ProfileView<'_>) -> Utility {
+        self.queries.fetch_add(1, Relaxed);
+        let overrides = self.overrides(view);
+        if let Some(run) = self.recall(&overrides) {
+            return run.payoffs[player];
+        }
         let slot = self.config.rational_base() + player;
         let mut total = 0.0;
-        self.run_view(view, |economy| total += economy.average_utility(slot));
+        self.run(&overrides, (), |economy| {
+            total += economy.average_utility(slot)
+        });
         total / self.trials as f64
     }
 
     fn payoffs_into(&self, view: &ProfileView<'_>, out: &mut [Utility]) {
-        let base = self.config.rational_base();
-        out.fill(0.0);
-        self.run_view(view, |economy| {
-            for (p, u) in out.iter_mut().enumerate() {
-                *u += economy.average_utility(base + p);
-            }
-        });
-        for u in out.iter_mut() {
-            *u /= self.trials as f64;
+        self.queries.fetch_add(1, Relaxed);
+        let overrides = self.overrides(view);
+        match self.recall(&overrides) {
+            Some(run) => out.copy_from_slice(&run.payoffs),
+            None => self.read_payoffs(&overrides, (), out),
         }
     }
 
     fn payoff_bounds(&self) -> (Utility, Utility) {
-        // a slot can at best be served every round, at worst work for
-        // free every round
-        (-self.config.cost, self.config.benefit)
+        // each round a slot is served, volunteers, or neither
+        let (served, worked) = (self.config.benefit, -self.config.cost);
+        (served.min(worked).min(0.0), served.max(worked).max(0.0))
     }
 }
 
@@ -336,6 +540,116 @@ mod tests {
         assert_eq!(
             payoffs(&backend, &shifted, &repeated),
             payoffs(&backend, &base, &[(3, 3), (7, 0), (9, 3)])
+        );
+    }
+
+    #[test]
+    fn payoff_bounds_cover_every_per_round_utility() {
+        // a served slot can lose and a volunteer gain: the range must
+        // still hold 0, `benefit` and `-cost`
+        let config = EconomyConfig {
+            benefit: -0.5,
+            ..small_config()
+        };
+        let backend = ThresholdAuditBackend::new(config, vec![0, 8], 1, 90);
+        assert_eq!(backend.payoff_bounds(), (-0.5, 0.0));
+        let spec = AuditSpec::unilateral(0.5, 0.05, 16, 7);
+        let audit = SampledOracle::new(&backend).audit(&backend.base_profile(), &spec);
+        assert!(audit.certificates[0].hoeffding_radius > 0.0);
+    }
+
+    #[test]
+    fn the_base_run_is_simulated_once_and_answers_what_it_can() {
+        let backend = ThresholdAuditBackend::new(small_config(), vec![0, 4, 8, 16], 2, 90);
+        let base = backend.base_profile();
+        let view = ProfileView::of_base(&base);
+        assert_eq!(backend.payoff(3, &view), payoffs(&backend, &base, &[])[3]);
+        // the first base query ran both trials; the second read the record
+        let work = backend.work();
+        assert_eq!((work.queries, work.recalled, work.economy_runs), (2, 1, 2));
+        // never volunteering at threshold 0 bites for a slot that starts
+        // below the common threshold
+        let shirk = [(5usize, 0usize)];
+        let deviated = ProfileView::new(&base, &shirk);
+        let mut want = 0.0;
+        backend.run_view(&deviated, |economy| {
+            want += economy.average_utility(backend.config().rational_base() + 5)
+        });
+        assert_eq!(backend.payoff(5, &deviated), want / 2.0);
+        let work = backend.work();
+        assert_eq!((work.queries, work.recalled, work.economy_runs), (3, 1, 6));
+    }
+
+    /// A query answered from the base run returns the bits that running
+    /// it returns, over 400 random small economies: up to two hoarders
+    /// and altruists, churn 0, 0.01 or 0.2, one to three trials, one or
+    /// two deviators, and sometimes a base entry off the common
+    /// threshold.
+    #[test]
+    fn recalled_queries_match_their_runs() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(27);
+        let (mut recalled, mut ran) = (0, 0);
+        for case in 0..400 {
+            let threshold = rng.random_range(1..=6u32);
+            let rational = rng.random_range(2..=30usize);
+            let config = EconomyConfig {
+                hoarders: rng.random_range(0..=2),
+                altruists: rng.random_range(0..=2),
+                initial_scrip: rng.random_range(0..=8),
+                newcomer_scrip: rng.random_range(0..=8),
+                churn: [0.0, 0.01, 0.2][rng.random_range(0..3usize)],
+                ..EconomyConfig::homogeneous(rational, threshold, rng.random_range(0..=400))
+            };
+            let mut candidates = vec![threshold];
+            for _ in 0..rng.random_range(1..=4) {
+                candidates.push(rng.random_range(0..=12));
+            }
+            let trials = rng.random_range(1..=3usize);
+            let seed = rng.random_range(0..1_000);
+            let backend = ThresholdAuditBackend::new(config, candidates, trials, seed);
+            let actions = backend.num_actions(0);
+            let slots = backend.config().rational_base()..backend.config().total_agents();
+            let base = backend.base_profile();
+            payoffs(&backend, &base, &[]);
+            for _ in 0..20 {
+                let mut shifted = base.clone();
+                if rng.random_bool(0.2) {
+                    shifted[rng.random_range(0..rational)] = rng.random_range(0..actions);
+                }
+                let mut deviation: Vec<(PlayerId, ActionId)> = Vec::new();
+                while deviation.len() < rng.random_range(1..=2) {
+                    let p = rng.random_range(0..rational);
+                    if deviation.iter().all(|&(q, _)| q != p) {
+                        deviation.push((p, rng.random_range(0..actions)));
+                    }
+                }
+                let view = ProfileView::new(&shifted, &deviation);
+                let mut want = vec![0.0; rational];
+                backend.run_view(&view, |economy| {
+                    for (u, slot) in want.iter_mut().zip(slots.clone()) {
+                        *u += economy.average_utility(slot);
+                    }
+                });
+                for u in &mut want {
+                    *u /= trials as f64;
+                }
+                let bits = |v: &[f64]| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+                let got = payoffs(&backend, &shifted, &deviation);
+                assert_eq!(bits(&got), bits(&want), "case {case}: {deviation:?}");
+                for &(p, _) in &deviation {
+                    let payoff = backend.payoff(p, &view);
+                    assert_eq!(payoff.to_bits(), want[p].to_bits(), "case {case}: {p}");
+                }
+            }
+            let work = backend.work();
+            recalled += work.recalled;
+            ran += work.queries - work.recalled;
+        }
+        assert!(
+            recalled > 1_000 && ran > 1_000,
+            "{recalled} recalled, {ran} ran"
         );
     }
 

@@ -36,7 +36,9 @@
 //! [`Economy::average_utility`]); the sampled-audit backend in
 //! [`crate::audit`] uses them as payoffs without ever copying them out.
 //! Its queries run the same round loop but keep no pool-size statistics,
-//! which only an aggregate outcome reads.
+//! which only an aggregate outcome reads; its one base run also records
+//! the holdings each rational slot takes, which decide whether a
+//! threshold deviation can change the run at all.
 
 use bne_sim::{Histogram, StreamingStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -144,19 +146,25 @@ struct RunTally {
     money: u64,
 }
 
-/// What a run records at the start of every round: the paid pool's size,
-/// folded into [`StreamingStats`] for an aggregate outcome, or nothing
-/// (`()`) for an audit query, which reads slot utilities only.
-trait PoolLog {
-    fn round(&mut self, paid_pool_len: usize);
-}
-
-impl PoolLog for () {
+/// What a run records as it goes. An aggregate outcome folds the paid
+/// pool's size at the start of every round into [`StreamingStats`]; the
+/// audit backend's base run records the holdings of every rational slot
+/// after each change; an audit query records nothing (`()`). Both hooks
+/// default to doing nothing, so a log compiles to what it reads.
+pub(crate) trait RunLog {
+    /// The paid pool's size at the start of a round.
     #[inline(always)]
-    fn round(&mut self, _: usize) {}
+    fn round(&mut self, _paid_pool_len: usize) {}
+
+    /// The holdings of the rational `slot` right after they changed: it
+    /// paid, earned, or churn replaced its agent.
+    #[inline(always)]
+    fn holdings(&mut self, _slot: usize, _holdings: u32) {}
 }
 
-impl PoolLog for StreamingStats {
+impl RunLog for () {}
+
+impl RunLog for StreamingStats {
     #[inline(always)]
     fn round(&mut self, paid_pool_len: usize) {
         self.push(paid_pool_len as f64);
@@ -298,21 +306,29 @@ impl Economy {
     }
 
     /// An audit query: the rounds of [`Economy::run_with_thresholds`]
-    /// without its pool statistics or outcome. Per-slot utilities stay
-    /// readable via [`Economy::average_utility`] until the next run.
-    pub(crate) fn simulate(&mut self, overrides: &[(usize, u32)], seed: u64) {
-        self.play(overrides, seed, ());
+    /// without its pool statistics or outcome, recorded in `log`, which
+    /// it returns. Per-slot utilities stay readable via
+    /// [`Economy::average_utility`] until the next run.
+    // Kept out of line, so each log's round loop inlines here, at its one
+    // call site, and the unread tally compiles away.
+    #[inline(never)]
+    pub(crate) fn simulate<L: RunLog>(
+        &mut self,
+        overrides: &[(usize, u32)],
+        seed: u64,
+        log: L,
+    ) -> L {
+        self.play(overrides, seed, log).1
     }
 
     /// The one round loop: resets, applies the per-slot threshold
     /// overrides and simulates `config.rounds` rounds seeded by `seed`,
-    /// handing the paid pool's size to `pool_log` at the start of each
-    /// round. Allocation-free.
-    fn play<L: PoolLog>(
+    /// recording in `log` as it goes. Allocation-free.
+    fn play<L: RunLog>(
         &mut self,
         overrides: &[(usize, u32)],
         seed: u64,
-        mut pool_log: L,
+        mut log: L,
     ) -> (RunTally, L) {
         self.reset();
         for &(slot, threshold) in overrides {
@@ -332,7 +348,7 @@ impl Economy {
         // thresholds only
         let mut money = n as u64 * u64::from(config.initial_scrip);
         for _ in 0..config.rounds {
-            pool_log.round(paid_pool.len());
+            log.round(paid_pool.len());
             let requester = rng.random_range(0..n);
             let payer = agents[requester];
             let can_pay = payer.holdings > 0;
@@ -362,9 +378,11 @@ impl Economy {
                     agents[volunteer].holdings += 1;
                     if requester >= rational_base {
                         sync_membership(agents, paid_pool, requester);
+                        log.holdings(requester, agents[requester].holdings);
                     }
                     if volunteer >= rational_base {
                         sync_membership(agents, paid_pool, volunteer);
+                        log.holdings(volunteer, agents[volunteer].holdings);
                     }
                 }
             }
@@ -378,6 +396,7 @@ impl Economy {
                 departures += 1;
                 if slot >= rational_base {
                     sync_membership(agents, paid_pool, slot);
+                    log.holdings(slot, config.newcomer_scrip);
                 }
             }
         }
@@ -387,7 +406,7 @@ impl Economy {
             departures,
             money,
         };
-        (tally, pool_log)
+        (tally, log)
     }
 
     /// Folds a run's counters, its pool statistics and the per-slot state

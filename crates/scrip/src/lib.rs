@@ -39,7 +39,7 @@ pub mod audit;
 pub mod economy;
 pub mod scenario;
 
-pub use audit::ThresholdAuditBackend;
+pub use audit::{AuditWork, ThresholdAuditBackend};
 pub use economy::{Economy, EconomyConfig, EconomyOutcome};
 pub use scenario::{economy_grid, EconomyScenario, EconomyStats};
 

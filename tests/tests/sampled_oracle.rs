@@ -16,7 +16,10 @@
 //! * **seq == par** — `audit` and every forced worker count reproduce the
 //!   one-worker audit bit-for-bit, on dense games and on a scrip economy
 //!   whose queries `audit` may fan out, and every worker count issues the
-//!   same payoff queries.
+//!   same payoff queries;
+//! * **recalled == run** — a scrip economy audit whose backend answers
+//!   queries from its recorded base run where it can equals one whose
+//!   every query runs the economy.
 
 use bne_core::games::backend::{DenseBackend, LocalBackend, PayoffBackend};
 use bne_core::games::sampled::{AuditSpec, SampledOracle};
@@ -163,7 +166,7 @@ mod parallel {
     use bne_core::games::backend::ProfileView;
     use bne_core::games::sampled::SampledAudit;
     use bne_core::games::{ActionId, PlayerId, Utility};
-    use bne_core::scrip::{EconomyConfig, ThresholdAuditBackend};
+    use bne_core::scrip::{Economy, EconomyConfig, ThresholdAuditBackend};
     use std::sync::Mutex;
 
     /// Audits `base` on one worker, then checks that `audit` and forced
@@ -213,6 +216,88 @@ mod parallel {
         let audit = assert_worker_independent(&backend, &base, &spec(0.0, 150, 3, 23));
         assert_eq!(audit.certificates.len(), 3);
         assert!(audit.certificates.iter().all(|c| c.samples == 150));
+    }
+
+    /// The threshold audit game of [`ThresholdAuditBackend`] answered by
+    /// running the economy for every query, averaged over the trials in
+    /// trial order.
+    struct RunsEveryQuery {
+        config: EconomyConfig,
+        candidates: Vec<u32>,
+        trials: usize,
+        sim_seed: u64,
+        engine: Mutex<Economy>,
+    }
+
+    impl PayoffBackend for RunsEveryQuery {
+        fn num_players(&self) -> usize {
+            self.config.rational
+        }
+
+        fn num_actions(&self, _player: PlayerId) -> usize {
+            self.candidates.len()
+        }
+
+        fn payoff(&self, player: PlayerId, view: &ProfileView<'_>) -> Utility {
+            let base = self.config.rational_base();
+            let overrides: Vec<(usize, u32)> = (0..self.config.rational)
+                .map(|p| (base + p, self.candidates[view.action(p)]))
+                .filter(|&(_, t)| t != self.config.threshold)
+                .collect();
+            let mut engine = self.engine.lock().unwrap();
+            let mut total = 0.0;
+            for trial in 0..self.trials {
+                engine.run_with_thresholds(&overrides, self.sim_seed + trial as u64);
+                total += engine.average_utility(base + player);
+            }
+            total / self.trials as f64
+        }
+
+        fn payoff_bounds(&self) -> (Utility, Utility) {
+            (-self.config.cost, self.config.benefit)
+        }
+    }
+
+    /// The backend's answers from its base run change no audit: hoarders,
+    /// altruists, churn 0 and 0.01, two trials, coalitions of up to three,
+    /// on one and two workers, at a horizon where each agent trades a
+    /// handful of times. The money supply starts below, inside and above
+    /// the candidates around the common threshold, so raising and
+    /// lowering thresholds both bite sometimes.
+    #[test]
+    fn economy_audit_recalls_what_running_every_query_measures() {
+        let candidates = vec![0, 3, 6, 12];
+        for (hoarders, altruists, churn, scrip) in
+            [(3, 0, 0.0, 1), (0, 2, 0.01, 7), (2, 2, 0.01, 4)]
+        {
+            let config = EconomyConfig {
+                hoarders,
+                altruists,
+                churn,
+                initial_scrip: scrip,
+                newcomer_scrip: scrip,
+                ..EconomyConfig::homogeneous(60, 6, 300)
+            };
+            let reference = RunsEveryQuery {
+                engine: Mutex::new(Economy::new(&config)),
+                config: config.clone(),
+                candidates: candidates.clone(),
+                trials: 2,
+                sim_seed: 5,
+            };
+            let base = vec![2; 60];
+            let s = spec(0.0, 96, 3, 29);
+            let want = SampledOracle::new(&reference).audit_with_workers(&base, &s, 1);
+            for workers in [1usize, 2] {
+                let backend = ThresholdAuditBackend::new(config.clone(), candidates.clone(), 2, 5);
+                let got = SampledOracle::new(&backend).audit_with_workers(&base, &s, workers);
+                assert_eq!(got, want, "{config:?} on {workers} workers");
+                let work = backend.work();
+                let ran = work.queries - work.recalled;
+                assert!(work.recalled > 0 && ran > 1, "{work:?}");
+                assert_eq!(work.economy_runs, 2 * ran);
+            }
+        }
     }
 
     /// A sampled deviation as a view's override list.
