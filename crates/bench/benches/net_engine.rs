@@ -685,10 +685,8 @@ fn bench_net_engine(c: &mut Criterion) {
             .iter()
             .map(|&v| Box::new(PaxosProcess::new(v, 40, 12)) as _)
             .collect();
-        let obs = Rc::new(RefCell::new(MetricsObserver::new(
-            paxos_inputs.len(),
-            &HistogramSpec::ticks(64),
-        )));
+        let spec = HistogramSpec::ticks(64);
+        let obs = Rc::new(RefCell::new(MetricsObserver::new(&spec)));
         let mut net = EventNet::with_observer(procs, cfg, Box::new(Rc::clone(&obs)));
         assert!(net.run(10_000_000), "observed paxos queue must drain");
         (net, obs)

@@ -9,8 +9,8 @@
 //! signatures from distinct processes starting with the sender's.
 
 use crate::network::{ProcId, Process, SyncNetwork};
+use crate::pki::{KeyPair, PublicKeyInfrastructure, Signature};
 use crate::Value;
-use bne_crypto::pki::{KeyPair, PublicKeyInfrastructure, Signature};
 use std::collections::BTreeSet;
 
 /// A message of the Dolev–Strong protocol: a value and its signature chain.
@@ -85,7 +85,7 @@ impl DolevStrongProcess {
             if !seen.insert(*signer) {
                 return false;
             }
-            if self.pki.verify(*signer, &[msg.value], sig).is_err() {
+            if !self.pki.verify(*signer, &[msg.value], sig) {
                 return false;
             }
         }

@@ -21,7 +21,9 @@
 //! * [`phase_king`] — the Berman–Garay–Perry phase-king consensus protocol
 //!   running on the network simulator, correct for `n > 4t`;
 //! * [`broadcast`] — Dolev–Strong authenticated broadcast on top of the
-//!   simulated PKI of `bne-crypto`, correct for any `t < n`;
+//!   simulated PKI of [`pki`], correct for any `t < n`;
+//! * [`pki`] — that toy PKI: per-player signing keys and signature
+//!   verification over a non-cryptographic hash;
 //! * [`bracha`] — Bracha's echo/ready reliable broadcast as an
 //!   **event-driven** quorum state machine (no rounds; runs directly on
 //!   the `bne-net` event runtime), correct for `n > 3t`;
@@ -62,6 +64,7 @@ pub mod om;
 pub mod om_process;
 pub mod paxos;
 pub mod phase_king;
+pub mod pki;
 pub mod properties;
 pub mod scenario;
 

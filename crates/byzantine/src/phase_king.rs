@@ -42,11 +42,6 @@ impl PhaseKingProcess {
     pub fn rounds_needed(t: usize) -> usize {
         2 * (t + 1) + 1
     }
-
-    /// The current working value (mostly useful in tests).
-    pub fn current_value(&self) -> Value {
-        self.value
-    }
 }
 
 impl Process for PhaseKingProcess {

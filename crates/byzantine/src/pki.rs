@@ -6,13 +6,31 @@
 //! interface such protocols need — per-player signing keys, unforgeable (in
 //! the simulation) signatures, and a registry mapping players to
 //! verification keys — implemented with the non-cryptographic
-//! [`crate::commitment::mix_hash`]. Honest protocol code cannot
-//! forge signatures because it never learns other players' signing keys;
-//! that is the property the protocol logic exercises.
+//! [`mix_hash`]. Honest protocol code cannot forge signatures because it
+//! never learns other players' signing keys; that is the property the
+//! protocol logic exercises. Its one user is Dolev–Strong
+//! ([`crate::broadcast`]).
+//!
+//! **Security disclaimer.** This is a *functional simulation*: the
+//! "signatures" are MAC-like tags over a non-cryptographic hash. The
+//! protocols built on top exercise exactly the message patterns of their
+//! real counterparts, but none of this is secure against a real adversary.
 
-use crate::commitment::mix_hash;
-use crate::CryptoError;
 use rand::{Rng, RngExt};
+
+/// A 64-bit mixing hash (SplitMix64-style finalizer over the input words).
+/// Deterministic and stable across platforms; **not** cryptographic.
+pub fn mix_hash(words: &[u64]) -> u64 {
+    let mut acc: u64 = 0x9E37_79B9_7F4A_7C15;
+    for &w in words {
+        let mut z = acc ^ w.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        acc = z ^ (z >> 31);
+        acc = acc.rotate_left(17).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    }
+    acc
+}
 
 /// A signature over a message, bound to a specific signer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,13 +58,18 @@ pub struct KeyPair {
 impl KeyPair {
     /// Signs a message (a sequence of 64-bit words).
     pub fn sign(&self, message: &[u64]) -> Signature {
-        let mut words = vec![self.signing_key, self.owner as u64];
-        words.extend_from_slice(message);
         Signature {
-            tag: mix_hash(&words),
+            tag: tag(self.signing_key, self.owner, message),
             signer: self.owner,
         }
     }
+}
+
+/// The tag `signer`'s key puts on `message`.
+fn tag(key: u64, signer: usize, message: &[u64]) -> u64 {
+    let mut words = vec![key, signer as u64];
+    words.extend_from_slice(message);
+    mix_hash(&words)
 }
 
 /// The registry of verification keys, held by every player.
@@ -79,33 +102,13 @@ impl PublicKeyInfrastructure {
         self.keys.len()
     }
 
-    /// Verifies that `signature` is a valid signature by `claimed_signer`
-    /// over `message`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::BadSignature`] if verification fails or the
-    /// signer index is unknown.
-    pub fn verify(
-        &self,
-        claimed_signer: usize,
-        message: &[u64],
-        signature: &Signature,
-    ) -> Result<(), CryptoError> {
-        let key = self
-            .keys
-            .get(claimed_signer)
-            .ok_or(CryptoError::BadSignature)?;
-        if signature.signer != claimed_signer {
-            return Err(CryptoError::BadSignature);
-        }
-        let mut words = vec![*key, claimed_signer as u64];
-        words.extend_from_slice(message);
-        if mix_hash(&words) == signature.tag {
-            Ok(())
-        } else {
-            Err(CryptoError::BadSignature)
-        }
+    /// Whether `signature` is a valid signature by `claimed_signer` over
+    /// `message`; `false` also when the signer index is unknown.
+    pub fn verify(&self, claimed_signer: usize, message: &[u64], signature: &Signature) -> bool {
+        let Some(&key) = self.keys.get(claimed_signer) else {
+            return false;
+        };
+        signature.signer == claimed_signer && tag(key, claimed_signer, message) == signature.tag
     }
 }
 
@@ -122,7 +125,7 @@ mod tests {
         for (i, kp) in pairs.iter().enumerate() {
             let sig = kp.sign(&[1, 2, 3]);
             assert_eq!(sig.signer(), i);
-            assert!(pki.verify(i, &[1, 2, 3], &sig).is_ok());
+            assert!(pki.verify(i, &[1, 2, 3], &sig));
         }
     }
 
@@ -131,9 +134,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let (pki, pairs) = PublicKeyInfrastructure::setup(3, &mut rng);
         let sig = pairs[0].sign(&[10, 20]);
-        assert!(pki.verify(0, &[10, 21], &sig).is_err());
-        assert!(pki.verify(1, &[10, 20], &sig).is_err());
-        assert!(pki.verify(7, &[10, 20], &sig).is_err());
+        assert!(!pki.verify(0, &[10, 21], &sig));
+        assert!(!pki.verify(1, &[10, 20], &sig));
+        assert!(!pki.verify(7, &[10, 20], &sig));
     }
 
     #[test]
@@ -142,6 +145,14 @@ mod tests {
         let (pki, pairs) = PublicKeyInfrastructure::setup(2, &mut rng);
         // player 1 tries to pass off her own signature as player 0's
         let forged = pairs[1].sign(&[5]);
-        assert!(pki.verify(0, &[5], &forged).is_err());
+        assert!(!pki.verify(0, &[5], &forged));
+    }
+
+    #[test]
+    fn hash_is_deterministic_and_sensitive() {
+        assert_eq!(mix_hash(&[1, 2, 3]), mix_hash(&[1, 2, 3]));
+        assert_ne!(mix_hash(&[1, 2, 3]), mix_hash(&[1, 2, 4]));
+        assert_ne!(mix_hash(&[1, 2, 3]), mix_hash(&[3, 2, 1]));
+        assert_ne!(mix_hash(&[]), mix_hash(&[0]));
     }
 }

@@ -21,9 +21,9 @@ use crate::network::{ProcId, Process, SyncNetwork};
 use crate::om::{OmConfig, TraitorStrategy};
 use crate::om_process::{run_om_process, OmProcess};
 use crate::phase_king::PhaseKingProcess;
+use crate::pki::PublicKeyInfrastructure;
 use crate::properties::{check_agreement, check_validity};
 use crate::Value;
-use bne_crypto::pki::PublicKeyInfrastructure;
 use bne_sim::{Merge, Scenario, StreamingStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::BTreeSet;
@@ -41,15 +41,6 @@ pub struct ProtocolStats {
     pub validity: StreamingStats,
     /// Point-to-point messages used by the execution.
     pub messages: StreamingStats,
-}
-
-impl ProtocolStats {
-    /// Empirical probability that an execution was fully correct is at
-    /// most `min` of the three component rates; this reports the rate of
-    /// executions satisfying agreement **and** validity **and** decision.
-    pub fn agreement_rate(&self) -> f64 {
-        self.agreement.mean()
-    }
 }
 
 impl Merge for ProtocolStats {

@@ -8,8 +8,9 @@
 //! The three pillars of the paper map onto three crates:
 //!
 //! * [`robust`] — (k,t)-robust equilibria (fault tolerance and coalitions),
-//!   with [`mediator`], [`byzantine`] and [`crypto`] supplying the
-//!   mediator-implementation machinery of Section 2;
+//!   with [`mediator`] and [`byzantine`] (which holds the toy PKI behind
+//!   signed broadcast) supplying the mediator-implementation machinery of
+//!   Section 2;
 //! * [`machine`] — computational Nash equilibrium for machine games
 //!   (Section 3);
 //! * [`awareness`] — games with awareness and generalized Nash equilibrium
@@ -47,7 +48,6 @@
 
 pub use bne_awareness as awareness;
 pub use bne_byzantine as byzantine;
-pub use bne_crypto as crypto;
 pub use bne_games as games;
 pub use bne_machine as machine;
 pub use bne_mc as mc;

@@ -78,13 +78,6 @@ impl PureBehaviorStrategy {
         Self::default()
     }
 
-    /// Creates a strategy from explicit `(information set, action)` pairs.
-    pub fn from_choices(choices: &[(InfoSetId, ActionId)]) -> Self {
-        PureBehaviorStrategy {
-            choices: choices.iter().copied().collect(),
-        }
-    }
-
     /// Sets the action taken at `info_set`.
     pub fn set(&mut self, info_set: InfoSetId, action: ActionId) {
         self.choices.insert(info_set, action);

@@ -96,11 +96,6 @@ impl<M: Clone> RoundAdapter<M> {
             inbox: Vec::new(),
         }
     }
-
-    /// Rounds executed so far.
-    pub fn rounds_executed(&self) -> usize {
-        self.round
-    }
 }
 
 impl<M: Clone> AsyncProcess for RoundAdapter<M> {

@@ -30,7 +30,7 @@ use bne_byzantine::broadcast::{DolevStrongProcess, EquivocatingSender, SignedMes
 use bne_byzantine::network::{ProcId, Process};
 use bne_byzantine::om::{OmConfig, TraitorStrategy};
 use bne_byzantine::om_process::{om_process_set, OmProcess};
-use bne_crypto::pki::PublicKeyInfrastructure;
+use bne_byzantine::pki::PublicKeyInfrastructure;
 use bne_games::TypeId;
 use bne_mediator::{CheapTalkImplementation, CheapTalkOutcome};
 use bne_sim::derive_seed;

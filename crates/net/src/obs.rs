@@ -167,11 +167,8 @@ pub struct EventCounts {
 
 /// The shape of a latency histogram: `buckets` equal-width bins over
 /// `[lo, hi)` ticks, with under/overflow counters outside the range
-/// (see [`Histogram`]).
-///
-/// Scenario grids carry a spec rather than a histogram so every replica
-/// builds the *same shape* — [`Histogram`]'s merge panics on shape
-/// mismatch by design.
+/// (see [`Histogram`]). Histograms built from one spec share a shape, so
+/// they merge; [`Histogram`]'s merge panics on shape mismatch by design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSpec {
     /// Inclusive lower bound, in virtual-time ticks.
@@ -200,10 +197,9 @@ impl HistogramSpec {
 }
 
 /// A deterministic metrics observer built on `bne-sim`'s accumulators:
-/// per-kind [`EventCounts`], per-process message-latency [`Histogram`]s
-/// (plus a merged one and global [`StreamingStats`]), a timer-wait
-/// histogram, and the queue-depth timeline sampled at bucket-drain
-/// boundaries.
+/// per-kind [`EventCounts`], a message-latency [`Histogram`] over all
+/// deliveries (plus global [`StreamingStats`]), a timer-wait histogram,
+/// and the queue-depth timeline sampled at bucket-drain boundaries.
 ///
 /// Everything it collects is a pure function of the deterministic
 /// execution, so two runs of the same `(config, seed)` produce equal
@@ -213,20 +209,18 @@ pub struct MetricsObserver {
     counts: EventCounts,
     latency: StreamingStats,
     merged: Histogram,
-    per_proc: Vec<Histogram>,
     timer_wait: Histogram,
     queue_depth: Vec<(u64, usize)>,
 }
 
 impl MetricsObserver {
-    /// An empty metrics observer for `n` processes, with latency and
-    /// timer-wait histograms of the given shape.
-    pub fn new(n: usize, spec: &HistogramSpec) -> Self {
+    /// An empty metrics observer, with latency and timer-wait histograms
+    /// of the given shape.
+    pub fn new(spec: &HistogramSpec) -> Self {
         MetricsObserver {
             counts: EventCounts::default(),
             latency: StreamingStats::new(),
             merged: spec.build(),
-            per_proc: (0..n).map(|_| spec.build()).collect(),
             timer_wait: spec.build(),
             queue_depth: Vec::new(),
         }
@@ -247,11 +241,6 @@ impl MetricsObserver {
         &self.merged
     }
 
-    /// Queue-latency histogram of deliveries *to* process `proc`.
-    pub fn proc_latency(&self, proc: usize) -> &Histogram {
-        &self.per_proc[proc]
-    }
-
     /// Timer-wait (`fire − arm`) histogram across all processes.
     pub fn timer_wait(&self) -> &Histogram {
         &self.timer_wait
@@ -268,14 +257,11 @@ impl Observer for MetricsObserver {
     fn on_send(&mut self, _time: u64, _src: u64, _dst: u64, _clock: u64) {
         self.counts.sends += 1;
     }
-    fn on_deliver(&mut self, time: u64, _src: u64, dst: u64, sent_at: u64, _clock: u64) {
+    fn on_deliver(&mut self, time: u64, _src: u64, _dst: u64, sent_at: u64, _clock: u64) {
         self.counts.delivers += 1;
         let lat = (time - sent_at) as f64;
         self.latency.push(lat);
         self.merged.record(lat);
-        if let Some(h) = self.per_proc.get_mut(dst as usize) {
-            h.record(lat);
-        }
     }
     fn on_drop(&mut self, _time: u64, _src: u64, _dst: u64) {
         self.counts.drops += 1;

@@ -17,7 +17,6 @@
 
 use crate::adapter::run_round_protocol;
 use crate::model::{FaultPlan, LatencyModel, NetConfig, Partition, QueueImpl, SchedulerPolicy};
-use crate::obs::{HistogramSpec, MetricsObserver};
 use crate::protocols::{
     BenOrNoiseProcess, BenOrProcess, BrachaProcess, HsucProcess, MachineProcess, PaxosProcess,
 };
@@ -33,9 +32,9 @@ use bne_byzantine::scenario::{
     dolev_strong_replica, om_replica, phase_king_replica, EngineOutput, ProcessSet, ProtocolStats,
 };
 use bne_byzantine::{BenOrMsg, ProcId, Value};
-use bne_sim::{derive_seed, Histogram, Merge, Scenario, StreamingStats};
+use bne_sim::{derive_seed, Merge, Scenario, StreamingStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -119,13 +118,6 @@ pub struct NetProfile {
     /// wheel is the fast default, the heap is the differential-testing
     /// reference — see [`QueueImpl`]).
     pub queue: QueueImpl,
-    /// When set, each replica runs with a streaming
-    /// [`crate::obs::MetricsObserver`] attached and its outcome carries a
-    /// queue-latency histogram of this shape (observer attachment is
-    /// zero-perturbation, so every other column is unchanged). A shared
-    /// *spec* rather than a histogram, because [`Histogram`]'s merge
-    /// panics on shape mismatch — all replicas of a cell must agree.
-    pub latency_hist: Option<HistogramSpec>,
 }
 
 impl NetProfile {
@@ -138,19 +130,12 @@ impl NetProfile {
             faults: FaultPlan::none(),
             round_ticks: 1,
             queue: QueueImpl::default(),
-            latency_hist: None,
         }
     }
 
     /// Selects the event-queue implementation (builder style).
     pub fn with_queue(mut self, queue: QueueImpl) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// Enables the per-replica queue-latency histogram (builder style).
-    pub fn with_latency_hist(mut self, spec: HistogramSpec) -> Self {
-        self.latency_hist = Some(spec);
         self
     }
 
@@ -444,31 +429,22 @@ struct Driven {
     stats: NetStats,
     /// Whether the event queue drained within the budget.
     drained: bool,
-    latency: Option<Histogram>,
 }
 
 /// Runs one event-driven replica until its queue drains or `budget`
-/// events have been processed. A [`MetricsObserver`] is attached only
-/// when `latency_hist` is set.
+/// events have been processed.
 fn drive<M: Clone>(
     procs: Vec<Box<dyn AsyncProcess<Msg = M>>>,
     cfg: NetConfig,
-    latency_hist: Option<&HistogramSpec>,
     budget: usize,
 ) -> Driven {
-    let obs =
-        latency_hist.map(|spec| Rc::new(RefCell::new(MetricsObserver::new(procs.len(), spec))));
-    let mut net = match &obs {
-        Some(o) => EventNet::with_observer(procs, cfg, Box::new(Rc::clone(o))),
-        None => EventNet::new(procs, cfg),
-    };
+    let mut net = EventNet::new(procs, cfg);
     let drained = net.run(budget);
     Driven {
         decisions: net.decisions(),
         times: net.decision_times().to_vec(),
         stats: net.stats(),
         drained,
-        latency: obs.map(|o| o.borrow().merged_latency().clone()),
     }
 }
 
@@ -519,11 +495,6 @@ pub struct ConsensusStats {
     /// (0 or 1 per replica)? The other columns of a truncated replica
     /// describe a run that was cut off.
     pub truncated: StreamingStats,
-    /// Per-message queue-latency histogram (`deliver − send`, in ticks),
-    /// summed over all replicas. `Some` only when the cell's
-    /// [`NetProfile::latency_hist`] is set; `None` merges as identity, so
-    /// grids mixing it on and off stay well-defined per cell.
-    pub latency: Option<Histogram>,
 }
 
 impl ConsensusStats {
@@ -550,7 +521,6 @@ impl ConsensusStats {
             events: StreamingStats::of(run.stats.events_processed as f64),
             timers: StreamingStats::of(run.stats.timers_fired as f64),
             truncated: flag(!run.drained),
-            latency: run.latency,
         }
     }
 }
@@ -566,7 +536,6 @@ impl Merge for ConsensusStats {
         self.events.merge(&other.events);
         self.timers.merge(&other.timers);
         self.truncated.merge(&other.truncated);
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -648,7 +617,7 @@ impl Scenario for BenOrScenario {
                 cfg.faults = std::mem::take(&mut cfg.faults).crash_at_start(i);
             }
         }
-        let run = drive(procs, cfg, cell.net.latency_hist.as_ref(), EVENT_BUDGET);
+        let run = drive(procs, cfg, EVENT_BUDGET);
         let honest: Vec<bool> = (0..cell.n).map(|i| i < honest_count).collect();
         let agreement = check_agreement(&run.decisions, &honest);
         let validity = !cell.unanimous_start || check_validity(&run.decisions, &honest, common);
@@ -724,10 +693,6 @@ pub struct RbStats {
     /// Did the replica exhaust its event budget before its queue drained
     /// (0 or 1 per replica)?
     pub truncated: StreamingStats,
-    /// Per-message queue-latency histogram (`deliver − send`, in ticks),
-    /// summed over all replicas; `Some` only when the cell's
-    /// [`NetProfile::latency_hist`] is set.
-    pub latency: Option<Histogram>,
 }
 
 impl Merge for RbStats {
@@ -742,7 +707,6 @@ impl Merge for RbStats {
         self.retransmissions.merge(&other.retransmissions);
         self.timers.merge(&other.timers);
         self.truncated.merge(&other.truncated);
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -785,7 +749,6 @@ fn bracha_replica(cell: &AsyncBrachaCell, seed: u64, budget: usize) -> RbStats {
     let cfg = cell
         .net
         .config(derive_seed(seed, STREAM_NET_SEED, 0), &BTreeSet::new());
-    let hist = cell.net.latency_hist.as_ref();
     let process = || BrachaProcess::new(cell.t, 0, input);
     // one shared counter across all adapters: total retransmissions
     // stay readable after the adapters are boxed behind the trait
@@ -794,7 +757,6 @@ fn bracha_replica(cell: &AsyncBrachaCell, seed: u64, budget: usize) -> RbStats {
         None => drive::<BrachaMsg>(
             (0..cell.n).map(|_| Box::new(process()) as _).collect(),
             cfg,
-            hist,
             budget,
         ),
         Some(policy) => drive::<RetryMsg<BrachaMsg>>(
@@ -807,7 +769,6 @@ fn bracha_replica(cell: &AsyncBrachaCell, seed: u64, budget: usize) -> RbStats {
                 })
                 .collect(),
             cfg,
-            hist,
             budget,
         ),
     };
@@ -824,7 +785,6 @@ fn bracha_replica(cell: &AsyncBrachaCell, seed: u64, budget: usize) -> RbStats {
         retransmissions: StreamingStats::of(retransmissions.get() as f64),
         timers: StreamingStats::of(run.stats.timers_fired as f64),
         truncated: flag(!run.drained),
-        latency: run.latency,
     }
 }
 
@@ -974,8 +934,7 @@ impl QuorumConsensusCell {
                 Box::new(process.with_probe(Rc::clone(probe))) as _
             })
             .collect();
-        let hist = self.net.latency_hist.as_ref();
-        let run = drive(procs, self.net_config(seed), hist, EVENT_BUDGET);
+        let run = drive(procs, self.net_config(seed), EVENT_BUDGET);
         // agreement over ALL decisions ever made (safety: no two decided
         // values, crashed or not); validity: the decided value is some
         // process's input

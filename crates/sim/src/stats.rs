@@ -20,23 +20,6 @@ pub trait Merge {
     fn merge(&mut self, other: &Self);
 }
 
-/// `None` is the identity: merging `Some` into `None` clones it across,
-/// merging `None` into anything is a no-op, and two `Some`s merge their
-/// contents. This is what lets scenario outcomes carry *optional*
-/// accumulators (e.g. a latency histogram collected only when an observer
-/// was attached) through the engine's merge tree — as long as every
-/// replica of one scenario agrees on `Some`-ness, the sequential and
-/// parallel paths stay bit-identical.
-impl<T: Merge + Clone> Merge for Option<T> {
-    fn merge(&mut self, other: &Self) {
-        match (self.as_mut(), other) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => *self = Some(b.clone()),
-            (_, None) => {}
-        }
-    }
-}
-
 /// Streaming count/mean/variance/min/max over a sequence of `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingStats {
@@ -97,15 +80,6 @@ impl StreamingStats {
             0.0
         } else {
             self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample (Bessel-corrected) variance (0.0 with fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
         }
     }
 
@@ -300,22 +274,6 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.buckets(), &[3, 1, 1, 1]);
         assert_eq!(h.bucket_bounds(1), (0.25, 0.5));
-    }
-
-    #[test]
-    fn option_merge_treats_none_as_identity() {
-        let mut a: Option<StreamingStats> = None;
-        a.merge(&None);
-        assert_eq!(a, None);
-        a.merge(&Some(StreamingStats::of(2.0)));
-        assert_eq!(a, Some(StreamingStats::of(2.0)));
-        a.merge(&Some(StreamingStats::of(4.0)));
-        let got = a.unwrap();
-        assert_eq!(got.count(), 2);
-        assert!((got.mean() - 3.0).abs() < 1e-12);
-        let mut b = Some(StreamingStats::of(1.0));
-        b.merge(&None);
-        assert_eq!(b, Some(StreamingStats::of(1.0)));
     }
 
     #[test]

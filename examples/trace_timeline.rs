@@ -120,10 +120,8 @@ fn main() {
     }
 
     // 3. the streaming metrics view of the same run
-    let metrics = Rc::new(RefCell::new(MetricsObserver::new(
-        N,
-        &HistogramSpec::ticks(64),
-    )));
+    let spec = HistogramSpec::ticks(64);
+    let metrics = Rc::new(RefCell::new(MetricsObserver::new(&spec)));
     let mut measured =
         EventNet::with_observer(processes(), config(), Box::new(Rc::clone(&metrics)));
     assert!(measured.run(1_000_000), "queue must drain");

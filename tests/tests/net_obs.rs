@@ -330,7 +330,6 @@ proptest! {
 #[test]
 fn metrics_observer_agrees_with_net_stats() {
     let metrics = Rc::new(RefCell::new(MetricsObserver::new(
-        5,
         &bne_core::net::HistogramSpec::ticks(16),
     )));
     let procs: Vec<Box<dyn AsyncProcess<Msg = PaxosMsg>>> = (0..5u64)

@@ -1,13 +1,10 @@
 //! Property-based tests on the core invariants, across crates.
 
-use bne_core::crypto::field::Fp;
-use bne_core::crypto::{reconstruct, share};
 use bne_core::games::{MixedProfile, MixedStrategy};
 use bne_core::robust::{is_k_resilient, is_t_immune, ResilienceVariant};
 use bne_core::solvers::{iterated_elimination, pure_nash_equilibria, DominanceKind};
 use bne_integration_tests::game_from_payoff_seed;
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -105,17 +102,6 @@ proptest! {
             let max = pure.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(expected >= min - 1e-9 && expected <= max + 1e-9);
         }
-    }
-
-    /// Shamir sharing reconstructs exactly for every threshold and any
-    /// qualifying subset size.
-    #[test]
-    fn shamir_round_trips(secret in 0u64..1_000_000_000, n in 2usize..10, seed in 0u64..1000) {
-        let t = (n - 1).min(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let shares = share(Fp::new(secret), n, t, &mut rng).unwrap();
-        let recovered = reconstruct(&shares[..t + 1], t).unwrap();
-        prop_assert_eq!(recovered.value(), secret % bne_core::crypto::field::MODULUS);
     }
 
     /// The VM's primality program agrees with the reference implementation
