@@ -30,12 +30,12 @@
 //! many of them the transition memo skipped without dispatching.
 
 use bne_bench::BenchReport;
-use bne_core::mc::json::Json;
 use bne_core::mc::synth::ben_or_noise_factory;
 use bne_core::mc::{
     ben_or_net, bracha_net, paxos_net, replay_trace, BenOrParams, BrachaParams,
     CounterexampleTrace, ExploreReport, Explorer, PaxosParams, SynthConfig, Synthesizer, Verdict,
 };
+use bne_core::sim::json::Json;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
 use std::hint::black_box;

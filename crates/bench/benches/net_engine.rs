@@ -30,7 +30,6 @@ use bne_core::byzantine::om_process::{om_process_set, OmProcess};
 use bne_core::byzantine::paxos::PaxosMsg;
 use bne_core::byzantine::phase_king::PhaseKingProcess;
 use bne_core::byzantine::Value;
-use bne_core::mc::json::Json;
 use bne_core::net::protocols::run_bracha;
 use bne_core::net::scenario::{
     async_om_loss_grid, ben_or_scheduler_grid, quorum_consensus_grid, AsyncPhaseKingCell,
@@ -42,6 +41,7 @@ use bne_core::net::{
     NetConfig, NetCtx, PaxosProcess, QueueImpl, RetryAdapter, RetryMsg, RetryPolicy, RoundAdapter,
     SchedulerPolicy,
 };
+use bne_core::sim::json::Json;
 use bne_core::sim::SimRunner;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

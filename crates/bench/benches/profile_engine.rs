@@ -1,6 +1,6 @@
 //! Flat-index profile engine benches: the allocating baseline (the old
 //! clone-profile-and-re-encode pattern) vs. the stride-arithmetic engine,
-//! sequentially and across threads.
+//! whose sweeps run under the fan-out rule of `bne_games::parallel`.
 //!
 //! Run and record to `BENCH_1.json` (all legs, among them the pruned vs
 //! unpruned deviation-oracle legs) in the repo root:
@@ -15,11 +15,8 @@
 use bne_bench::BenchReport;
 use bne_core::games::profile::{strides_for, subsets_up_to_size, ProfileIter};
 use bne_core::games::random::random_game;
-use bne_core::games::{DeviationOracle, NormalFormGame, SearchStrategy};
-use bne_core::robust::{
-    find_robust_profiles, find_robust_profiles_with_strategy, find_robust_profiles_with_workers,
-};
-use bne_core::solvers::{pure_nash_equilibria, pure_nash_equilibria_with_workers};
+use bne_core::games::{Concept, DeviationOracle, NormalFormGame, SearchStrategy};
+use bne_core::solvers::{best_response_table, pure_nash_equilibria};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -113,6 +110,22 @@ fn alloc_find_robust_profiles(game: &NormalFormGame, k: usize, t: usize) -> Vec<
         .collect()
 }
 
+/// Every (k,t)-robust profile of `game`, swept by a fresh oracle (its
+/// tables and pruning inside the timed work) with `strategy`.
+fn robust_profiles(
+    game: &NormalFormGame,
+    k: usize,
+    t: usize,
+    strategy: SearchStrategy,
+) -> Vec<Vec<usize>> {
+    DeviationOracle::with_strategy(game, strategy).profiles(&Concept::Robust { k, t }, None)
+}
+
+/// [`robust_profiles`] with the default pruned strategy.
+fn find_robust_profiles(game: &NormalFormGame, k: usize, t: usize) -> Vec<Vec<usize>> {
+    robust_profiles(game, k, t, SearchStrategy::Pruned)
+}
+
 // ---------------------------------------------------------------------------
 // Benches
 // ---------------------------------------------------------------------------
@@ -122,7 +135,7 @@ fn bench_profile_engine(c: &mut Criterion) {
     let g44 = random_game(4400, &[4, 4, 4, 4]);
     let (k, t) = (2usize, 1usize);
 
-    // Correctness gate: flat, parallel and baseline searches must agree
+    // Correctness gate: flat and baseline searches must agree
     // bit-for-bit before any timing happens.
     assert_eq!(
         alloc_find_robust_profiles(&g44, k, t),
@@ -134,35 +147,19 @@ fn bench_profile_engine(c: &mut Criterion) {
         pure_nash_equilibria(&g44),
         "flat-index nash search diverged from the allocating baseline"
     );
-    assert_eq!(
-        find_robust_profiles(&g44, k, t),
-        find_robust_profiles_with_workers(&g44, k, t, None),
-        "parallel robustness search is not bit-identical"
-    );
-    assert_eq!(
-        pure_nash_equilibria(&g44),
-        pure_nash_equilibria_with_workers(&g44, None),
-        "parallel nash search is not bit-identical"
-    );
 
     c.bench_function("robust_search_alloc_baseline/4p4a_k2t1", |b| {
         b.iter(|| black_box(alloc_find_robust_profiles(&g44, k, t)))
     });
-    c.bench_function("robust_search_flat_seq/4p4a_k2t1", |b| {
+    c.bench_function("robust_search_flat/4p4a_k2t1", |b| {
         b.iter(|| black_box(find_robust_profiles(&g44, k, t)))
-    });
-    c.bench_function("robust_search_flat_par/4p4a_k2t1", |b| {
-        b.iter(|| black_box(find_robust_profiles_with_workers(&g44, k, t, None)))
     });
 
     c.bench_function("nash_enum_alloc_baseline/4p4a", |b| {
         b.iter(|| black_box(alloc_pure_nash_equilibria(&g44)))
     });
-    c.bench_function("nash_enum_flat_seq/4p4a", |b| {
+    c.bench_function("nash_enum_flat/4p4a", |b| {
         b.iter(|| black_box(pure_nash_equilibria(&g44)))
-    });
-    c.bench_function("nash_enum_flat_par/4p4a", |b| {
-        b.iter(|| black_box(pure_nash_equilibria_with_workers(&g44, None)))
     });
 
     // Sweep over the 3–6 player / 2–5 action grid the roadmap tracks.
@@ -180,27 +177,16 @@ fn bench_profile_engine(c: &mut Criterion) {
         c.bench_function(&format!("robust_sweep_alloc/{label}_k2t1"), |b| {
             b.iter(|| black_box(alloc_find_robust_profiles(&game, k, t)))
         });
-        c.bench_function(&format!("robust_sweep_flat_seq/{label}_k2t1"), |b| {
+        c.bench_function(&format!("robust_sweep_flat/{label}_k2t1"), |b| {
             b.iter(|| black_box(find_robust_profiles(&game, k, t)))
-        });
-        c.bench_function(&format!("robust_sweep_flat_par/{label}_k2t1"), |b| {
-            b.iter(|| black_box(find_robust_profiles_with_workers(&game, k, t, None)))
         });
     }
 
-    // Best-response tables (sequential vs parallel).
     let g53 = random_game(5300, &[3, 3, 3, 3, 3]);
-    c.bench_function("best_response_table_seq/5p3a", |b| {
+    c.bench_function("best_response_table/5p3a", |b| {
         b.iter(|| {
             for p in 0..g53.num_players() {
-                black_box(bne_core::solvers::best_response_table(&g53, p));
-            }
-        })
-    });
-    c.bench_function("best_response_table_par/5p3a", |b| {
-        b.iter(|| {
-            for p in 0..g53.num_players() {
-                black_box(bne_core::solvers::best_response_table_parallel(&g53, p));
+                black_box(best_response_table(&g53, p));
             }
         })
     });
@@ -211,20 +197,11 @@ fn bench_profile_engine(c: &mut Criterion) {
     let median = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.median_ns);
     if let (Some(base), Some(flat)) = (
         median("robust_search_alloc_baseline/4p4a_k2t1"),
-        median("robust_search_flat_seq/4p4a_k2t1"),
+        median("robust_search_flat/4p4a_k2t1"),
     ) {
         println!(
-            "speedup flat-seq vs alloc baseline (4p4a k2t1): {:.2}x",
+            "speedup flat vs alloc baseline (4p4a k2t1): {:.2}x",
             base / flat
-        );
-    }
-    if let (Some(base), Some(par)) = (
-        median("robust_search_alloc_baseline/4p4a_k2t1"),
-        median("robust_search_flat_par/4p4a_k2t1"),
-    ) {
-        println!(
-            "speedup flat-par vs alloc baseline (4p4a k2t1): {:.2}x",
-            base / par
         );
     }
 }
@@ -300,7 +277,7 @@ fn bench_oracle_pruning(c: &mut Criterion) {
         let pruned = find_robust_profiles(&game, k, t);
         assert_eq!(
             pruned,
-            find_robust_profiles_with_strategy(&game, k, t, SearchStrategy::Exhaustive),
+            robust_profiles(&game, k, t, SearchStrategy::Exhaustive),
             "pruned robustness search diverged from the exhaustive oracle at k={k} t={t}"
         );
         assert_eq!(
@@ -338,14 +315,7 @@ fn bench_oracle_pruning(c: &mut Criterion) {
         b.iter(|| black_box(find_robust_profiles(&game, k, t)))
     });
     c.bench_function("robust_search_unpruned/4p5a_k2t1_dom", |b| {
-        b.iter(|| {
-            black_box(find_robust_profiles_with_strategy(
-                &game,
-                k,
-                t,
-                SearchStrategy::Exhaustive,
-            ))
-        })
+        b.iter(|| black_box(robust_profiles(&game, k, t, SearchStrategy::Exhaustive)))
     });
 
     // The frontier workload: every (k,t) cell answered over the same
@@ -364,9 +334,7 @@ fn bench_oracle_pruning(c: &mut Criterion) {
         b.iter(|| {
             let mut found = 0usize;
             for &(k, t) in &FRONTIER {
-                found +=
-                    find_robust_profiles_with_strategy(&game, k, t, SearchStrategy::Exhaustive)
-                        .len();
+                found += robust_profiles(&game, k, t, SearchStrategy::Exhaustive).len();
             }
             black_box(found)
         })
@@ -378,10 +346,8 @@ fn bench_oracle_pruning(c: &mut Criterion) {
     });
     c.bench_function("nash_enum_unpruned/4p5a_dom", |b| {
         b.iter(|| {
-            black_box(bne_core::solvers::pure_nash_equilibria_with_strategy(
-                &game,
-                SearchStrategy::Exhaustive,
-            ))
+            let oracle = DeviationOracle::with_strategy(&game, SearchStrategy::Exhaustive);
+            black_box(oracle.profiles(&Concept::Nash, None))
         })
     });
 

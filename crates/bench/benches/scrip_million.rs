@@ -38,10 +38,10 @@ use bne_core::games::backend::{DenseBackend, LocalBackend};
 use bne_core::games::random::random_game;
 use bne_core::games::sampled::{AuditSpec, SampledOracle};
 use bne_core::games::{DeviationOracle, ResilienceVariant};
-use bne_core::mc::json::Json;
 use bne_core::scrip::{
     economy_grid, Economy, EconomyConfig, EconomyScenario, ThresholdAuditBackend,
 };
+use bne_core::sim::json::Json;
 use bne_core::sim::SimRunner;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

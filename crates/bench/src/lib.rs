@@ -3,7 +3,7 @@
 //! `EXPERIMENTS.md`), table printing with its JSON export, and the
 //! [`BenchReport`] every bench writes its `BENCH_N.json` through.
 //!
-//! All JSON is serialized by `bne_mc::json::Json` into one directory,
+//! All JSON is serialized by `bne_sim::json::Json` into one directory,
 //! `$BNE_BENCH_DIR`, when that variable is set: the benches write their
 //! reports there and the `experiments` binary writes `experiments.json`.
 //! Each file is an object written one line per key, and one line per
@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bne_core::mc::json::Json;
+use bne_core::sim::json::Json;
 use criterion::BenchResult;
 use std::sync::Mutex;
 

@@ -20,7 +20,8 @@
 //! * [`oracle`] — the [`DeviationOracle`]: the shared, pruned
 //!   deviation-search core (best-response certificate tables, iterated
 //!   pre-elimination, incremental flat-index sweeps) that `bne-solvers`,
-//!   `bne-robust` and `bne-mediator` run their searches through;
+//!   `bne-robust` and `bne-mediator` run their searches through; its two
+//!   sweeps take the solution concept as a [`Concept`];
 //! * [`backend`] — the [`PayoffBackend`] abstraction over payoff queries:
 //!   the dense tensor backend plus the utility-locality [`LocalBackend`]
 //!   whose memory is O(players · neighborhood) instead of O(∏ actions);
@@ -49,7 +50,6 @@ pub mod profile;
 pub mod random;
 pub mod repeated;
 pub mod sampled;
-pub mod search;
 
 pub use backend::{DenseBackend, LocalBackend, PayoffBackend, ProfileView};
 pub use bayesian::{BayesianGame, BayesianStrategy, TypeDistribution};
@@ -57,7 +57,7 @@ pub use error::GameError;
 pub use extensive::{ExtensiveGame, Node, NodeId, Outcome, PureBehaviorStrategy};
 pub use mixed::{MixedProfile, MixedStrategy};
 pub use normal_form::{NormalFormBuilder, NormalFormGame};
-pub use oracle::{DeviationOracle, ResilienceVariant, SearchStrategy};
+pub use oracle::{Concept, DeviationOracle, ResilienceVariant, SearchStrategy};
 pub use profile::{ActionProfile, ProfileIter};
 pub use sampled::{AuditSpec, SampledAudit, SampledCertificate, SampledDeviation, SampledOracle};
 

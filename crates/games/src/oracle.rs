@@ -29,13 +29,17 @@
 //!   once and shared across every coalition and coalition size examined
 //!   for it.
 //!
-//! Pruning never changes results: elimination is only applied to
-//! predicates that imply "no unilateral gain" (Nash and k-resilience with
-//! `k ≥ 1`), every such profile survives elimination, and the surviving
-//! sub-box is enumerated in ascending original flat order — so pruned
-//! sweeps return **bit-identical** profile lists (same profiles, same
-//! order) as the exhaustive ones. [`SearchStrategy::Exhaustive`] keeps
-//! the unpruned path available as the property-test equality gate.
+//! Finding the profiles with a property is one of two sweeps,
+//! [`DeviationOracle::profiles`] and [`DeviationOracle::first_profile`],
+//! each taking the property as a [`Concept`]. Pruning never changes
+//! results: a sweep walks the pruned sub-box only for a concept that
+//! implies "no unilateral gain" (Nash, and k-resilience or
+//! (k,t)-robustness with `k ≥ 1`), every such profile survives
+//! elimination, and the surviving sub-box is enumerated in ascending
+//! original flat order — so pruned sweeps return **bit-identical**
+//! profile lists (same profiles, same order) as the exhaustive ones.
+//! [`SearchStrategy::Exhaustive`] keeps the unpruned path available as
+//! the property-test equality gate.
 //!
 //! # Examples
 //!
@@ -48,7 +52,7 @@
 //!
 //! ```
 //! use bne_games::classic::prisoners_dilemma;
-//! use bne_games::{DeviationOracle, ResilienceVariant};
+//! use bne_games::{Concept, DeviationOracle, ResilienceVariant};
 //!
 //! let game = prisoners_dilemma();
 //! let oracle = DeviationOracle::new(&game);
@@ -59,7 +63,10 @@
 //! assert_eq!(oracle.max_resilience(dd, 2, ResilienceVariant::SomeMemberGains), 1);
 //!
 //! // no other profile is Nash: one oracle, many queries, one table build
-//! assert!((0..4).filter(|&flat| oracle.is_nash(flat)).eq([dd]));
+//! // (`None` lets the fan-out rule pick the worker count)
+//! assert_eq!(oracle.profiles(&Concept::Nash, None), vec![vec![1, 1]]);
+//! let two_resilient = Concept::Resilient { k: 2, variant: ResilienceVariant::SomeMemberGains };
+//! assert_eq!(oracle.first_profile(&two_resilient, None), None);
 //! ```
 
 use crate::normal_form::NormalFormGame;
@@ -96,18 +103,75 @@ pub enum ResilienceVariant {
     AllMembersGain,
 }
 
-/// The pruned sub-box: per-player surviving actions (original indices,
-/// increasing) and the cached mixed-radix layout over them.
+/// A solution concept that [`DeviationOracle::profiles`] and
+/// [`DeviationOracle::first_profile`] sweep the profile space for. Each
+/// is a predicate over coalition deviations from one profile, decided by
+/// the oracle's per-profile method of the same notion.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Concept<'a> {
+    /// Pure Nash equilibrium, i.e. (1,0)-robustness
+    /// ([`DeviationOracle::is_nash`]).
+    Nash,
+    /// k-resilience ([`DeviationOracle::is_k_resilient`]).
+    Resilient {
+        /// Largest deviating coalition.
+        k: usize,
+        /// Which coalition members must gain.
+        variant: ResilienceVariant,
+    },
+    /// t-immunity ([`DeviationOracle::is_t_immune`]).
+    Immune {
+        /// Largest deviator set.
+        t: usize,
+    },
+    /// Componentwise (k,t)-robustness ([`DeviationOracle::is_robust`]).
+    Robust {
+        /// Largest deviating coalition.
+        k: usize,
+        /// Largest deviator set.
+        t: usize,
+    },
+    /// A `p`-punishment strategy relative to the payoffs in `base`
+    /// ([`DeviationOracle::is_punishment`]).
+    Punishment {
+        /// The payoffs every player must end strictly below.
+        base: &'a [Utility],
+        /// Largest deviator set.
+        p: usize,
+    },
+}
+
+impl Concept<'_> {
+    /// Whether every profile with this concept is a Nash equilibrium, the
+    /// condition under which a sweep may walk the pruned sub-box.
+    /// Immunity and punishment admit no elimination argument (immune
+    /// profiles need not be equilibria, punishment profiles are
+    /// deliberately bad), and 0-resilience accepts every profile.
+    fn implies_nash(&self) -> bool {
+        match *self {
+            Concept::Nash => true,
+            Concept::Resilient { k, .. } | Concept::Robust { k, .. } => k >= 1,
+            Concept::Immune { .. } | Concept::Punishment { .. } => false,
+        }
+    }
+}
+
+/// A sub-box of the profile space that a sweep walks: per-player kept
+/// actions (original indices, increasing). The full box keeps every
+/// action; the pruned box keeps the survivors of iterated elimination.
 #[derive(Debug, Clone)]
-struct PrunedSpace {
-    /// Surviving actions per player, in increasing original order.
-    surviving: Vec<Vec<ActionId>>,
-    /// Radices of the pruned sub-box (`surviving[p].len()`).
-    radices: Vec<usize>,
-    /// Number of profiles in the pruned sub-box.
+struct SubBox {
+    /// Kept actions per player, in increasing original order.
+    actions: Vec<Vec<ActionId>>,
+    /// Number of profiles in the sub-box.
     count: usize,
-    /// Rounds of elimination performed.
-    rounds: usize,
+}
+
+impl SubBox {
+    fn new(actions: Vec<Vec<ActionId>>) -> Self {
+        let count = actions.iter().map(Vec::len).product();
+        SubBox { actions, count }
+    }
 }
 
 /// The shared deviation-checking core. Borrows the game; every payoff
@@ -118,8 +182,10 @@ pub struct DeviationOracle<'g> {
     strategy: SearchStrategy,
     /// `best[p][flat]`: lazily built best-response payoff tables.
     best: OnceLock<Vec<Vec<Utility>>>,
+    /// The full box, built on first use.
+    full: OnceLock<SubBox>,
     /// Lazily computed pre-elimination result.
-    pruned: OnceLock<PrunedSpace>,
+    pruned: OnceLock<SubBox>,
 }
 
 impl<'g> DeviationOracle<'g> {
@@ -135,6 +201,7 @@ impl<'g> DeviationOracle<'g> {
             game,
             strategy,
             best: OnceLock::new(),
+            full: OnceLock::new(),
             pruned: OnceLock::new(),
         }
     }
@@ -184,12 +251,6 @@ impl<'g> DeviationOracle<'g> {
             }
             tables
         })
-    }
-
-    /// The best payoff `player` can reach from the profile at `flat` by a
-    /// unilateral move (including not moving) — a table lookup.
-    pub fn best_unilateral_payoff(&self, player: PlayerId, flat: usize) -> Utility {
-        self.best_tables()[player][flat]
     }
 
     /// Whether some player can strictly gain by a unilateral deviation
@@ -258,6 +319,16 @@ impl<'g> DeviationOracle<'g> {
         });
     }
 
+    /// The full box: every action of every player.
+    fn full_space(&self) -> &SubBox {
+        self.full.get_or_init(|| {
+            let actions = (0..self.game.num_players())
+                .map(|p| (0..self.game.num_actions(p)).collect())
+                .collect();
+            SubBox::new(actions)
+        })
+    }
+
     /// The pre-elimination result: iterated removal of actions that are
     /// never an ε-best response against any surviving opponent context,
     /// with survivors expressed as original action indices. Sound for
@@ -269,18 +340,15 @@ impl<'g> DeviationOracle<'g> {
     /// certificate tables (sound in later rounds too: the argmax action
     /// of a surviving context is ε-best there, so it can never have been
     /// eliminated — the full-game max *is* the surviving max).
-    fn pruned_space(&self) -> &PrunedSpace {
+    fn pruned_space(&self) -> &SubBox {
         self.pruned.get_or_init(|| {
             let game = self.game;
-            let n = game.num_players();
             let strides = game.strides();
             let tables = self.best_tables();
-            let mut surviving: Vec<Vec<ActionId>> =
-                (0..n).map(|p| (0..game.num_actions(p)).collect()).collect();
-            let mut rounds = 0;
+            let mut surviving = self.full_space().actions.clone();
             loop {
                 let mut changed = false;
-                for p in 0..n {
+                for p in 0..surviving.len() {
                     if surviving[p].len() == 1 {
                         continue;
                     }
@@ -309,23 +377,9 @@ impl<'g> DeviationOracle<'g> {
                 if !changed {
                     break;
                 }
-                rounds += 1;
             }
-            let radices: Vec<usize> = surviving.iter().map(|s| s.len()).collect();
-            let count = radices.iter().product();
-            PrunedSpace {
-                surviving,
-                radices,
-                count,
-                rounds,
-            }
+            SubBox::new(surviving)
         })
-    }
-
-    /// The surviving actions per player (original indices, increasing)
-    /// after iterated never-best-response elimination.
-    pub fn surviving_actions(&self) -> Vec<Vec<ActionId>> {
-        self.pruned_space().surviving.clone()
     }
 
     /// Number of profiles in the pruned sub-box (equals
@@ -334,60 +388,74 @@ impl<'g> DeviationOracle<'g> {
         self.pruned_space().count
     }
 
-    /// Rounds of iterated elimination performed.
-    pub fn elimination_rounds(&self) -> usize {
-        self.pruned_space().rounds
+    /// The box a sweep walks: the pruned sub-box when every profile it
+    /// can accept is a Nash equilibrium and the strategy prunes, the full
+    /// box otherwise.
+    fn space(&self, implies_nash: bool) -> &SubBox {
+        if implies_nash && self.strategy == SearchStrategy::Pruned {
+            self.pruned_space()
+        } else {
+            self.full_space()
+        }
     }
 
-    /// Decodes pruned index `idx` into the sub-box `digits` (mixed radix,
-    /// last player fastest, as in `index_to_profile`) and returns the
-    /// original flat index of that profile — ascending in `idx`, because
-    /// survivor lists are increasing. Allocates nothing.
-    fn decode_pruned(&self, mut idx: usize, digits: &mut [usize]) -> usize {
-        let space = self.pruned_space();
+    /// Decodes sub-box index `idx` into the sub-box `digits` (mixed
+    /// radix, last player fastest, as in `index_to_profile`) and returns
+    /// the original flat index of that profile — ascending in `idx`,
+    /// because kept-action lists are increasing. Allocates nothing.
+    fn decode(&self, space: &SubBox, mut idx: usize, digits: &mut [usize]) -> usize {
         let strides = self.game.strides();
         let mut flat = 0;
         for p in (0..digits.len()).rev() {
-            digits[p] = idx % space.radices[p];
-            idx /= space.radices[p];
-            flat += space.surviving[p][digits[p]] * strides[p];
+            let kept = &space.actions[p];
+            digits[p] = idx % kept.len();
+            idx /= kept.len();
+            flat += kept[digits[p]] * strides[p];
         }
         flat
     }
 
-    /// Original flat index of the `idx`-th profile of the pruned sub-box.
-    fn pruned_to_flat(&self, idx: usize) -> usize {
+    /// Whether `space` keeps every action, so that its index is the
+    /// original flat index.
+    fn is_full(&self, space: &SubBox) -> bool {
+        space.count == self.game.num_profiles()
+    }
+
+    /// Original flat index of the `idx`-th profile of `space`.
+    fn flat_at(&self, space: &SubBox, idx: usize) -> usize {
+        if self.is_full(space) {
+            return idx;
+        }
         with_scratch(self.game.num_players(), |digits| {
-            self.decode_pruned(idx, digits)
+            self.decode(space, idx, digits)
         })
     }
 
-    /// Visits the pruned sub-box over the contiguous pruned-index `range`
-    /// as `f(original_flat)`, maintaining the original flat index with
+    /// Visits the contiguous sub-box index `range` of `space` as
+    /// `f(original_flat)`, maintaining the original flat index with
     /// stride-delta updates (one decode of `range.start`, no per-step
-    /// re-encoding, no allocation). Returns `true` when the whole range
-    /// was visited.
-    fn visit_pruned_range<F: FnMut(usize) -> bool>(&self, range: Range<usize>, mut f: F) -> bool {
-        if range.start >= range.end {
-            return true;
+    /// re-encoding, no allocation).
+    fn visit_range(&self, space: &SubBox, range: Range<usize>, mut f: impl FnMut(usize)) {
+        if self.is_full(space) {
+            return range.for_each(f);
         }
-        let space = self.pruned_space();
+        if range.start >= range.end {
+            return;
+        }
         let strides = self.game.strides();
         with_scratch(self.game.num_players(), |digits| {
-            let mut flat = self.decode_pruned(range.start, digits);
+            let mut flat = self.decode(space, range.start, digits);
             for _ in range {
-                if !f(flat) {
-                    return false;
-                }
-                // advance the pruned odometer, updating the original flat
+                f(flat);
+                // advance the sub-box odometer, updating the original flat
                 // index in place
                 let mut i = digits.len();
                 loop {
                     if i == 0 {
-                        return true; // wrapped: range end was the last profile
+                        return; // wrapped: range end was the last profile
                     }
                     i -= 1;
-                    let s = &space.surviving[i];
+                    let s = &space.actions[i];
                     digits[i] += 1;
                     if digits[i] < s.len() {
                         flat += (s[digits[i]] - s[digits[i] - 1]) * strides[i];
@@ -397,7 +465,6 @@ impl<'g> DeviationOracle<'g> {
                     digits[i] = 0;
                 }
             }
-            true
         })
     }
 
@@ -654,8 +721,8 @@ impl<'g> DeviationOracle<'g> {
     }
 
     /// Answers a whole family of componentwise robustness queries in
-    /// **one** scan: `result[i]` is exactly
-    /// `robust_profiles(cells[i].0, cells[i].1)`, but every profile is
+    /// **one** scan: `result[i]` is exactly the [`Self::profiles`] sweep
+    /// for [`Concept::Robust`] at `cells[i]`, but every profile is
     /// classified once (its maximal `k` and `t`, each single-pass) and
     /// matched against all cells, instead of re-sweeping the space and
     /// re-running the coalition searches once per `(k, t)` pair. When
@@ -672,9 +739,12 @@ impl<'g> DeviationOracle<'g> {
         let cells: Vec<(usize, usize)> = cells.iter().map(|&(k, t)| (k.min(n), t.min(n))).collect();
         let max_k = cells.iter().map(|&(k, _)| k).max().unwrap_or(0);
         let max_t = cells.iter().map(|&(_, t)| t).max().unwrap_or(0);
-        let all_need_resilience = cells.iter().all(|&(k, _)| k >= 1);
+        let all_need_resilience = cells
+            .iter()
+            .all(|&(k, t)| Concept::Robust { k, t }.implies_nash());
         let mut out = vec![Vec::new(); cells.len()];
-        let mut classify = |flat: usize| {
+        let space = self.space(all_need_resilience);
+        self.visit_range(space, 0..space.count, |flat| {
             let mk = self.max_resilience(flat, max_k, ResilienceVariant::SomeMemberGains);
             let mt = if mk == 0 && all_need_resilience {
                 0 // unmatched everywhere: skip the immunity scan
@@ -686,15 +756,7 @@ impl<'g> DeviationOracle<'g> {
                     slot.push(self.game.profile_at(flat));
                 }
             }
-        };
-        if self.prunes(all_need_resilience) {
-            self.visit_pruned_range(0..self.pruned_profile_count(), |flat| {
-                classify(flat);
-                true
-            });
-        } else {
-            self.game.visit_profiles(|_, flat| classify(flat));
-        }
+        });
         out
     }
 
@@ -702,245 +764,49 @@ impl<'g> DeviationOracle<'g> {
     // Sweeps
     // -----------------------------------------------------------------
 
-    /// Whether the pruned sub-box may replace the full space for this
-    /// sweep: only for predicates that imply "no unilateral gain".
-    fn prunes(&self, nash_implying: bool) -> bool {
-        nash_implying && self.strategy == SearchStrategy::Pruned
-    }
-
-    /// Core collection sweep: all profiles satisfying `pred`, in original
-    /// flat order. `nash_implying` marks predicates for which every
-    /// satisfying profile is a Nash equilibrium, enabling elimination.
-    fn collect<F: Fn(usize) -> bool>(&self, nash_implying: bool, pred: F) -> Vec<ActionProfile> {
-        let mut out = Vec::new();
-        if self.prunes(nash_implying) {
-            self.visit_pruned_range(0..self.pruned_profile_count(), |flat| {
-                if pred(flat) {
-                    out.push(self.game.profile_at(flat));
-                }
-                true
-            });
-        } else {
-            self.game.visit_profiles(|profile, flat| {
-                if pred(flat) {
-                    out.push(profile.to_vec());
-                }
-            });
-        }
-        out
-    }
-
-    /// Core first-witness sweep: the satisfying profile with the lowest
-    /// original flat index, if any.
-    fn first<F: Fn(usize) -> bool>(&self, nash_implying: bool, pred: F) -> Option<ActionProfile> {
-        let mut found = None;
-        if self.prunes(nash_implying) {
-            self.visit_pruned_range(0..self.pruned_profile_count(), |flat| {
-                if pred(flat) {
-                    found = Some(self.game.profile_at(flat));
-                    return false;
-                }
-                true
-            });
-        } else {
-            self.game.visit_profiles_while(|profile, flat| {
-                if pred(flat) {
-                    found = Some(profile.to_vec());
-                    return false;
-                }
-                true
-            });
-        }
-        found
-    }
-
-    /// Parallel collection sweep with index-order concatenation —
-    /// bit-identical to [`Self::collect`] for any worker count. `workers`
-    /// as in [`crate::parallel::fan_out`]: `None` applies the fan-out
-    /// rule, a count forces exactly that many workers.
-    fn collect_with_workers<F: Fn(usize) -> bool + Sync>(
-        &self,
-        nash_implying: bool,
-        workers: impl Into<Option<usize>>,
-        pred: F,
-    ) -> Vec<ActionProfile> {
-        let workers = workers.into();
-        if self.prunes(nash_implying) {
-            crate::parallel::collect_ranges(self.pruned_profile_count(), workers, |range| {
-                let mut hits = Vec::new();
-                self.visit_pruned_range(range, |flat| {
-                    if pred(flat) {
-                        hits.push(self.game.profile_at(flat));
-                    }
-                    true
-                });
-                hits
-            })
-        } else {
-            crate::search::find_profiles_parallel(self.game, workers, pred)
+    /// Whether the profile at `flat` has `concept`.
+    fn holds(&self, concept: &Concept, flat: usize) -> bool {
+        match *concept {
+            Concept::Nash => self.is_nash(flat),
+            Concept::Resilient { k, variant } => self.is_k_resilient(flat, k, variant),
+            Concept::Immune { t } => self.is_t_immune(flat, t),
+            Concept::Robust { k, t } => self.is_robust(flat, k, t),
+            Concept::Punishment { base, p } => self.is_punishment(flat, base, p),
         }
     }
 
-    /// Parallel first-witness sweep with deterministic
-    /// lowest-flat-index-wins semantics.
-    fn first_with_workers<F: Fn(usize) -> bool + Sync>(
-        &self,
-        nash_implying: bool,
-        workers: impl Into<Option<usize>>,
-        pred: F,
-    ) -> Option<ActionProfile> {
-        let workers = workers.into();
-        if self.prunes(nash_implying) {
-            // lowest pruned index == lowest original flat index (the
-            // pruned→flat map is strictly increasing)
-            crate::parallel::find_first(self.pruned_profile_count(), workers, |idx| {
-                pred(self.pruned_to_flat(idx))
-            })
-            .map(|idx| self.game.profile_at(self.pruned_to_flat(idx)))
-        } else {
-            crate::search::first_profile_parallel(self.game, workers, pred)
-        }
-    }
-
-    /// Every pure Nash equilibrium, in flat order.
-    pub fn nash_profiles(&self) -> Vec<ActionProfile> {
-        self.collect(true, |flat| self.is_nash(flat))
-    }
-
-    /// The pure Nash equilibrium with the lowest flat index, if any.
-    pub fn first_nash(&self) -> Option<ActionProfile> {
-        self.first(true, |flat| self.is_nash(flat))
-    }
-
-    /// Parallel form of [`Self::nash_profiles`]; bit-identical output.
-    /// `workers` is an exact worker count, or `None` for the fan-out
-    /// rule of [`crate::parallel`]; likewise for every `*_with_workers`
-    /// sweep below.
-    pub fn nash_profiles_with_workers(
-        &self,
-        workers: impl Into<Option<usize>>,
-    ) -> Vec<ActionProfile> {
-        self.collect_with_workers(true, workers, |flat| self.is_nash(flat))
-    }
-
-    /// Parallel form of [`Self::first_nash`].
-    pub fn first_nash_with_workers(
-        &self,
-        workers: impl Into<Option<usize>>,
-    ) -> Option<ActionProfile> {
-        self.first_with_workers(true, workers, |flat| self.is_nash(flat))
-    }
-
-    /// Every k-resilient profile, in flat order. Pruned for `k ≥ 1`
-    /// (k-resilience implies Nash); `k = 0` trivially accepts everything
-    /// and sweeps the full space.
-    pub fn k_resilient_profiles(&self, k: usize, variant: ResilienceVariant) -> Vec<ActionProfile> {
-        self.collect(k >= 1, |flat| self.is_k_resilient(flat, k, variant))
-    }
-
-    /// The k-resilient profile with the lowest flat index, if any.
-    pub fn first_k_resilient_profile(
-        &self,
-        k: usize,
-        variant: ResilienceVariant,
-    ) -> Option<ActionProfile> {
-        self.first(k >= 1, |flat| self.is_k_resilient(flat, k, variant))
-    }
-
-    /// Parallel form of [`Self::k_resilient_profiles`].
-    pub fn k_resilient_profiles_with_workers(
-        &self,
-        k: usize,
-        variant: ResilienceVariant,
-        workers: impl Into<Option<usize>>,
-    ) -> Vec<ActionProfile> {
-        self.collect_with_workers(k >= 1, workers, |flat| {
-            self.is_k_resilient(flat, k, variant)
+    /// Every profile with `concept`, in flat order. Contiguous index
+    /// ranges of the swept box run under the fan-out rule of
+    /// [`crate::parallel`] and concatenate in index order, so the result
+    /// is the same for any worker count. `workers` is `None` for the
+    /// rule, or an exact worker count.
+    pub fn profiles(&self, concept: &Concept, workers: Option<usize>) -> Vec<ActionProfile> {
+        let space = self.space(concept.implies_nash());
+        crate::parallel::collect_ranges(space.count, workers, |range| {
+            let mut hits = Vec::new();
+            self.visit_range(space, range, |flat| {
+                if self.holds(concept, flat) {
+                    hits.push(self.game.profile_at(flat));
+                }
+            });
+            hits
         })
     }
 
-    /// Parallel form of [`Self::first_k_resilient_profile`].
-    pub fn first_k_resilient_profile_with_workers(
+    /// The profile with `concept` that has the lowest flat index, if any,
+    /// whatever the thread timing. `workers` as in [`Self::profiles`].
+    pub fn first_profile(
         &self,
-        k: usize,
-        variant: ResilienceVariant,
-        workers: impl Into<Option<usize>>,
+        concept: &Concept,
+        workers: Option<usize>,
     ) -> Option<ActionProfile> {
-        self.first_with_workers(k >= 1, workers, |flat| {
-            self.is_k_resilient(flat, k, variant)
+        let space = self.space(concept.implies_nash());
+        // the lowest sub-box index is the lowest original flat index (the
+        // map between them is strictly increasing)
+        crate::parallel::find_first(space.count, workers, |idx| {
+            self.holds(concept, self.flat_at(space, idx))
         })
-    }
-
-    /// Every t-immune profile, in flat order (always the full space —
-    /// elimination is unsound for immunity).
-    pub fn t_immune_profiles(&self, t: usize) -> Vec<ActionProfile> {
-        self.collect(false, |flat| self.is_t_immune(flat, t))
-    }
-
-    /// The t-immune profile with the lowest flat index, if any.
-    pub fn first_t_immune_profile(&self, t: usize) -> Option<ActionProfile> {
-        self.first(false, |flat| self.is_t_immune(flat, t))
-    }
-
-    /// Parallel form of [`Self::t_immune_profiles`].
-    pub fn t_immune_profiles_with_workers(
-        &self,
-        t: usize,
-        workers: impl Into<Option<usize>>,
-    ) -> Vec<ActionProfile> {
-        self.collect_with_workers(false, workers, |flat| self.is_t_immune(flat, t))
-    }
-
-    /// Parallel form of [`Self::first_t_immune_profile`].
-    pub fn first_t_immune_profile_with_workers(
-        &self,
-        t: usize,
-        workers: impl Into<Option<usize>>,
-    ) -> Option<ActionProfile> {
-        self.first_with_workers(false, workers, |flat| self.is_t_immune(flat, t))
-    }
-
-    /// Every (k,t)-robust profile (componentwise), in flat order. Pruned
-    /// for `k ≥ 1`.
-    pub fn robust_profiles(&self, k: usize, t: usize) -> Vec<ActionProfile> {
-        self.collect(k >= 1, |flat| self.is_robust(flat, k, t))
-    }
-
-    /// The (k,t)-robust profile with the lowest flat index, if any.
-    pub fn first_robust_profile(&self, k: usize, t: usize) -> Option<ActionProfile> {
-        self.first(k >= 1, |flat| self.is_robust(flat, k, t))
-    }
-
-    /// Parallel form of [`Self::robust_profiles`].
-    pub fn robust_profiles_with_workers(
-        &self,
-        k: usize,
-        t: usize,
-        workers: impl Into<Option<usize>>,
-    ) -> Vec<ActionProfile> {
-        self.collect_with_workers(k >= 1, workers, |flat| self.is_robust(flat, k, t))
-    }
-
-    /// Parallel form of [`Self::first_robust_profile`].
-    pub fn first_robust_profile_with_workers(
-        &self,
-        k: usize,
-        t: usize,
-        workers: impl Into<Option<usize>>,
-    ) -> Option<ActionProfile> {
-        self.first_with_workers(k >= 1, workers, |flat| self.is_robust(flat, k, t))
-    }
-
-    /// Every `p`-punishment strategy relative to the payoffs in `base`,
-    /// in flat order (always the full space — punishment profiles are
-    /// deliberately bad and survive no elimination argument).
-    pub fn punishment_profiles(&self, base: &[Utility], p: usize) -> Vec<ActionProfile> {
-        self.collect(false, |flat| self.is_punishment(flat, base, p))
-    }
-
-    /// The `p`-punishment strategy with the lowest flat index, if any.
-    pub fn first_punishment_profile(&self, base: &[Utility], p: usize) -> Option<ActionProfile> {
-        self.first(false, |flat| self.is_punishment(flat, base, p))
+        .map(|idx| self.game.profile_at(self.flat_at(space, idx)))
     }
 }
 
@@ -964,7 +830,7 @@ mod tests {
         for flat in 0..g.num_profiles() {
             for p in 0..g.num_players() {
                 let (_, best) = g.best_unilateral_deviation_by_index(p, flat);
-                assert_eq!(oracle.best_unilateral_payoff(p, flat), best);
+                assert_eq!(oracle.best_tables()[p][flat], best);
             }
             assert_eq!(oracle.is_nash(flat), g.is_pure_nash_by_index(flat));
         }
@@ -975,47 +841,46 @@ mod tests {
         let pd = classic::prisoners_dilemma();
         let oracle = DeviationOracle::new(&pd);
         // cooperate is never a best response: only defect survives
-        assert_eq!(oracle.surviving_actions(), vec![vec![1], vec![1]]);
+        assert_eq!(oracle.pruned_space().actions, vec![vec![1], vec![1]]);
         assert_eq!(oracle.pruned_profile_count(), 1);
-        assert!(oracle.elimination_rounds() >= 1);
-        assert_eq!(oracle.nash_profiles(), vec![vec![1, 1]]);
+        assert_eq!(oracle.profiles(&Concept::Nash, None), vec![vec![1, 1]]);
 
         // matching pennies: nothing is eliminable
         let mp = classic::matching_pennies();
         let oracle = DeviationOracle::new(&mp);
         assert_eq!(oracle.pruned_profile_count(), mp.num_profiles());
-        assert!(oracle.nash_profiles().is_empty());
+        assert!(oracle.profiles(&Concept::Nash, None).is_empty());
     }
 
     #[test]
     fn pruned_visitor_walks_surviving_profiles_in_flat_order() {
         let g = random_game(17, &[3, 3, 2]);
         let oracle = DeviationOracle::new(&g);
-        let surviving = oracle.surviving_actions();
+        let space = oracle.pruned_space();
         let mut visited = Vec::new();
-        oracle.visit_pruned_range(0..oracle.pruned_profile_count(), |flat| {
-            visited.push(flat);
-            true
-        });
+        oracle.visit_range(space, 0..space.count, |flat| visited.push(flat));
         let expected: Vec<usize> = (0..g.num_profiles())
             .filter(|&flat| {
-                (0..g.num_players()).all(|p| surviving[p].contains(&g.action_at(flat, p)))
+                (0..g.num_players()).all(|p| space.actions[p].contains(&g.action_at(flat, p)))
             })
             .collect();
         assert_eq!(visited, expected);
         // chunked visits agree with the whole walk
-        let total = oracle.pruned_profile_count();
         let mut chunked = Vec::new();
-        for start in (0..total).step_by(3) {
-            oracle.visit_pruned_range(start..(start + 3).min(total), |flat| {
-                chunked.push(flat);
-                true
-            });
+        for start in (0..space.count).step_by(3) {
+            let end = (start + 3).min(space.count);
+            oracle.visit_range(space, start..end, |flat| chunked.push(flat));
         }
         assert_eq!(chunked, visited);
         for (idx, &flat) in visited.iter().enumerate() {
-            assert_eq!(oracle.pruned_to_flat(idx), flat);
+            assert_eq!(oracle.flat_at(space, idx), flat);
         }
+        // the full box walks every profile, and its index is the flat one
+        let full = oracle.full_space();
+        let mut all = Vec::new();
+        oracle.visit_range(full, 0..full.count, |flat| all.push(flat));
+        assert!(all.iter().copied().eq(0..g.num_profiles()));
+        assert_eq!(oracle.flat_at(full, 7), 7);
     }
 
     #[test]
@@ -1023,33 +888,33 @@ mod tests {
         for seed in [5u64, 6, 7] {
             let g = random_game(seed, &[3, 3, 2, 2]);
             let (pruned, exhaustive) = oracle_pair(&g);
-            assert_eq!(pruned.nash_profiles(), exhaustive.nash_profiles());
-            assert_eq!(pruned.first_nash(), exhaustive.first_nash());
+            let mut concepts = vec![
+                Concept::Nash,
+                Concept::Immune { t: 1 },
+                Concept::Immune { t: 2 },
+            ];
             for k in 0..=3 {
                 for variant in [
                     ResilienceVariant::SomeMemberGains,
                     ResilienceVariant::AllMembersGain,
                 ] {
-                    assert_eq!(
-                        pruned.k_resilient_profiles(k, variant),
-                        exhaustive.k_resilient_profiles(k, variant),
-                        "seed {seed} k {k}"
-                    );
+                    concepts.push(Concept::Resilient { k, variant });
                 }
             }
             for (k, t) in [(0, 1), (1, 1), (2, 1), (1, 2)] {
-                assert_eq!(
-                    pruned.robust_profiles(k, t),
-                    exhaustive.robust_profiles(k, t),
-                    "seed {seed} k {k} t {t}"
-                );
-                assert_eq!(
-                    pruned.first_robust_profile(k, t),
-                    exhaustive.first_robust_profile(k, t)
-                );
+                concepts.push(Concept::Robust { k, t });
             }
-            for t in 1..=2 {
-                assert_eq!(pruned.t_immune_profiles(t), exhaustive.t_immune_profiles(t));
+            for concept in &concepts {
+                assert_eq!(
+                    pruned.profiles(concept, None),
+                    exhaustive.profiles(concept, None),
+                    "seed {seed} {concept:?}"
+                );
+                assert_eq!(
+                    pruned.first_profile(concept, None),
+                    exhaustive.first_profile(concept, None),
+                    "seed {seed} {concept:?}"
+                );
             }
         }
     }
@@ -1066,7 +931,7 @@ mod tests {
                 for (i, &(k, t)) in cells.iter().enumerate() {
                     assert_eq!(
                         frontier[i],
-                        oracle.robust_profiles(k, t),
+                        oracle.profiles(&Concept::Robust { k, t }, None),
                         "seed {seed} cell ({k},{t})"
                     );
                 }
@@ -1083,9 +948,10 @@ mod tests {
         let base: Vec<f64> = (0..4).map(|p| g.payoff(p, &[0; 4])).collect();
         let (pruned, exhaustive) = oracle_pair(&g);
         for p in 0..=4 {
+            let concept = Concept::Punishment { base: &base, p };
             assert_eq!(
-                pruned.punishment_profiles(&base, p),
-                exhaustive.punishment_profiles(&base, p),
+                pruned.profiles(&concept, None),
+                exhaustive.profiles(&concept, None),
                 "p = {p}"
             );
         }
@@ -1125,31 +991,6 @@ mod tests {
                     "seed {seed} flat {flat}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_oracle_sweeps_are_bit_identical() {
-        let g = random_game(23, &[3, 2, 3, 2]);
-        let oracle = DeviationOracle::new(&g);
-        for workers in [2, 4] {
-            assert_eq!(
-                oracle.nash_profiles(),
-                oracle.nash_profiles_with_workers(workers)
-            );
-            assert_eq!(oracle.first_nash(), oracle.first_nash_with_workers(workers));
-            assert_eq!(
-                oracle.robust_profiles(2, 1),
-                oracle.robust_profiles_with_workers(2, 1, workers)
-            );
-            assert_eq!(
-                oracle.first_robust_profile(1, 1),
-                oracle.first_robust_profile_with_workers(1, 1, workers)
-            );
-            assert_eq!(
-                oracle.t_immune_profiles(2),
-                oracle.t_immune_profiles_with_workers(2, workers)
-            );
         }
     }
 }

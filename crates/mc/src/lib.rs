@@ -85,7 +85,6 @@
 
 pub mod explorer;
 mod intern;
-pub mod json;
 pub mod liar;
 pub mod property;
 pub mod scenario;

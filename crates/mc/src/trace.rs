@@ -13,8 +13,8 @@
 //! [`crate::scenario::replay_trace`]).
 
 use crate::explorer::Choice;
-use crate::json::Json;
 use bne_net::EnabledKind;
+use bne_sim::json::Json;
 
 /// A serialized schedule-space counterexample (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,7 +13,7 @@
 //! the regimes where we implement the protocol) and in `bne-byzantine`
 //! (the `t < n/3` boundary that drives the impossibility results).
 
-use bne_games::{ActionId, DeviationOracle, NormalFormGame, Utility};
+use bne_games::{ActionId, Concept, DeviationOracle, NormalFormGame, Utility};
 
 /// Extra assumptions a cheap-talk implementation may rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,8 +71,12 @@ impl Assumptions {
             .map(|p| game.payoff(p, equilibrium))
             .collect();
         self.known_utilities = true;
+        let punishment = Concept::Punishment {
+            base: &base,
+            p: k + t,
+        };
         self.punishment_strategy = DeviationOracle::new(game)
-            .first_punishment_profile(&base, k + t)
+            .first_profile(&punishment, None)
             .is_some();
         self
     }

@@ -38,6 +38,7 @@
 //! every hook through the `RefCell`.
 
 use crate::runtime::TraceKind;
+use bne_sim::json::Json;
 use bne_sim::{Histogram, StreamingStats};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -439,77 +440,70 @@ impl TimelineObserver {
     /// (`"ph":"i"`). Virtual ticks map 1:1 to microseconds (the unit
     /// the format requires).
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for e in &self.entries {
-            if !first {
-                out.push(',');
+        let events = self.entries.iter().map(|e| match *e {
+            TimelineEntry::Send {
+                time,
+                src,
+                dst,
+                clock,
+            } => chrome_event(
+                format!("send {src}->{dst}"),
+                "msg",
+                time,
+                None,
+                src,
+                &[("clock", clock)],
+            ),
+            TimelineEntry::Deliver {
+                time,
+                src,
+                dst,
+                sent_at,
+                clock,
+            } => chrome_event(
+                format!("msg {src}->{dst}"),
+                "msg",
+                sent_at,
+                Some(time - sent_at),
+                dst,
+                &[("src", src), ("clock", clock)],
+            ),
+            TimelineEntry::Drop { time, src, dst } => {
+                chrome_event(format!("drop {src}->{dst}"), "fault", time, None, src, &[])
             }
-            first = false;
-            match *e {
-                TimelineEntry::Send {
-                    time,
-                    src,
-                    dst,
-                    clock,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"send {src}->{dst}\",\"cat\":\"msg\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{time},\"pid\":0,\"tid\":{src},\"args\":{{\"clock\":{clock}}}}}"
-                    ));
-                }
-                TimelineEntry::Deliver {
-                    time,
-                    src,
-                    dst,
-                    sent_at,
-                    clock,
-                } => {
-                    let dur = time - sent_at;
-                    out.push_str(&format!(
-                        "{{\"name\":\"msg {src}->{dst}\",\"cat\":\"msg\",\"ph\":\"X\",\"ts\":{sent_at},\"dur\":{dur},\"pid\":0,\"tid\":{dst},\"args\":{{\"src\":{src},\"clock\":{clock}}}}}"
-                    ));
-                }
-                TimelineEntry::Drop { time, src, dst } => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"drop {src}->{dst}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{time},\"pid\":0,\"tid\":{src}}}"
-                    ));
-                }
-                TimelineEntry::Timer {
-                    time,
-                    proc,
-                    timer,
-                    armed_at,
-                    clock,
-                } => {
-                    let dur = time - armed_at;
-                    out.push_str(&format!(
-                        "{{\"name\":\"timer {timer}\",\"cat\":\"timer\",\"ph\":\"X\",\"ts\":{armed_at},\"dur\":{dur},\"pid\":0,\"tid\":{proc},\"args\":{{\"clock\":{clock}}}}}"
-                    ));
-                }
-                TimelineEntry::Crash { time, proc, .. } => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"crash\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{time},\"pid\":0,\"tid\":{proc}}}"
-                    ));
-                }
-                TimelineEntry::Recover { time, proc, .. } => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"recover\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{time},\"pid\":0,\"tid\":{proc}}}"
-                    ));
-                }
-                TimelineEntry::CrashDrop { time, src, dst } => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"absorbed {src}/{dst}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{time},\"pid\":0,\"tid\":{src}}}"
-                    ));
-                }
-                TimelineEntry::Decide { time, proc, value } => {
-                    out.push_str(&format!(
-                        "{{\"name\":\"decide {value}\",\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{time},\"pid\":0,\"tid\":{proc}}}"
-                    ));
-                }
+            TimelineEntry::Timer {
+                time,
+                proc,
+                timer,
+                armed_at,
+                clock,
+            } => chrome_event(
+                format!("timer {timer}"),
+                "timer",
+                armed_at,
+                Some(time - armed_at),
+                proc,
+                &[("clock", clock)],
+            ),
+            TimelineEntry::Crash { time, proc, .. } => {
+                chrome_event("crash".into(), "fault", time, None, proc, &[])
             }
-        }
-        out.push_str("]}");
-        out
+            TimelineEntry::Recover { time, proc, .. } => {
+                chrome_event("recover".into(), "fault", time, None, proc, &[])
+            }
+            TimelineEntry::CrashDrop { time, src, dst } => chrome_event(
+                format!("absorbed {src}/{dst}"),
+                "fault",
+                time,
+                None,
+                src,
+                &[],
+            ),
+            TimelineEntry::Decide { time, proc, value } => {
+                chrome_event(format!("decide {value}"), "decision", time, None, proc, &[])
+            }
+        });
+        Json::Obj(vec![("traceEvents".into(), Json::Arr(events.collect()))]).to_string()
     }
 
     /// Renders the timeline as compact text, one line per entry.
@@ -572,6 +566,43 @@ impl TimelineObserver {
     }
 }
 
+/// One Chrome trace event on process `tid`'s track: a duration
+/// (`"ph":"X"`) starting at `ts` when `dur` is given, a thread-scoped
+/// instant (`"ph":"i"`) otherwise, with `args` attached when there are
+/// any.
+fn chrome_event(
+    name: String,
+    cat: &str,
+    ts: u64,
+    dur: Option<u64>,
+    tid: u64,
+    args: &[(&str, u64)],
+) -> Json {
+    let text = |s: &str| Json::Str(s.to_string());
+    let mut fields = vec![
+        ("name".to_string(), Json::Str(name)),
+        ("cat".into(), text(cat)),
+    ];
+    match dur {
+        Some(dur) => fields.extend([
+            ("ph".into(), text("X")),
+            ("ts".into(), Json::U64(ts)),
+            ("dur".into(), Json::U64(dur)),
+        ]),
+        None => fields.extend([
+            ("ph".into(), text("i")),
+            ("s".into(), text("t")),
+            ("ts".into(), Json::U64(ts)),
+        ]),
+    }
+    fields.extend([("pid".into(), Json::U64(0)), ("tid".into(), Json::U64(tid))]);
+    if !args.is_empty() {
+        let args = args.iter().map(|&(k, v)| (k.to_string(), Json::U64(v)));
+        fields.push(("args".into(), Json::Obj(args.collect())));
+    }
+    Json::Obj(fields)
+}
+
 impl Observer for TimelineObserver {
     fn on_send(&mut self, time: u64, src: u64, dst: u64, clock: u64) {
         self.entries.push(TimelineEntry::Send {
@@ -617,5 +648,80 @@ impl Observer for TimelineObserver {
     fn on_decide(&mut self, time: u64, proc: u64, value: u64) {
         self.entries
             .push(TimelineEntry::Decide { time, proc, value });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chrome_trace_writes_every_entry_kind() {
+        let timeline = TimelineObserver {
+            entries: vec![
+                TimelineEntry::Send {
+                    time: 1,
+                    src: 0,
+                    dst: 2,
+                    clock: 3,
+                },
+                TimelineEntry::Deliver {
+                    time: 4,
+                    src: 0,
+                    dst: 2,
+                    sent_at: 1,
+                    clock: 5,
+                },
+                TimelineEntry::Drop {
+                    time: 5,
+                    src: 1,
+                    dst: 0,
+                },
+                TimelineEntry::Timer {
+                    time: 9,
+                    proc: 2,
+                    timer: 7,
+                    armed_at: 6,
+                    clock: 8,
+                },
+                TimelineEntry::Crash {
+                    time: 10,
+                    proc: 1,
+                    clock: 4,
+                },
+                TimelineEntry::CrashDrop {
+                    time: 11,
+                    src: 0,
+                    dst: 1,
+                },
+                TimelineEntry::Recover {
+                    time: 12,
+                    proc: 1,
+                    clock: 5,
+                },
+                TimelineEntry::Decide {
+                    time: 13,
+                    proc: 2,
+                    value: 1,
+                },
+            ],
+        };
+        let expected = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"send 0->2","cat":"msg","ph":"i","s":"t","ts":1,"pid":0,"tid":0,"args":{"clock":3}},"#,
+            r#"{"name":"msg 0->2","cat":"msg","ph":"X","ts":1,"dur":3,"pid":0,"tid":2,"args":{"src":0,"clock":5}},"#,
+            r#"{"name":"drop 1->0","cat":"fault","ph":"i","s":"t","ts":5,"pid":0,"tid":1},"#,
+            r#"{"name":"timer 7","cat":"timer","ph":"X","ts":6,"dur":3,"pid":0,"tid":2,"args":{"clock":8}},"#,
+            r#"{"name":"crash","cat":"fault","ph":"i","s":"t","ts":10,"pid":0,"tid":1},"#,
+            r#"{"name":"absorbed 0/1","cat":"fault","ph":"i","s":"t","ts":11,"pid":0,"tid":0},"#,
+            r#"{"name":"recover","cat":"fault","ph":"i","s":"t","ts":12,"pid":0,"tid":1},"#,
+            r#"{"name":"decide 1","cat":"decision","ph":"i","s":"t","ts":13,"pid":0,"tid":2}"#,
+            "]}"
+        );
+        assert_eq!(timeline.to_chrome_trace(), expected);
+        assert_eq!(
+            TimelineObserver::new().to_chrome_trace(),
+            r#"{"traceEvents":[]}"#
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! machines, users with unexpected utilities such as Gnutella's sharing
 //! hosts).
 
-use bne_games::profile::{try_for_each_subset_of_size, ActionProfile};
+use bne_games::profile::try_for_each_subset_of_size;
 use bne_games::{ActionId, DeviationOracle, NormalFormGame, PlayerId, EPSILON};
 
 /// A witness that a profile is not t-immune: a set of deviators and a joint
@@ -147,42 +147,6 @@ pub fn is_t_immune_by_index(game: &NormalFormGame, flat: usize, t: usize) -> boo
     immunity_counterexample_by_index(game, flat, t).is_none()
 }
 
-/// Sweeps the whole profile space and collects every t-immune profile, in
-/// flat-index order. Runs through the [`DeviationOracle`] (memoized
-/// payoff snapshots); immunity admits no sound pre-elimination, so the
-/// sweep always covers the full space.
-pub fn find_t_immune_profiles(game: &NormalFormGame, t: usize) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).t_immune_profiles(t)
-}
-
-/// The t-immune profile with the lowest flat index, if any.
-pub fn first_t_immune_profile(game: &NormalFormGame, t: usize) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_t_immune_profile(t)
-}
-
-/// Parallel form of [`find_t_immune_profiles`] under the fan-out rule of
-/// `bne_games::parallel`; output is bit-identical to the sequential sweep
-/// (index-order concatenation). `workers` is `None` for the rule, or an
-/// exact worker count.
-pub fn find_t_immune_profiles_with_workers(
-    game: &NormalFormGame,
-    t: usize,
-    workers: impl Into<Option<usize>>,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).t_immune_profiles_with_workers(t, workers)
-}
-
-/// Parallel form of [`first_t_immune_profile`] with deterministic
-/// lowest-flat-index-wins semantics. `workers` as in
-/// [`find_t_immune_profiles_with_workers`].
-pub fn first_t_immune_profile_with_workers(
-    game: &NormalFormGame,
-    t: usize,
-    workers: impl Into<Option<usize>>,
-) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_t_immune_profile_with_workers(t, workers)
-}
-
 /// The largest `t ≤ max_t` for which `profile` is t-immune.
 ///
 /// Runs in a **single pass** over deviator-set sizes (immunity is
@@ -268,50 +232,24 @@ mod tests {
 
     #[test]
     fn profile_space_search_finds_all_immune_profiles() {
+        let immune = bne_games::Concept::Immune { t: 1 };
         let g = classic::prisoners_dilemma();
-        let found = find_t_immune_profiles(&g, 1);
+        let oracle = DeviationOracle::new(&g);
         let expected: Vec<_> = g.profiles().filter(|p| is_t_immune(&g, p, 1)).collect();
-        assert_eq!(found, expected);
-        assert_eq!(first_t_immune_profile(&g, 1), expected.first().cloned());
+        assert_eq!(oracle.profiles(&immune, None), expected);
+        assert_eq!(
+            oracle.first_profile(&immune, None),
+            expected.first().cloned()
+        );
         // in the bargaining game the only fragile profile is all-stay
         // (stayers drop from 2 to 0 when anyone leaves); the first immune
         // profile in flat order is therefore [0, 0, 0, 1]
         let b = classic::bargaining_game(4);
-        assert_eq!(first_t_immune_profile(&b, 1), Some(vec![0, 0, 0, 1]));
+        assert_eq!(
+            DeviationOracle::new(&b).first_profile(&immune, None),
+            Some(vec![0, 0, 0, 1])
+        );
         assert!(!is_t_immune(&b, &[0, 0, 0, 0], 1));
-    }
-
-    #[test]
-    fn parallel_immune_search_is_bit_identical() {
-        for seed in 10..14 {
-            let g = bne_games::random::random_game(seed, &[2, 3, 2, 3]);
-            for t in 1..=3 {
-                let seq = find_t_immune_profiles(&g, t);
-                assert_eq!(
-                    seq,
-                    find_t_immune_profiles_with_workers(&g, t, None),
-                    "seed {seed} t {t}"
-                );
-                assert_eq!(
-                    first_t_immune_profile(&g, t),
-                    first_t_immune_profile_with_workers(&g, t, None),
-                    "seed {seed} t {t}"
-                );
-                // force real threads
-                for workers in [2, 4] {
-                    assert_eq!(
-                        seq,
-                        find_t_immune_profiles_with_workers(&g, t, workers),
-                        "seed {seed} t {t} workers {workers}"
-                    );
-                    assert_eq!(
-                        seq.first().cloned(),
-                        first_t_immune_profile_with_workers(&g, t, workers),
-                        "seed {seed} t {t} workers {workers}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -23,14 +23,16 @@
 //! [`robustness::RobustnessChecker::sampled`]); the exhaustive/sampled
 //! trade-off is one of the ablations benchmarked in `bne-bench`.
 //!
-//! Every full-space sweep (`find_*_profiles`, `first_*_profile`) runs on
-//! the shared [`bne_games::DeviationOracle`]: best-response payoff tables
-//! certify or refute all size-1 deviations at once, and — for the
-//! Nash-implying predicates (k-resilience and (k,t)-robustness with
-//! `k ≥ 1`) — iterated never-best-response elimination shrinks the
-//! searched space. Results are bit-identical to the exhaustive sweeps,
-//! which remain reachable through [`find_robust_profiles_with_strategy`]
-//! with [`bne_games::SearchStrategy::Exhaustive`].
+//! This crate decides one profile at a time and returns witnesses. To
+//! find every profile with a concept, sweep the shared
+//! [`bne_games::DeviationOracle`] with a [`bne_games::Concept`]
+//! ([`bne_games::DeviationOracle::profiles`] and
+//! [`bne_games::DeviationOracle::first_profile`]): best-response payoff
+//! tables certify or refute all size-1 deviations at once, and for the
+//! Nash-implying concepts (k-resilience and (k,t)-robustness with
+//! `k ≥ 1`) iterated never-best-response elimination shrinks the
+//! searched space. [`find_punishment_strategies`] is that sweep for a
+//! punishment relative to an equilibrium profile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,18 +45,14 @@ pub mod robustness;
 
 pub use analysis::{classify_profile, ProfileClassification};
 pub use immunity::{
-    find_t_immune_profiles, find_t_immune_profiles_with_workers, first_t_immune_profile,
-    first_t_immune_profile_with_workers, immunity_counterexample, is_t_immune,
-    is_t_immune_by_index, max_immunity_by_index, ImmunityViolation,
+    immunity_counterexample, is_t_immune, is_t_immune_by_index, max_immunity_by_index,
+    ImmunityViolation,
 };
 pub use punishment::{find_punishment_strategies, is_punishment_strategy};
 pub use resilience::{
-    find_k_resilient_profiles, find_k_resilient_profiles_with_workers, first_k_resilient_profile,
-    first_k_resilient_profile_with_workers, is_k_resilient, is_k_resilient_by_index,
-    max_resilience_by_index, resilience_counterexample, CoalitionDeviation, ResilienceVariant,
+    is_k_resilient, is_k_resilient_by_index, max_resilience_by_index, resilience_counterexample,
+    CoalitionDeviation, ResilienceVariant,
 };
 pub use robustness::{
-    find_robust_profiles, find_robust_profiles_with_strategy, find_robust_profiles_with_workers,
-    first_robust_profile, first_robust_profile_with_workers, is_robust, is_robust_by_index,
-    max_robustness, RobustnessChecker, RobustnessReport,
+    is_robust, is_robust_by_index, max_robustness, RobustnessChecker, RobustnessReport,
 };

@@ -9,7 +9,7 @@
 //! honest players for information-theoretic enforcement.
 
 use bne_games::profile::try_for_each_subset_of_size;
-use bne_games::{ActionId, DeviationOracle, NormalFormGame, EPSILON};
+use bne_games::{ActionId, Concept, DeviationOracle, NormalFormGame, EPSILON};
 
 /// Whether `punishment` is a `p`-punishment strategy relative to the
 /// `equilibrium` profile: for every set `D` of at most `p` players and every
@@ -82,7 +82,7 @@ pub fn find_punishment_strategies(
     let base: Vec<f64> = (0..game.num_players())
         .map(|i| game.payoff(i, equilibrium))
         .collect();
-    DeviationOracle::new(game).punishment_profiles(&base, p)
+    DeviationOracle::new(game).profiles(&Concept::Punishment { base: &base, p }, None)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! coalition-proofness literature the paper cites (Bernheim–Peleg–Whinston,
 //! Moreno–Wooders).
 
-use bne_games::profile::{try_for_each_subset_of_size, ActionProfile};
+use bne_games::profile::try_for_each_subset_of_size;
 use bne_games::{ActionId, DeviationOracle, NormalFormGame, PlayerId, SearchStrategy, EPSILON};
 
 /// Which players must benefit for a coalition deviation to count as a
@@ -178,55 +178,6 @@ pub fn is_k_resilient_by_index(
     resilience_counterexample_by_index(game, flat, k, variant).is_none()
 }
 
-/// Sweeps the whole profile space and collects every k-resilient profile,
-/// in flat-index order. Runs on the [`DeviationOracle`] with the default
-/// pruned strategy (best-response certificates plus pre-elimination for
-/// `k ≥ 1`); the result is bit-identical to the exhaustive sweep.
-pub fn find_k_resilient_profiles(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).k_resilient_profiles(k, variant)
-}
-
-/// The k-resilient profile with the lowest flat index, if any.
-pub fn first_k_resilient_profile(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_k_resilient_profile(k, variant)
-}
-
-/// Parallel form of [`find_k_resilient_profiles`]: ranges of the flat
-/// profile space fan out under the rule of `bne_games::parallel` and
-/// their results concatenate in index order, so the output is
-/// bit-identical to the sequential sweep. `workers` is `None` for the
-/// rule, or an exact worker count (lets tests force real threads on any
-/// machine).
-pub fn find_k_resilient_profiles_with_workers(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-    workers: impl Into<Option<usize>>,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).k_resilient_profiles_with_workers(k, variant, workers)
-}
-
-/// Parallel form of [`first_k_resilient_profile`] with deterministic
-/// first-witness semantics: always the lowest flat index, independent of
-/// thread timing. `workers` as in
-/// [`find_k_resilient_profiles_with_workers`].
-pub fn first_k_resilient_profile_with_workers(
-    game: &NormalFormGame,
-    k: usize,
-    variant: ResilienceVariant,
-    workers: impl Into<Option<usize>>,
-) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_k_resilient_profile_with_workers(k, variant, workers)
-}
-
 /// The largest `k ≤ max_k` for which `profile` is k-resilient (0 means not
 /// even 1-resilient, i.e. not a Nash equilibrium).
 ///
@@ -382,71 +333,24 @@ mod tests {
 
     #[test]
     fn profile_space_search_finds_all_resilient_profiles() {
+        let strong = ResilienceVariant::SomeMemberGains;
+        let nash = bne_games::Concept::Resilient {
+            k: 1,
+            variant: strong,
+        };
         let g = classic::coordination_game(4);
-        let found = find_k_resilient_profiles(&g, 1, ResilienceVariant::SomeMemberGains);
+        let oracle = DeviationOracle::new(&g);
         let expected: Vec<_> = g
             .profiles()
-            .filter(|p| is_k_resilient(&g, p, 1, ResilienceVariant::SomeMemberGains))
+            .filter(|p| is_k_resilient(&g, p, 1, strong))
             .collect();
-        assert_eq!(found, expected);
-        assert_eq!(
-            first_k_resilient_profile(&g, 1, ResilienceVariant::SomeMemberGains),
-            expected.first().cloned()
-        );
+        assert_eq!(oracle.profiles(&nash, None), expected);
+        assert_eq!(oracle.first_profile(&nash, None), expected.first().cloned());
         // no profile of matching pennies is 1-resilient (no pure Nash)
         let mp = classic::matching_pennies();
-        assert!(first_k_resilient_profile(&mp, 1, ResilienceVariant::SomeMemberGains).is_none());
-    }
-
-    #[test]
-    fn parallel_resilient_search_is_bit_identical() {
-        for seed in 0..4 {
-            let g = bne_games::random::random_game(seed, &[3, 3, 2, 2]);
-            for k in 1..=3 {
-                let seq = find_k_resilient_profiles(&g, k, ResilienceVariant::SomeMemberGains);
-                let par = find_k_resilient_profiles_with_workers(
-                    &g,
-                    k,
-                    ResilienceVariant::SomeMemberGains,
-                    None,
-                );
-                assert_eq!(seq, par, "seed {seed} k {k}");
-                // force real threads (public entry points may fall back to
-                // one worker on small machines)
-                for workers in [2, 4] {
-                    assert_eq!(
-                        seq,
-                        find_k_resilient_profiles_with_workers(
-                            &g,
-                            k,
-                            ResilienceVariant::SomeMemberGains,
-                            workers
-                        ),
-                        "seed {seed} k {k} workers {workers}"
-                    );
-                    assert_eq!(
-                        seq.first().cloned(),
-                        first_k_resilient_profile_with_workers(
-                            &g,
-                            k,
-                            ResilienceVariant::SomeMemberGains,
-                            workers
-                        ),
-                        "seed {seed} k {k} workers {workers}"
-                    );
-                }
-                assert_eq!(
-                    first_k_resilient_profile(&g, k, ResilienceVariant::SomeMemberGains),
-                    first_k_resilient_profile_with_workers(
-                        &g,
-                        k,
-                        ResilienceVariant::SomeMemberGains,
-                        None
-                    ),
-                    "seed {seed} k {k}"
-                );
-            }
-        }
+        assert!(DeviationOracle::new(&mp)
+            .first_profile(&nash, None)
+            .is_none());
     }
 
     #[test]

@@ -30,8 +30,8 @@
 
 use crate::immunity::{is_t_immune, is_t_immune_by_index};
 use crate::resilience::{is_k_resilient, is_k_resilient_by_index, ResilienceVariant};
-use bne_games::profile::{subsets_up_to_size, ActionProfile};
-use bne_games::{ActionId, DeviationOracle, NormalFormGame, PlayerId, SearchStrategy, EPSILON};
+use bne_games::profile::subsets_up_to_size;
+use bne_games::{ActionId, NormalFormGame, PlayerId, EPSILON};
 use rand::{RngExt, SeedableRng};
 
 /// How to search the space of coalitions and deviations.
@@ -117,57 +117,6 @@ pub fn is_robust(game: &NormalFormGame, profile: &[ActionId], k: usize, t: usize
 pub fn is_robust_by_index(game: &NormalFormGame, flat: usize, k: usize, t: usize) -> bool {
     is_k_resilient_by_index(game, flat, k, ResilienceVariant::SomeMemberGains)
         && is_t_immune_by_index(game, flat, t)
-}
-
-/// Sweeps the whole profile space and collects every (k,t)-robust profile
-/// (componentwise definition), in flat-index order. Runs on the
-/// [`DeviationOracle`] with the default pruned strategy (best-response
-/// certificates plus pre-elimination for `k ≥ 1`); the result is
-/// bit-identical to the exhaustive sweep.
-pub fn find_robust_profiles(game: &NormalFormGame, k: usize, t: usize) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).robust_profiles(k, t)
-}
-
-/// [`find_robust_profiles`] with an explicit [`SearchStrategy`]
-/// ([`SearchStrategy::Exhaustive`] is the unpruned escape hatch the
-/// property tests and the BENCH_1 pruning legs compare against).
-pub fn find_robust_profiles_with_strategy(
-    game: &NormalFormGame,
-    k: usize,
-    t: usize,
-    strategy: SearchStrategy,
-) -> Vec<ActionProfile> {
-    DeviationOracle::with_strategy(game, strategy).robust_profiles(k, t)
-}
-
-/// The (k,t)-robust profile with the lowest flat index, if any.
-pub fn first_robust_profile(game: &NormalFormGame, k: usize, t: usize) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_robust_profile(k, t)
-}
-
-/// Parallel form of [`find_robust_profiles`] under the fan-out rule of
-/// `bne_games::parallel`; the output is bit-identical to the sequential
-/// sweep (index-order concatenation). `workers` is `None` for the rule,
-/// or an exact worker count.
-pub fn find_robust_profiles_with_workers(
-    game: &NormalFormGame,
-    k: usize,
-    t: usize,
-    workers: impl Into<Option<usize>>,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).robust_profiles_with_workers(k, t, workers)
-}
-
-/// Parallel form of [`first_robust_profile`] with deterministic
-/// lowest-flat-index-wins semantics. `workers` as in
-/// [`find_robust_profiles_with_workers`].
-pub fn first_robust_profile_with_workers(
-    game: &NormalFormGame,
-    k: usize,
-    t: usize,
-    workers: impl Into<Option<usize>>,
-) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_robust_profile_with_workers(k, t, workers)
 }
 
 /// The pair `(max resilient k, max immune t)` for the profile (bounded by
@@ -569,48 +518,16 @@ mod tests {
     #[test]
     fn robust_profile_search_matches_filtering() {
         let g = classic::coordination_game(4);
+        let oracle = bne_games::DeviationOracle::new(&g);
         for (k, t) in [(1, 0), (2, 0), (1, 1)] {
-            let found = find_robust_profiles(&g, k, t);
+            let robust = bne_games::Concept::Robust { k, t };
             let expected: Vec<_> = g.profiles().filter(|p| is_robust(&g, p, k, t)).collect();
-            assert_eq!(found, expected, "k={k} t={t}");
+            assert_eq!(oracle.profiles(&robust, None), expected, "k={k} t={t}");
             assert_eq!(
-                first_robust_profile(&g, k, t),
+                oracle.first_profile(&robust, None),
                 expected.first().cloned(),
                 "k={k} t={t}"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_robust_search_is_bit_identical() {
-        for seed in 20..24 {
-            let g = bne_games::random::random_game(seed, &[2, 2, 3, 3]);
-            for (k, t) in [(1, 0), (2, 1), (1, 2)] {
-                let seq = find_robust_profiles(&g, k, t);
-                assert_eq!(
-                    seq,
-                    find_robust_profiles_with_workers(&g, k, t, None),
-                    "seed {seed} k={k} t={t}"
-                );
-                assert_eq!(
-                    first_robust_profile(&g, k, t),
-                    first_robust_profile_with_workers(&g, k, t, None),
-                    "seed {seed} k={k} t={t}"
-                );
-                // force real threads
-                for workers in [2, 4] {
-                    assert_eq!(
-                        seq,
-                        find_robust_profiles_with_workers(&g, k, t, workers),
-                        "seed {seed} k={k} t={t} workers {workers}"
-                    );
-                    assert_eq!(
-                        seq.first().cloned(),
-                        first_robust_profile_with_workers(&g, k, t, workers),
-                        "seed {seed} k={k} t={t} workers {workers}"
-                    );
-                }
-            }
         }
     }
 

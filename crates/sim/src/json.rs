@@ -2,12 +2,14 @@
 //!
 //! The build environment is offline (no `serde`), so this is a
 //! deliberately small recursive-descent parser and a matching printer.
-//! The parser is just enough for `tests/corpus/*.json` round-trips:
-//! traces only need unsigned integers, strings, arrays and objects, and
-//! unsupported JSON (floats, non-ASCII escapes beyond `\uXXXX`, duplicate
-//! keys) is rejected loudly rather than guessed at. The printer also
-//! writes floats ([`Json::F64`]), for the bench reports and the
-//! experiment export of `bne-bench`.
+//! It lives here, below `bne-net` and `bne-mc`, so both can use it. The
+//! parser is just enough for the model checker's `tests/corpus/*.json`
+//! round-trips: traces only need unsigned integers, strings, arrays and
+//! objects, and unsupported JSON (floats, non-ASCII escapes beyond
+//! `\uXXXX`, duplicate keys) is rejected loudly rather than guessed at.
+//! The printer also writes floats ([`Json::F64`]), for the bench reports
+//! and the experiment export of `bne-bench`, and the Chrome trace export
+//! of `bne-net`'s timeline observer.
 
 use std::fmt::Write as _;
 

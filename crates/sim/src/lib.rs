@@ -18,7 +18,10 @@
 //!   **fixed merge structure** ([`REPLICA_BLOCK`]) that makes sequential
 //!   and parallel aggregation bit-identical;
 //! * [`StreamingStats`] / [`Histogram`] — O(1)-per-replica accumulators
-//!   (count/mean/variance/min/max and fixed-bucket distributions).
+//!   (count/mean/variance/min/max and fixed-bucket distributions);
+//! * [`json`] — the workspace's one JSON reader/writer, shared by the
+//!   bench reports, the model checker's traces and the event runtime's
+//!   Chrome trace export.
 //!
 //! Scenario implementations live next to the simulators they wrap:
 //! `bne_scrip::scenario`, `bne_p2p::scenario`, `bne_byzantine::scenario`,
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 mod runner;
 mod stats;
 

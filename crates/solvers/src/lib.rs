@@ -42,9 +42,8 @@ pub use correlated::{
 };
 pub use fictitious::{FictitiousPlay, FictitiousPlayResult};
 pub use pure::{
-    best_response_table, best_response_table_parallel, first_pure_nash, iterated_elimination,
-    pure_nash_equilibria, pure_nash_equilibria_with_strategy, pure_nash_equilibria_with_workers,
-    strictly_dominant_profile, DominanceKind,
+    best_response_table, iterated_elimination, pure_nash_equilibria, strictly_dominant_profile,
+    DominanceKind,
 };
 pub use regret::RegretMatching;
 pub use replicator::ReplicatorDynamics;

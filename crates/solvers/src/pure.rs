@@ -2,7 +2,7 @@
 //! strategies, and iterated elimination of dominated strategies.
 
 use bne_games::profile::ActionProfile;
-use bne_games::{ActionId, DeviationOracle, NormalFormGame, PlayerId, SearchStrategy};
+use bne_games::{ActionId, Concept, DeviationOracle, NormalFormGame, PlayerId};
 
 /// Which notion of dominance to use during iterated elimination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,58 +17,24 @@ pub enum DominanceKind {
     Weak,
 }
 
-/// Enumerates every pure Nash equilibrium of the game. Runs on the shared
-/// [`DeviationOracle`]: best-response payoff tables decide each profile in
-/// `O(n)` lookups and iterated never-best-response elimination skips
-/// profiles that cannot be equilibria; the result is bit-identical to the
-/// exhaustive flat-index sweep (see
-/// [`pure_nash_equilibria_with_strategy`]).
+/// Enumerates every pure Nash equilibrium of the game, in flat order.
+/// Runs on the shared [`DeviationOracle`]: best-response payoff tables
+/// decide each profile in `O(n)` lookups and iterated
+/// never-best-response elimination skips profiles that cannot be
+/// equilibria; the result is bit-identical to the exhaustive flat-index
+/// sweep. For the first equilibrium only, or another strategy or worker
+/// count, sweep the oracle with [`Concept::Nash`] directly.
 pub fn pure_nash_equilibria(game: &NormalFormGame) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).nash_profiles()
-}
-
-/// [`pure_nash_equilibria`] with an explicit [`SearchStrategy`]
-/// ([`SearchStrategy::Exhaustive`] is the unpruned escape hatch used as
-/// the property-test equality gate).
-pub fn pure_nash_equilibria_with_strategy(
-    game: &NormalFormGame,
-    strategy: SearchStrategy,
-) -> Vec<ActionProfile> {
-    DeviationOracle::with_strategy(game, strategy).nash_profiles()
-}
-
-/// Parallel form of [`pure_nash_equilibria`]: ranges of the flat profile
-/// space fan out under the rule of `bne_games::parallel`; results are
-/// concatenated in index order, so the output is bit-identical to the
-/// sequential sweep. `workers` is `None` for the rule, or an exact worker
-/// count (lets tests force real threads regardless of machine or space
-/// size).
-pub fn pure_nash_equilibria_with_workers(
-    game: &NormalFormGame,
-    workers: impl Into<Option<usize>>,
-) -> Vec<ActionProfile> {
-    DeviationOracle::new(game).nash_profiles_with_workers(workers)
-}
-
-/// The pure Nash equilibrium with the lowest flat index, if any — the
-/// deterministic witness used when only existence matters.
-pub fn first_pure_nash(game: &NormalFormGame) -> Option<ActionProfile> {
-    DeviationOracle::new(game).first_nash()
+    DeviationOracle::new(game).profiles(&Concept::Nash, None)
 }
 
 /// The best-response table of one player: entry `flat` is the
 /// lowest-indexed action maximizing the player's payoff against the
 /// opponents' actions in the profile with flat index `flat` (the player's
 /// own entry is ignored). Entries are therefore constant along the
-/// player's own stride.
+/// player's own stride. Index ranges run under the fan-out rule of
+/// `bne_games::parallel`, so the table is the same for any thread count.
 pub fn best_response_table(game: &NormalFormGame, player: PlayerId) -> Vec<ActionId> {
-    (0..game.num_profiles())
-        .map(|flat| game.best_unilateral_deviation_by_index(player, flat).0)
-        .collect()
-}
-
-/// Parallel form of [`best_response_table`]; bit-identical output.
-pub fn best_response_table_parallel(game: &NormalFormGame, player: PlayerId) -> Vec<ActionId> {
     bne_games::parallel::collect_ranges(game.num_profiles(), None, |range| {
         range
             .map(|flat| game.best_unilateral_deviation_by_index(player, flat).0)
@@ -189,7 +155,10 @@ mod tests {
         let eq = pure_nash_equilibria(&pd);
         assert_eq!(eq, vec![vec![1, 1]]);
         assert_eq!(strictly_dominant_profile(&pd), Some(vec![1, 1]));
-        assert_eq!(first_pure_nash(&pd), Some(vec![1, 1]));
+        assert_eq!(
+            DeviationOracle::new(&pd).first_profile(&Concept::Nash, None),
+            Some(vec![1, 1])
+        );
     }
 
     #[test]
@@ -200,35 +169,6 @@ mod tests {
             assert_eq!(table.len(), g.num_profiles());
             for (flat, profile) in g.profiles().enumerate() {
                 assert_eq!(table[flat], g.best_unilateral_deviation(player, &profile).0);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_solvers_are_bit_identical() {
-        for seed in 40..44 {
-            let g = bne_games::random::random_game(seed, &[3, 3, 2, 2]);
-            assert_eq!(
-                pure_nash_equilibria(&g),
-                pure_nash_equilibria_with_workers(&g, None)
-            );
-            assert_eq!(
-                first_pure_nash(&g),
-                DeviationOracle::new(&g).first_nash_with_workers(None)
-            );
-            // force real threads: the public entry points fall back to one
-            // worker on small spaces / small machines
-            for workers in [2, 5] {
-                assert_eq!(
-                    pure_nash_equilibria(&g),
-                    pure_nash_equilibria_with_workers(&g, workers)
-                );
-            }
-            for player in 0..g.num_players() {
-                assert_eq!(
-                    best_response_table(&g, player),
-                    best_response_table_parallel(&g, player)
-                );
             }
         }
     }

@@ -3,12 +3,19 @@
 //! never-best-response elimination) must return **bit-identical** results
 //! — same profiles, same order — as the retained
 //! [`SearchStrategy::Exhaustive`] escape hatch, on arbitrary games with
-//! both degenerate (tie-heavy, small-integer) and non-degenerate payoffs.
+//! both degenerate (tie-heavy, small-integer) and non-degenerate payoffs;
+//! and both sweeps must match a plain filter through the per-profile
+//! predicates at every worker count.
 
 use bne_core::games::random::random_game;
-use bne_core::games::{DeviationOracle, NormalFormGame, ResilienceVariant, SearchStrategy};
+use bne_core::games::{
+    ActionProfile, Concept, DeviationOracle, NormalFormGame, ResilienceVariant, SearchStrategy,
+};
 use bne_integration_tests::game_from_payoff_seed;
 use proptest::prelude::*;
+
+/// The `(k, t)` cells of the robustness sweeps and the frontier.
+const CELLS: [(usize, usize); 6] = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)];
 
 /// Oracle pair under test: pruned and the exhaustive equality gate.
 fn oracle_pair(game: &NormalFormGame) -> (DeviationOracle<'_>, DeviationOracle<'_>) {
@@ -18,42 +25,69 @@ fn oracle_pair(game: &NormalFormGame) -> (DeviationOracle<'_>, DeviationOracle<'
     )
 }
 
-/// Asserts every oracle sweep is bit-identical across strategies and
-/// agrees with the pre-oracle `bne-robust` predicates.
-fn assert_strategies_agree(game: &NormalFormGame) {
-    let n = game.num_players();
-    let (pruned, exhaustive) = oracle_pair(game);
-    prop_assert_eq!(pruned.nash_profiles(), exhaustive.nash_profiles());
-    prop_assert_eq!(pruned.first_nash(), exhaustive.first_nash());
+/// Every concept the sweeps are checked on for an `n`-player game: Nash,
+/// k-resilience under both variants and t-immunity for every parameter
+/// up to `n`, the robustness cells, and punishment relative to `base`.
+fn concepts(n: usize, base: &[f64]) -> Vec<Concept<'_>> {
+    let mut all = vec![Concept::Nash];
     for variant in [
         ResilienceVariant::SomeMemberGains,
         ResilienceVariant::AllMembersGain,
     ] {
-        for k in 0..=n {
-            prop_assert_eq!(
-                pruned.k_resilient_profiles(k, variant),
-                exhaustive.k_resilient_profiles(k, variant),
-                "k = {}",
-                k
-            );
-            prop_assert_eq!(
-                pruned.first_k_resilient_profile(k, variant),
-                exhaustive.first_k_resilient_profile(k, variant)
-            );
-        }
+        all.extend((0..=n).map(|k| Concept::Resilient { k, variant }));
     }
-    for t in 0..=n {
+    all.extend((0..=n).map(|t| Concept::Immune { t }));
+    all.extend(CELLS.iter().map(|&(k, t)| Concept::Robust { k, t }));
+    all.extend((0..=n).map(|p| Concept::Punishment { base, p }));
+    all
+}
+
+/// Profile 0's payoffs: the base the punishment sweeps are relative to.
+fn base_payoffs(game: &NormalFormGame) -> Vec<f64> {
+    (0..game.num_players())
+        .map(|p| game.payoff_by_index(p, 0))
+        .collect()
+}
+
+/// The reference sweep: a plain filter over every flat index through the
+/// per-profile predicates, sharing no sweep code with the oracle's.
+fn filtered(oracle: &DeviationOracle, concept: &Concept) -> Vec<ActionProfile> {
+    let holds = |flat: usize| match *concept {
+        Concept::Nash => oracle.is_nash(flat),
+        Concept::Resilient { k, variant } => oracle.is_k_resilient(flat, k, variant),
+        Concept::Immune { t } => oracle.is_t_immune(flat, t),
+        Concept::Robust { k, t } => oracle.is_robust(flat, k, t),
+        Concept::Punishment { base, p } => oracle.is_punishment(flat, base, p),
+    };
+    let game = oracle.game();
+    (0..game.num_profiles())
+        .filter(|&flat| holds(flat))
+        .map(|flat| game.profile_at(flat))
+        .collect()
+}
+
+/// Asserts every oracle sweep is bit-identical across strategies and
+/// that the frontier agrees with the per-cell sweeps.
+fn assert_strategies_agree(game: &NormalFormGame) {
+    let (pruned, exhaustive) = oracle_pair(game);
+    let base = base_payoffs(game);
+    for concept in concepts(game.num_players(), &base) {
         prop_assert_eq!(
-            pruned.t_immune_profiles(t),
-            exhaustive.t_immune_profiles(t),
-            "t = {}",
-            t
+            pruned.profiles(&concept, None),
+            exhaustive.profiles(&concept, None),
+            "{:?}",
+            concept
+        );
+        prop_assert_eq!(
+            pruned.first_profile(&concept, None),
+            exhaustive.first_profile(&concept, None),
+            "{:?}",
+            concept
         );
     }
-    let cells = [(0usize, 1usize), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)];
-    let frontier_pruned = pruned.robust_frontier(&cells);
-    let frontier_exhaustive = exhaustive.robust_frontier(&cells);
-    for (i, &(k, t)) in cells.iter().enumerate() {
+    let frontier_pruned = pruned.robust_frontier(&CELLS);
+    let frontier_exhaustive = exhaustive.robust_frontier(&CELLS);
+    for (i, &(k, t)) in CELLS.iter().enumerate() {
         prop_assert_eq!(
             &frontier_pruned[i],
             &frontier_exhaustive[i],
@@ -63,24 +97,10 @@ fn assert_strategies_agree(game: &NormalFormGame) {
         );
         prop_assert_eq!(
             &frontier_pruned[i],
-            &pruned.robust_profiles(k, t),
+            &pruned.profiles(&Concept::Robust { k, t }, None),
             "frontier vs direct sweep at ({}, {})",
             k,
             t
-        );
-        prop_assert_eq!(
-            pruned.first_robust_profile(k, t),
-            exhaustive.first_robust_profile(k, t)
-        );
-    }
-    // punishment sweeps relative to the all-zeros profile's payoffs
-    let base: Vec<f64> = (0..n).map(|p| game.payoff_by_index(p, 0)).collect();
-    for p in 0..=n {
-        prop_assert_eq!(
-            pruned.punishment_profiles(&base, p),
-            exhaustive.punishment_profiles(&base, p),
-            "p = {}",
-            p
         );
     }
 }
@@ -187,37 +207,39 @@ mod parallel_oracle {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Pruned parallel sweeps are bit-identical to sequential ones
-        /// under forced worker counts, for both strategies.
+        /// The par == seq gate of every sweep: `profiles` and
+        /// `first_profile` match the plain filter for every concept, under
+        /// both strategies, with the fan-out rule and with 1, 2, 4 and 8
+        /// forced workers.
         #[test]
         fn parallel_oracle_sweeps_match_sequential(seed in 0u64..120, num_players in 2usize..5) {
             let radices: Vec<usize> = (0..num_players)
                 .map(|p| 2 + (seed as usize + p) % 2)
                 .collect();
             let game = random_game(seed, &radices);
+            let base = base_payoffs(&game);
             for strategy in [SearchStrategy::Pruned, SearchStrategy::Exhaustive] {
                 let oracle = DeviationOracle::with_strategy(&game, strategy);
-                for workers in [2usize, 4] {
-                    prop_assert_eq!(
-                        oracle.nash_profiles(),
-                        oracle.nash_profiles_with_workers(workers)
-                    );
-                    prop_assert_eq!(
-                        oracle.first_nash(),
-                        oracle.first_nash_with_workers(workers)
-                    );
-                    prop_assert_eq!(
-                        oracle.robust_profiles(2, 1),
-                        oracle.robust_profiles_with_workers(2, 1, workers)
-                    );
-                    prop_assert_eq!(
-                        oracle.first_robust_profile(1, 1),
-                        oracle.first_robust_profile_with_workers(1, 1, workers)
-                    );
-                    prop_assert_eq!(
-                        oracle.t_immune_profiles(1),
-                        oracle.t_immune_profiles_with_workers(1, workers)
-                    );
+                for concept in concepts(num_players, &base) {
+                    let expected = filtered(&oracle, &concept);
+                    for workers in [None, Some(1), Some(2), Some(4), Some(8)] {
+                        prop_assert_eq!(
+                            &oracle.profiles(&concept, workers),
+                            &expected,
+                            "{:?} {:?} workers {:?}",
+                            strategy,
+                            concept,
+                            workers
+                        );
+                        prop_assert_eq!(
+                            oracle.first_profile(&concept, workers).as_ref(),
+                            expected.first(),
+                            "{:?} {:?} workers {:?}",
+                            strategy,
+                            concept,
+                            workers
+                        );
+                    }
                 }
             }
         }
