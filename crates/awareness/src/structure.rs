@@ -135,11 +135,6 @@ impl AugmentedGame {
     pub fn awareness_at(&self, node: NodeId) -> BTreeSet<String> {
         self.awareness.get(&node).cloned().unwrap_or_default()
     }
-
-    /// Whether the player moving at `node` is aware of the given history.
-    pub fn is_aware_of(&self, node: NodeId, history: &[String]) -> bool {
-        self.awareness_at(node).contains(&history.join("."))
-    }
 }
 
 /// The belief attached to a decision node by the `F` mapping: the game the
@@ -299,7 +294,7 @@ mod tests {
         // node 0 is A's decision node; she is aware of all three terminal
         // histories by default
         assert_eq!(aug.awareness_at(0).len(), 3);
-        assert!(aug.is_aware_of(0, &["downA".to_string()]));
+        assert!(aug.awareness_at(0).contains("downA"));
         // terminal nodes carry no awareness level
         assert!(aug.awareness_at(1).is_empty());
     }
@@ -309,7 +304,7 @@ mod tests {
         let aug = AugmentedGame::new("Γ_B", classic::figure1_game_unaware())
             .with_awareness(0, &["downA", "acrossA.acrossB"]);
         assert_eq!(aug.awareness_at(0).len(), 2);
-        assert!(!aug.is_aware_of(0, &["acrossA".to_string(), "downB".to_string()]));
+        assert!(!aug.awareness_at(0).contains("acrossA.downB"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Scenario-engine benches: the old bespoke sequential loops (collect every
 //! outcome, aggregate at the end) vs the `bne-sim` engine, sequentially and
-//! across threads, plus one whole run of each simulator the engine fans
-//! out (`scrip/*`, `p2p/*`), the baseline for work on the simulators
-//! themselves.
+//! across threads, plus one whole run of the p2p simulator the engine fans
+//! out (`p2p/*`), the baseline for work on that simulator itself. The scrip
+//! economy's sweeps are timed in `scrip_million` (`BENCH_9.json`).
 //!
 //! Run and record to `BENCH_2.json` (all legs) in the repo root:
 //!
@@ -22,15 +22,9 @@ use bne_core::machine::scenario::{rounds_grid, TournamentScenario, TournamentSta
 use bne_core::machine::tournament::{rank_of, run_tournament, Competitor};
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario, P2pStats};
 use bne_core::p2p::{simulate as p2p_simulate, P2pConfig, P2pOutcome};
-use bne_core::scrip::scenario::{population_grid, ScripScenario, ScripStats};
-use bne_core::scrip::{simulate as scrip_simulate, ScripConfig, ScripOutcome};
 use bne_core::sim::{canonical_fold, derive_seed, CellResult, Merge, Scenario, SimRunner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-
-/// One legacy scrip cell summary: mean/std/min/max efficiency, rational
-/// utility, unserved, and a 20-bucket efficiency histogram.
-type LegacyScripSummary = (f64, f64, f64, f64, f64, f64, [u64; 20]);
 
 /// The legacy pattern every simulator used before the engine: run the
 /// sweep cell by cell, keep every outcome in a `Vec`, reduce at the end.
@@ -89,79 +83,6 @@ where
 
 fn bench_scenario_engine(c: &mut Criterion) {
     let smoke = bench_smoke_mode();
-
-    // -- scrip: population grid ---------------------------------------------
-    let (ns, rounds, replicas): (&[usize], usize, usize) = if smoke {
-        (&[30, 60], 800, 8)
-    } else {
-        (&[50, 100], 3_000, 16)
-    };
-    let scrip_grid = population_grid(ns, 8, rounds);
-    let scrip_runner = SimRunner::new(replicas, 4_200);
-    let legacy: Vec<Vec<ScripStats>> = legacy_sweep(&scrip_grid, 4_200, replicas, |cfg, seed| {
-        ScripStats::of_outcome(cfg, &scrip_simulate(cfg, seed))
-    });
-    assert_engine_matches_legacy("scrip", &scrip_runner, &ScripScenario, &scrip_grid, legacy);
-
-    c.bench_function("scrip_sweep_engine_seq/pop_grid", |b| {
-        b.iter(|| black_box(scrip_runner.run_sequential(&ScripScenario, &scrip_grid)))
-    });
-    c.bench_function("scrip_sweep_engine_par/pop_grid", |b| {
-        b.iter(|| black_box(scrip_runner.run(&ScripScenario, &scrip_grid)))
-    });
-    c.bench_function("scrip_sweep_legacy_seq/pop_grid", |b| {
-        b.iter(|| {
-            // the legacy pattern: store every outcome, then make multiple
-            // passes over the stored vectors for the same deliverable the
-            // engine streams (mean/std/min/max efficiency, rational
-            // utility, unserved, efficiency histogram)
-            let outcomes: Vec<Vec<ScripOutcome>> =
-                legacy_sweep(&scrip_grid, 4_200, replicas, |cfg, seed| {
-                    scrip_simulate(cfg, seed)
-                });
-            let summaries: Vec<LegacyScripSummary> = outcomes
-                .iter()
-                .zip(scrip_grid.iter())
-                .map(|(cell, cfg)| {
-                    let n = cell.len() as f64;
-                    let mean = cell.iter().map(|o| o.efficiency).sum::<f64>() / n;
-                    let var = cell
-                        .iter()
-                        .map(|o| (o.efficiency - mean) * (o.efficiency - mean))
-                        .sum::<f64>()
-                        / n;
-                    let min = cell
-                        .iter()
-                        .map(|o| o.efficiency)
-                        .fold(f64::INFINITY, f64::min);
-                    let max = cell
-                        .iter()
-                        .map(|o| o.efficiency)
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let rational = cell
-                        .iter()
-                        .map(|o| {
-                            o.average_utility(|i| {
-                                matches!(
-                                    cfg.agents[i],
-                                    bne_core::scrip::AgentKind::Threshold { .. }
-                                )
-                            })
-                        })
-                        .sum::<f64>()
-                        / n;
-                    let unserved = cell.iter().map(|o| o.unserved as f64).sum::<f64>() / n;
-                    let mut hist = [0u64; 20];
-                    for o in cell {
-                        let idx = ((o.efficiency * 20.0) as usize).min(19);
-                        hist[idx] += 1;
-                    }
-                    (mean, var.sqrt(), min, max, rational, unserved, hist)
-                })
-                .collect();
-            black_box(summaries)
-        })
-    });
 
     // -- p2p: sharing-cost grid ---------------------------------------------
     let (peers, queries, replicas) = if smoke {
@@ -303,11 +224,7 @@ fn bench_scenario_engine(c: &mut Criterion) {
         })
     });
 
-    // -- one whole simulator run each, outside the engine --------------------
-    let scrip_config = ScripConfig::homogeneous(50, 10, 20_000);
-    c.bench_function("scrip/50_agents_20k_rounds", |b| {
-        b.iter(|| black_box(scrip_simulate(&scrip_config, 7)))
-    });
+    // -- one whole simulator run, outside the engine -------------------------
     let p2p_config = P2pConfig::default();
     c.bench_function("p2p/2000_peers_20k_queries", |b| {
         b.iter(|| black_box(p2p_simulate(&p2p_config, 42)))
@@ -321,11 +238,6 @@ fn bench_scenario_engine(c: &mut Criterion) {
     let median = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.median_ns);
     let minimum = |name: &str| results.iter().find(|r| r.name == name).map(|r| r.min_ns);
     for (legacy, seq, par) in [
-        (
-            "scrip_sweep_legacy_seq/pop_grid",
-            "scrip_sweep_engine_seq/pop_grid",
-            "scrip_sweep_engine_par/pop_grid",
-        ),
         (
             "p2p_sweep_legacy_seq/cost_grid",
             "p2p_sweep_engine_seq/cost_grid",

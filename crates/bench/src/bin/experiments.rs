@@ -23,6 +23,7 @@ use bne_core::byzantine::adversary::FaultyBehavior;
 use bne_core::byzantine::om::TraitorStrategy;
 use bne_core::byzantine::properties::om_boundary_sweep;
 use bne_core::byzantine::scenario::{om_grid, phase_king_grid, OmScenario, PhaseKingScenario};
+use bne_core::games::backend::{PayoffBackend, ProfileView};
 use bne_core::games::classic;
 use bne_core::machine::frpd;
 use bne_core::machine::primality::primality_sweep;
@@ -43,8 +44,7 @@ use bne_core::net::{LatencyModel, OralMessagesCheapTalk, SignedBroadcastCheapTal
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario};
 use bne_core::p2p::{simulate as p2p_simulate, P2pConfig};
 use bne_core::robust::classify_profile;
-use bne_core::scrip::scenario::{money_supply_grid, population_grid, ScripScenario};
-use bne_core::scrip::{mix_sweep, threshold_best_response};
+use bne_core::scrip::{economy_grid, EconomyConfig, EconomyScenario, ThresholdAuditBackend};
 use bne_core::sim::SimRunner;
 use bne_core::solvers::pure_nash_equilibria;
 use std::collections::BTreeSet;
@@ -437,39 +437,75 @@ fn e10_augmented() {
     println!("Halpern–Rêgo: every game with awareness has a generalized Nash equilibrium — the count never drops to 0.");
 }
 
-/// E11 — scrip systems: thresholds, hoarders, altruists.
+/// E11 — scrip systems: thresholds, hoarders, altruists. The economy
+/// reports utility per round; the tables print it as a total over the
+/// horizon.
 fn e11_scrip() {
-    let (best, responses) = threshold_best_response(30, 8, &[0, 4, 16], 10_000, 3, 1_000);
+    // agent 0's payoff at each candidate threshold while the other 29
+    // keep threshold 8: 3 trials with common random numbers per query
+    let rounds = 10_000;
+    let candidates = vec![8, 0, 4, 16];
+    let config = EconomyConfig::homogeneous(30, 8, rounds);
+    let backend = ThresholdAuditBackend::new(config, candidates.clone(), 3, 1_000);
+    let base = backend.base_profile();
+    let responses: Vec<(u32, f64)> = (0..candidates.len())
+        .map(|action| {
+            let per_round = backend.payoff(0, &ProfileView::new(&base, &[(0, action)]));
+            (candidates[action], per_round * rounds as f64)
+        })
+        .collect();
+    let best = responses
+        .iter()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("at least one candidate")
+        .0;
     let rows: Vec<Vec<String>> = responses
         .iter()
         .map(|(t, u)| vec![t.to_string(), fmt_f64(*u)])
         .collect();
     emit_table(
         "e11",
-        "E11a  scrip system: agent 0's average utility when everyone else uses threshold 8",
-        &["agent 0 threshold", "average utility"],
+        "E11a  scrip system: agent 0's utility when everyone else uses threshold 8 (mean of 3 trials)",
+        &["agent 0 threshold", "utility over 10k rounds"],
         &rows,
     );
     println!("best response among candidates: threshold {best}");
-    let rows: Vec<Vec<String>> = mix_sweep(40, 6, &[0, 5, 15], &[0, 5, 15], 30_000, 9)
+
+    // hoarders and altruists replace rational agents in a population of 40
+    let rounds = 30_000;
+    let mixes: Vec<(usize, usize)> = [0, 5, 15]
+        .into_iter()
+        .flat_map(|hoarders| [0, 5, 15].map(|altruists| (hoarders, altruists)))
+        .collect();
+    let grid: Vec<EconomyConfig> = mixes
+        .iter()
+        .map(|&(hoarders, altruists)| EconomyConfig {
+            hoarders,
+            altruists,
+            ..EconomyConfig::homogeneous(40 - hoarders - altruists, 6, rounds)
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = SimRunner::new(16, 9)
+        .run(&EconomyScenario, &grid)
         .into_iter()
         .map(|r| {
+            let (hoarders, altruists) = mixes[r.cell];
             vec![
-                r.hoarders.to_string(),
-                r.altruists.to_string(),
-                fmt_f64(r.efficiency),
-                fmt_f64(r.rational_utility),
+                hoarders.to_string(),
+                altruists.to_string(),
+                fmt_stat(&r.outcome.efficiency),
+                fmt_total(&r.outcome.rational_utility, rounds),
             ]
         })
         .collect();
     emit_table(
         "e11",
-        "E11b  scrip system efficiency vs hoarders and altruists (40 agents)",
+        "E11b  scrip system efficiency vs hoarders and altruists (40 agents, 16 replicas/cell)",
         &[
             "hoarders",
             "altruists",
             "efficiency",
-            "avg rational utility",
+            "avg rational utility over 30k rounds",
         ],
         &rows,
     );
@@ -510,7 +546,19 @@ fn e12_tournament() {
 
 /// Formats a streaming statistic as `mean ± std`.
 fn fmt_stat(s: &bne_core::sim::StreamingStats) -> String {
-    format!("{} ± {}", fmt_f64(s.mean()), fmt_f64(s.std_dev()))
+    fmt_pm(s.mean(), s.std_dev())
+}
+
+/// Formats `mean ± std`.
+fn fmt_pm(mean: f64, std: f64) -> String {
+    format!("{} ± {}", fmt_f64(mean), fmt_f64(std))
+}
+
+/// Formats a per-round statistic as its total over `rounds` rounds,
+/// `mean ± std`.
+fn fmt_total(s: &bne_core::sim::StreamingStats, rounds: u64) -> String {
+    let rounds = rounds as f64;
+    fmt_pm(s.mean() * rounds, s.std_dev() * rounds)
 }
 
 /// Panics, naming the cell, if any of its replicas exhausted the event
@@ -526,11 +574,12 @@ fn assert_untruncated(experiment: &str, cell: usize, truncated: &bne_core::sim::
 /// E13 — scrip economies through the engine: money-supply curve and
 /// population scaling, replica-averaged.
 fn e13_scrip_grid() {
+    let rounds = 10_000;
     let runner = SimRunner::new(32, 1_300);
-    let supplies = [1u64, 2, 4, 8, 16, 32];
-    let grid = money_supply_grid(100, 8, &supplies, 10_000);
+    let supplies = [1, 2, 4, 8, 16, 32];
+    let grid = economy_grid(100, 8, &supplies, &[0.0], &[0.0], rounds);
     let rows: Vec<Vec<String>> = runner
-        .run(&ScripScenario, &grid)
+        .run(&EconomyScenario, &grid)
         .into_iter()
         .map(|r| {
             vec![
@@ -541,7 +590,7 @@ fn e13_scrip_grid() {
                     fmt_f64(r.outcome.efficiency.min()),
                     fmt_f64(r.outcome.efficiency.max())
                 ),
-                fmt_stat(&r.outcome.rational_utility),
+                fmt_total(&r.outcome.rational_utility, rounds),
             ]
         })
         .collect();
@@ -552,7 +601,7 @@ fn e13_scrip_grid() {
             "scrip/agent",
             "efficiency",
             "efficiency range",
-            "rational utility",
+            "rational utility over 10k rounds",
         ],
         &rows,
     );
@@ -560,16 +609,21 @@ fn e13_scrip_grid() {
 
     let runner = SimRunner::new(16, 1_301);
     let ns = [100usize, 250, 500, 1_000];
-    let grid = population_grid(&ns, 8, 10_000);
+    let grid: Vec<EconomyConfig> = ns
+        .iter()
+        .map(|&n| EconomyConfig::homogeneous(n, 8, rounds))
+        .collect();
     let rows: Vec<Vec<String>> = runner
-        .run(&ScripScenario, &grid)
+        .run(&EconomyScenario, &grid)
         .into_iter()
         .map(|r| {
-            vec![
-                ns[r.cell].to_string(),
-                fmt_stat(&r.outcome.efficiency),
-                fmt_stat(&r.outcome.unserved),
-            ]
+            // a replica leaves (1 − efficiency) · rounds requests unserved
+            let efficiency = &r.outcome.efficiency;
+            let unserved = fmt_pm(
+                (1.0 - efficiency.mean()) * rounds as f64,
+                efficiency.std_dev() * rounds as f64,
+            );
+            vec![ns[r.cell].to_string(), fmt_stat(efficiency), unserved]
         })
         .collect();
     emit_table(

@@ -63,16 +63,6 @@ pub enum FaultyBehavior {
 }
 
 impl FaultyBehavior {
-    /// Whether this behavior draws from an RNG stream.
-    pub fn is_stochastic(&self) -> bool {
-        matches!(
-            self,
-            FaultyBehavior::Equivocate { .. }
-                | FaultyBehavior::RandomNoise { .. }
-                | FaultyBehavior::Garbage { .. }
-        )
-    }
-
     /// Returns a copy with the RNG seed of a stochastic variant replaced
     /// by `seed`; deterministic variants are returned unchanged. Scenario
     /// code calls this with a replica-derived seed so adversary randomness
@@ -260,8 +250,6 @@ mod tests {
             FaultyBehavior::FixedValue(1).with_seed(9),
             FaultyBehavior::FixedValue(1)
         ));
-        assert!(!FaultyBehavior::Silent.is_stochastic());
-        assert!(FaultyBehavior::RandomNoise { seed: 0 }.is_stochastic());
     }
 
     #[test]

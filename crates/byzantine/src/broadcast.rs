@@ -8,7 +8,7 @@
 //! by an honest process in round `r` only if it arrives carrying `r` valid
 //! signatures from distinct processes starting with the sender's.
 
-use crate::network::{ProcId, Process, SyncNetwork};
+use crate::network::{ProcId, Process};
 use crate::pki::{KeyPair, PublicKeyInfrastructure, Signature};
 use crate::Value;
 use std::collections::BTreeSet;
@@ -219,21 +219,21 @@ impl Process for EquivocatingSender {
     }
 }
 
-/// Runs Dolev–Strong broadcast with the given processes and fault budget,
-/// returning the decision vector and network statistics.
-pub fn run_dolev_strong(
-    processes: Vec<Box<dyn Process<Msg = SignedMessage>>>,
-    t: usize,
-) -> (Vec<Option<Value>>, crate::network::RoundStats) {
-    let mut net = SyncNetwork::new(processes);
-    net.run(DolevStrongProcess::rounds_needed(t));
-    (net.decisions(), net.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Runs Dolev–Strong broadcast for the rounds a fault budget of `t`
+    /// needs, returning the decision vector and network statistics.
+    fn run_dolev_strong(
+        processes: Vec<Box<dyn Process<Msg = SignedMessage>>>,
+        t: usize,
+    ) -> (Vec<Option<Value>>, crate::network::RoundStats) {
+        let mut net = crate::network::SyncNetwork::new(processes);
+        net.run(DolevStrongProcess::rounds_needed(t));
+        (net.decisions(), net.stats())
+    }
 
     fn setup(n: usize) -> (PublicKeyInfrastructure, Vec<KeyPair>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(321);

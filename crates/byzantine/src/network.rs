@@ -107,18 +107,6 @@ impl<M: Clone> SyncNetwork<M> {
         }
     }
 
-    /// Runs until every process has decided or `max_rounds` is reached.
-    /// Returns `true` if everyone decided.
-    pub fn run_until_decided(&mut self, max_rounds: usize) -> bool {
-        for _ in 0..max_rounds {
-            if self.decisions().iter().all(|d| d.is_some()) {
-                return true;
-            }
-            self.step();
-        }
-        self.decisions().iter().all(|d| d.is_some())
-    }
-
     /// The decisions of every process (in process-id order).
     pub fn decisions(&self) -> Vec<Option<u64>> {
         self.processes.iter().map(|p| p.decision()).collect()
@@ -127,11 +115,6 @@ impl<M: Clone> SyncNetwork<M> {
     /// Message and round statistics so far.
     pub fn stats(&self) -> RoundStats {
         self.stats
-    }
-
-    /// The current round number (number of completed rounds).
-    pub fn current_round(&self) -> usize {
-        self.round
     }
 }
 
@@ -188,7 +171,8 @@ mod tests {
         let processes: Vec<Box<dyn Process<Msg = u64>>> =
             (0..5).map(|_| Box::new(Flooder::new()) as _).collect();
         let mut net = SyncNetwork::new(processes);
-        assert!(net.run_until_decided(10));
+        // two rounds of flooding, then everyone decides in round 2
+        net.run(3);
         // everyone hears from all 5 processes (including themselves)
         assert_eq!(net.decisions(), vec![Some(5); 5]);
         // two rounds of 5*5 messages each
@@ -211,7 +195,7 @@ mod tests {
         let mut net = SyncNetwork::new(vec![Box::new(BadSender) as Box<dyn Process<Msg = u64>>]);
         net.run(3);
         assert_eq!(net.stats().messages_sent, 0);
-        assert_eq!(net.current_round(), 3);
+        assert_eq!(net.stats().rounds, 3);
     }
 
     #[test]

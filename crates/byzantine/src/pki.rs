@@ -18,18 +18,21 @@
 
 use rand::{Rng, RngExt};
 
+/// The accumulator [`mix_hash`] starts from.
+const MIX_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A 64-bit mixing hash (SplitMix64-style finalizer over the input words).
 /// Deterministic and stable across platforms; **not** cryptographic.
 pub fn mix_hash(words: &[u64]) -> u64 {
-    let mut acc: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &w in words {
-        let mut z = acc ^ w.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        acc = z ^ (z >> 31);
-        acc = acc.rotate_left(17).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    }
-    acc
+    words.iter().fold(MIX_SEED, |acc, &w| mix(acc, w))
+}
+
+/// One word of [`mix_hash`]: folds `w` into the accumulator.
+fn mix(acc: u64, w: u64) -> u64 {
+    let mut z = acc ^ w.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)).rotate_left(17).wrapping_add(MIX_SEED)
 }
 
 /// A signature over a message, bound to a specific signer.
@@ -65,11 +68,11 @@ impl KeyPair {
     }
 }
 
-/// The tag `signer`'s key puts on `message`.
+/// The tag `signer`'s key puts on `message`: [`mix_hash`] of the key,
+/// the signer and the message words, folded in place.
 fn tag(key: u64, signer: usize, message: &[u64]) -> u64 {
-    let mut words = vec![key, signer as u64];
-    words.extend_from_slice(message);
-    mix_hash(&words)
+    let head = mix(mix(MIX_SEED, key), signer as u64);
+    message.iter().fold(head, |acc, &w| mix(acc, w))
 }
 
 /// The registry of verification keys, held by every player.
@@ -146,6 +149,18 @@ mod tests {
         // player 1 tries to pass off her own signature as player 0's
         let forged = pairs[1].sign(&[5]);
         assert!(!pki.verify(0, &[5], &forged));
+    }
+
+    #[test]
+    fn tags_hash_key_signer_and_message_as_one_word_list() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for len in 0..40 {
+            let message: Vec<u64> = (0..len % 9).map(|_| rng.random()).collect();
+            let (key, signer) = (rng.random(), rng.random_range(0..64usize));
+            let mut words = vec![key, signer as u64];
+            words.extend_from_slice(&message);
+            assert_eq!(tag(key, signer, &message), mix_hash(&words), "{words:?}");
+        }
     }
 
     #[test]

@@ -332,12 +332,6 @@ impl LocalBackend {
         Self::from_fn(&vec![actions; n], &neighborhoods, payoff)
     }
 
-    /// Total payoff-table entries across all players — the memory story:
-    /// compare against `players · ∏ actions` for the dense tensor.
-    pub fn table_entries(&self) -> usize {
-        self.players.iter().map(|p| p.table.len()).sum()
-    }
-
     /// Materializes the equivalent dense [`NormalFormGame`]. Only
     /// feasible for small games; the property tests use it to check local
     /// and dense queries agree.
@@ -416,6 +410,12 @@ mod tests {
     use super::*;
     use crate::random::random_game;
 
+    /// Total payoff-table entries across all players: the locality
+    /// tables' memory, against `players · ∏ actions` for a dense tensor.
+    fn table_entries(local: &LocalBackend) -> usize {
+        local.players.iter().map(|p| p.table.len()).sum()
+    }
+
     #[test]
     fn profile_view_applies_overrides() {
         let base = [0usize, 1, 2];
@@ -464,7 +464,7 @@ mod tests {
             -(acts.iter().map(|&a| a as f64).sum::<f64>())
         });
         assert_eq!(local.num_players(), 5);
-        assert_eq!(local.table_entries(), 5 * 27);
+        assert_eq!(table_entries(&local), 5 * 27);
         let dense_game = local.to_dense();
         let dense = DenseBackend::new(&dense_game);
         let mut profile = vec![0usize; 5];
@@ -492,7 +492,7 @@ mod tests {
         let local = LocalBackend::ring(200, 3, 1, |p, acts| {
             (p % 7) as f64 - acts.iter().sum::<usize>() as f64
         });
-        assert_eq!(local.table_entries(), 200 * 27);
+        assert_eq!(table_entries(&local), 200 * 27);
         let base = vec![1usize; 200];
         let view = ProfileView::of_base(&base);
         let overrides = [(100usize, 2usize)];

@@ -264,21 +264,6 @@ impl BayesianGame {
         (self.utility)(player, types, actions)
     }
 
-    /// Ex-ante expected utility of `player` under the pure Bayesian strategy
-    /// profile `strategies` (each maps a player's type to an action).
-    pub fn expected_utility(&self, player: PlayerId, strategies: &[BayesianStrategy]) -> Utility {
-        let mut total = 0.0;
-        for (types, pr) in self.prior.support() {
-            let actions: Vec<ActionId> = strategies
-                .iter()
-                .enumerate()
-                .map(|(p, s)| s.action(types[p]))
-                .collect();
-            total += pr * self.utility(player, &types, &actions);
-        }
-        total
-    }
-
     /// Interim expected utility of `player` of following `own` when her type
     /// is `own_type` and the others follow `strategies` (whose entry for
     /// `player` is ignored).
@@ -454,8 +439,6 @@ mod tests {
             BayesianStrategy::constant(0, 1),
         ];
         assert!(g.is_bayes_nash(&strategies));
-        let eu = g.expected_utility(0, &strategies);
-        assert!((eu - 0.5).abs() < 1e-9);
     }
 
     #[test]

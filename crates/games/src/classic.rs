@@ -197,27 +197,6 @@ pub fn attack_retreat_game(n: usize) -> NormalFormGame {
         .expect("static game construction cannot fail")
 }
 
-/// The primality-guessing game of Example 3.1 in normal form (one player).
-///
-/// Action 0 = guess "prime", action 1 = guess "composite", action 2 = play
-/// safe. `is_prime` says whether the hidden number actually is prime. A
-/// correct guess pays 10, a wrong guess −10, playing safe pays 1. (The
-/// computational version with machine costs lives in `bne-machine`.)
-pub fn primality_game(is_prime: bool) -> NormalFormGame {
-    let (u_prime, u_composite) = if is_prime {
-        (10.0, -10.0)
-    } else {
-        (-10.0, 10.0)
-    };
-    NormalFormBuilder::new("primality guessing")
-        .player("Guesser", &["SayPrime", "SayComposite", "PlaySafe"])
-        .payoff(&[0], &[u_prime])
-        .payoff(&[1], &[u_composite])
-        .payoff(&[2], &[1.0])
-        .build()
-        .expect("static game construction cannot fail")
-}
-
 /// The extensive-form game of Figure 1 in the paper (payoffs follow the
 /// Halpern–Rêgo example the figure is taken from).
 ///
@@ -389,15 +368,6 @@ mod tests {
         // one lone dissenter can switch and restore unanimity, so a
         // 3-vs-1 split is not an equilibrium
         assert!(!g.is_pure_nash(&[0, 0, 0, 1]));
-    }
-
-    #[test]
-    fn primality_game_unique_best_action_is_truth() {
-        let g = primality_game(true);
-        assert!(g.is_pure_nash(&[0]));
-        assert!(!g.is_pure_nash(&[2]));
-        let g = primality_game(false);
-        assert!(g.is_pure_nash(&[1]));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! belong to the same player and offer the same actions.
 
 use crate::error::GameError;
-use crate::normal_form::NormalFormGame;
 use crate::profile::ProfileIter;
 use crate::{ActionId, PlayerId, Utility};
 use std::collections::{BTreeMap, BTreeSet};
@@ -295,45 +294,6 @@ impl ExtensiveGame {
         true
     }
 
-    /// The history of action / outcome labels from the root to `target`, if
-    /// `target` is reachable from the root.
-    pub fn history_of(&self, target: NodeId) -> Option<Vec<String>> {
-        fn dfs(game: &ExtensiveGame, node: NodeId, target: NodeId, path: &mut Vec<String>) -> bool {
-            if node == target {
-                return true;
-            }
-            match game.node(node) {
-                Node::Terminal { .. } => false,
-                Node::Decision { actions, .. } => {
-                    for (label, child) in actions {
-                        path.push(label.clone());
-                        if dfs(game, *child, target, path) {
-                            return true;
-                        }
-                        path.pop();
-                    }
-                    false
-                }
-                Node::Chance { outcomes } => {
-                    for (label, _, child) in outcomes {
-                        path.push(label.clone());
-                        if dfs(game, *child, target, path) {
-                            return true;
-                        }
-                        path.pop();
-                    }
-                    false
-                }
-            }
-        }
-        let mut path = Vec::new();
-        if dfs(self, self.root, target, &mut path) {
-            Some(path)
-        } else {
-            None
-        }
-    }
-
     /// All terminal histories (sequences of labels root → leaf).
     pub fn terminal_histories(&self) -> Vec<Vec<String>> {
         self.outcomes_under(&PureBehaviorStrategy::new(), true)
@@ -481,37 +441,6 @@ impl ExtensiveGame {
             .collect()
     }
 
-    /// Converts the game to its reduced normal form by enumerating all pure
-    /// strategy combinations. Only suitable for small games (the number of
-    /// strategies is exponential in the number of information sets).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`NormalFormGame::new`].
-    pub fn to_normal_form(&self) -> Result<NormalFormGame, GameError> {
-        let per_player: Vec<Vec<PureBehaviorStrategy>> = (0..self.num_players)
-            .map(|p| self.pure_strategies_of(p))
-            .collect();
-        let radices: Vec<usize> = per_player.iter().map(|s| s.len()).collect();
-        let actions: Vec<Vec<String>> = per_player
-            .iter()
-            .map(|ss| (0..ss.len()).map(|i| format!("s{i}")).collect())
-            .collect();
-        let total: usize = radices.iter().product();
-        let mut payoffs = vec![Vec::with_capacity(total); self.num_players];
-        for combo in ProfileIter::new(&radices) {
-            let mut merged = PureBehaviorStrategy::new();
-            for (p, &si) in combo.iter().enumerate() {
-                merged = merged.merged_with(&per_player[p][si]);
-            }
-            let values = self.expected_payoffs(&merged);
-            for (p, v) in values.iter().enumerate() {
-                payoffs[p].push(*v);
-            }
-        }
-        NormalFormGame::new(format!("{} (normal form)", self.name), actions, payoffs)
-    }
-
     /// Whether a merged pure behavior profile is a Nash equilibrium of the
     /// extensive game: no player can increase her expected payoff by
     /// switching to any of her pure strategies while the others keep theirs.
@@ -631,34 +560,6 @@ mod tests {
             },
         ];
         assert!(ExtensiveGame::new("bad", 2, nodes, 0).is_err());
-    }
-
-    #[test]
-    fn to_normal_form_preserves_equilibrium() {
-        let g = classic::figure1_game();
-        let nf = g.to_normal_form().unwrap();
-        assert_eq!(nf.num_players(), 2);
-        // A has one info set with 2 actions, B likewise: 2x2 normal form.
-        assert_eq!(nf.num_actions(0), 2);
-        assert_eq!(nf.num_actions(1), 2);
-        // the extensive equilibrium (across, down) maps to (1, 0) and must
-        // be a pure Nash equilibrium of the normal form too.
-        assert!(nf.is_pure_nash(&[1, 0]));
-    }
-
-    #[test]
-    fn history_of_reaches_leaves() {
-        let g = classic::figure1_game();
-        // find a terminal node and check its history is non-empty
-        let mut found = false;
-        for id in 0..g.num_nodes() {
-            if matches!(g.node(id), Node::Terminal { .. }) {
-                let h = g.history_of(id).expect("terminal reachable");
-                assert!(!h.is_empty());
-                found = true;
-            }
-        }
-        assert!(found);
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl NormalFormGame {
         &self.actions[player][action]
     }
 
-    /// Label of `player`.
-    pub fn player_label(&self, player: PlayerId) -> &str {
-        &self.players[player]
-    }
-
     /// Payoff to `player` under the pure `profile`.
     ///
     /// # Panics
@@ -208,18 +203,6 @@ impl NormalFormGame {
         debug_assert!(new_action < self.radices[player]);
         let stride = self.strides[player];
         flat - self.action_at(flat, player) * stride + new_action * stride
-    }
-
-    /// Checked variant of [`Self::payoff`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `player` or any profile entry is out of range, or
-    /// the profile has the wrong length.
-    pub fn try_payoff(&self, player: PlayerId, profile: &[ActionId]) -> Result<Utility, GameError> {
-        self.validate_player(player)?;
-        self.validate_profile(profile)?;
-        Ok(self.payoff(player, profile))
     }
 
     /// Validates a player index.
@@ -501,12 +484,6 @@ impl NormalFormGame {
         })
     }
 
-    /// The social welfare (sum of payoffs) of a profile.
-    pub fn social_welfare(&self, profile: &[ActionId]) -> Utility {
-        let flat = profile_to_index(profile, &self.radices);
-        self.payoffs.iter().map(|t| t[flat]).sum()
-    }
-
     /// Returns a new game that is the restriction of this game to the given
     /// action subsets (used by iterated elimination of dominated strategies).
     ///
@@ -707,7 +684,6 @@ mod tests {
         assert_eq!(g.payoff(1, &[0, 2]), -1.0);
         assert_eq!(g.payoff(0, &[1, 1]), 1.0);
         assert_eq!(g.action_label(1, 2), "r");
-        assert_eq!(g.player_label(0), "A");
     }
 
     #[test]
@@ -770,15 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn try_payoff_validates() {
-        let pd = classic::prisoners_dilemma();
-        assert!(pd.try_payoff(0, &[0, 0]).is_ok());
-        assert!(pd.try_payoff(2, &[0, 0]).is_err());
-        assert!(pd.try_payoff(0, &[0, 5]).is_err());
-        assert!(pd.try_payoff(0, &[0]).is_err());
-    }
-
-    #[test]
     fn weak_dominance_detected() {
         // action 0 weakly dominates action 1 for player 0:
         // equal against opponent 0, strictly better against opponent 1.
@@ -799,7 +766,8 @@ mod tests {
     #[test]
     fn social_welfare_and_profile_index_roundtrip() {
         let pd = classic::prisoners_dilemma();
-        assert_eq!(pd.social_welfare(&[0, 0]), 6.0);
+        let welfare: f64 = (0..2).map(|p| pd.payoff(p, &[0, 0])).sum();
+        assert_eq!(welfare, 6.0);
         for p in pd.profiles() {
             assert_eq!(pd.profile_at(pd.profile_index(&p)), p);
         }

@@ -136,14 +136,6 @@ pub fn classical_tft_is_not_equilibrium(rounds: usize) -> bool {
     !analysis.tft_is_equilibrium
 }
 
-/// The undiscounted value of the all-defect profile over `rounds` rounds —
-/// the classical equilibrium payoff the paper calls "quite unreasonable".
-pub fn all_defect_value(rounds: usize, discount: f64) -> Utility {
-    let game = RepeatedGame::new(classic::prisoners_dilemma(), rounds, discount)
-        .expect("valid FRPD parameters");
-    game.constant_profile_value(&[1, 1], 0)
-}
-
 /// One row of the E7 sweep: the equilibrium threshold as a function of the
 /// discount factor and the memory cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,7 +235,10 @@ mod tests {
         // the whole point of the example: the "irrational" cooperators do
         // much better than the classical equilibrium players
         let a = analyze_tit_for_tat(20, 0.9, MemoryCostModel::default());
-        assert!(a.tft_value > all_defect_value(20, 0.9));
+        let all_defect = RepeatedGame::new(classic::prisoners_dilemma(), 20, 0.9)
+            .expect("valid FRPD parameters")
+            .constant_profile_value(&[1, 1], 0);
+        assert!(a.tft_value > all_defect);
     }
 
     #[test]

@@ -90,16 +90,6 @@ impl ChallengePool {
     pub fn is_empty(&self) -> bool {
         self.numbers.is_empty()
     }
-
-    /// Fraction of the pool that is prime (diagnostic for experiments).
-    pub fn prime_fraction(&self) -> f64 {
-        let primes = self
-            .numbers
-            .iter()
-            .filter(|&&n| is_prime_reference(n))
-            .count();
-        primes as f64 / self.numbers.len() as f64
-    }
 }
 
 /// Builds the one-player Bayesian game: the type is an index into the pool,
@@ -233,15 +223,25 @@ pub fn primality_sweep(
 mod tests {
     use super::*;
 
+    /// Fraction of the pool that is prime.
+    fn prime_fraction(pool: &ChallengePool) -> f64 {
+        let primes = pool
+            .numbers()
+            .iter()
+            .filter(|&&n| is_prime_reference(n))
+            .count();
+        primes as f64 / pool.len() as f64
+    }
+
     #[test]
     fn pool_construction_is_balanced() {
         let pool = ChallengePool::new(10, 20);
         assert_eq!(pool.len(), 20);
         assert!(pool.numbers().iter().all(|&n| n < (1 << 11) && n % 2 == 1));
-        assert!((pool.prime_fraction() - 0.5).abs() < 1e-9);
+        assert!((prime_fraction(&pool) - 0.5).abs() < 1e-9);
         // odd count rounds the prime half up
         let odd = ChallengePool::new(10, 5);
-        assert!((odd.prime_fraction() - 0.6).abs() < 1e-9);
+        assert!((prime_fraction(&odd) - 0.6).abs() < 1e-9);
     }
 
     #[test]
@@ -299,7 +299,7 @@ mod tests {
         // expectation, strictly below the safe $1, so it is dominated either
         // by computing (small inputs) or playing safe (large inputs)
         let pool = ChallengePool::new(16, 12);
-        assert!((pool.prime_fraction() - 0.5).abs() < 1e-9);
+        assert!((prime_fraction(&pool) - 0.5).abs() < 1e-9);
         let game = primality_bayesian(&pool);
         for cost in [0.0, 0.001, 0.1] {
             let mg = primality_machine_game(&game, &pool, cost);

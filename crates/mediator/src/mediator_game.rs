@@ -98,30 +98,6 @@ impl<'a, M: Mediator> MediatorGame<'a, M> {
         self.mediator.recommend(types)
     }
 
-    /// The action profile induced when the players in `deviators` report the
-    /// given types instead of their true ones and afterwards play the given
-    /// actions instead of the recommendation (entries are parallel to
-    /// `deviators`). Everyone else is honest.
-    pub fn outcome_with_deviation(
-        &self,
-        types: &[TypeId],
-        deviators: &[PlayerId],
-        misreports: &[TypeId],
-        overrides: &[Option<ActionId>],
-    ) -> Vec<ActionId> {
-        let mut reported = types.to_vec();
-        for (&d, &r) in deviators.iter().zip(misreports.iter()) {
-            reported[d] = r;
-        }
-        let mut actions = self.mediator.recommend(&reported);
-        for (&d, ov) in deviators.iter().zip(overrides.iter()) {
-            if let Some(a) = ov {
-                actions[d] = *a;
-            }
-        }
-        actions
-    }
-
     /// Ex-ante expected utility of `player` when everyone is honest.
     pub fn honest_expected_utility(&self, player: PlayerId) -> Utility {
         let mut total = 0.0;
@@ -555,7 +531,8 @@ mod tests {
         // utility), confirming truthful reporting is a best response.
         let honest = mg.honest_outcome(&[1, 0, 0]);
         assert_eq!(honest, vec![1, 1, 1]);
-        let lied = mg.outcome_with_deviation(&[1, 0, 0], &[0], &[0], &[None]);
+        // reporting type 0, the general is recommended what a true type 0 is
+        let lied = mg.honest_outcome(&[0, 0, 0]);
         assert_eq!(lied, vec![0, 0, 0]);
         assert_eq!(game.utility(0, &[1, 0, 0], &lied), 0.0);
     }

@@ -1,10 +1,10 @@
 //! The scaled scrip economy: an index-based engine whose hot loop is O(1)
 //! per round and allocation-free in steady state, built for 10^6+ agents.
 //!
-//! The legacy [`crate::simulate`] scans the whole population every round to
-//! collect volunteers — O(n) work and a fresh `Vec` per round, fine for
-//! thousands of agents and hopeless for millions. The [`Economy`] engine
-//! keeps the *willing-to-volunteer* sets incrementally instead:
+//! Collecting the volunteers by scanning the whole population every round
+//! is O(n) work and a fresh `Vec` per round, fine for thousands of agents
+//! and hopeless for millions. The [`Economy`] engine keeps the
+//! *willing-to-volunteer* sets incrementally instead:
 //!
 //! * each agent is one 12-byte record (`u32` holdings, threshold and
 //!   paid-pool position), so a round finds everything it needs about an
@@ -50,8 +50,8 @@ const NOT_POOLED: u32 = u32::MAX;
 /// Configuration of a scaled scrip economy.
 ///
 /// Slots are laid out hoarders first, then altruists, then rational
-/// agents — the same convention as [`crate::mix_sweep`] — so the rational
-/// block is contiguous and the audit backend can address it directly.
+/// agents, so the rational block is contiguous and the audit backend can
+/// address it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EconomyConfig {
     /// Number of rational threshold agents.
@@ -78,7 +78,8 @@ pub struct EconomyConfig {
 
 impl EconomyConfig {
     /// A homogeneous population of `n` rational agents at `threshold`,
-    /// with the legacy simulator's benefit/cost and money supply.
+    /// each starting with `threshold / 2 + 1` scrip, with benefit 1 and
+    /// cost 0.2.
     pub fn homogeneous(n: usize, threshold: u32, rounds: u64) -> Self {
         EconomyConfig {
             rational: n,
@@ -474,21 +475,8 @@ mod tests {
     use super::reference::ReferenceEconomy;
     use super::*;
     use crate::audit::ThresholdAuditBackend;
-    use crate::{simulate, ScripConfig};
     use bne_games::backend::{PayoffBackend, ProfileView};
     use proptest::prelude::*;
-
-    #[test]
-    fn engine_matches_legacy_qualitatively() {
-        // same economy parameters, same qualitative regime: a healthy
-        // homogeneous threshold economy serves nearly every request
-        let legacy = simulate(&ScripConfig::homogeneous(200, 10, 50_000), 7);
-        let mut engine = Economy::new(&EconomyConfig::homogeneous(200, 10, 50_000));
-        let outcome = engine.run(7);
-        assert!(legacy.efficiency > 0.9);
-        assert!(outcome.efficiency > 0.9, "engine {}", outcome.efficiency);
-        assert!((outcome.efficiency - legacy.efficiency).abs() < 0.05);
-    }
 
     #[test]
     fn scrip_is_conserved_without_churn() {

@@ -1,91 +1,10 @@
 //! The scrip economy as a [`bne_sim::Scenario`]: grid sweeps of seeded
-//! replicas with streaming aggregation, replacing ad-hoc loops around
-//! [`crate::simulate`]. The scaled engine gets its own scenario
-//! ([`EconomyScenario`]) so million-agent sweeps run through the same
-//! runner with bit-identical sequential/parallel aggregates.
+//! [`Economy`] replicas with streaming aggregation, so million-agent
+//! sweeps run through the same runner with bit-identical
+//! sequential/parallel aggregates.
 
 use crate::economy::{Economy, EconomyConfig, EconomyOutcome};
-use crate::{simulate, AgentKind, ScripConfig};
 use bne_sim::{Histogram, Merge, Scenario, StreamingStats};
-
-/// Streaming aggregate of scrip replicas (one grid cell).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScripStats {
-    /// Fraction of requests served.
-    pub efficiency: StreamingStats,
-    /// Average utility of the rational threshold agents.
-    pub rational_utility: StreamingStats,
-    /// Requests that went unserved.
-    pub unserved: StreamingStats,
-    /// Distribution of per-replica efficiency over `[0, 1)` (20 buckets;
-    /// an all-served replica lands in the overflow counter).
-    pub efficiency_hist: Histogram,
-}
-
-impl ScripStats {
-    /// Summarizes one replica.
-    pub fn of_outcome(config: &ScripConfig, outcome: &crate::ScripOutcome) -> Self {
-        let rational =
-            outcome.average_utility(|i| matches!(config.agents[i], AgentKind::Threshold { .. }));
-        let mut hist = Histogram::new(0.0, 1.0, 20);
-        hist.record(outcome.efficiency);
-        ScripStats {
-            efficiency: StreamingStats::of(outcome.efficiency),
-            rational_utility: StreamingStats::of(rational),
-            unserved: StreamingStats::of(outcome.unserved as f64),
-            efficiency_hist: hist,
-        }
-    }
-}
-
-impl Merge for ScripStats {
-    fn merge(&mut self, other: &Self) {
-        self.efficiency.merge(&other.efficiency);
-        self.rational_utility.merge(&other.rational_utility);
-        self.unserved.merge(&other.unserved);
-        self.efficiency_hist.merge(&other.efficiency_hist);
-    }
-}
-
-/// The scrip economy scenario.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScripScenario;
-
-impl Scenario for ScripScenario {
-    type Config = ScripConfig;
-    type Outcome = ScripStats;
-
-    fn run(&self, config: &ScripConfig, seed: u64) -> ScripStats {
-        ScripStats::of_outcome(config, &simulate(config, seed))
-    }
-}
-
-/// Grid varying the money supply (initial scrip per agent) in an otherwise
-/// homogeneous threshold economy — the paper's "how much money should the
-/// system print" question.
-pub fn money_supply_grid(
-    n: usize,
-    threshold: u64,
-    supplies: &[u64],
-    rounds: usize,
-) -> Vec<ScripConfig> {
-    supplies
-        .iter()
-        .map(|&initial_scrip| {
-            let mut config = ScripConfig::homogeneous(n, threshold, rounds);
-            config.initial_scrip = initial_scrip;
-            config
-        })
-        .collect()
-}
-
-/// Grid varying the population size of a homogeneous threshold economy
-/// (replica sweeps along this grid give the money-supply curve over `n`).
-pub fn population_grid(ns: &[usize], threshold: u64, rounds: usize) -> Vec<ScripConfig> {
-    ns.iter()
-        .map(|&n| ScripConfig::homogeneous(n, threshold, rounds))
-        .collect()
-}
 
 /// Streaming aggregate of scaled-economy replicas (one grid cell).
 #[derive(Debug, Clone, PartialEq)]
@@ -189,31 +108,7 @@ pub fn economy_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bne_sim::{canonical_fold, derive_seed, SimRunner};
-
-    #[test]
-    fn scenario_replica_matches_direct_simulate() {
-        let config = ScripConfig::homogeneous(20, 6, 2_000);
-        let stats = ScripScenario.run(&config, 77);
-        let outcome = simulate(&config, 77);
-        assert_eq!(stats.efficiency.mean(), outcome.efficiency);
-        assert_eq!(stats.unserved.mean(), outcome.unserved as f64);
-        assert_eq!(stats.efficiency.count(), 1);
-    }
-
-    #[test]
-    fn engine_aggregate_is_bit_identical_to_legacy_loop() {
-        let grid = money_supply_grid(16, 6, &[1, 3, 6], 1_000);
-        let runner = SimRunner::new(20, 5);
-        let engine = runner.run_sequential(&ScripScenario, &grid);
-        for (cell, config) in grid.iter().enumerate() {
-            let legacy = canonical_fold((0..20).map(|r| {
-                ScripStats::of_outcome(config, &simulate(config, derive_seed(5, cell as u64, r)))
-            }))
-            .expect("non-empty");
-            assert_eq!(engine[cell].outcome, legacy);
-        }
-    }
+    use bne_sim::SimRunner;
 
     #[test]
     fn economy_scenario_replica_matches_direct_run() {
@@ -247,14 +142,17 @@ mod tests {
 
     #[test]
     fn money_supply_moves_efficiency() {
-        // Too little scrip starves the economy relative to a moderate
-        // supply; far above the threshold everyone stops volunteering.
-        let grid = money_supply_grid(30, 8, &[0, 5, 30], 8_000);
-        let results = SimRunner::new(8, 11).run_sequential(&ScripScenario, &grid);
-        let starved = results[0].outcome.efficiency.mean();
-        let healthy = results[1].outcome.efficiency.mean();
-        let flooded = results[2].outcome.efficiency.mean();
-        assert!(healthy > starved, "healthy {healthy} vs starved {starved}");
-        assert!(healthy > flooded, "healthy {healthy} vs flooded {flooded}");
+        // four agents at threshold 3 over 100 rounds, exactly: without
+        // scrip nobody can pay, a moderate supply trades, and at the
+        // threshold everyone stops volunteering
+        let grid = economy_grid(4, 3, &[0, 1, 2, 3], &[0.0], &[0.0], 100);
+        let efficiency: Vec<f64> = grid
+            .iter()
+            .map(|config| crate::exact::per_round(config, 3).efficiency)
+            .collect();
+        assert_eq!(efficiency[0], 0.0);
+        assert!(efficiency[1] > 0.0, "{efficiency:?}");
+        assert!(efficiency[2] > efficiency[1], "{efficiency:?}");
+        assert_eq!(efficiency[3], 0.0);
     }
 }

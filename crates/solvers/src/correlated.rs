@@ -42,12 +42,6 @@ impl JointDistribution {
         JointDistribution::new(game, vec![(profile.to_vec(), 1.0)])
     }
 
-    /// The uniform distribution over the given profiles.
-    pub fn uniform_over(game: &NormalFormGame, profiles: &[ActionProfile]) -> Self {
-        let p = 1.0 / profiles.len() as f64;
-        JointDistribution::new(game, profiles.iter().map(|pr| (pr.clone(), p)).collect())
-    }
-
     /// The `(profile, probability)` pairs.
     pub fn entries(&self) -> &[(ActionProfile, f64)] {
         &self.probs
@@ -142,6 +136,12 @@ mod tests {
     use bne_games::classic;
     use bne_games::NormalFormBuilder;
 
+    /// The uniform distribution over `profiles`.
+    fn uniform_over(game: &NormalFormGame, profiles: &[ActionProfile]) -> JointDistribution {
+        let p = 1.0 / profiles.len() as f64;
+        JointDistribution::new(game, profiles.iter().map(|pr| (pr.clone(), p)).collect())
+    }
+
     /// The classic "traffic light" game of chicken: two pure equilibria, and
     /// a correlated equilibrium (the traffic light) that mixes them and
     /// beats the symmetric mixed equilibrium.
@@ -171,11 +171,11 @@ mod tests {
     #[test]
     fn traffic_light_is_a_correlated_equilibrium_of_chicken() {
         let game = chicken();
-        let light = JointDistribution::uniform_over(&game, &[vec![0, 1], vec![1, 0]]);
+        let light = uniform_over(&game, &[vec![0, 1], vec![1, 0]]);
         assert!(is_correlated_equilibrium(&game, &light, 0.0));
         // the three-outcome distribution (both stop with prob 1/3 too) is
         // the famous CE with welfare above any Nash payoff pair's average
-        let better = JointDistribution::uniform_over(&game, &[vec![0, 0], vec![0, 1], vec![1, 0]]);
+        let better = uniform_over(&game, &[vec![0, 0], vec![0, 1], vec![1, 0]]);
         assert!(is_correlated_equilibrium(&game, &better, 0.0));
         assert!(better.expected_payoff(&game, 0) > 3.0);
     }
@@ -183,15 +183,12 @@ mod tests {
     #[test]
     fn correlated_implies_coarse_correlated_but_not_conversely() {
         let game = chicken();
-        let light = JointDistribution::uniform_over(&game, &[vec![0, 1], vec![1, 0]]);
+        let light = uniform_over(&game, &[vec![0, 1], vec![1, 0]]);
         assert!(is_coarse_correlated_equilibrium(&game, &light, 0.0));
         // In 2x2 games the CE and CCE constraint sets coincide, so chicken
         // cannot separate the two concepts; the four-cell uniform mixture is
         // in fact both (all conditional deviation gains are exactly zero).
-        let mixed = JointDistribution::uniform_over(
-            &game,
-            &[vec![0, 0], vec![1, 1], vec![0, 1], vec![1, 0]],
-        );
+        let mixed = uniform_over(&game, &[vec![0, 0], vec![1, 1], vec![0, 1], vec![1, 0]]);
         assert!(is_correlated_equilibrium(&game, &mixed, 0.0));
         assert!(is_coarse_correlated_equilibrium(&game, &mixed, 0.0));
         // The classical separation witness needs three actions: in
@@ -200,7 +197,7 @@ mod tests {
         // 0 against the uniform marginal) but not correlated (conditional
         // on a tie recommendation, playing the beating action gains 1).
         let rps = classic::roshambo();
-        let ties = JointDistribution::uniform_over(&rps, &[vec![0, 0], vec![1, 1], vec![2, 2]]);
+        let ties = uniform_over(&rps, &[vec![0, 0], vec![1, 1], vec![2, 2]]);
         assert!(is_coarse_correlated_equilibrium(&rps, &ties, 0.0));
         assert!(!is_correlated_equilibrium(&rps, &ties, 0.0));
     }
@@ -219,7 +216,7 @@ mod tests {
     #[test]
     fn distribution_validation_and_queries() {
         let pd = classic::prisoners_dilemma();
-        let d = JointDistribution::uniform_over(&pd, &[vec![0, 0], vec![1, 1]]);
+        let d = uniform_over(&pd, &[vec![0, 0], vec![1, 1]]);
         assert!((d.prob(&pd, &[0, 0]) - 0.5).abs() < 1e-12);
         assert_eq!(d.prob(&pd, &[0, 1]), 0.0);
         assert!((d.expected_payoff(&pd, 0) - 0.0).abs() < 1e-12);

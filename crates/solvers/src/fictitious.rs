@@ -43,18 +43,6 @@ impl FictitiousPlay {
         }
     }
 
-    /// Initializes fictitious play from a specific starting profile: the
-    /// starting actions are recorded as the first observation in every
-    /// player's empirical distribution.
-    pub fn with_start(game: &NormalFormGame, start: &[ActionId]) -> Self {
-        let mut fp = Self::new(game);
-        fp.current = start.to_vec();
-        for (p, &a) in start.iter().enumerate() {
-            fp.counts[p][a] += 1.0;
-        }
-        fp
-    }
-
     /// The empirical mixed strategy of `player` so far (uniform if no play
     /// has been recorded yet).
     pub fn empirical_strategy(&self, player: PlayerId) -> MixedStrategy {
@@ -158,16 +146,6 @@ mod tests {
         let g = classic::matching_pennies();
         let result = fictitious_play(&g, 17);
         assert_eq!(result.iterations, 17);
-    }
-
-    #[test]
-    fn custom_start_profile_respected() {
-        let g = classic::battle_of_the_sexes();
-        let fp = FictitiousPlay::with_start(&g, &[1, 1]);
-        let result = fp.run(&g, 500);
-        // starting in the (Football, Football) equilibrium keeps play there
-        assert!(result.empirical.strategy(0).prob(1) > 0.9);
-        assert!(result.epsilon < 0.05);
     }
 
     #[test]

@@ -69,14 +69,6 @@ pub fn solve_linear_system(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Multiplies an `m × n` matrix (row-major slice of rows) by a length-`n`
-/// vector.
-pub fn mat_vec(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
-    a.iter()
-        .map(|row| row.iter().zip(x.iter()).map(|(r, v)| r * v).sum())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,15 +99,9 @@ mod tests {
         ];
         let b = vec![-8.0, 0.0, 3.0];
         let x = solve_linear_system(&a, &b).unwrap();
-        let recovered = mat_vec(&a, &x);
-        for (r, expected) in recovered.iter().zip(b.iter()) {
+        for (row, expected) in a.iter().zip(b.iter()) {
+            let r: f64 = row.iter().zip(x.iter()).map(|(r, v)| r * v).sum();
             assert!((r - expected).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn mat_vec_multiplies() {
-        let a = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        assert_eq!(mat_vec(&a, &[1.0, 1.0]), vec![3.0, 7.0]);
     }
 }

@@ -127,54 +127,35 @@ impl RegretMatching {
         }
         self
     }
-
-    /// Maximum average positive regret across players — converges to zero
-    /// when the empirical joint distribution approaches a coarse correlated
-    /// equilibrium.
-    pub fn max_average_regret(&self) -> f64 {
-        if self.iterations == 0 {
-            return 0.0;
-        }
-        self.regrets
-            .iter()
-            .flat_map(|r| r.iter())
-            .map(|r| r.max(0.0) / self.iterations as f64)
-            .fold(0.0, f64::max)
-    }
-
-    /// Checks the coarse-correlated-equilibrium condition of the empirical
-    /// joint distribution: no player can gain more than `epsilon` in
-    /// expectation by committing to a fixed action before the draw.
-    pub fn joint_is_epsilon_cce(&self, game: &NormalFormGame, epsilon: f64) -> bool {
-        let joint = self.empirical_joint();
-        for p in 0..game.num_players() {
-            let current: f64 = joint
-                .iter()
-                .map(|(profile, pr)| pr * game.payoff(p, profile))
-                .sum();
-            for a in 0..game.num_actions(p) {
-                let deviated: f64 = joint
-                    .iter()
-                    .map(|(profile, pr)| {
-                        let mut alt = profile.clone();
-                        alt[p] = a;
-                        pr * game.payoff(p, &alt)
-                    })
-                    .sum();
-                if deviated > current + epsilon {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlated::{is_coarse_correlated_equilibrium, JointDistribution};
     use bne_games::classic;
     use rand::SeedableRng;
+
+    /// The largest positive regret per iteration across players; it
+    /// vanishes as the empirical joint approaches a coarse correlated
+    /// equilibrium.
+    fn max_average_regret(rm: &RegretMatching) -> f64 {
+        if rm.iterations == 0 {
+            return 0.0;
+        }
+        rm.regrets
+            .iter()
+            .flatten()
+            .map(|r| r.max(0.0) / rm.iterations as f64)
+            .fold(0.0, f64::max)
+    }
+
+    /// Whether the empirical joint is an `epsilon`-coarse correlated
+    /// equilibrium of `game`.
+    fn joint_is_epsilon_cce(rm: &RegretMatching, game: &NormalFormGame, epsilon: f64) -> bool {
+        let joint = JointDistribution::new(game, rm.empirical_joint());
+        is_coarse_correlated_equilibrium(game, &joint, epsilon)
+    }
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(12345)
@@ -184,7 +165,7 @@ mod tests {
     fn regret_vanishes_in_matching_pennies() {
         let g = classic::matching_pennies();
         let rm = RegretMatching::new(&g).run(&g, 20_000, &mut rng());
-        assert!(rm.max_average_regret() < 0.05);
+        assert!(max_average_regret(&rm) < 0.05);
         let p = rm.empirical_strategy(0).prob(0);
         assert!((p - 0.5).abs() < 0.05, "empirical prob {p}");
     }
@@ -194,7 +175,7 @@ mod tests {
         let g = classic::prisoners_dilemma();
         let rm = RegretMatching::new(&g).run(&g, 5_000, &mut rng());
         assert!(rm.empirical_strategy(0).prob(1) > 0.95);
-        assert!(rm.joint_is_epsilon_cce(&g, 0.05));
+        assert!(joint_is_epsilon_cce(&rm, &g, 0.05));
     }
 
     #[test]
@@ -205,7 +186,7 @@ mod tests {
             let p = rm.empirical_strategy(0).prob(a);
             assert!((p - 1.0 / 3.0).abs() < 0.06, "prob {p}");
         }
-        assert!(rm.joint_is_epsilon_cce(&g, 0.05));
+        assert!(joint_is_epsilon_cce(&rm, &g, 0.05));
     }
 
     #[test]
@@ -223,6 +204,6 @@ mod tests {
         let rm = RegretMatching::new(&g);
         let d = rm.play_distribution(0);
         assert!((d.prob(0) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rm.max_average_regret(), 0.0);
+        assert_eq!(max_average_regret(&rm), 0.0);
     }
 }

@@ -5,7 +5,7 @@
 //! average it performs against the current population. Rest points of the
 //! dynamics that are stable correspond to symmetric Nash equilibria.
 
-use bne_games::{MixedProfile, MixedStrategy, NormalFormGame};
+use bne_games::{MixedStrategy, NormalFormGame};
 
 /// Replicator dynamics state for a symmetric two-player game.
 #[derive(Debug, Clone)]
@@ -128,27 +128,19 @@ impl ReplicatorDynamics {
     }
 }
 
-/// Runs replicator dynamics from the uniform state and reports whether the
-/// rest point it reaches is (approximately) a symmetric Nash equilibrium.
-pub fn replicator_equilibrium(game: &NormalFormGame, max_steps: usize) -> (MixedStrategy, bool) {
-    let strategy = ReplicatorDynamics::new(game).run(game, 0.5, 1e-12, max_steps);
-    let profile = MixedProfile::new(game, vec![strategy.clone(), strategy.clone()])
-        .expect("symmetric profile");
-    let is_nash = profile.is_epsilon_nash(game, 1e-3);
-    (strategy, is_nash)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bne_games::classic;
+    use bne_games::{classic, MixedProfile};
 
     #[test]
     fn pd_population_converges_to_all_defect() {
         let g = classic::prisoners_dilemma();
-        let (s, is_nash) = replicator_equilibrium(&g, 10_000);
+        let s = ReplicatorDynamics::new(&g).run(&g, 0.5, 1e-12, 10_000);
         assert!(s.prob(1) > 0.99, "defect share = {}", s.prob(1));
-        assert!(is_nash);
+        // the rest point is a symmetric Nash equilibrium
+        let profile = MixedProfile::new(&g, vec![s.clone(), s]).expect("symmetric profile");
+        assert!(profile.is_epsilon_nash(&g, 1e-3));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The scrip-system and file-sharing simulators, driven through the
 //! `bne-sim` scenario engine: a small parameter grid × seeded replicas per
 //! cell, aggregated into streaming statistics (no per-replica storage).
+//! The scrip economy reports utility per round; the table prints the
+//! total over the horizon.
 //!
 //! ```text
 //! cargo run --release -p bne-examples --bin scrip_economy
@@ -10,7 +12,7 @@
 
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario};
 use bne_core::p2p::P2pConfig;
-use bne_core::scrip::scenario::{money_supply_grid, ScripScenario};
+use bne_core::scrip::{economy_grid, EconomyScenario};
 use bne_core::sim::SimRunner;
 
 fn main() {
@@ -24,11 +26,14 @@ fn main() {
     // The money-supply question: for 40 agents with threshold 8, how much
     // scrip should the system print? Too little starves trade, too much
     // saturates thresholds and kills volunteering.
-    let supplies = [1u64, 2, 5, 8, 12];
-    let grid = money_supply_grid(40, 8, &supplies, 20_000);
+    let supplies = [1, 2, 5, 8, 12];
+    let rounds = 20_000;
+    let grid = economy_grid(40, 8, &supplies, &[0.0], &[0.0], rounds);
     println!("scrip money-supply curve (40 agents, threshold 8, 20k rounds):");
-    println!("  scrip/agent   efficiency (mean ± std)   [min, max]     rational utility");
-    for result in runner.run(&ScripScenario, &grid) {
+    println!(
+        "  scrip/agent   efficiency (mean ± std)   [min, max]     rational utility over 20k rounds"
+    );
+    for result in runner.run(&EconomyScenario, &grid) {
         let eff = &result.outcome.efficiency;
         let util = &result.outcome.rational_utility;
         println!(
@@ -38,7 +43,7 @@ fn main() {
             eff.std_dev(),
             eff.min(),
             eff.max(),
-            util.mean()
+            util.mean() * rounds as f64
         );
     }
 

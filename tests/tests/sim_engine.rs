@@ -1,11 +1,11 @@
 //! Cross-crate tests of the `bne-sim` scenario engine: seed-derivation
 //! collision freedom, sequential/parallel bit-identity under forced worker
-//! counts, and equivalence between the scenario ports and the legacy
-//! simulator entry points they wrap.
+//! counts, and equivalence between the scenario ports and the simulator
+//! entry points they wrap.
 
 use bne_core::p2p::scenario::{sharing_cost_grid, P2pScenario, P2pStats};
 use bne_core::p2p::P2pConfig;
-use bne_core::scrip::scenario::{money_supply_grid, ScripScenario, ScripStats};
+use bne_core::scrip::{economy_grid, Economy, EconomyScenario, EconomyStats};
 use bne_core::sim::{canonical_fold, derive_seed, Merge, Scenario, SimRunner, StreamingStats};
 use proptest::prelude::*;
 
@@ -86,19 +86,17 @@ fn every_cell_sees_its_own_replica_seeds_in_order() {
 }
 
 #[test]
-fn scrip_scenario_agrees_with_legacy_simulate() {
-    let grid = money_supply_grid(12, 5, &[2, 4], 600);
+fn scrip_scenario_agrees_with_direct_runs() {
+    let grid = economy_grid(12, 5, &[2, 4], &[0.0, 0.05], &[0.0, 0.25], 600);
     let runner = SimRunner::new(9, 31);
-    let engine = runner.run_sequential(&ScripScenario, &grid);
+    let engine = runner.run_sequential(&EconomyScenario, &grid);
     for (cell, config) in grid.iter().enumerate() {
-        let legacy = canonical_fold((0..9).map(|r| {
-            ScripStats::of_outcome(
-                config,
-                &bne_core::scrip::simulate(config, derive_seed(31, cell as u64, r)),
-            )
-        }))
+        let mut economy = Economy::new(config);
+        let direct = canonical_fold(
+            (0..9).map(|r| EconomyStats::of_outcome(&economy.run(derive_seed(31, cell as u64, r)))),
+        )
         .expect("non-empty");
-        assert_eq!(engine[cell].outcome, legacy);
+        assert_eq!(engine[cell].outcome, direct);
     }
 }
 
@@ -150,17 +148,17 @@ mod parallel {
 
     #[test]
     fn scrip_parallel_aggregation_is_bit_identical() {
-        let grid = money_supply_grid(12, 5, &[2, 4, 7], 400);
+        let grid = economy_grid(12, 5, &[2, 4, 7], &[0.0, 0.05], &[0.0, 0.25], 400);
         let runner = SimRunner::new(11, 5);
-        let sequential = runner.run_sequential(&ScripScenario, &grid);
+        let sequential = runner.run_sequential(&EconomyScenario, &grid);
         for workers in WORKER_COUNTS {
             assert_eq!(
                 sequential,
-                runner.run_parallel_with(workers, &ScripScenario, &grid),
+                runner.run_parallel_with(workers, &EconomyScenario, &grid),
                 "workers = {workers}"
             );
         }
-        assert_eq!(sequential, runner.run(&ScripScenario, &grid));
+        assert_eq!(sequential, runner.run(&EconomyScenario, &grid));
     }
 
     #[test]

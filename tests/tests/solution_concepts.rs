@@ -132,6 +132,7 @@ fn simulators_reproduce_the_quoted_shapes() {
     assert!(p2p.top1_percent_response_share > 0.3);
 
     let scrip =
-        bne_core::scrip::simulate(&bne_core::scrip::ScripConfig::homogeneous(40, 8, 20_000), 5);
+        bne_core::scrip::Economy::new(&bne_core::scrip::EconomyConfig::homogeneous(40, 8, 20_000))
+            .run(5);
     assert!(scrip.efficiency > 0.9);
 }
